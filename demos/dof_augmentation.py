@@ -8,8 +8,8 @@ The lighter the diagonal loading rho, the more modes clear the threshold.
 
 import numpy as np
 
-from holomimo import (build_upa, coupled_correlation_exact, coupling_closed_form,
-                      exact_correlation, isotropic_spectrum, regularize)
+from holomimo import (build_upa, coupling_closed_form, exact_correlation, isotropic_spectrum,
+                      whitened_eigenvalues)
 
 
 def count_above(ev, threshold_db):
@@ -28,11 +28,12 @@ def main():
           f"threshold {threshold_db:g} dB below the top eigenvalue")
     print(f"\nuncoupled correlation: {base} eigenvalues above threshold")
 
-    coupling = coupling_closed_form(g)
+    # one eigendecomposition of C serves every rho
+    rhos = (0.1, 0.01, 0.001)
+    whitened = whitened_eigenvalues(corr, coupling_closed_form(g), rhos)
     print(f"\n{'rho':>8} {'above threshold':>16} {'gain':>6}")
-    for rho in (0.1, 0.01, 0.001):
-        white = coupled_correlation_exact(corr, regularize(coupling, rho))
-        n = count_above(white.eigenvalues(), threshold_db)
+    for rho, ev in zip(rhos, whitened):
+        n = count_above(ev, threshold_db)
         print(f"{rho:8g} {n:16d} {n - base:+6d}")
     print("\ncoupling-aware whitening adds usable spatial modes; the count grows")
     print("as rho shrinks because less loading preserves more superdirectivity")

@@ -1,18 +1,22 @@
-"""Weighted plane-wave sums over antenna position differences.
+"""Correlation and coupling kernels over antenna position differences.
 
 Both the coupling and correlation integrals reduce to sums of the form
 sum_k w_k exp(i (kx_k dx + ky_k dy)) over all pairwise coordinate differences
 (dx, dy).  On gridded arrays the number of unique differences per axis is tiny
 compared to N^2, so the sum is evaluated on the unique-difference product set
-with one small matrix product per node chunk and then scattered back.
+with one small matrix product per node chunk and then scattered back.  A unit
+density over the sphere has the closed form sinc(2 d / lambda) instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 # Differences are grouped after rounding to this many decimals (wavelengths).
 _ROUND = 9
+# Relative imaginary / asymmetric residue treated as quadrature noise.
+_RESIDUE_TOL = 1e-6
 
 
 def _unique_differences(coord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -36,3 +40,29 @@ def phase_kernel(positions: np.ndarray, kx: np.ndarray, ky: np.ndarray,
         ey = np.exp(1j * np.outer(ky[sl], uy))
         table += (ex * weights[sl, None]).T @ ey
     return table[ix, iy]
+
+
+def sinc_kernel(positions: np.ndarray, wavelength: float) -> np.ndarray:
+    """sinc(2 d / lambda) in the pairwise distances: the full-sphere average
+    of the plane-wave outer product under a unit density."""
+    d = cdist(positions, positions)
+    return np.sinc(2.0 * d / wavelength)
+
+
+def angular_kernel(positions: np.ndarray, density, quadrature, scale: float,
+                   wavenumber: float) -> np.ndarray:
+    """scale * upper-hemisphere integral of density * exp(i k . (r_n - r_m)).
+
+    The result is real symmetric when its imaginary and asymmetric residue is
+    at quadrature-noise level (every point-symmetric density), and complex
+    Hermitian otherwise.
+    """
+    theta, phi = quadrature.grids()
+    w = quadrature.weights() * density(theta, phi) * scale
+    kx = wavenumber * np.sin(theta) * np.cos(phi)
+    ky = wavenumber * np.sin(theta) * np.sin(phi)
+    m = phase_kernel(positions, kx, ky, w)
+    residue = max(np.abs(m.imag).max(), 0.5 * np.abs(m - m.T).max())
+    if residue <= _RESIDUE_TOL * max(np.abs(m).max(), 1.0):
+        return 0.5 * (m.real + m.real.T)
+    return 0.5 * (m + m.conj().T)

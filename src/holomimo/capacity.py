@@ -160,8 +160,8 @@ def ergodic_capacity(model: ChannelModel, snr_db, n_mc: int = 200,
         h = model.realize(seed, i)
         s = np.linalg.svd(h, compute_uv=False)
         lam = s * s
-        lam = lam[lam > lam[0] * 1e-30] if lam[0] > 0 else lam[:1] + 1e-300
-        caps[i] = _capacity_grid(lam, snr_lin)
+        # An all-zero draw carries no information at any SNR.
+        caps[i] = _capacity_grid(lam[lam > lam[0] * 1e-30], snr_lin) if lam[0] > 0 else 0.0
     mean = caps.mean(axis=0)
     if np.any(np.diff(mean) < -1e-9):
         raise RuntimeError("ergodic capacity failed to be nondecreasing in SNR")

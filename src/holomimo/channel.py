@@ -15,17 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import phase_kernel
-from .coupling import CouplingMatrix, spd_inv_sqrt, spd_sqrt
+from ._kernels import angular_kernel, sinc_kernel
+from .coupling import CouplingMatrix, _check_floor, spd_inv_sqrt, spd_sqrt
 from .fourier import FourierBasis, dof_prime
 from .geometry import CONSTANTS, ArrayGeometry, PhysicalConstants
-from .spectra import AngularSpectrum, HemisphereQuadrature, quadrature_for
+from .spectra import AngularSpectrum, HemisphereQuadrature, isotropic_spectrum, quadrature_for
 
 __all__ = [
     "CorrelationMatrix",
     "ChannelModel",
     "exact_correlation",
     "coupled_correlation_exact",
+    "whitened_eigenvalues",
     "fourier_correlation",
     "fourier_model",
     "exact_model",
@@ -71,15 +72,16 @@ def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
 
     The diagonal equals the spectrum's upper-hemisphere mass over 2pi: one for
     hemisphere-balanced spectra, two for one-sided caps (all the power arrives
-    from above).
+    from above).  The isotropic spectrum takes the closed form sinc(2 d /
+    lambda) and ignores ``quadrature``.  The matrix is real for every
+    point-symmetric spectrum and complex Hermitian otherwise.
     """
-    q = quadrature if quadrature is not None else quadrature_for(spectrum)
-    theta, phi = q.grids()
-    w = q.weights() * spectrum(theta, phi) / (2.0 * np.pi)
-    kx = constants.wavenumber * np.sin(theta) * np.cos(phi)
-    ky = constants.wavenumber * np.sin(theta) * np.sin(phi)
-    m = phase_kernel(geometry.positions, kx, ky, w)
-    m = 0.5 * (m + m.conj().T)
+    if spectrum == isotropic_spectrum():
+        m = sinc_kernel(geometry.positions, constants.wavelength)
+    else:
+        q = quadrature if quadrature is not None else quadrature_for(spectrum)
+        m = angular_kernel(geometry.positions, spectrum, q, 1.0 / (2.0 * np.pi),
+                           constants.wavenumber)
     return CorrelationMatrix(m, "exact", {"spectrum": spectrum.name})
 
 
@@ -92,6 +94,29 @@ def coupled_correlation_exact(correlation: CorrelationMatrix,
     meta = dict(correlation.meta)
     meta["rho"] = coupling.rho
     return CorrelationMatrix(m, "coupled-exact", meta)
+
+
+def whitened_eigenvalues(correlation: CorrelationMatrix, coupling: CouplingMatrix,
+                         rhos) -> np.ndarray:
+    """Descending eigenvalues of C^{-1/2}(rho) R C^{-1/2}(rho), one row per rho.
+
+    C + rho I shares the eigenvectors V of C for every rho, so C is decomposed
+    once and R' = V^H R V formed once; each rho then costs one eigvalsh of
+    D R' D with D = diag((w + rho)^{-1/2}), which is similar to the whitened
+    correlation (Golub & Van Loan, Matrix Computations, sec. 8.7).  Raises
+    SingularCouplingError for a rho that leaves C + rho I at the floor.
+    """
+    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
+    if np.any(rhos < 0.0):
+        raise ValueError("rho must be nonnegative")
+    w, v = np.linalg.eigh(coupling.matrix)
+    r = v.conj().T @ correlation.matrix @ v
+    out = np.empty((rhos.size, w.size))
+    for i, rho in enumerate(rhos):
+        _check_floor(w[0] + rho, coupling.rho + rho)
+        d = 1.0 / np.sqrt(w + rho)
+        out[i] = np.linalg.eigvalsh(d[:, None] * r * d[None, :])[::-1]
+    return out
 
 
 def fourier_correlation(basis: FourierBasis) -> CorrelationMatrix:

@@ -24,14 +24,14 @@ import yaml
 
 from . import __version__
 from .capacity import ergodic_capacity, low_snr_bound_check
-from .channel import (coupled_correlation_exact, exact_correlation, exact_model,
-                      fourier_model, iid_model)
+from .channel import (exact_correlation, exact_model, fourier_model, iid_model,
+                      whitened_eigenvalues)
 from .coupling import (SingularCouplingError, coupling_closed_form, coupling_general,
                        regularize, write_coupling_csv)
 from .fourier import build_fourier_basis, build_lattice, write_variances_csv
 from .geometry import geometry_from_config
 from .presets import PRESET_NOTES, PRESETS
-from .spectra import pattern_covers, pattern_from_name, quadrature_for, spectrum_from_name
+from .spectra import pattern_covers, pattern_from_name, spectrum_from_name
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "main", "entry"]
 
@@ -202,11 +202,12 @@ def _build_coupling(geometry, cfg: ExperimentConfig, spectrum):
 def _run_eigenvalues(cfg: ExperimentConfig, out: Path) -> list[str]:
     g = geometry_from_config(cfg.tx)
     spectrum = spectrum_from_name(cfg.spectrum)
-    corr = exact_correlation(g, spectrum, quadrature_for(spectrum))
+    corr = exact_correlation(g, spectrum)
+    refs = _refs(g)
     files = []
 
-    ev = np.clip(corr.eigenvalues().real, 0.0, None)
-    _write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *_refs(g))
+    ev = np.clip(corr.eigenvalues(), 0.0, None)
+    _write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *refs)
     files.append("eigs_exact_uncoupled.csv")
 
     basis = build_fourier_basis(g, spectrum)
@@ -219,10 +220,9 @@ def _run_eigenvalues(cfg: ExperimentConfig, out: Path) -> list[str]:
 
     if cfg.rho:
         base, pattern = _build_coupling(g, cfg, spectrum)
-        for rho in cfg.rho:
-            white = coupled_correlation_exact(corr, regularize(base, rho))
+        for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
             name = f"eigs_exact_coupled_rho{_rho_tag(rho)}.csv"
-            _write_eig_csv(out / name, np.clip(white.eigenvalues().real, 0.0, None), *_refs(g))
+            _write_eig_csv(out / name, np.clip(ev, 0.0, None), *refs)
             files.append(name)
         cbasis = build_fourier_basis(g, spectrum, pattern, lattice=basis.lattice)
         cev = cbasis.model_eigenvalues()
@@ -242,24 +242,24 @@ def _refs(geometry) -> tuple[int, int]:
 def _run_dof_sweep(cfg: ExperimentConfig, out: Path) -> list[str]:
     g = geometry_from_config(cfg.tx)
     spectrum = spectrum_from_name(cfg.spectrum)
-    corr = exact_correlation(g, spectrum, quadrature_for(spectrum))
+    corr = exact_correlation(g, spectrum)
     thr = 10.0 ** (cfg.threshold_db / 10.0)
+    refs = _refs(g)
     files = []
 
     def count(ev):
         return int(np.count_nonzero(ev > ev[0] * thr))
 
-    ev_unc = np.clip(corr.eigenvalues().real, 0.0, None)
-    _write_eig_csv(out / "eigs_exact_uncoupled.csv", ev_unc, *_refs(g))
+    ev_unc = np.clip(corr.eigenvalues(), 0.0, None)
+    _write_eig_csv(out / "eigs_exact_uncoupled.csv", ev_unc, *refs)
     files.append("eigs_exact_uncoupled.csv")
     rows = [("uncoupled", "", count(ev_unc), cfg.threshold_db)]
 
     base, _ = _build_coupling(g, cfg, spectrum)
-    for rho in cfg.rho:
-        white = coupled_correlation_exact(corr, regularize(base, rho))
-        ev = np.clip(white.eigenvalues().real, 0.0, None)
+    for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
+        ev = np.clip(ev, 0.0, None)
         name = f"eigs_exact_coupled_rho{_rho_tag(rho)}.csv"
-        _write_eig_csv(out / name, ev, *_refs(g))
+        _write_eig_csv(out / name, ev, *refs)
         files.append(name)
         rows.append(("coupled", _rho_tag(rho), count(ev), cfg.threshold_db))
 
@@ -273,7 +273,7 @@ def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
     gr = geometry_from_config(cfg.rx) if cfg.rx is not None else gt
     n_rx = gr.n_antennas
     spectrum = spectrum_from_name(cfg.spectrum)
-    corr = exact_correlation(gt, spectrum, quadrature_for(spectrum))
+    corr = exact_correlation(gt, spectrum)
     grid = _snr_grid(cfg)
     files = []
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from ._kernels import phase_kernel
+from ._kernels import angular_kernel, sinc_kernel
 from .geometry import CONSTANTS, ArrayGeometry, PhysicalConstants
 from .spectra import AntennaPattern, HemisphereQuadrature, check_normalization, quadrature_for
 
@@ -28,8 +27,6 @@ __all__ = [
     "write_coupling_csv",
 ]
 
-# Relative symmetry / imaginary residue tolerated before symmetrization.
-_RESIDUE_TOL = 1e-6
 # Eigenvalue floor below which the inverse square root refuses to proceed.
 EIGENVALUE_FLOOR = 1e-12
 
@@ -58,8 +55,7 @@ class CouplingMatrix:
 def coupling_closed_form(geometry: ArrayGeometry,
                          constants: PhysicalConstants = CONSTANTS) -> CouplingMatrix:
     """sinc(2 d / lambda) coupling for lossless omnidirectional elements."""
-    d = cdist(geometry.positions, geometry.positions)
-    m = np.sinc(2.0 * d / constants.wavelength)
+    m = sinc_kernel(geometry.positions, constants.wavelength)
     return CouplingMatrix(m, geometry, kind="closed-form")
 
 
@@ -76,21 +72,15 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern,
     norm = check_normalization(pattern, q)
     if abs(norm - 1.0) > 1e-3:
         raise ValueError(f"pattern {pattern.name!r} is not normalized (average {norm:.6f})")
-    theta, phi = q.grids()
-    upper = pattern(theta, phi)
-    lower = upper if pattern.lower == "mirror" else 0.0
-    # Planar arrays have no z offsets, so the upper and lower hemispheres share
-    # the same in-plane phases and only the pattern values differ.
-    w = q.weights() * (upper + lower) / (4.0 * np.pi)
-    kx = constants.wavenumber * np.sin(theta) * np.cos(phi)
-    ky = constants.wavenumber * np.sin(theta) * np.sin(phi)
-    m = phase_kernel(geometry.positions, kx, ky, w)
-    scale = max(np.abs(m).max(), 1.0)
-    residue = max(np.abs(m.imag).max(), 0.5 * np.abs(m - m.T).max())
-    if residue > _RESIDUE_TOL * scale:
+    # Planar arrays have no z offsets, so a mirrored lower hemisphere shares
+    # the upper one's in-plane phases and doubles its weight.
+    hemispheres = 2.0 if pattern.lower == "mirror" else 1.0
+    m = angular_kernel(geometry.positions, pattern, q, hemispheres / (4.0 * np.pi),
+                       constants.wavenumber)
+    if np.iscomplexobj(m):
+        residue = np.abs(m.imag).max()
         raise RuntimeError(f"coupling quadrature residue {residue:.3e} exceeds tolerance")
-    sym = 0.5 * (m.real + m.real.T)
-    return CouplingMatrix(sym, geometry, kind=f"general({pattern.name})")
+    return CouplingMatrix(m, geometry, kind=f"general({pattern.name})")
 
 
 def regularize(coupling: CouplingMatrix, rho: float) -> CouplingMatrix:
@@ -99,6 +89,16 @@ def regularize(coupling: CouplingMatrix, rho: float) -> CouplingMatrix:
         raise ValueError("rho must be nonnegative")
     m = coupling.matrix + rho * np.eye(coupling.n_antennas)
     return replace(coupling, matrix=m, rho=coupling.rho + rho)
+
+
+def _check_floor(eigmin: float, rho: float, floor: float = EIGENVALUE_FLOOR) -> None:
+    """Refuse to invert a coupling matrix whose smallest eigenvalue is at the floor."""
+    if eigmin <= floor:
+        raise SingularCouplingError(
+            f"coupling matrix is numerically singular: smallest eigenvalue "
+            f"{eigmin:.6e} <= floor {floor:.0e} (current rho={rho:g}); "
+            f"increase the regularization rho"
+        )
 
 
 def _as_hermitian(coupling) -> np.ndarray:
@@ -126,12 +126,7 @@ def spd_inv_sqrt(coupling, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
     h = _as_hermitian(coupling)
     rho = coupling.rho if isinstance(coupling, CouplingMatrix) else 0.0
     w, v = np.linalg.eigh(h)
-    if w[0] <= floor:
-        raise SingularCouplingError(
-            f"coupling matrix is numerically singular: smallest eigenvalue "
-            f"{w[0]:.6e} <= floor {floor:.0e} (current rho={rho:g}); "
-            f"increase the regularization rho"
-        )
+    _check_floor(w[0], rho, floor)
     return (v / np.sqrt(w)) @ v.conj().T
 
 

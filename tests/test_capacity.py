@@ -139,6 +139,19 @@ def test_ergodic_capacity_reproducible_and_monotone():
     assert single.stderr[0] == 0.0
 
 
+class _ZeroModel:
+    label = "zero"
+
+    def realize(self, seed, index=0):
+        return np.zeros((3, 4), dtype=complex)
+
+
+def test_ergodic_capacity_zero_channel_carries_nothing():
+    curve = ergodic_capacity(_ZeroModel(), [-10.0, 0.0, 20.0, 40.0], n_mc=5, seed=0)
+    assert np.array_equal(curve.capacity_bits, np.zeros(4))
+    assert np.array_equal(curve.stderr, np.zeros(4))
+
+
 def test_ergodic_capacity_error_modes():
     with pytest.raises(ValueError):
         ergodic_capacity(iid_model(2, 2), [], n_mc=10)

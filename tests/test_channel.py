@@ -1,21 +1,93 @@
 import numpy as np
 import pytest
 
-from holomimo import (build_fourier_basis, build_upa, cap_spectrum, coupled_correlation_exact,
+from holomimo import (AngularSpectrum, SingularCouplingError, build_fourier_basis, build_upa,
+                      cap_spectrum, check_normalization, coupled_correlation_exact,
                       coupling_closed_form, coupling_general, exact_correlation, exact_model,
                       fourier_correlation, fourier_model, iid_model, isotropic_spectrum,
-                      matched_pattern, omni_pattern, regularize, sample_exact_channel,
-                      sample_fourier_channel, spd_inv_sqrt)
+                      matched_pattern, omni_pattern, quadrature_for, regularize,
+                      sample_exact_channel, sample_fourier_channel, spd_inv_sqrt,
+                      whitened_eigenvalues)
+from holomimo._kernels import angular_kernel
 from holomimo.channel import complex_normal, substream
+from holomimo.geometry import CONSTANTS
 
 
 def test_isotropic_correlation_is_sinc():
-    # with isotropic scattering the correlation coincides with the coupling kernel
+    # with isotropic scattering the correlation quadrature coincides with the
+    # coupling kernel (the builder at the correlation scale 1/2pi)
     g = build_upa(6, 6, 0.5)
-    r = exact_correlation(g, isotropic_spectrum()).matrix
+    spectrum = isotropic_spectrum()
+    r = angular_kernel(g.positions, spectrum, quadrature_for(spectrum), 1.0 / (2.0 * np.pi),
+                       CONSTANTS.wavenumber)
     c = coupling_closed_form(g).matrix
     assert np.abs(r - c).max() < 1e-10
-    assert np.abs(r.imag).max() < 1e-12
+    assert not np.iscomplexobj(r)  # imaginary residue judged quadrature noise
+
+
+def test_isotropic_correlation_takes_closed_form():
+    g = build_upa(7, 5, 0.3)
+    r = exact_correlation(g, isotropic_spectrum()).matrix
+    assert r.dtype == np.float64
+    assert np.array_equal(r, coupling_closed_form(g).matrix)
+
+
+def test_asymmetric_spectrum_keeps_complex_hermitian_correlation():
+    # 1 + sin(theta) cos(phi) = 1 + kx / k is not point-symmetric in (kx, ky),
+    # so R keeps an imaginary part; the cos(phi) term averages out, so it is
+    # normalized with a mirrored lower hemisphere
+    tilted = AngularSpectrum("tilted", lambda th, ph: 1.0 + np.sin(th) * np.cos(ph))
+    q = quadrature_for(tilted, n_theta=64, n_phi=128)
+    assert check_normalization(tilted, q) == pytest.approx(1.0, abs=1e-12)
+    g = build_upa(3, 3, 0.3)
+    r = exact_correlation(g, tilted, q).matrix
+    assert np.iscomplexobj(r)
+    assert np.array_equal(r, r.conj().T)
+    assert np.abs(r.imag).max() > 1e-2
+    # direct plane-wave sum over the same nodes: A[k, n] = exp(i k . r_n)
+    theta, phi = q.grids()
+    k = CONSTANTS.wavenumber
+    a = np.exp(1j * k * (np.outer(np.sin(theta) * np.cos(phi), g.positions[:, 0])
+                         + np.outer(np.sin(theta) * np.sin(phi), g.positions[:, 1])))
+    w = q.weights() * tilted(theta, phi) / (2.0 * np.pi)
+    direct = (a.T * w) @ a.conj()
+    assert np.abs(r - direct).max() < 1e-12
+
+
+# Peak-relative agreement of the shared-eigh whitening with the per-rho
+# matrix path: both are backward stable, so they differ by roundoff times
+# cond(C + rho I) <= ~5e3 here (observed <= 1.3e-13), far below this bound.
+WHITENED_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("n, spacing, spectrum, matched", [
+    (8, 0.25, isotropic_spectrum(), False),
+    (7, 0.5, cap_spectrum(np.pi / 3), True),
+])
+def test_whitened_eigenvalues_match_matrix_path(n, spacing, spectrum, matched):
+    g = build_upa(n, n, spacing)
+    r = exact_correlation(g, spectrum)
+    c = coupling_general(g, matched_pattern(spectrum)) if matched else coupling_closed_form(g)
+    rhos = [0.1, 0.01, 0.001]
+    got = whitened_eigenvalues(r, c, rhos)
+    assert got.shape == (3, g.n_antennas)
+    for ev, rho in zip(got, rhos):
+        ref = coupled_correlation_exact(r, regularize(c, rho)).eigenvalues()
+        assert np.all(np.diff(ev) <= 0.0)
+        assert np.abs(ev - ref).max() <= WHITENED_RTOL * ref[0]
+
+
+def test_whitened_eigenvalues_refuse_singular_coupling():
+    g = build_upa(10, 10, 0.25)
+    r = exact_correlation(g, isotropic_spectrum())
+    c = coupling_closed_form(g)
+    with pytest.raises(SingularCouplingError, match=r"rho=0\)"):
+        whitened_eigenvalues(r, c, [0.0])
+    # the reported rho includes loading already applied to C
+    with pytest.raises(SingularCouplingError, match=r"rho=1e-13\)"):
+        whitened_eigenvalues(r, regularize(c, 1e-13), [0.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        whitened_eigenvalues(r, c, [-0.1])
 
 
 def test_correlation_diagonal():

@@ -258,16 +258,26 @@ def assert_lists_presets(proc):
         assert name in proc.stdout
 
 
+def _checkout_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script():
     tomllib = pytest.importorskip("tomllib")
     with open(REPO / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["holomimo"]
     module, func = target.split(":")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _WRAPPER, module, func, "presets"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_checkout_env())
+    assert_lists_presets(proc)
+
+
+def test_python_dash_m():
+    proc = subprocess.run([sys.executable, "-m", "holomimo", "presets"],
+                          capture_output=True, text=True, env=_checkout_env())
     assert_lists_presets(proc)
 
 

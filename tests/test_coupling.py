@@ -77,6 +77,14 @@ def test_general_rejects_unnormalized_pattern():
         coupling_general(build_ula(4, 0.4), bad)
 
 
+def test_general_rejects_asymmetric_pattern():
+    # a pattern that is not point-symmetric in (kx, ky) leaves an imaginary
+    # residue far above quadrature noise; a coupling matrix must be real
+    tilted = AntennaPattern("tilted", lambda th, ph: 1.0 + np.sin(th) * np.cos(ph))
+    with pytest.raises(RuntimeError, match="residue"):
+        coupling_general(build_upa(3, 3, 0.3), tilted)
+
+
 def test_regularize():
     g = build_ula(4, 0.25)
     c = coupling_closed_form(g)
