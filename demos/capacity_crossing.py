@@ -10,7 +10,7 @@ amplifies both effects and pushes the high-SNR curve toward the IID limit.
 import numpy as np
 
 from holomimo import (build_upa, coupling_closed_form, ergodic_capacity, exact_correlation,
-                      exact_model, iid_model, isotropic_spectrum, regularize)
+                      exact_model, iid_model, isotropic_spectrum, whitened_eigenvalues)
 
 
 def main():
@@ -21,13 +21,14 @@ def main():
 
     corr = exact_correlation(g, spectrum)
     coupling = coupling_closed_form(g)
+    rhos = (0.3, 0.03)
+    # the transmit spectra: eig R uncoupled, eig C^{-1/2} R C^{-1/2} coupled;
     # receive-referred normalization compares the arrays at equal delivered power
     curves = [ergodic_capacity(iid_model(g.n_antennas, g.n_antennas), snr_db, n_mc, seed),
-              ergodic_capacity(exact_model(corr, None, normalize="receive", label="uncoupled"),
-                               snr_db, n_mc, seed)]
-    for rho in (0.3, 0.03):
-        model = exact_model(corr, regularize(coupling, rho), normalize="receive",
-                            label=f"coupled rho={rho:g}")
+              ergodic_capacity(exact_model(corr.eigenvalues(), normalize="receive",
+                                           label="uncoupled"), snr_db, n_mc, seed)]
+    for rho, ev in zip(rhos, whitened_eigenvalues(corr, coupling, rhos)):
+        model = exact_model(ev, normalize="receive", label=f"coupled rho={rho:g}")
         curves.append(ergodic_capacity(model, snr_db, n_mc, seed))
 
     print(f"{g.n_antennas} antennas at 0.4-wavelength spacing, {n_mc} realizations "

@@ -17,6 +17,8 @@ from scipy.spatial.distance import cdist
 _ROUND = 9
 # Relative imaginary / asymmetric residue treated as quadrature noise.
 _RESIDUE_TOL = 1e-6
+# Bytes allowed for the unique-difference table and each chunk's buffers.
+_BUDGET = 1 << 27
 
 
 def _unique_differences(coord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -26,10 +28,20 @@ def _unique_differences(coord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def phase_kernel(positions: np.ndarray, kx: np.ndarray, ky: np.ndarray,
-                 weights: np.ndarray, chunk: int = 32768) -> np.ndarray:
-    """N x N matrix M[n, m] = sum_k w_k exp(i k . (r_n - r_m)) for planar r."""
+                 weights: np.ndarray) -> np.ndarray:
+    """N x N matrix M[n, m] = sum_k w_k exp(i k . (r_n - r_m)) for planar r.
+
+    Raises ValueError when the unique-difference table exceeds the memory
+    budget: irregular arrays have up to N^2 differences per axis.
+    """
     ux, ix = _unique_differences(positions[:, 0])
     uy, iy = _unique_differences(positions[:, 1])
+    if 16 * ux.size * uy.size > _BUDGET:
+        raise ValueError(f"{ux.size} x {uy.size} unique position differences exceed the "
+                         f"{_BUDGET >> 20} MiB phase-table budget; use a gridded geometry, or "
+                         f"the isotropic spectrum with omni elements (closed-form sinc)")
+    # Node chunks whose exponential buffers fit the budget too.
+    chunk = min(32768, _BUDGET // (16 * max(ux.size, uy.size)))
     table = np.zeros((ux.size, uy.size), dtype=complex)
     kx = np.asarray(kx, dtype=float).ravel()
     ky = np.asarray(ky, dtype=float).ravel()

@@ -188,8 +188,9 @@ def optimal_precoder(h: np.ndarray, snr: float,
                      coupling: CouplingMatrix | None = None) -> PrecoderMatrix:
     """Capacity-achieving precoder for one realization of the effective channel.
 
-    ``h`` is the effective channel seen by the composite precoder (for exact
-    models, G R^{1/2} C^{-1/2}; for beamspace models, the beamspace matrix).
+    ``h`` is the effective channel seen by the composite precoder (for
+    antenna-domain draws, ``sample_exact_channel``'s G R^{1/2} C^{-1/2}; for
+    beamspace models, the beamspace matrix).
     Waterfilling runs on its squared singular values; the composite power
     equals ``snr`` exactly.  With ``coupling`` given, ``matrix`` is mapped
     back to antenna currents through C^{-1/2}.
@@ -268,8 +269,7 @@ def low_snr_bound_check(model: ChannelModel, n_mc: int = 2000, seed: int = 0) ->
     """
     if model.kind != "fourier":
         raise ValueError("bound check applies to Fourier-model channels")
-    amp_r = np.sqrt(model.rx_basis.n_antennas * model.rx_basis.variances)
-    amp_t = np.sqrt(model.tx_basis.n_antennas * model.tx_basis.variances)
+    amp_r, amp_t = model.amp_r, model.amp_t
     top = float((amp_r.max() * amp_t.max()) ** 2)
     lhs = np.empty(n_mc)
     wtop = np.empty(n_mc)
@@ -308,5 +308,4 @@ def high_snr_dof_check(model: ChannelModel, window_db=(30.0, 45.0),
         raise ValueError("window must be increasing")
     curve = ergodic_capacity(model, np.array([lo, hi]), n_mc, seed)
     slope = float(np.diff(curve.capacity_bits)[0] / ((hi - lo) / 10.0 * np.log2(10.0)))
-    predicted = model.predicted_dof()
-    return DofCheck(slope, predicted, slope / predicted)
+    return DofCheck(slope, model.dof, slope / model.dof)

@@ -56,10 +56,6 @@ class CorrelationMatrix:
     kind: str  # "exact" | "coupled-exact" | "fourier-uncoupled" | "fourier-coupled"
     meta: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def n_antennas(self) -> int:
-        return self.matrix.shape[0]
-
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in decreasing order."""
         return np.linalg.eigvalsh(self.matrix)[::-1]
@@ -127,91 +123,69 @@ def fourier_correlation(basis: FourierBasis) -> CorrelationMatrix:
     return CorrelationMatrix(m, f"fourier-{basis.flavor}", {"spectrum": basis.spectrum.name})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelModel:
-    """A recipe for drawing i.i.d.-in-time channel realizations.
+    """i.i.d.-in-time channel draws diag(amp_r) W diag(amp_t), W i.i.d. CN(0, 1).
 
-    kind "fourier" draws beamspace matrices diag(sqrt(N_r sigma_r)) W
-    diag(sqrt(N_t sigma_t)); kind "exact" right-multiplies an i.i.d. matrix by
-    a fixed transmit shaping factor; kind "iid" is the white reference.
+    The amplitudes are per-cell sqrt(N sigma2) (Fourier), the square root of
+    a transmit spectrum (exact), or ones (iid, the white reference).  ``kind``
+    names the constructor; ``dof`` is the high-SNR multiplexing gain.
     """
 
+    amp_r: np.ndarray
+    amp_t: np.ndarray
+    label: str
     kind: str
-    n_rx: int
-    n_tx: int
-    label: str = ""
-    rx_basis: FourierBasis | None = None
-    tx_basis: FourierBasis | None = None
-    tx_shaping: np.ndarray | None = None
+    dof: int
 
     def realize(self, seed: int, index: int = 0) -> np.ndarray:
-        rng = substream(seed, index)
-        if self.kind == "fourier":
-            amp_r = np.sqrt(self.rx_basis.n_antennas * self.rx_basis.variances)
-            amp_t = np.sqrt(self.tx_basis.n_antennas * self.tx_basis.variances)
-            w = complex_normal(rng, (amp_r.size, amp_t.size))
-            return amp_r[:, None] * w * amp_t[None, :]
-        if self.kind == "iid":
-            return complex_normal(rng, (self.n_rx, self.n_tx))
-        if self.kind == "exact":
-            g = complex_normal(rng, (self.n_rx, self.tx_shaping.shape[0]))
-            return g @ self.tx_shaping
-        raise ValueError(f"unknown channel kind {self.kind!r}")
-
-    def predicted_dof(self) -> int:
-        """Spatial multiplexing gain the model supports at high SNR."""
-        if self.kind == "fourier":
-            return min(dof_prime(self.rx_basis.lattice, self.rx_basis.spectrum),
-                       dof_prime(self.tx_basis.lattice, self.tx_basis.spectrum))
-        return min(self.n_rx, self.n_tx)
+        w = complex_normal(substream(seed, index), (self.amp_r.size, self.amp_t.size))
+        return self.amp_r[:, None] * w * self.amp_t[None, :]
 
 
-def fourier_model(rx_basis: FourierBasis, tx_basis: FourierBasis,
-                  label: str = "") -> ChannelModel:
+def fourier_model(rx: FourierBasis, tx: FourierBasis, label: str = "") -> ChannelModel:
     """Beamspace channel with independent entries of the per-cell variances."""
-    return ChannelModel("fourier", rx_basis.n_points, tx_basis.n_points,
-                        label or f"fourier-{tx_basis.flavor}",
-                        rx_basis=rx_basis, tx_basis=tx_basis)
+    return ChannelModel(np.sqrt(rx.n_antennas * rx.variances),
+                        np.sqrt(tx.n_antennas * tx.variances),
+                        label or f"fourier-{tx.flavor}", "fourier",
+                        min(dof_prime(rx.lattice, rx.spectrum), dof_prime(tx.lattice, tx.spectrum)))
 
 
 def iid_model(n_rx: int, n_tx: int) -> ChannelModel:
-    return ChannelModel("iid", n_rx, n_tx, "iid")
+    return ChannelModel(np.ones(n_rx), np.ones(n_tx), "iid", "iid", min(n_rx, n_tx))
 
 
-def exact_model(tx_correlation: CorrelationMatrix,
-                coupling: CouplingMatrix | None = None,
-                n_rx: int | None = None,
-                normalize: str = "transmit",
-                element_factor: float = 1.0,
+def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "transmit",
                 label: str = "") -> ChannelModel:
-    """i.i.d.-receive channel with transmit correlation and optional coupling.
+    """i.i.d.-receive channel with transmit spectrum eig R (uncoupled) or a row
+    of ``whitened_eigenvalues`` (coupled).
 
-    The transmit shaping is R^{1/2} C^{-1/2}(rho).  With ``normalize
-    "transmit"`` the shaping is used as is (power is referred to the matched
-    uncoupled transmitter); ``"receive"`` rescales it so the average delivered
-    power tr(T^H T) equals the antenna count, which compares coupled and
-    uncoupled arrays at equal received power.
+    G i.i.d. Gaussian is unitarily invariant, so G R^{1/2} C^{-1/2} has the
+    singular-value law of W diag(sqrt(eig)) (Tulino & Verdu, 2004).
+    ``"transmit"`` uses the spectrum as is (power referred to the matched
+    uncoupled transmitter); ``"receive"`` scales it to sum to the antenna
+    count, comparing arrays at equal received power.
     """
-    r = tx_correlation.matrix
-    t = spd_sqrt(r).astype(complex)
-    if coupling is not None:
-        t = t @ spd_inv_sqrt(coupling)
+    lam = np.asarray(tx_eigenvalues, dtype=float).ravel()
+    if lam.min() < -1e-8 * max(lam.max(), 1.0):
+        raise ValueError(f"transmit spectrum is not positive semidefinite "
+                         f"(eigenvalue {lam.min():.3e})")
+    lam = np.clip(lam, 0.0, None)
     if normalize == "receive":
-        t = t * np.sqrt(t.shape[0] / np.trace(t.conj().T @ t).real)
+        lam = lam * (lam.size / lam.sum())
     elif normalize != "transmit":
         raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
-    t = t * float(element_factor)
-    n_t = r.shape[0]
-    return ChannelModel("exact", int(n_rx) if n_rx is not None else n_t, n_t,
-                        label or "exact", tx_shaping=t)
+    n_rx = int(n_rx) if n_rx is not None else lam.size
+    return ChannelModel(np.ones(n_rx), np.sqrt(lam), label or "exact", "exact",
+                        min(n_rx, lam.size))
 
 
-def sample_fourier_channel(rx_basis: FourierBasis, tx_basis: FourierBasis,
+def sample_fourier_channel(rx: FourierBasis, tx: FourierBasis,
                            seed: int, index: int = 0, lift: bool = False) -> np.ndarray:
     """One beamspace realization; ``lift`` maps it to the antenna domain."""
-    h = fourier_model(rx_basis, tx_basis).realize(seed, index)
+    h = fourier_model(rx, tx).realize(seed, index)
     if lift:
-        h = rx_basis.matrix @ h @ tx_basis.matrix.conj().T
+        h = rx.matrix @ h @ tx.matrix.conj().T
     return h
 
 
@@ -220,12 +194,22 @@ def sample_exact_channel(tx_correlation: CorrelationMatrix,
                          seed: int = 0, n_rx: int | None = None, index: int = 0,
                          normalize: str = "transmit",
                          radiation_resistance: float | None = None) -> np.ndarray:
-    """One exact-model realization G R^{1/2} C^{-1/2}.
+    """One antenna-domain realization G R^{1/2} C^{-1/2}.
 
-    ``radiation_resistance`` carries the physical element gain 2/R explicitly
-    instead of folding it into the SNR definition; precoded mutual information
-    is invariant to it because the matching power constraint scales inversely.
+    ``normalize`` is as in ``exact_model``.  ``radiation_resistance`` carries
+    the physical element gain 2/R explicitly instead of folding it into the
+    SNR definition; precoded mutual information is invariant to it because
+    the matching power constraint scales inversely.
     """
-    factor = 1.0 if radiation_resistance is None else np.sqrt(2.0 / radiation_resistance)
-    model = exact_model(tx_correlation, coupling, n_rx, normalize, factor)
-    return model.realize(seed, index)
+    t = spd_sqrt(tx_correlation.matrix).astype(complex)
+    if coupling is not None:
+        t = t @ spd_inv_sqrt(coupling)
+    if normalize == "receive":
+        t = t * np.sqrt(t.shape[0] / np.trace(t.conj().T @ t).real)
+    elif normalize != "transmit":
+        raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
+    if radiation_resistance is not None:
+        t = t * np.sqrt(2.0 / radiation_resistance)
+    n_t = t.shape[0]
+    g = complex_normal(substream(seed, index), (int(n_rx) if n_rx is not None else n_t, n_t))
+    return g @ t

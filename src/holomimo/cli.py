@@ -84,6 +84,8 @@ def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
             not isinstance(r, (int, float)) or r < 0 for r in cfg.rho):
         raise ConfigError(f"rho must be a list of nonnegative numbers, got {cfg.rho!r}")
     cfg.rho = [float(r) for r in cfg.rho]
+    if cfg.kind == "coupling-matrix" and len(cfg.rho) > 1:
+        raise ConfigError(f"coupling-matrix takes at most one rho, got {cfg.rho}")
     if not isinstance(cfg.seed, int):
         raise ConfigError("seed must be an integer")
     if not isinstance(cfg.mc, int) or cfg.mc < 1:
@@ -281,19 +283,19 @@ def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
     _write_capacity_csv(out / "capacity_iid.csv", curve)
     files.append("capacity_iid.csv")
 
-    curve = ergodic_capacity(exact_model(corr, None, n_rx, cfg.normalize, label="uncoupled"),
+    curve = ergodic_capacity(exact_model(corr.eigenvalues(), n_rx, cfg.normalize, "uncoupled"),
                              grid, cfg.mc, cfg.seed)
     _write_capacity_csv(out / "capacity_uncoupled.csv", curve)
     files.append("capacity_uncoupled.csv")
 
-    base, _ = _build_coupling(gt, cfg, spectrum)
-    for rho in cfg.rho:
-        model = exact_model(corr, regularize(base, rho), n_rx, cfg.normalize,
-                            label=f"coupled rho={rho:g}")
-        curve = ergodic_capacity(model, grid, cfg.mc, cfg.seed)
-        name = f"capacity_coupled_rho{_rho_tag(rho)}.csv"
-        _write_capacity_csv(out / name, curve)
-        files.append(name)
+    if cfg.rho:
+        base, _ = _build_coupling(gt, cfg, spectrum)
+        for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
+            model = exact_model(ev, n_rx, cfg.normalize, f"coupled rho={rho:g}")
+            curve = ergodic_capacity(model, grid, cfg.mc, cfg.seed)
+            name = f"capacity_coupled_rho{_rho_tag(rho)}.csv"
+            _write_capacity_csv(out / name, curve)
+            files.append(name)
     return files
 
 
@@ -312,9 +314,9 @@ def _run_bound_check(cfg: ExperimentConfig, out: Path) -> list[str]:
     gr = geometry_from_config(cfg.rx) if cfg.rx is not None else gt
     spectrum = spectrum_from_name(cfg.spectrum)
     pattern = pattern_from_name(cfg.pattern, spectrum)
-    rx_basis = build_fourier_basis(gr, spectrum)
-    tx_basis = build_fourier_basis(gt, spectrum, pattern)
-    result = low_snr_bound_check(fourier_model(rx_basis, tx_basis), cfg.mc, cfg.seed)
+    model = fourier_model(build_fourier_basis(gr, spectrum),
+                          build_fourier_basis(gt, spectrum, pattern))
+    result = low_snr_bound_check(model, cfg.mc, cfg.seed)
     payload = dataclasses.asdict(result)
     payload["spectrum"] = spectrum.name
     payload["pattern"] = pattern.name

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from holomimo import (AngularSpectrum, SingularCouplingError, build_fourier_basis, build_upa,
-                      cap_spectrum, check_normalization, coupled_correlation_exact,
-                      coupling_closed_form, coupling_general, exact_correlation, exact_model,
+from holomimo import (AngularSpectrum, ArrayGeometry, SingularCouplingError, array_response,
+                      build_fourier_basis, build_upa, cap_spectrum, check_normalization,
+                      coupled_correlation_exact, coupling_closed_form, coupling_general,
+                      ergodic_capacity, exact_correlation, exact_model,
                       fourier_correlation, fourier_model, iid_model, isotropic_spectrum,
                       matched_pattern, omni_pattern, quadrature_for, regularize,
                       sample_exact_channel, sample_fourier_channel, spd_inv_sqrt,
@@ -52,6 +55,31 @@ def test_asymmetric_spectrum_keeps_complex_hermitian_correlation():
     w = q.weights() * tilted(theta, phi) / (2.0 * np.pi)
     direct = (a.T * w) @ a.conj()
     assert np.abs(r - direct).max() < 1e-12
+
+
+def test_jittered_array_correlation_matches_direct_sum():
+    # irregular positions: each axis has ~N^2 unique differences
+    rng = np.random.default_rng(12)
+    jitter = np.c_[rng.uniform(-0.1, 0.1, (40, 2)), np.zeros(40)]
+    g = ArrayGeometry(build_upa(8, 5, 0.5).positions + jitter)
+    cap = cap_spectrum(np.pi / 3)
+    q = quadrature_for(cap, n_theta=24, n_phi=48)
+    r = exact_correlation(g, cap, q).matrix
+    theta, phi = q.grids()
+    a = array_response(g, theta, phi).reshape(40, -1)
+    w = (q.weights() * cap(theta, phi) / (2.0 * np.pi)).ravel()
+    direct = (a * w) @ a.conj().T
+    # differences are grouped at 1e-9 wavelengths: phase error <= pi * 1e-9
+    assert np.abs(r - direct).max() < 1e-8
+
+
+def test_large_irregular_array_is_refused():
+    rng = np.random.default_rng(3)
+    g = ArrayGeometry(np.c_[rng.uniform(0.0, 10.0, (256, 2)), np.zeros(256)])
+    with pytest.raises(ValueError, match="gridded geometry.*isotropic"):
+        exact_correlation(g, cap_spectrum(0.8))
+    # the closed form still serves this geometry
+    assert exact_correlation(g, isotropic_spectrum()).matrix.shape == (256, 256)
 
 
 # Peak-relative agreement of the shared-eigh whitening with the per-rho
@@ -180,15 +208,15 @@ def test_fourier_model_covariance():
 
 
 def test_exact_model_covariance():
+    # the antenna-domain draws G R^{1/2} C^{-1/2} carry the whitened correlation
     g = build_upa(3, 3, 0.5)
     r = exact_correlation(g, isotropic_spectrum())
     c = regularize(coupling_closed_form(g), 0.05)
     target = coupled_correlation_exact(r, c).matrix
-    model = exact_model(r, c, n_rx=16)
     acc = np.zeros((9, 9), dtype=complex)
     n_mc = 600
     for i in range(n_mc):
-        h = model.realize(5, i)
+        h = sample_exact_channel(r, c, seed=5, n_rx=16, index=i)
         acc += h.conj().T @ h
     acc /= n_mc * 16
     assert np.abs(acc - target).max() / np.abs(target).max() < 0.1
@@ -197,15 +225,53 @@ def test_exact_model_covariance():
 def test_exact_model_receive_normalization():
     g = build_upa(4, 4, 0.4)
     r = exact_correlation(g, isotropic_spectrum())
-    c = regularize(coupling_closed_form(g), 0.1)
-    m = exact_model(r, c, normalize="receive")
-    assert np.trace(m.tx_shaping.conj().T @ m.tx_shaping).real == pytest.approx(16.0, rel=1e-12)
-    # uncoupled shaping already delivers tr R = N, so the scale is a no-op
-    mu = exact_model(r, None, normalize="receive")
-    mt = exact_model(r, None, normalize="transmit")
-    assert np.abs(mu.tx_shaping - mt.tx_shaping).max() < 1e-9
+    c = coupling_closed_form(g)
+    ev = whitened_eigenvalues(r, c, [0.1])[0]
+    m = exact_model(ev)
+    assert np.allclose(m.amp_t ** 2, ev, rtol=1e-12, atol=0.0)
+    assert np.array_equal(m.amp_r, np.ones(16))
+    # the spectrum's sum is the delivered power tr(C^{-1/2} R C^{-1/2})
+    whitened = coupled_correlation_exact(r, regularize(c, 0.1)).matrix
+    assert ev.sum() == pytest.approx(np.trace(whitened).real, rel=1e-10)
+    mr = exact_model(ev, normalize="receive")
+    assert np.sum(mr.amp_t ** 2) == pytest.approx(16.0, rel=1e-12)
+    assert np.allclose(mr.amp_t / m.amp_t, mr.amp_t[0] / m.amp_t[0], rtol=1e-12, atol=0.0)
+    # uncoupled, eig R already sums to tr R = N, so the scale is a no-op
+    lam = r.eigenvalues()
+    mu = exact_model(lam, normalize="receive")
+    mt = exact_model(lam, normalize="transmit")
+    assert np.allclose(mt.amp_t ** 2, np.clip(lam, 0.0, None), rtol=1e-12, atol=1e-15)
+    assert np.abs(mu.amp_t - mt.amp_t).max() < 1e-9
     with pytest.raises(ValueError):
-        exact_model(r, None, normalize="both")
+        exact_model(lam, normalize="both")
+
+
+def test_exact_model_refuses_indefinite_spectrum():
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        exact_model([2.0, 1.0, -0.5])
+    # roundoff-scale negatives are clipped to zero
+    m = exact_model([2.0, 1.0, -1e-14])
+    assert m.amp_t[-1] == 0.0
+
+
+def test_diagonal_form_matches_antenna_domain_capacity():
+    # G R^{1/2} C^{-1/2} and W diag(sqrt(eig)) share their singular-value law
+    # (G is unitarily invariant), so their ergodic capacities agree within
+    # Monte-Carlo error; independent seeds keep the two samples independent
+    g = build_upa(6, 6, 0.4)
+    r = exact_correlation(g, isotropic_spectrum())
+    c = coupling_closed_form(g)
+    snr_db = [-10.0, 0.0, 10.0, 20.0, 30.0]
+    n_mc = 300
+    diag = ergodic_capacity(exact_model(whitened_eigenvalues(r, c, [0.03])[0],
+                                        normalize="receive"), snr_db, n_mc, seed=1)
+    loaded = regularize(c, 0.03)
+    # ergodic_capacity needs only a label and realize(seed, index)
+    sampler = SimpleNamespace(label="antenna-domain", realize=lambda seed, index: (
+        sample_exact_channel(r, loaded, seed=seed, index=index, normalize="receive")))
+    antenna = ergodic_capacity(sampler, snr_db, n_mc, seed=2)
+    gap = np.abs(diag.capacity_bits - antenna.capacity_bits)
+    assert np.all(gap <= 3.0 * np.hypot(diag.stderr, antenna.stderr))
 
 
 def test_sampling_functions_deterministic():
@@ -241,9 +307,10 @@ def test_predicted_dof():
     cap = cap_spectrum(np.pi / 6)
     bi = build_fourier_basis(g, iso)
     bc = build_fourier_basis(g, cap)
-    assert fourier_model(bi, bi).predicted_dof() == 29
-    assert fourier_model(bi, bc).predicted_dof() == 8
-    assert iid_model(6, 9).predicted_dof() == 6
+    assert fourier_model(bi, bi).dof == 29
+    assert fourier_model(bi, bc).dof == 8
+    assert iid_model(6, 9).dof == 6
+    assert exact_model(np.ones(9), n_rx=4).dof == 4
 
 
 def test_iid_model_draws():

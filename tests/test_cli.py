@@ -91,6 +91,7 @@ def test_load_config_failures(tmp_path):
     ({"snr_db": []}, "empty"),
     ({"snr_db": "auto"}, "snr_db"),
     ({"tx": {"kind": "ula", "n": 8, "d": 0.5}}, "tx"),
+    ({"kind": "coupling-matrix", "rho": [0.1, 0.01]}, "at most one rho"),
 ])
 def test_coerce_rejections(tmp_path, overrides, match):
     with pytest.raises(ConfigError, match=match):
