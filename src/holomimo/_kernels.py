@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 # Differences are grouped after rounding to this many decimals (wavelengths).
-_ROUND = 9
+_ROUND = 12
 # Relative imaginary / asymmetric residue treated as quadrature noise.
 _RESIDUE_TOL = 1e-6
 # Bytes allowed for the unique-difference table and each chunk's buffers.

@@ -118,7 +118,8 @@ def whitened_eigenvalues(correlation: CorrelationMatrix, coupling: CouplingMatri
 def fourier_correlation(basis: FourierBasis) -> CorrelationMatrix:
     """Low-rank model correlation V diag(N sigma2) V^H."""
     lam = basis.n_antennas * basis.variances
-    m = (basis.matrix * lam) @ basis.matrix.conj().T
+    v = basis.matrix
+    m = (v * lam) @ v.conj().T
     m = 0.5 * (m + m.conj().T)
     return CorrelationMatrix(m, f"fourier-{basis.flavor}", {"spectrum": basis.spectrum.name})
 

@@ -5,12 +5,16 @@ unit disk; the Fourier model samples them on the integer lattice points j with
 |D^{-1} j| <= 1.  Each lattice point owns a rectangular cell of size
 (1/Dx) x (1/Dy) clipped to the disk, and the model variances are integrals of
 the angular spectrum (over the pattern, in the coupled flavor) over that cell.
+
+Every cell, interior or rim, takes one polar Gauss-Legendre rule with all its
+nodes in one call of the integrand.  The Fourier columns are formed only on
+demand (``fourier_matrix``, ``FourierBasis.matrix``).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,11 +41,6 @@ _DISK_TOL = 1e-12
 # Gauss-Legendre node counts per integration panel.
 _N_R = 24
 _N_PHI = 24
-# Cells entirely inside this radius use the tensor-product cartesian fast path;
-# closer to the rim the polar path with the u = sqrt(1 - r^2) substitution
-# removes the 1/sqrt(1 - r^2) singularity exactly, so no adaptive refinement
-# near the rim is needed.
-_CARTESIAN_RMAX = 0.92
 
 
 @lru_cache(maxsize=64)
@@ -120,20 +119,19 @@ def _rect_minmax_r(rect) -> tuple[float, float]:
     return float(np.hypot(cx, cy)), float(rmax)
 
 
-def _ray_rect(phi: float, rect) -> tuple[float, float]:
-    """Parameter range [t0, t1] where the ray from the origin meets the rect."""
+def _ray_rect(phi: np.ndarray, rect) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter ranges [t0, t1] where the rays from the origin at angles phi
+    meet the rect; t1 < t0 where a ray misses it."""
     x0, x1, y0, y1 = rect
-    c, s = np.cos(phi), np.sin(phi)
-    t0, t1 = 0.0, np.inf
-    for lo, hi, d in ((x0, x1, c), (y0, y1, s)):
-        if abs(d) < 1e-300:
-            if lo > 0.0 or hi < 0.0:
-                return 1.0, 0.0
-        else:
+    t0, t1 = np.zeros_like(phi), np.full_like(phi, np.inf)
+    for lo, hi, d in ((x0, x1, np.cos(phi)), (y0, y1, np.sin(phi))):
+        # a ray parallel to these edges lies between them for every t or for none
+        free = np.inf if lo <= 0.0 <= hi else -np.inf
+        parallel = np.abs(d) < 1e-300
+        with np.errstate(divide="ignore", invalid="ignore"):
             ta, tb = lo / d, hi / d
-            if ta > tb:
-                ta, tb = tb, ta
-            t0, t1 = max(t0, ta), min(t1, tb)
+        t0 = np.maximum(t0, np.where(parallel, -free, np.minimum(ta, tb)))
+        t1 = np.minimum(t1, np.where(parallel, free, np.maximum(ta, tb)))
     return t0, t1
 
 
@@ -162,21 +160,14 @@ def _integrate_rect_disk(rect, f, weight: str, radial_breaks=()) -> float:
     weight "plain" uses w = 1 (area measure dk); "rim" uses w = 1/sqrt(1-|k|^2)
     integrated in the substituted variable u = sqrt(1 - r^2), which is exact at
     the disk boundary.  radial_breaks split the radial panels where the
-    integrand is discontinuous (support edges).
+    integrand is discontinuous (support edges).  Every node of the cell goes
+    through one call of f.
     """
     rmin, rmax = _rect_minmax_r(rect)
     if rmin >= 1.0:
         return 0.0
     x0, x1, y0, y1 = rect
     breaks = sorted(b for b in radial_breaks if rmin < b < min(rmax, 1.0))
-    if rmax <= _CARTESIAN_RMAX and not breaks:
-        gx, gwx = _gl_ab(_N_R, x0, x1)
-        gy, gwy = _gl_ab(_N_R, y0, y1)
-        kx, ky = np.meshgrid(gx, gy, indexing="ij")
-        vals = f(kx, ky)
-        if weight == "rim":
-            vals = vals / np.sqrt(1.0 - (kx**2 + ky**2))
-        return float(np.einsum("i,j,ij->", gwx, gwy, vals))
     # Polar decomposition: angular panels split at every corner and at every
     # circle/edge crossing so each panel has smooth radial limits.
     angs = [float(np.arctan2(cy, cx)) for cx in (x0, x1) for cy in (y0, y1)]
@@ -185,34 +176,33 @@ def _integrate_rect_disk(rect, f, weight: str, radial_breaks=()) -> float:
         angs += _circle_edge_angles(rect, b)
     if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1:
         angs += [-np.pi, np.pi]
-        edges = sorted(set(angs))
     else:
         ac = float(np.arctan2(0.5 * (y0 + y1), 0.5 * (x0 + x1)))
-        recentered = {ac + float(np.arctan2(np.sin(a - ac), np.cos(a - ac))) for a in angs}
-        edges = sorted(recentered)
-    total = 0.0
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        if pb - pa < 1e-14:
-            continue
-        pnodes, pweights = _gl_ab(_N_PHI, pa, pb)
-        for p, wp in zip(pnodes, pweights):
-            t0, t1 = _ray_rect(p, rect)
-            t1 = min(t1, 1.0)
-            if t1 <= t0:
-                continue
-            seg = [t0] + [b for b in breaks if t0 < b < t1] + [t1]
-            c, s = np.cos(p), np.sin(p)
-            for ra, rb in zip(seg[:-1], seg[1:]):
-                if weight == "rim":
-                    ua = np.sqrt(max(0.0, 1.0 - ra * ra))
-                    ub = np.sqrt(max(0.0, 1.0 - rb * rb))
-                    un, uw = _gl_ab(_N_R, ub, ua)
-                    rr = np.sqrt(np.maximum(0.0, 1.0 - un * un))
-                    total += wp * float(np.sum(uw * f(rr * c, rr * s)))
-                else:
-                    rn, rw = _gl_ab(_N_R, ra, rb)
-                    total += wp * float(np.sum(rw * rn * f(rn * c, rn * s)))
-    return float(total)
+        angs = [ac + float(np.arctan2(np.sin(a - ac), np.cos(a - ac))) for a in angs]
+    edges = np.unique(angs)
+    pa, pb = edges[:-1], edges[1:]
+    keep = pb - pa >= 1e-14
+    phi, wp = (v.ravel() for v in _gl_ab(_N_PHI, pa[keep, None], pb[keep, None]))
+    t0, t1 = _ray_rect(phi, rect)
+    t1 = np.clip(t1, 0.0, 1.0)
+    t0 = np.minimum(t0, t1)
+    # Radial segments (segments, rays, 1) split at every break.  Breaks a ray
+    # does not cross, and rays that miss the disk (t0 = t1), give zero-length
+    # segments: zero weight, and f is not evaluated there.
+    bounds = np.stack([t0, *(np.clip(b, t0, t1) for b in breaks), t1])[..., None]
+    ra, rb = bounds[:-1], bounds[1:]
+    if weight == "rim":
+        ua = np.sqrt(np.maximum(0.0, 1.0 - ra * ra))
+        ub = np.sqrt(np.maximum(0.0, 1.0 - rb * rb))
+        un, uw = _gl_ab(_N_R, ub, ua)
+        r = np.sqrt(np.maximum(0.0, 1.0 - un * un))
+    else:
+        r, uw = _gl_ab(_N_R, ra, rb)
+        uw = uw * r
+    w = wp[:, None] * uw
+    m = w > 0.0
+    kx, ky = r * np.cos(phi)[:, None], r * np.sin(phi)[:, None]
+    return float(np.sum(w[m] * f(kx[m], ky[m])))
 
 
 def _orphan_cells(lattice: WavenumberLattice) -> list[tuple[tuple[int, int], int]]:
@@ -337,18 +327,24 @@ def write_variances_csv(lattice: WavenumberLattice, sigma2: np.ndarray, path) ->
 
 @dataclass(frozen=True)
 class FourierBasis:
-    """Fourier columns plus the matching variance vector for one array end."""
+    """Lattice and variance vector for one array end; the Fourier columns are
+    formed from the geometry on demand."""
 
+    geometry: ArrayGeometry
     lattice: WavenumberLattice
-    matrix: np.ndarray  # (N, n)
     variances: np.ndarray  # (n,)
     flavor: str  # "uncoupled" | "coupled"
     spectrum: AngularSpectrum
     pattern: AntennaPattern | None = None
 
     @property
+    def matrix(self) -> np.ndarray:
+        """(N, n) Fourier columns, see ``fourier_matrix``."""
+        return fourier_matrix(self.geometry, self.lattice)
+
+    @property
     def n_antennas(self) -> int:
-        return self.matrix.shape[0]
+        return self.geometry.n_antennas
 
     @property
     def n_points(self) -> int:
@@ -365,17 +361,16 @@ class FourierBasis:
 def build_fourier_basis(geometry: ArrayGeometry, spectrum: AngularSpectrum,
                         pattern: AntennaPattern | None = None,
                         lattice: WavenumberLattice | None = None) -> FourierBasis:
-    """Assemble the Fourier basis and variances for one end of the link.
+    """Assemble the lattice and variances for one end of the link.
 
     Without a pattern the variances are the uncoupled (convolution-only) ones;
     with a pattern they are the coupling-deconvolved flavor.
     """
     lat = lattice if lattice is not None else build_lattice(geometry)
-    v = fourier_matrix(geometry, lat)
     if pattern is None:
         sig = variances_uncoupled(lat, spectrum)
         flavor = "uncoupled"
     else:
         sig = variances_coupled(lat, spectrum, pattern)
         flavor = "coupled"
-    return FourierBasis(lat, v, sig, flavor, spectrum, pattern)
+    return FourierBasis(geometry, lat, sig, flavor, spectrum, pattern)

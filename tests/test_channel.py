@@ -69,8 +69,8 @@ def test_jittered_array_correlation_matches_direct_sum():
     a = array_response(g, theta, phi).reshape(40, -1)
     w = (q.weights() * cap(theta, phi) / (2.0 * np.pi)).ravel()
     direct = (a * w) @ a.conj().T
-    # differences are grouped at 1e-9 wavelengths: phase error <= pi * 1e-9
-    assert np.abs(r - direct).max() < 1e-8
+    # differences are grouped at 1e-12 wavelengths: phase error <= pi * 1e-12
+    assert np.abs(r - direct).max() < 1e-10
 
 
 def test_large_irregular_array_is_refused():

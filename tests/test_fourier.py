@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 from holomimo import (build_fourier_basis, build_lattice, build_upa, cap_spectrum,
                       dof_prime, fourier_matrix, isotropic_spectrum, matched_pattern,
                       omni_pattern, projected_solid_angles, solid_angles,
                       variances_coupled, variances_uncoupled, write_variances_csv)
+from holomimo.fourier import (_direction_values, _integrate_rect_disk, _orphan_cells,
+                              _ray_rect, _rect_minmax_r, _rect_of)
 
 
 @pytest.mark.parametrize("d,expected", [
@@ -101,6 +106,78 @@ def test_interior_cell_value():
     assert sc[0] == pytest.approx(1.0 / (np.pi * 100.0), rel=1e-6)
 
 
+def _chord_integral(x):
+    """Antiderivative of sqrt(1 - x^2), clipped to [-1, 1]."""
+    x = np.clip(x, -1.0, 1.0)
+    return 0.5 * (x * np.sqrt(1.0 - x * x) + np.arcsin(x))
+
+
+def _corner_area(a, b):
+    """Area of the unit disk with x >= a and y >= b."""
+    if b < 0.0:
+        return 2.0 * (_chord_integral(1.0) - _chord_integral(a)) - _corner_area(a, -b)
+    c = np.sqrt(max(0.0, 1.0 - b * b))
+    lo = max(a, -c)
+    return 0.0 if lo >= c else _chord_integral(c) - _chord_integral(lo) - b * (c - lo)
+
+
+def _rect_disk_area(rect):
+    x0, x1, y0, y1 = rect
+    return (_corner_area(x0, y0) - _corner_area(x1, y0)
+            - _corner_area(x0, y1) + _corner_area(x1, y1))
+
+
+@pytest.mark.parametrize("aperture", [(6.0, 6.0), (6.0, 3.0), (4.5, 2.2)])
+def test_cell_areas_match_closed_form(aperture):
+    # every lattice and orphan cell, rim slivers included, against the exact
+    # area of rectangle x unit disk (corner areas by inclusion-exclusion)
+    lat = build_lattice(aperture)
+    cells = [tuple(j) for j in lat.points] + [j for j, _ in _orphan_cells(lat)]
+    one = lambda kx, ky: np.ones_like(kx)
+    for j in cells:
+        rect = _rect_of(j, lat.aperture)
+        exact = _rect_disk_area(rect)
+        assert _integrate_rect_disk(rect, one, "plain") == pytest.approx(exact, rel=1e-11)
+
+
+def test_ray_rect_parallel_and_oblique_rays():
+    # phi = 0 runs parallel to the horizontal edges: it crosses the first
+    # rect (which straddles y = 0) on [x0, x1] and misses the second
+    phi = np.array([0.0, np.pi / 4])
+    t0, t1 = _ray_rect(phi, (0.1, 0.2, -0.05, 0.05))
+    assert (t0[0], t1[0]) == (0.1, 0.2)
+    assert t0[1] > t1[1]
+    t0, t1 = _ray_rect(phi, (0.1, 0.2, 0.1, 0.2))
+    assert t0[0] > t1[0]
+    assert t0[1] == pytest.approx(0.1 * np.sqrt(2)) and t1[1] == pytest.approx(0.2 * np.sqrt(2))
+
+
+def test_radial_break_cells_match_dblquad():
+    # cells cut by the cap edge, rim weight, against adaptive quadrature over
+    # (cap disk) x (cell) of c / sqrt(1 - |k|^2)
+    lat = build_lattice((6.0, 6.0))
+    cap = cap_spectrum(np.pi / 3)
+    rb = cap.support.radial_break
+    c = float(cap(np.array(0.0), np.array(0.0)))
+    f = lambda kx, ky: _direction_values(cap, kx, ky)
+    cut = 0
+    for j in lat.points:
+        rect = _rect_of(j, lat.aperture)
+        rmin, rmax = _rect_minmax_r(rect)
+        if not rmin < rb < rmax:
+            continue
+        x0, x1, y0, y1 = rect
+        s = lambda x: np.sqrt(max(0.0, rb * rb - x * x))
+        ref, _ = dblquad(lambda y, x: 1.0 / np.sqrt(1.0 - x * x - y * y),
+                         max(x0, -rb), min(x1, rb),
+                         lambda x: min(max(y0, -s(x)), y1), lambda x: max(min(y1, s(x)), y0),
+                         epsabs=0.0, epsrel=1e-13)
+        got = _integrate_rect_disk(rect, f, "rim", (rb,))
+        assert got == pytest.approx(c * ref, rel=1e-12)
+        cut += 1
+    assert cut >= 20
+
+
 def test_cap_spectrum_variances():
     lat = build_lattice((6.0, 6.0))
     cap = cap_spectrum(np.pi / 3)
@@ -164,6 +241,19 @@ def test_basis_bundle_and_model_eigenvalues():
     bc = build_fourier_basis(g, iso, omni_pattern(), lattice=b.lattice)
     assert bc.flavor == "coupled"
     assert bc.lattice is b.lattice
+
+
+def test_basis_forms_columns_on_demand():
+    # the basis keeps the geometry, not the N x n columns: building it does
+    # not form them (nor warn about aliasing); reading .matrix does
+    g = build_upa(2, 2, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = build_fourier_basis(g, isotropic_spectrum())
+    assert b.n_antennas == 4 and b.n_points > 4
+    with pytest.warns(UserWarning, match="alias"):
+        v = b.matrix
+        assert np.array_equal(v, fourier_matrix(g, b.lattice))
 
 
 def test_variances_csv_round_trip(tmp_path):
