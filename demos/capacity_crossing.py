@@ -24,12 +24,12 @@ def main():
     rhos = (0.3, 0.03)
     # the transmit spectra: eig R uncoupled, eig C^{-1/2} R C^{-1/2} coupled;
     # receive-referred normalization compares the arrays at equal delivered power
-    curves = [ergodic_capacity(iid_model(g.n_antennas, g.n_antennas), snr_db, n_mc, seed),
-              ergodic_capacity(exact_model(corr.eigenvalues(), normalize="receive",
-                                           label="uncoupled"), snr_db, n_mc, seed)]
+    models = [iid_model(g.n_antennas, g.n_antennas),
+              exact_model(corr.eigenvalues(), normalize="receive", label="uncoupled")]
     for rho, ev in zip(rhos, whitened_eigenvalues(corr, coupling, rhos)):
-        model = exact_model(ev, normalize="receive", label=f"coupled rho={rho:g}")
-        curves.append(ergodic_capacity(model, snr_db, n_mc, seed))
+        models.append(exact_model(ev, normalize="receive", label=f"coupled rho={rho:g}"))
+    # one pass: every curve is evaluated on the same draws of W
+    curves = ergodic_capacity(models, snr_db, n_mc, seed)
 
     print(f"{g.n_antennas} antennas at 0.4-wavelength spacing, {n_mc} realizations "
           f"(bits per channel use)\n")

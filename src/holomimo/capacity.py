@@ -7,12 +7,13 @@ use and the waterfilling budget equals the SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .channel import ChannelModel, complex_normal, substream
+from .channel import ChannelModel, complex_normal, iid_model, substream
 from .coupling import CouplingMatrix, SingularCouplingError, spd_inv_sqrt, spd_sqrt
 
 __all__ = [
@@ -141,32 +142,45 @@ class CapacityCurve:
     label: str = ""
 
 
-def ergodic_capacity(model: ChannelModel, snr_db, n_mc: int = 200,
-                     seed: int = 0) -> CapacityCurve:
-    """Mean waterfilling capacity over ``n_mc`` realizations of the model.
+def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int):
+    """The one Monte-Carlo loop: W from substream (seed, i), drawn once per index,
+    and each model's singular values of diag(a_r) W diag(a_t).  Squaring is left
+    to the consumers: a scalar and an array square can round apart by one ulp."""
+    shapes = {m.shape for m in models}
+    if len(shapes) != 1:
+        raise ValueError("a pass needs models of one shape, got: " + (", ".join(
+            f"{m.label!r} {m.shape[0]}x{m.shape[1]}" for m in models) or "no models"))
+    if n_mc < 1:
+        raise ValueError("n_mc must be positive")
+    (shape,) = shapes
+    for i in range(n_mc):
+        w = complex_normal(substream(seed, i), shape)
+        yield [np.linalg.svd(m.apply(w), compute_uv=False) for m in models]
 
-    Realization ``i`` uses the Philox substream (seed, i), so curves computed
-    with the same seed share their random draws point for point (common random
-    numbers), which makes curve crossings statistically stable.
-    """
+
+def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
+                     seed: int = 0) -> list[CapacityCurve]:
+    """Mean waterfilling capacity, one curve per model, all on the same draws of W
+    (common random numbers), which keeps curve crossings statistically stable."""
     snr_db = np.asarray(snr_db, dtype=float).ravel()
     if snr_db.size == 0:
         raise ValueError("empty SNR grid")
-    if n_mc < 1:
-        raise ValueError("n_mc must be positive")
     snr_lin = 10.0 ** (snr_db / 10.0)
-    caps = np.empty((n_mc, snr_db.size))
-    for i in range(n_mc):
-        h = model.realize(seed, i)
-        s = np.linalg.svd(h, compute_uv=False)
-        lam = s * s
-        # An all-zero draw carries no information at any SNR.
-        caps[i] = _capacity_grid(lam[lam > lam[0] * 1e-30], snr_lin) if lam[0] > 0 else 0.0
-    mean = caps.mean(axis=0)
-    if np.any(np.diff(mean) < -1e-9):
-        raise RuntimeError("ergodic capacity failed to be nondecreasing in SNR")
-    stderr = caps.std(axis=0, ddof=1) / np.sqrt(n_mc) if n_mc > 1 else np.zeros_like(mean)
-    return CapacityCurve(snr_db, mean, stderr, n_mc, model.label)
+    caps = [[] for _ in models]
+    for spectra in _mc_pass(models, n_mc, seed):
+        for rows, s in zip(caps, spectra):
+            lam = s * s
+            # An all-zero draw carries no information at any SNR.
+            rows.append(_capacity_grid(lam[lam > lam[0] * 1e-30], snr_lin) if lam[0] > 0
+                        else np.zeros(snr_lin.size))
+    curves = []
+    for model, c in zip(models, map(np.array, caps)):
+        mean = c.mean(axis=0)
+        if np.any(np.diff(mean) < -1e-9):
+            raise RuntimeError(f"ergodic capacity {model.label!r} is decreasing in SNR")
+        stderr = c.std(axis=0, ddof=1) / np.sqrt(n_mc) if n_mc > 1 else np.zeros_like(mean)
+        curves.append(CapacityCurve(snr_db, mean, stderr, n_mc, model.label))
+    return curves
 
 
 @dataclass(frozen=True)
@@ -269,15 +283,9 @@ def low_snr_bound_check(model: ChannelModel, n_mc: int = 2000, seed: int = 0) ->
     """
     if model.kind != "fourier":
         raise ValueError("bound check applies to Fourier-model channels")
-    amp_r, amp_t = model.amp_r, model.amp_t
-    top = float((amp_r.max() * amp_t.max()) ** 2)
-    lhs = np.empty(n_mc)
-    wtop = np.empty(n_mc)
-    for i in range(n_mc):
-        w = complex_normal(substream(seed, i), (amp_r.size, amp_t.size))
-        h = amp_r[:, None] * w * amp_t[None, :]
-        lhs[i] = np.linalg.svd(h, compute_uv=False)[0] ** 2
-        wtop[i] = np.linalg.svd(w, compute_uv=False)[0] ** 2
+    top = float((model.amp_r.max() * model.amp_t.max()) ** 2)
+    lhs, wtop = np.array([(s[0] ** 2, s_w[0] ** 2) for s, s_w in
+                          _mc_pass([model, iid_model(*model.shape)], n_mc, seed)]).T.copy()
     per_draw = lhs <= top * wtop * (1.0 + 1e-12)
     lhs_mean = float(lhs.mean())
     rhs_mean = float(top * wtop.mean())
@@ -306,6 +314,6 @@ def high_snr_dof_check(model: ChannelModel, window_db=(30.0, 45.0),
     lo, hi = float(window_db[0]), float(window_db[1])
     if hi <= lo:
         raise ValueError("window must be increasing")
-    curve = ergodic_capacity(model, np.array([lo, hi]), n_mc, seed)
+    curve, = ergodic_capacity([model], np.array([lo, hi]), n_mc, seed)
     slope = float(np.diff(curve.capacity_bits)[0] / ((hi - lo) / 10.0 * np.log2(10.0)))
     return DofCheck(slope, model.dof, slope / model.dof)

@@ -139,9 +139,16 @@ class ChannelModel:
     kind: str
     dof: int
 
-    def realize(self, seed: int, index: int = 0) -> np.ndarray:
-        w = complex_normal(substream(seed, index), (self.amp_r.size, self.amp_t.size))
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.amp_r.size, self.amp_t.size
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """diag(amp_r) w diag(amp_t) for one white draw ``w`` of this shape."""
         return self.amp_r[:, None] * w * self.amp_t[None, :]
+
+    def realize(self, seed: int, index: int = 0) -> np.ndarray:
+        return self.apply(complex_normal(substream(seed, index), self.shape))
 
 
 def fourier_model(rx: FourierBasis, tx: FourierBasis, label: str = "") -> ChannelModel:
@@ -173,6 +180,8 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
                          f"(eigenvalue {lam.min():.3e})")
     lam = np.clip(lam, 0.0, None)
     if normalize == "receive":
+        if not lam.sum() > 0.0:
+            raise ValueError("'receive' cannot scale a spectrum with no power; use 'transmit'")
         lam = lam * (lam.size / lam.sum())
     elif normalize != "transmit":
         raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")

@@ -86,8 +86,8 @@ def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
     cfg.rho = [float(r) for r in cfg.rho]
     if cfg.kind == "coupling-matrix" and len(cfg.rho) > 1:
         raise ConfigError(f"coupling-matrix takes at most one rho, got {cfg.rho}")
-    if not isinstance(cfg.seed, int):
-        raise ConfigError("seed must be an integer")
+    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**128:
+        raise ConfigError(f"seed must be an integer in [0, 2**128), got {cfg.seed!r}")
     if not isinstance(cfg.mc, int) or cfg.mc < 1:
         raise ConfigError("mc must be a positive integer")
     _snr_grid(cfg)  # validates
@@ -205,17 +205,17 @@ def _run_eigenvalues(cfg: ExperimentConfig, out: Path) -> list[str]:
     g = geometry_from_config(cfg.tx)
     spectrum = spectrum_from_name(cfg.spectrum)
     corr = exact_correlation(g, spectrum)
-    refs = _refs(g)
+    basis = build_fourier_basis(g, spectrum)
+    # (lattice size for the index/n axis, antenna count for the trace mean)
+    refs = basis.n_points, g.n_antennas
     files = []
 
     ev = np.clip(corr.eigenvalues(), 0.0, None)
     _write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *refs)
     files.append("eigs_exact_uncoupled.csv")
 
-    basis = build_fourier_basis(g, spectrum)
     model_ev = basis.model_eigenvalues()
-    _write_eig_csv(out / "eigs_fourier_uncoupled.csv", model_ev[model_ev > 0],
-                   basis.n_points, basis.n_antennas)
+    _write_eig_csv(out / "eigs_fourier_uncoupled.csv", model_ev[model_ev > 0], *refs)
     files.append("eigs_fourier_uncoupled.csv")
     write_variances_csv(basis.lattice, basis.variances, out / "variances_uncoupled.csv")
     files.append("variances_uncoupled.csv")
@@ -228,17 +228,11 @@ def _run_eigenvalues(cfg: ExperimentConfig, out: Path) -> list[str]:
             files.append(name)
         cbasis = build_fourier_basis(g, spectrum, pattern, lattice=basis.lattice)
         cev = cbasis.model_eigenvalues()
-        _write_eig_csv(out / "eigs_fourier_coupled.csv", cev[cev > 0],
-                       cbasis.n_points, cbasis.n_antennas)
+        _write_eig_csv(out / "eigs_fourier_coupled.csv", cev[cev > 0], *refs)
         files.append("eigs_fourier_coupled.csv")
         write_variances_csv(cbasis.lattice, cbasis.variances, out / "variances_coupled.csv")
         files.append("variances_coupled.csv")
     return files
-
-
-def _refs(geometry) -> tuple[int, int]:
-    """(lattice size for the index/n axis, antenna count for the trace mean)."""
-    return build_lattice(geometry).n_points, geometry.n_antennas
 
 
 def _run_dof_sweep(cfg: ExperimentConfig, out: Path) -> list[str]:
@@ -246,7 +240,7 @@ def _run_dof_sweep(cfg: ExperimentConfig, out: Path) -> list[str]:
     spectrum = spectrum_from_name(cfg.spectrum)
     corr = exact_correlation(g, spectrum)
     thr = 10.0 ** (cfg.threshold_db / 10.0)
-    refs = _refs(g)
+    refs = build_lattice(g).n_points, g.n_antennas
     files = []
 
     def count(ev):
@@ -276,26 +270,16 @@ def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
     n_rx = gr.n_antennas
     spectrum = spectrum_from_name(cfg.spectrum)
     corr = exact_correlation(gt, spectrum)
-    grid = _snr_grid(cfg)
-    files = []
-
-    curve = ergodic_capacity(iid_model(n_rx, gt.n_antennas), grid, cfg.mc, cfg.seed)
-    _write_capacity_csv(out / "capacity_iid.csv", curve)
-    files.append("capacity_iid.csv")
-
-    curve = ergodic_capacity(exact_model(corr.eigenvalues(), n_rx, cfg.normalize, "uncoupled"),
-                             grid, cfg.mc, cfg.seed)
-    _write_capacity_csv(out / "capacity_uncoupled.csv", curve)
-    files.append("capacity_uncoupled.csv")
-
+    models = [iid_model(n_rx, gt.n_antennas),
+              exact_model(corr.eigenvalues(), n_rx, cfg.normalize, "uncoupled")]
+    files = ["capacity_iid.csv", "capacity_uncoupled.csv"]
     if cfg.rho:
         base, _ = _build_coupling(gt, cfg, spectrum)
         for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
-            model = exact_model(ev, n_rx, cfg.normalize, f"coupled rho={rho:g}")
-            curve = ergodic_capacity(model, grid, cfg.mc, cfg.seed)
-            name = f"capacity_coupled_rho{_rho_tag(rho)}.csv"
-            _write_capacity_csv(out / name, curve)
-            files.append(name)
+            models.append(exact_model(ev, n_rx, cfg.normalize, f"coupled rho={rho:g}"))
+            files.append(f"capacity_coupled_rho{_rho_tag(rho)}.csv")
+    for name, curve in zip(files, ergodic_capacity(models, _snr_grid(cfg), cfg.mc, cfg.seed)):
+        _write_capacity_csv(out / name, curve)
     return files
 
 
@@ -380,12 +364,9 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
 
 def _cmd_run(args) -> int:
     cfg, label = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.mc is not None:
-        if args.mc < 1:
-            raise ConfigError("--mc must be positive")
-        cfg.mc = args.mc
+    # Overrides pass the same checks as config values.
+    overrides = {k: v for k, v in (("seed", args.seed), ("mc", args.mc)) if v is not None}
+    cfg = _coerce(dataclasses.replace(cfg, **overrides))
     out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
     manifest = run_experiment(cfg, label, out_dir, args.workers)
     for name in manifest["outputs"]:

@@ -8,7 +8,7 @@ outer product, computed here by hemisphere quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

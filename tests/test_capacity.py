@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from holomimo import (CouplingMatrix, SingularCouplingError, array_response, build_fourier_basis,
-                      build_ula, build_upa, coupling_closed_form, ergodic_capacity, fourier_model,
+from holomimo import (ChannelModel, CouplingMatrix, SingularCouplingError, array_response,
+                      build_fourier_basis, build_ula, build_upa, coupling_closed_form,
+                      ergodic_capacity, exact_model, fourier_model,
                       high_snr_dof_check, iid_model, isotropic_spectrum, los_precoder,
                       low_snr_allocation, low_snr_bound_check, matched_filter_precoder,
                       mutual_information_bits, optimal_precoder, precoded_mutual_information,
@@ -128,35 +129,51 @@ def test_precoded_mutual_information():
 
 def test_ergodic_capacity_reproducible_and_monotone():
     model = iid_model(4, 4)
-    a = ergodic_capacity(model, [-10.0, 0.0, 10.0, 20.0], n_mc=50, seed=12)
-    b = ergodic_capacity(model, [-10.0, 0.0, 10.0, 20.0], n_mc=50, seed=12)
+    a, = ergodic_capacity([model], [-10.0, 0.0, 10.0, 20.0], n_mc=50, seed=12)
+    b, = ergodic_capacity([model], [-10.0, 0.0, 10.0, 20.0], n_mc=50, seed=12)
     assert np.array_equal(a.capacity_bits, b.capacity_bits)
     assert np.all(np.diff(a.capacity_bits) > 0)
     assert np.all(a.stderr > 0)
     assert a.n_mc == 50
     assert a.label == model.label
-    single = ergodic_capacity(model, [0.0], n_mc=1, seed=0)
+    single, = ergodic_capacity([model], [0.0], n_mc=1, seed=0)
     assert single.stderr[0] == 0.0
 
 
-class _ZeroModel:
-    label = "zero"
-
-    def realize(self, seed, index=0):
-        return np.zeros((3, 4), dtype=complex)
-
-
 def test_ergodic_capacity_zero_channel_carries_nothing():
-    curve = ergodic_capacity(_ZeroModel(), [-10.0, 0.0, 20.0, 40.0], n_mc=5, seed=0)
+    zero = ChannelModel(np.zeros(3), np.zeros(4), "zero", "exact", 0)
+    curve, = ergodic_capacity([zero], [-10.0, 0.0, 20.0, 40.0], n_mc=5, seed=0)
     assert np.array_equal(curve.capacity_bits, np.zeros(4))
     assert np.array_equal(curve.stderr, np.zeros(4))
 
 
 def test_ergodic_capacity_error_modes():
     with pytest.raises(ValueError):
-        ergodic_capacity(iid_model(2, 2), [], n_mc=10)
+        ergodic_capacity([iid_model(2, 2)], [], n_mc=10)
     with pytest.raises(ValueError):
-        ergodic_capacity(iid_model(2, 2), [0.0], n_mc=0)
+        ergodic_capacity([iid_model(2, 2)], [0.0], n_mc=0)
+    with pytest.raises(ValueError, match="no models"):
+        ergodic_capacity([], [0.0], n_mc=10)
+    # one pass shares each W, so every model must have the same shape
+    with pytest.raises(ValueError, match=r"'iid' 4x4, 'iid' 4x5"):
+        ergodic_capacity([iid_model(4, 4), iid_model(4, 5)], [0.0], n_mc=3)
+
+
+def test_joint_pass_matches_single_model_passes():
+    # every curve of a pass sees the same W per draw index, so a joint pass
+    # reproduces each one-model pass bit for bit, in any order
+    models = [iid_model(5, 6),
+              exact_model(np.linspace(3.0, 0.0, 6), n_rx=5, normalize="receive", label="tilted"),
+              exact_model([4.0, 1.0, 0.5, 0.2, 0.1, 0.0], n_rx=5, label="steep")]
+    snr_db = [-10.0, 0.0, 10.0, 30.0]
+    joint = ergodic_capacity(models, snr_db, n_mc=20, seed=5)
+    reordered = ergodic_capacity(models[::-1], snr_db, n_mc=20, seed=5)[::-1]
+    assert [c.label for c in joint] == [m.label for m in models]
+    for model, a, b in zip(models, joint, reordered):
+        single, = ergodic_capacity([model], snr_db, n_mc=20, seed=5)
+        for curve in (a, b):
+            assert np.array_equal(curve.capacity_bits, single.capacity_bits)
+            assert np.array_equal(curve.stderr, single.stderr)
 
 
 def test_optimal_precoder_properties():
@@ -299,6 +316,12 @@ def test_low_snr_bound_rank_one_equality():
 def test_low_snr_bound_rejects_other_models():
     with pytest.raises(ValueError):
         low_snr_bound_check(iid_model(4, 4))
+
+
+def test_low_snr_bound_refuses_empty_budget():
+    b = build_fourier_basis(build_upa(4, 4, 0.4), isotropic_spectrum())
+    with pytest.raises(ValueError, match="n_mc"):
+        low_snr_bound_check(fourier_model(b, b), n_mc=0)
 
 
 def test_high_snr_dof_iid():

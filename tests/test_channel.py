@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from holomimo import (AngularSpectrum, ArrayGeometry, SingularCouplingError, arr
                       sample_exact_channel, sample_fourier_channel, spd_inv_sqrt,
                       whitened_eigenvalues)
 from holomimo._kernels import angular_kernel
+from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
 from holomimo.geometry import CONSTANTS
 
@@ -246,6 +245,13 @@ def test_exact_model_receive_normalization():
         exact_model(lam, normalize="both")
 
 
+def test_exact_model_refuses_powerless_receive_spectrum():
+    with pytest.raises(ValueError, match="no power"):
+        exact_model(np.zeros(4), normalize="receive")
+    # the transmit reference keeps a dead array as zero amplitudes
+    assert np.array_equal(exact_model(np.zeros(4)).amp_t, np.zeros(4))
+
+
 def test_exact_model_refuses_indefinite_spectrum():
     with pytest.raises(ValueError, match="not positive semidefinite"):
         exact_model([2.0, 1.0, -0.5])
@@ -261,17 +267,20 @@ def test_diagonal_form_matches_antenna_domain_capacity():
     g = build_upa(6, 6, 0.4)
     r = exact_correlation(g, isotropic_spectrum())
     c = coupling_closed_form(g)
-    snr_db = [-10.0, 0.0, 10.0, 20.0, 30.0]
+    snr_db = np.array([-10.0, 0.0, 10.0, 20.0, 30.0])
     n_mc = 300
-    diag = ergodic_capacity(exact_model(whitened_eigenvalues(r, c, [0.03])[0],
-                                        normalize="receive"), snr_db, n_mc, seed=1)
+    diag, = ergodic_capacity([exact_model(whitened_eigenvalues(r, c, [0.03])[0],
+                                          normalize="receive")], snr_db, n_mc, seed=1)
     loaded = regularize(c, 0.03)
-    # ergodic_capacity needs only a label and realize(seed, index)
-    sampler = SimpleNamespace(label="antenna-domain", realize=lambda seed, index: (
-        sample_exact_channel(r, loaded, seed=seed, index=index, normalize="receive")))
-    antenna = ergodic_capacity(sampler, snr_db, n_mc, seed=2)
-    gap = np.abs(diag.capacity_bits - antenna.capacity_bits)
-    assert np.all(gap <= 3.0 * np.hypot(diag.stderr, antenna.stderr))
+    caps = np.empty((n_mc, snr_db.size))
+    for i in range(n_mc):
+        h = sample_exact_channel(r, loaded, seed=2, index=i, normalize="receive")
+        lam = np.linalg.svd(h, compute_uv=False) ** 2
+        caps[i] = _capacity_grid(lam[lam > lam[0] * 1e-30], 10.0 ** (snr_db / 10.0))
+    antenna_mean = caps.mean(axis=0)
+    antenna_stderr = caps.std(axis=0, ddof=1) / np.sqrt(n_mc)
+    gap = np.abs(diag.capacity_bits - antenna_mean)
+    assert np.all(gap <= 3.0 * np.hypot(diag.stderr, antenna_stderr))
 
 
 def test_sampling_functions_deterministic():

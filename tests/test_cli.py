@@ -92,6 +92,7 @@ def test_load_config_failures(tmp_path):
     ({"snr_db": "auto"}, "snr_db"),
     ({"tx": {"kind": "ula", "n": 8, "d": 0.5}}, "tx"),
     ({"kind": "coupling-matrix", "rho": [0.1, 0.01]}, "at most one rho"),
+    ({"seed": -1}, "seed"),
 ])
 def test_coerce_rejections(tmp_path, overrides, match):
     with pytest.raises(ConfigError, match=match):
@@ -226,6 +227,17 @@ def test_seed_and_mc_overrides(tmp_path):
     assert manifest["config"]["mc"] == 2
     rows = read_csv(out / "capacity_iid.csv")
     assert all(int(r["n_mc"]) == 2 for r in rows)
+
+
+def test_overrides_are_validated(tmp_path, capsys):
+    path = write_config(tmp_path, kind="capacity",
+                        tx={"kind": "upa", "nx": 3, "ny": 3, "dx": 0.5},
+                        rho=[], mc=2, snr_db=[0.0])
+    for flag, value in (("--seed", "-1"), ("--seed", str(2**128)), ("--mc", "0")):
+        out = tmp_path / f"out{flag}{value}"
+        assert main(["run", str(path), "--out-dir", str(out), flag, value]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_workers_flag(tmp_path):
