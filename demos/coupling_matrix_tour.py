@@ -7,15 +7,17 @@ and how fast the matrix approaches singularity as the spacing shrinks.
 
 import numpy as np
 
-from holomimo import (build_ula, build_upa, coupling_closed_form, coupling_general,
-                      omni_pattern, regularize)
+from holomimo import (AntennaPattern, build_ula, build_upa, coupling_closed_form,
+                      coupling_general, regularize)
 
 
 def main():
     print("=== closed form vs quadrature ===")
     g = build_upa(5, 5, 0.35)
     closed = coupling_closed_form(g).matrix
-    general = coupling_general(g, omni_pattern()).matrix
+    # the unit pattern under its own evaluator takes the hemisphere quadrature
+    unit = AntennaPattern("omni-quadrature", lambda th, ph: np.ones_like(th))
+    general = coupling_general(g, unit).matrix
     print(f"5x5 grid at 0.35 wavelengths: max |quadrature - sinc| = "
           f"{np.abs(general - closed).max():.3e}")
 

@@ -1,11 +1,10 @@
 """Correlation and coupling kernels over antenna position differences.
 
-Both the coupling and correlation integrals reduce to sums of the form
+R and C are one operator, a density's average of the plane-wave outer product
 sum_k w_k exp(i (kx_k dx + ky_k dy)) over all pairwise coordinate differences
-(dx, dy).  On gridded arrays the number of unique differences per axis is tiny
-compared to N^2, so the sum is evaluated on the unique-difference product set
-with one small matrix product per node chunk and then scattered back.  A unit
-density over the sphere has the closed form sinc(2 d / lambda) instead.
+(dx, dy), and ``density_kernel`` is the one rule that builds it.  On gridded
+arrays the unique differences per axis are few, so the sum runs on their
+product set, one small matrix product per node chunk, and is scattered back.
 """
 
 from __future__ import annotations
@@ -13,12 +12,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .spectra import _unit, quadrature_for
+
 # Differences are grouped after rounding to this many decimals (wavelengths).
 _ROUND = 12
 # Relative imaginary / asymmetric residue treated as quadrature noise.
 _RESIDUE_TOL = 1e-6
 # Bytes allowed for the unique-difference table and each chunk's buffers.
 _BUDGET = 1 << 27
+# Upper-hemisphere average; also a mirrored density's full-sphere average.
+HEMISPHERE = 1.0 / (2.0 * np.pi)
 
 
 def _unique_differences(coord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,15 +57,14 @@ def phase_kernel(positions: np.ndarray, kx: np.ndarray, ky: np.ndarray,
     return table[ix, iy]
 
 
-def sinc_kernel(positions: np.ndarray, wavelength: float) -> np.ndarray:
-    """sinc(2 d / lambda) in the pairwise distances: the full-sphere average
-    of the plane-wave outer product under a unit density."""
+def sinc_kernel(positions: np.ndarray) -> np.ndarray:
+    """sinc(2 d) in the pairwise distances: the full-sphere average of the
+    plane-wave outer product under a unit density."""
     d = cdist(positions, positions)
-    return np.sinc(2.0 * d / wavelength)
+    return np.sinc(2.0 * d)
 
 
-def angular_kernel(positions: np.ndarray, density, quadrature, scale: float,
-                   wavenumber: float) -> np.ndarray:
+def angular_kernel(positions: np.ndarray, density, quadrature, scale: float) -> np.ndarray:
     """scale * upper-hemisphere integral of density * exp(i k . (r_n - r_m)).
 
     The result is real symmetric when its imaginary and asymmetric residue is
@@ -71,10 +73,25 @@ def angular_kernel(positions: np.ndarray, density, quadrature, scale: float,
     """
     theta, phi = quadrature.grids()
     w = quadrature.weights() * density(theta, phi) * scale
-    kx = wavenumber * np.sin(theta) * np.cos(phi)
-    ky = wavenumber * np.sin(theta) * np.sin(phi)
+    kx = 2.0 * np.pi * np.sin(theta) * np.cos(phi)
+    ky = 2.0 * np.pi * np.sin(theta) * np.sin(phi)
     m = phase_kernel(positions, kx, ky, w)
     residue = max(np.abs(m.imag).max(), 0.5 * np.abs(m - m.T).max())
     if residue <= _RESIDUE_TOL * max(np.abs(m).max(), 1.0):
         return 0.5 * (m.real + m.real.T)
     return 0.5 * (m + m.conj().T)
+
+
+def density_kernel(positions: np.ndarray, density, scale: float, quadrature=None):
+    """scale * upper-hemisphere integral of density * exp(i k . (r_n - r_m)).
+
+    The mirrored full-support unit density at scale ``HEMISPHERE`` takes
+    ``sinc_kernel`` and builds no quadrature; every other density takes
+    ``angular_kernel`` on ``quadrature`` (default ``quadrature_for(density)``).
+    Returns the matrix and the quadrature used, None for the closed form.
+    """
+    if (density.evaluator is _unit and density.support.kind == "full"
+            and density.lower == "mirror" and scale == HEMISPHERE):
+        return sinc_kernel(positions), None
+    q = quadrature if quadrature is not None else quadrature_for(density)
+    return angular_kernel(positions, density, q, scale), q

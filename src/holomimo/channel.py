@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import angular_kernel, sinc_kernel
+from ._kernels import HEMISPHERE, density_kernel
 from .coupling import CouplingMatrix, _check_floor, spd_inv_sqrt, spd_sqrt
 from .fourier import FourierBasis, dof_prime
-from .geometry import CONSTANTS, ArrayGeometry, PhysicalConstants
-from .spectra import AngularSpectrum, HemisphereQuadrature, isotropic_spectrum, quadrature_for
+from .geometry import ArrayGeometry
+from .spectra import AngularSpectrum, HemisphereQuadrature
 
 __all__ = [
     "CorrelationMatrix",
@@ -62,22 +62,16 @@ class CorrelationMatrix:
 
 
 def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
-                      quadrature: HemisphereQuadrature | None = None,
-                      constants: PhysicalConstants = CONSTANTS) -> CorrelationMatrix:
+                      quadrature: HemisphereQuadrature | None = None) -> CorrelationMatrix:
     """Upper-hemisphere correlation (1/2pi) * integral of E exp(i k . (r - s)).
 
     The diagonal equals the spectrum's upper-hemisphere mass over 2pi: one for
     hemisphere-balanced spectra, two for one-sided caps (all the power arrives
-    from above).  The isotropic spectrum takes the closed form sinc(2 d /
-    lambda) and ignores ``quadrature``.  The matrix is real for every
-    point-symmetric spectrum and complex Hermitian otherwise.
+    from above).  The isotropic spectrum takes the closed form sinc(2 d) and
+    ignores ``quadrature``.  The matrix is real for every point-symmetric
+    spectrum and complex Hermitian otherwise.
     """
-    if spectrum == isotropic_spectrum():
-        m = sinc_kernel(geometry.positions, constants.wavelength)
-    else:
-        q = quadrature if quadrature is not None else quadrature_for(spectrum)
-        m = angular_kernel(geometry.positions, spectrum, q, 1.0 / (2.0 * np.pi),
-                           constants.wavenumber)
+    m, _ = density_kernel(geometry.positions, spectrum, HEMISPHERE, quadrature)
     return CorrelationMatrix(m, "exact", {"spectrum": spectrum.name})
 
 
@@ -163,6 +157,13 @@ def iid_model(n_rx: int, n_tx: int) -> ChannelModel:
     return ChannelModel(np.ones(n_rx), np.ones(n_tx), "iid", "iid", min(n_rx, n_tx))
 
 
+def _receive_gain(power: float, n: int) -> float:
+    """Factor that brings a total transmit power to n ('receive' normalization)."""
+    if not power > 0.0:
+        raise ValueError("'receive' cannot scale a spectrum with no power; use 'transmit'")
+    return n / power
+
+
 def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "transmit",
                 label: str = "") -> ChannelModel:
     """i.i.d.-receive channel with transmit spectrum eig R (uncoupled) or a row
@@ -180,9 +181,7 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
                          f"(eigenvalue {lam.min():.3e})")
     lam = np.clip(lam, 0.0, None)
     if normalize == "receive":
-        if not lam.sum() > 0.0:
-            raise ValueError("'receive' cannot scale a spectrum with no power; use 'transmit'")
-        lam = lam * (lam.size / lam.sum())
+        lam = lam * _receive_gain(lam.sum(), lam.size)
     elif normalize != "transmit":
         raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
     n_rx = int(n_rx) if n_rx is not None else lam.size
@@ -215,7 +214,7 @@ def sample_exact_channel(tx_correlation: CorrelationMatrix,
     if coupling is not None:
         t = t @ spd_inv_sqrt(coupling)
     if normalize == "receive":
-        t = t * np.sqrt(t.shape[0] / np.trace(t.conj().T @ t).real)
+        t = t * np.sqrt(_receive_gain(np.trace(t.conj().T @ t).real, t.shape[0]))
     elif normalize != "transmit":
         raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
     if radiation_resistance is not None:

@@ -26,8 +26,7 @@ from . import __version__
 from .capacity import ergodic_capacity, low_snr_bound_check
 from .channel import (exact_correlation, exact_model, fourier_model, iid_model,
                       whitened_eigenvalues)
-from .coupling import (SingularCouplingError, coupling_closed_form, coupling_general,
-                       regularize, write_coupling_csv)
+from .coupling import SingularCouplingError, coupling_general, regularize, write_coupling_csv
 from .fourier import build_fourier_basis, build_lattice, write_variances_csv
 from .geometry import geometry_from_config
 from .presets import PRESET_NOTES, PRESETS
@@ -194,13 +193,6 @@ def _rho_tag(rho: float) -> str:
 # experiment executors
 
 
-def _build_coupling(geometry, cfg: ExperimentConfig, spectrum):
-    pattern = pattern_from_name(cfg.pattern, spectrum)
-    if pattern.name == "omni":
-        return coupling_closed_form(geometry), pattern
-    return coupling_general(geometry, pattern), pattern
-
-
 def _run_eigenvalues(cfg: ExperimentConfig, out: Path) -> list[str]:
     g = geometry_from_config(cfg.tx)
     spectrum = spectrum_from_name(cfg.spectrum)
@@ -221,7 +213,8 @@ def _run_eigenvalues(cfg: ExperimentConfig, out: Path) -> list[str]:
     files.append("variances_uncoupled.csv")
 
     if cfg.rho:
-        base, pattern = _build_coupling(g, cfg, spectrum)
+        pattern = pattern_from_name(cfg.pattern, spectrum)
+        base = coupling_general(g, pattern)
         for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
             name = f"eigs_exact_coupled_rho{_rho_tag(rho)}.csv"
             _write_eig_csv(out / name, np.clip(ev, 0.0, None), *refs)
@@ -251,7 +244,7 @@ def _run_dof_sweep(cfg: ExperimentConfig, out: Path) -> list[str]:
     files.append("eigs_exact_uncoupled.csv")
     rows = [("uncoupled", "", count(ev_unc), cfg.threshold_db)]
 
-    base, _ = _build_coupling(g, cfg, spectrum)
+    base = coupling_general(g, pattern_from_name(cfg.pattern, spectrum))
     for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
         ev = np.clip(ev, 0.0, None)
         name = f"eigs_exact_coupled_rho{_rho_tag(rho)}.csv"
@@ -274,7 +267,7 @@ def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
               exact_model(corr.eigenvalues(), n_rx, cfg.normalize, "uncoupled")]
     files = ["capacity_iid.csv", "capacity_uncoupled.csv"]
     if cfg.rho:
-        base, _ = _build_coupling(gt, cfg, spectrum)
+        base = coupling_general(gt, pattern_from_name(cfg.pattern, spectrum))
         for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
             models.append(exact_model(ev, n_rx, cfg.normalize, f"coupled rho={rho:g}"))
             files.append(f"capacity_coupled_rho{_rho_tag(rho)}.csv")
@@ -285,8 +278,7 @@ def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_coupling_matrix(cfg: ExperimentConfig, out: Path) -> list[str]:
     g = geometry_from_config(cfg.tx)
-    spectrum = spectrum_from_name(cfg.spectrum)
-    base, _ = _build_coupling(g, cfg, spectrum)
+    base = coupling_general(g, pattern_from_name(cfg.pattern, spectrum_from_name(cfg.spectrum)))
     if cfg.rho:
         base = regularize(base, cfg.rho[0])
     write_coupling_csv(base, out / "coupling_matrix.csv")
@@ -337,6 +329,8 @@ def _thread_limits(workers: int | None):
 def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
                    workers: int | None = None) -> dict:
     """Execute one experiment and write outputs plus a manifest; returns it."""
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers}")
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     with _thread_limits(workers):

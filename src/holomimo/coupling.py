@@ -1,9 +1,9 @@
 """Mutual-coupling matrices for dense planar arrays.
 
-For lossless omnidirectional elements the coupling matrix has the closed form
-sinc(2 d / lambda) in the pairwise distances d.  For a general element power
-pattern it is the full-sphere average of the pattern against the plane-wave
-outer product, computed here by hemisphere quadrature.
+The coupling matrix is the full-sphere average of the element power pattern
+against the plane-wave outer product: the correlation's operator with the
+pattern as density.  Omnidirectional elements give sinc(2 d) in the pairwise
+distances d (in wavelengths); other patterns take the hemisphere quadrature.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import angular_kernel, sinc_kernel
-from .geometry import CONSTANTS, ArrayGeometry, PhysicalConstants
-from .spectra import AntennaPattern, HemisphereQuadrature, check_normalization, quadrature_for
+from ._kernels import density_kernel
+from .geometry import ArrayGeometry
+from .spectra import AntennaPattern, HemisphereQuadrature, check_normalization, omni_pattern
 
 __all__ = [
     "CouplingMatrix",
@@ -52,31 +52,30 @@ class CouplingMatrix:
         return self.matrix.shape[0]
 
 
-def coupling_closed_form(geometry: ArrayGeometry,
-                         constants: PhysicalConstants = CONSTANTS) -> CouplingMatrix:
-    """sinc(2 d / lambda) coupling for lossless omnidirectional elements."""
-    m = sinc_kernel(geometry.positions, constants.wavelength)
-    return CouplingMatrix(m, geometry, kind="closed-form")
+def coupling_closed_form(geometry: ArrayGeometry) -> CouplingMatrix:
+    """sinc(2 d) coupling for lossless omnidirectional elements."""
+    return coupling_general(geometry, omni_pattern())
 
 
 def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern,
-                     quadrature: HemisphereQuadrature | None = None,
-                     constants: PhysicalConstants = CONSTANTS) -> CouplingMatrix:
+                     quadrature: HemisphereQuadrature | None = None) -> CouplingMatrix:
     """Coupling for an arbitrary normalized element power pattern.
 
     Full-sphere average (1/4pi) of |A|^2 times the plane-wave outer product.
-    The pattern must be normalized; the result is symmetrized after checking
-    that the asymmetry and imaginary residue are at quadrature-noise level.
+    The omni pattern (and a pattern matched to the isotropic spectrum) takes
+    the closed form and ignores ``quadrature``.  Any other pattern must be
+    normalized; the result is symmetrized after checking that the asymmetry
+    and imaginary residue are at quadrature-noise level.
     """
-    q = quadrature if quadrature is not None else quadrature_for(pattern)
-    norm = check_normalization(pattern, q)
-    if abs(norm - 1.0) > 1e-3:
-        raise ValueError(f"pattern {pattern.name!r} is not normalized (average {norm:.6f})")
     # Planar arrays have no z offsets, so a mirrored lower hemisphere shares
     # the upper one's in-plane phases and doubles its weight.
     hemispheres = 2.0 if pattern.lower == "mirror" else 1.0
-    m = angular_kernel(geometry.positions, pattern, q, hemispheres / (4.0 * np.pi),
-                       constants.wavenumber)
+    m, q = density_kernel(geometry.positions, pattern, hemispheres / (4.0 * np.pi), quadrature)
+    if q is None:
+        return CouplingMatrix(m, geometry, kind="closed-form")
+    norm = check_normalization(pattern, q)
+    if abs(norm - 1.0) > 1e-3:
+        raise ValueError(f"pattern {pattern.name!r} is not normalized (average {norm:.6f})")
     if np.iscomplexobj(m):
         residue = np.abs(m.imag).max()
         raise RuntimeError(f"coupling quadrature residue {residue:.3e} exceeds tolerance")

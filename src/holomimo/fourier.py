@@ -21,7 +21,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import ArrayGeometry
-from .spectra import AngularSpectrum, AntennaPattern, Support, isotropic_spectrum, pattern_covers
+from .spectra import (AngularSpectrum, AntennaPattern, Support, isotropic_spectrum, omni_pattern,
+                      pattern_covers)
 
 __all__ = [
     "WavenumberLattice",
@@ -295,8 +296,7 @@ def solid_angles(lattice: WavenumberLattice) -> np.ndarray:
 
 def projected_solid_angles(lattice: WavenumberLattice) -> np.ndarray:
     """Normalized projected solid angles |O_j| of the cells (sum to 1)."""
-    one = lambda kx, ky: np.ones_like(kx)
-    return _cell_integrals(lattice, one, "plain") / np.pi
+    return variances_coupled(lattice, isotropic_spectrum(), omni_pattern())
 
 
 def dof_prime(lattice: WavenumberLattice, spectrum_or_support) -> int:

@@ -165,8 +165,7 @@ def geometry_from_config(cfg: dict) -> ArrayGeometry:
     return g
 
 
-def array_response(geometry: ArrayGeometry, theta, phi,
-                   constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def array_response(geometry: ArrayGeometry, theta, phi) -> np.ndarray:
     """Plane-wave response exp(i k . r) for arrival direction(s) (theta, phi).
 
     Returns shape (N,) for scalar angles, else (N,) + broadcast shape.
@@ -177,5 +176,5 @@ def array_response(geometry: ArrayGeometry, theta, phi,
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta) * np.ones_like(phi)],
         axis=0,
     )
-    phase = constants.wavenumber * np.tensordot(geometry.positions, k_hat, axes=(1, 0))
+    phase = CONSTANTS.wavenumber * np.tensordot(geometry.positions, k_hat, axes=(1, 0))
     return np.exp(1j * phase)

@@ -1,15 +1,15 @@
 """Angular power spectra, element power patterns, and hemisphere quadrature.
 
-Spectra and patterns are defined by an evaluator on the upper hemisphere
-(theta in [0, pi/2]) plus a rule for the lower hemisphere: "mirror" reflects
-the upper values, "zero" truncates.  Normalization is the full-sphere average
-(1/4pi) * integral, which must equal 1.
+Spectra and patterns are one type of density: an evaluator on the upper
+hemisphere (theta in [0, pi/2]) plus a rule for the lower hemisphere:
+"mirror" reflects the upper values, "zero" truncates.  Normalization is the
+full-sphere average (1/4pi) * integral, which must equal 1.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -84,7 +84,8 @@ def _evaluate(evaluator, lower: str, theta, phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AngularSpectrum:
-    """Normalized angular power density of the scattering environment."""
+    """Normalized angular power density: a scattering spectrum, or an element
+    power pattern |A|^2 (``AntennaPattern`` is the same type)."""
 
     name: str
     evaluator: Callable = field(compare=False)
@@ -96,19 +97,7 @@ class AngularSpectrum:
         return _evaluate(self.evaluator, self.lower, theta, phi)
 
 
-@dataclass(frozen=True)
-class AntennaPattern:
-    """Element power pattern |A|^2, normalized like a spectrum."""
-
-    name: str
-    evaluator: Callable = field(compare=False)
-    support: Support = Support("full")
-    lower: str = "mirror"
-    everywhere_positive: bool = True
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, theta, phi) -> np.ndarray:
-        return _evaluate(self.evaluator, self.lower, theta, phi)
+AntennaPattern = AngularSpectrum
 
 
 @dataclass(frozen=True)
@@ -184,9 +173,14 @@ def check_normalization(obj, quadrature: HemisphereQuadrature | None = None) -> 
     return (upper + lower) / (4.0 * np.pi)
 
 
+def _unit(theta, phi) -> np.ndarray:
+    """The unit evaluator shared by the isotropic spectrum and the omni pattern."""
+    return np.ones_like(theta)
+
+
 def isotropic_spectrum() -> AngularSpectrum:
     """Unit density over the full sphere."""
-    return AngularSpectrum("isotropic", lambda th, ph: np.ones_like(th))
+    return AngularSpectrum("isotropic", _unit)
 
 
 def cap_constant(theta0: float) -> float:
@@ -209,31 +203,24 @@ def cap_spectrum(theta0: float) -> AngularSpectrum:
 
 def omni_pattern() -> AntennaPattern:
     """Omnidirectional element: unit power pattern over the full sphere."""
-    return AntennaPattern("omni", lambda th, ph: np.ones_like(th))
+    return AntennaPattern("omni", _unit)
 
 
 def matched_pattern(spectrum: AngularSpectrum) -> AntennaPattern:
-    """Element pattern proportional to the given spectrum (same normalization)."""
-    return AntennaPattern(
-        f"matched({spectrum.name})",
-        spectrum.evaluator,
-        support=spectrum.support,
-        lower=spectrum.lower,
-        everywhere_positive=(spectrum.support.kind == "full" and spectrum.lower == "mirror"),
-        params=dict(spectrum.params),
-    )
+    """Element pattern proportional to the given spectrum: a renamed copy."""
+    return replace(spectrum, name=f"matched({spectrum.name})", params=dict(spectrum.params))
 
 
 def pattern_covers(spectrum: AngularSpectrum, pattern: AntennaPattern) -> bool:
-    """True when the pattern is positive everywhere the spectrum has power.
+    """True when the pattern's support (cap and lower hemisphere) contains the
+    spectrum's.
 
     Deconvolving a pattern that vanishes inside the spectrum support would
     divide by zero, so callers reject that combination up front.
     """
-    if pattern.everywhere_positive:
-        return True
     ps, ss = pattern.support, spectrum.support
-    return ss.kind == "cap" and ps.kind == "cap" and ps.theta0 >= ss.theta0 - _EDGE_TOL
+    upper = ps.kind == "full" or (ss.kind == "cap" and ps.theta0 >= ss.theta0 - _EDGE_TOL)
+    return upper and (pattern.lower == "mirror" or spectrum.lower == "zero")
 
 
 _CAP_RE = re.compile(r"^cap\(\s*([0-9.eE+-]+)\s*\)$")

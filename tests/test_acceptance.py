@@ -20,9 +20,10 @@ import time
 import numpy as np
 import pytest
 
-from holomimo import (build_fourier_basis, build_lattice, build_ula, build_upa, cap_spectrum,
-                      check_normalization, coupled_correlation_exact, coupling_closed_form,
-                      coupling_general, exact_correlation, fourier_model, high_snr_dof_check,
+from holomimo import (AntennaPattern, build_fourier_basis, build_lattice, build_ula, build_upa,
+                      cap_spectrum, check_normalization, coupled_correlation_exact,
+                      coupling_closed_form, coupling_general, exact_correlation, fourier_model,
+                      high_snr_dof_check,
                       isotropic_spectrum, low_snr_bound_check, matched_pattern,
                       mutual_information_bits, omni_pattern, projected_solid_angles,
                       variances_uncoupled, waterfill)
@@ -65,7 +66,8 @@ def fig6_desk_run(tmp_path_factory):
 
 def test_criterion_1_general_coupling_matches_closed_form():
     start = time.perf_counter()
-    pattern = omni_pattern()
+    # the unit pattern under its own evaluator takes the hemisphere quadrature
+    pattern = AntennaPattern("omni-quadrature", lambda th, ph: np.ones_like(th))
     devs = {}
     for label, g in (("8-element 0.3-wavelength line", build_ula(8, 0.3)),
                      ("5x5 grid at 0.35 wavelengths", build_upa(5, 5, 0.35))):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from holomimo import (AngularSpectrum, ArrayGeometry, SingularCouplingError, array_response,
-                      build_fourier_basis, build_upa, cap_spectrum, check_normalization,
-                      coupled_correlation_exact, coupling_closed_form, coupling_general,
+from holomimo import (AngularSpectrum, ArrayGeometry, CorrelationMatrix, SingularCouplingError,
+                      array_response, build_fourier_basis, build_upa, cap_spectrum,
+                      check_normalization, coupled_correlation_exact, coupling_closed_form, coupling_general,
                       ergodic_capacity, exact_correlation, exact_model,
                       fourier_correlation, fourier_model, iid_model, isotropic_spectrum,
                       matched_pattern, omni_pattern, quadrature_for, regularize,
@@ -20,8 +20,7 @@ def test_isotropic_correlation_is_sinc():
     # coupling kernel (the builder at the correlation scale 1/2pi)
     g = build_upa(6, 6, 0.5)
     spectrum = isotropic_spectrum()
-    r = angular_kernel(g.positions, spectrum, quadrature_for(spectrum), 1.0 / (2.0 * np.pi),
-                       CONSTANTS.wavenumber)
+    r = angular_kernel(g.positions, spectrum, quadrature_for(spectrum), 1.0 / (2.0 * np.pi))
     c = coupling_closed_form(g).matrix
     assert np.abs(r - c).max() < 1e-10
     assert not np.iscomplexobj(r)  # imaginary residue judged quadrature noise
@@ -32,6 +31,19 @@ def test_isotropic_correlation_takes_closed_form():
     r = exact_correlation(g, isotropic_spectrum()).matrix
     assert r.dtype == np.float64
     assert np.array_equal(r, coupling_closed_form(g).matrix)
+
+
+def test_custom_spectrum_named_isotropic_takes_quadrature():
+    # a normalized density that shares only the isotropic spectrum's name (and
+    # so compares equal to it) gets its own quadrature R, not the sinc
+    custom = AngularSpectrum("isotropic", lambda th, ph: 2.0 * np.cos(th))
+    assert custom == isotropic_spectrum()
+    assert check_normalization(custom) == pytest.approx(1.0, abs=1e-6)
+    g = build_upa(4, 4, 0.3)
+    r = exact_correlation(g, custom).matrix
+    quad = angular_kernel(g.positions, custom, quadrature_for(custom), 1.0 / (2.0 * np.pi))
+    assert np.array_equal(r, quad)
+    assert np.abs(r - coupling_closed_form(g).matrix).max() > 0.1
 
 
 def test_asymmetric_spectrum_keeps_complex_hermitian_correlation():
@@ -250,6 +262,14 @@ def test_exact_model_refuses_powerless_receive_spectrum():
         exact_model(np.zeros(4), normalize="receive")
     # the transmit reference keeps a dead array as zero amplitudes
     assert np.array_equal(exact_model(np.zeros(4)).amp_t, np.zeros(4))
+
+
+def test_sample_exact_channel_refuses_powerless_receive_draw():
+    dead = CorrelationMatrix(np.zeros((4, 4)), "exact")
+    with pytest.raises(ValueError, match="no power"):
+        sample_exact_channel(dead, seed=3, normalize="receive")
+    # the transmit reference draws the all-zero channel
+    assert np.array_equal(sample_exact_channel(dead, seed=3), np.zeros((4, 4)))
 
 
 def test_exact_model_refuses_indefinite_spectrum():

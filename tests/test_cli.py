@@ -246,6 +246,16 @@ def test_workers_flag(tmp_path):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--workers", "1"]) == 0
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_refused(tmp_path, capsys, workers):
+    path = write_config(tmp_path, kind="coupling-matrix",
+                        tx={"kind": "ula", "n": 4, "d": 0.5}, rho=[])
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out), "--workers", workers]) == 1
+    assert "workers must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_experiment_api(tmp_path):
     cfg, label = load_config(str(write_config(tmp_path, kind="coupling-matrix", rho=[])))
     manifest = run_experiment(cfg, label, tmp_path / "api")

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+import holomimo._kernels
+import holomimo.coupling
 from holomimo import (build_ula, build_upa, cap_spectrum, coupling_closed_form,
-                      coupling_general, matched_pattern, omni_pattern, regularize,
-                      spd_inv_sqrt, spd_sqrt, write_coupling_csv)
+                      coupling_general, isotropic_spectrum, matched_pattern, omni_pattern,
+                      regularize, spd_inv_sqrt, spd_sqrt, write_coupling_csv)
 from holomimo.coupling import CouplingMatrix, SingularCouplingError
 from holomimo.spectra import AntennaPattern
+
+# The unit pattern under a name and evaluator of its own: it takes the
+# hemisphere quadrature, which these tests hold to the closed form.
+OMNI_QUADRATURE = AntennaPattern("omni-quadrature", lambda th, ph: np.ones_like(th))
 
 
 def test_closed_form_values():
@@ -51,15 +57,29 @@ def test_toeplitz_structure():
 def test_general_matches_closed_form_ula():
     g = build_ula(8, 0.3)
     c1 = coupling_closed_form(g).matrix
-    c2 = coupling_general(g, omni_pattern()).matrix
+    c2 = coupling_general(g, OMNI_QUADRATURE).matrix
     assert np.abs(c1 - c2).max() < 1e-6
 
 
 def test_general_matches_closed_form_upa():
     g = build_upa(5, 5, 0.35)
     c1 = coupling_closed_form(g).matrix
-    c2 = coupling_general(g, omni_pattern()).matrix
+    c2 = coupling_general(g, OMNI_QUADRATURE).matrix
     assert np.abs(c1 - c2).max() < 1e-6
+
+
+@pytest.mark.parametrize("pattern", [omni_pattern(), matched_pattern(isotropic_spectrum())])
+def test_unit_pattern_takes_closed_form_without_quadrature(monkeypatch, pattern):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the unit density built a quadrature")
+
+    monkeypatch.setattr(holomimo._kernels, "quadrature_for", refuse)
+    monkeypatch.setattr(holomimo.coupling, "check_normalization", refuse)
+    g = build_upa(4, 3, 0.3)
+    c = coupling_general(g, pattern)
+    assert c.kind == "closed-form"
+    d = np.linalg.norm(g.positions[:, None] - g.positions[None, :], axis=-1)
+    assert np.abs(c.matrix - np.sinc(2.0 * d)).max() < 1e-15
 
 
 def test_general_translation_invariant():

@@ -77,8 +77,23 @@ def test_support_properties():
 
 
 def test_matched_pattern_positivity_flags():
-    assert matched_pattern(isotropic_spectrum()).everywhere_positive
-    assert not matched_pattern(cap_spectrum(1.0)).everywhere_positive
+    # a pattern matched to the isotropic spectrum covers every spectrum; one
+    # matched to a cap vanishes below it
+    iso = isotropic_spectrum()
+    assert pattern_covers(iso, matched_pattern(iso))
+    assert pattern_covers(cap_spectrum(1.0), matched_pattern(iso))
+    assert not pattern_covers(iso, matched_pattern(cap_spectrum(1.0)))
+
+
+def test_pattern_is_a_renamed_spectrum():
+    assert AntennaPattern is AngularSpectrum
+    cap = cap_spectrum(0.7)
+    pat = matched_pattern(cap)
+    assert pat.name == "matched(cap(0.7))"
+    assert pat.evaluator is cap.evaluator
+    assert (pat.support, pat.lower, pat.params) == (cap.support, cap.lower, cap.params)
+    assert pat.params is not cap.params
+    assert omni_pattern().evaluator is isotropic_spectrum().evaluator
 
 
 def test_pattern_covers():
