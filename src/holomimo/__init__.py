@@ -8,8 +8,7 @@ them at large apertures, and the capacity analysis on top.
 
 __version__ = "0.1.0"
 
-from .geometry import (ArrayGeometry, PhysicalConstants, array_response, build_ula,
-                       build_upa, geometry_from_config)
+from .geometry import ArrayGeometry, array_response, build_ula, build_upa, geometry_from_config
 from .spectra import (AngularSpectrum, AntennaPattern, HemisphereQuadrature, Support,
                       cap_constant, cap_spectrum, check_normalization, isotropic_spectrum,
                       matched_pattern, omni_pattern, pattern_covers, quadrature_for)

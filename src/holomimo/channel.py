@@ -11,7 +11,7 @@ order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,11 +50,9 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Hermitian N x N spatial correlation with provenance."""
+    """Hermitian N x N spatial correlation."""
 
     matrix: np.ndarray
-    kind: str  # "exact" | "coupled-exact" | "fourier-uncoupled" | "fourier-coupled"
-    meta: dict = field(default_factory=dict, compare=False)
 
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in decreasing order."""
@@ -72,7 +70,7 @@ def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
     spectrum and complex Hermitian otherwise.
     """
     m, _ = density_kernel(geometry.positions, spectrum, HEMISPHERE, quadrature)
-    return CorrelationMatrix(m, "exact", {"spectrum": spectrum.name})
+    return CorrelationMatrix(m)
 
 
 def coupled_correlation_exact(correlation: CorrelationMatrix,
@@ -80,10 +78,7 @@ def coupled_correlation_exact(correlation: CorrelationMatrix,
     """Coupling-whitened correlation C^{-1/2} R C^{-1/2}."""
     f = spd_inv_sqrt(coupling)
     m = f @ correlation.matrix @ f
-    m = 0.5 * (m + m.conj().T)
-    meta = dict(correlation.meta)
-    meta["rho"] = coupling.rho
-    return CorrelationMatrix(m, "coupled-exact", meta)
+    return CorrelationMatrix(0.5 * (m + m.conj().T))
 
 
 def whitened_eigenvalues(correlation: CorrelationMatrix, coupling: CouplingMatrix,
@@ -114,8 +109,7 @@ def fourier_correlation(basis: FourierBasis) -> CorrelationMatrix:
     lam = basis.n_antennas * basis.variances
     v = basis.matrix
     m = (v * lam) @ v.conj().T
-    m = 0.5 * (m + m.conj().T)
-    return CorrelationMatrix(m, f"fourier-{basis.flavor}", {"spectrum": basis.spectrum.name})
+    return CorrelationMatrix(0.5 * (m + m.conj().T))
 
 
 @dataclass(frozen=True)

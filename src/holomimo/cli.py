@@ -59,30 +59,37 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
+def _resolve(cfg: ExperimentConfig):
+    """Config names as objects: (tx, rx, spectrum, pattern); rx defaults to tx."""
+    try:
+        tx = geometry_from_config(cfg.tx)
+        rx = geometry_from_config(cfg.rx) if cfg.rx is not None else tx
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad geometry: {exc}") from exc
+    try:
+        spectrum = spectrum_from_name(cfg.spectrum)
+        return tx, rx, spectrum, pattern_from_name(cfg.pattern, spectrum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
     """Type- and range-check a parsed config; raises ConfigError."""
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {', '.join(KINDS)}")
-    try:
-        tx = geometry_from_config(cfg.tx)
-        rx = geometry_from_config(cfg.rx) if cfg.rx is not None else None
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad geometry: {exc}") from exc
-    try:
-        spec = spectrum_from_name(cfg.spectrum)
-        pattern = pattern_from_name(cfg.pattern, spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.kind == "bound-check" and not pattern_covers(spec, pattern):
-        raise ConfigError(
-            f"pattern {pattern.name!r} vanishes inside the support of spectrum "
-            f"{spec.name!r}; the coupled variances would diverge")
+    tx, rx, spectrum, pattern = _resolve(cfg)
     if isinstance(cfg.rho, (int, float)):
         cfg.rho = [cfg.rho]
     if not isinstance(cfg.rho, list) or any(
             not isinstance(r, (int, float)) or r < 0 for r in cfg.rho):
         raise ConfigError(f"rho must be a list of nonnegative numbers, got {cfg.rho!r}")
     cfg.rho = [float(r) for r in cfg.rho]
+    # Only the coupled Fourier variances deconvolve the pattern from the spectrum.
+    coupled_fourier = cfg.kind == "bound-check" or (cfg.kind == "eigenvalues" and cfg.rho)
+    if coupled_fourier and not pattern_covers(spectrum, pattern):
+        raise ConfigError(
+            f"pattern {pattern.name!r} vanishes inside the support of spectrum "
+            f"{spectrum.name!r}; the coupled variances would diverge")
     if cfg.kind == "coupling-matrix" and len(cfg.rho) > 1:
         raise ConfigError(f"coupling-matrix takes at most one rho, got {cfg.rho}")
     if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**128:
@@ -94,9 +101,8 @@ def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"normalize must be 'transmit' or 'receive', got {cfg.normalize!r}")
     cfg.threshold_db = float(cfg.threshold_db)
     # Degenerate apertures cannot carry a wavenumber lattice or disk quadrature.
-    needs_2d = cfg.kind in ("eigenvalues", "dof-sweep", "capacity", "bound-check")
-    for g, name in ((tx, "tx"), (rx, "rx")):
-        if g is not None and needs_2d:
+    if cfg.kind != "coupling-matrix":
+        for g, name in ((tx, "tx"), (rx, "rx")):
             try:
                 g.aperture_matrix()
             except ValueError as exc:
@@ -159,16 +165,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, rows) -> str:
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path.name
 
 
-def _write_eig_csv(path: Path, ev_desc: np.ndarray, n_ref: int, n_antennas: int) -> None:
-    """Eigenvalues in dB under both normalizations (peak and mean-of-trace)."""
-    ev = np.asarray(ev_desc, dtype=float)
+def _write_eig_csv(path: Path, ev_desc: np.ndarray, n_ref: int, n_antennas: int) -> str:
+    """Eigenvalues in dB under both normalizations (peak and mean-of-trace);
+    roundoff negatives are clipped to zero."""
+    ev = np.clip(np.asarray(ev_desc, dtype=float), 0.0, None)
     top = ev[0]
     mean = ev.sum() / n_antennas
     floor = top * 1e-30
@@ -176,124 +184,100 @@ def _write_eig_csv(path: Path, ev_desc: np.ndarray, n_ref: int, n_antennas: int)
     for i, v in enumerate(ev, start=1):
         vv = max(v, floor)
         rows.append((i, i / n_ref, 10.0 * np.log10(vv / top), 10.0 * np.log10(vv / mean)))
-    _write_csv(path, "index,index_over_n,eig_db_max_normalized,eig_db_trace_normalized", rows)
+    return _write_csv(path, "index,index_over_n,eig_db_max_normalized,eig_db_trace_normalized",
+                      rows)
 
 
-def _write_capacity_csv(path: Path, curve) -> None:
+def _write_capacity_csv(path: Path, curve) -> str:
     rows = zip(curve.snr_db, curve.capacity_bits, curve.stderr,
                [curve.n_mc] * curve.snr_db.size)
-    _write_csv(path, "snr_db,capacity_bits,stderr,n_mc", rows)
-
-
-def _rho_tag(rho: float) -> str:
-    return f"{rho:g}"
+    return _write_csv(path, "snr_db,capacity_bits,stderr,n_mc", rows)
 
 
 # ---------------------------------------------------------------------------
-# experiment executors
+# experiment executors: each takes the config, the output directory and the
+# resolved (tx, rx, spectrum, pattern), and returns the files it wrote.
 
 
-def _run_eigenvalues(cfg: ExperimentConfig, out: Path) -> list[str]:
-    g = geometry_from_config(cfg.tx)
-    spectrum = spectrum_from_name(cfg.spectrum)
+def _exact_spectra(cfg: ExperimentConfig, g, spectrum, pattern):
+    """Descending eigenvalues of R, and (rho, whitened eigenvalues) for each
+    ``cfg.rho``; C is built only when there is a rho."""
     corr = exact_correlation(g, spectrum)
-    basis = build_fourier_basis(g, spectrum)
-    # (lattice size for the index/n axis, antenna count for the trace mean)
-    refs = basis.n_points, g.n_antennas
-    files = []
+    ev = corr.eigenvalues()
+    if not cfg.rho:
+        return ev, []
+    return ev, list(zip(cfg.rho, whitened_eigenvalues(corr, coupling_general(g, pattern), cfg.rho)))
 
-    ev = np.clip(corr.eigenvalues(), 0.0, None)
-    _write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *refs)
-    files.append("eigs_exact_uncoupled.csv")
 
-    model_ev = basis.model_eigenvalues()
-    _write_eig_csv(out / "eigs_fourier_uncoupled.csv", model_ev[model_ev > 0], *refs)
-    files.append("eigs_fourier_uncoupled.csv")
-    write_variances_csv(basis.lattice, basis.variances, out / "variances_uncoupled.csv")
-    files.append("variances_uncoupled.csv")
+def _write_coupled_eigs(out: Path, coupled, refs) -> list[str]:
+    return [_write_eig_csv(out / f"eigs_exact_coupled_rho{rho:g}.csv", ev, *refs)
+            for rho, ev in coupled]
 
-    if cfg.rho:
-        pattern = pattern_from_name(cfg.pattern, spectrum)
-        base = coupling_general(g, pattern)
-        for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
-            name = f"eigs_exact_coupled_rho{_rho_tag(rho)}.csv"
-            _write_eig_csv(out / name, np.clip(ev, 0.0, None), *refs)
-            files.append(name)
-        cbasis = build_fourier_basis(g, spectrum, pattern, lattice=basis.lattice)
-        cev = cbasis.model_eigenvalues()
-        _write_eig_csv(out / "eigs_fourier_coupled.csv", cev[cev > 0], *refs)
-        files.append("eigs_fourier_coupled.csv")
-        write_variances_csv(cbasis.lattice, cbasis.variances, out / "variances_coupled.csv")
-        files.append("variances_coupled.csv")
+
+def _write_fourier(out: Path, basis, refs) -> list[str]:
+    """Model eigenvalues and cell variances of one basis flavor."""
+    ev = basis.model_eigenvalues()
+    files = [_write_eig_csv(out / f"eigs_fourier_{basis.flavor}.csv", ev[ev > 0], *refs),
+             f"variances_{basis.flavor}.csv"]
+    write_variances_csv(basis.lattice, basis.variances, out / files[1])
     return files
 
 
-def _run_dof_sweep(cfg: ExperimentConfig, out: Path) -> list[str]:
-    g = geometry_from_config(cfg.tx)
-    spectrum = spectrum_from_name(cfg.spectrum)
-    corr = exact_correlation(g, spectrum)
+def _run_eigenvalues(cfg: ExperimentConfig, out: Path, g, rx, spectrum, pattern) -> list[str]:
+    ev, coupled = _exact_spectra(cfg, g, spectrum, pattern)
+    basis = build_fourier_basis(g, spectrum)
+    # (lattice size for the index/n axis, antenna count for the trace mean)
+    refs = basis.n_points, g.n_antennas
+    files = [_write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *refs),
+             *_write_fourier(out, basis, refs)]
+    if cfg.rho:
+        files += _write_coupled_eigs(out, coupled, refs)
+        files += _write_fourier(out, build_fourier_basis(g, spectrum, pattern,
+                                                         lattice=basis.lattice), refs)
+    return files
+
+
+def _run_dof_sweep(cfg: ExperimentConfig, out: Path, g, rx, spectrum, pattern) -> list[str]:
+    ev, coupled = _exact_spectra(cfg, g, spectrum, pattern)
     thr = 10.0 ** (cfg.threshold_db / 10.0)
     refs = build_lattice(g).n_points, g.n_antennas
-    files = []
 
     def count(ev):
         return int(np.count_nonzero(ev > ev[0] * thr))
 
-    ev_unc = np.clip(corr.eigenvalues(), 0.0, None)
-    _write_eig_csv(out / "eigs_exact_uncoupled.csv", ev_unc, *refs)
-    files.append("eigs_exact_uncoupled.csv")
-    rows = [("uncoupled", "", count(ev_unc), cfg.threshold_db)]
-
-    base = coupling_general(g, pattern_from_name(cfg.pattern, spectrum))
-    for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
-        ev = np.clip(ev, 0.0, None)
-        name = f"eigs_exact_coupled_rho{_rho_tag(rho)}.csv"
-        _write_eig_csv(out / name, ev, *refs)
-        files.append(name)
-        rows.append(("coupled", _rho_tag(rho), count(ev), cfg.threshold_db))
-
-    _write_csv(out / "dof_counts.csv", "curve,rho,count_above_threshold,threshold_db", rows)
-    files.append("dof_counts.csv")
-    return files
+    rows = [("uncoupled", "", count(ev), cfg.threshold_db)]
+    rows += [("coupled", f"{rho:g}", count(w), cfg.threshold_db) for rho, w in coupled]
+    return [_write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *refs),
+            *_write_coupled_eigs(out, coupled, refs),
+            _write_csv(out / "dof_counts.csv", "curve,rho,count_above_threshold,threshold_db",
+                       rows)]
 
 
-def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
-    gt = geometry_from_config(cfg.tx)
-    gr = geometry_from_config(cfg.rx) if cfg.rx is not None else gt
+def _run_capacity(cfg: ExperimentConfig, out: Path, gt, gr, spectrum, pattern) -> list[str]:
+    ev, coupled = _exact_spectra(cfg, gt, spectrum, pattern)
     n_rx = gr.n_antennas
-    spectrum = spectrum_from_name(cfg.spectrum)
-    corr = exact_correlation(gt, spectrum)
     models = [iid_model(n_rx, gt.n_antennas),
-              exact_model(corr.eigenvalues(), n_rx, cfg.normalize, "uncoupled")]
-    files = ["capacity_iid.csv", "capacity_uncoupled.csv"]
-    if cfg.rho:
-        base = coupling_general(gt, pattern_from_name(cfg.pattern, spectrum))
-        for rho, ev in zip(cfg.rho, whitened_eigenvalues(corr, base, cfg.rho)):
-            models.append(exact_model(ev, n_rx, cfg.normalize, f"coupled rho={rho:g}"))
-            files.append(f"capacity_coupled_rho{_rho_tag(rho)}.csv")
-    for name, curve in zip(files, ergodic_capacity(models, _snr_grid(cfg), cfg.mc, cfg.seed)):
-        _write_capacity_csv(out / name, curve)
-    return files
+              exact_model(ev, n_rx, cfg.normalize, "uncoupled")]
+    models += [exact_model(w, n_rx, cfg.normalize, f"coupled rho={rho:g}") for rho, w in coupled]
+    names = ["capacity_iid.csv", "capacity_uncoupled.csv"]
+    names += [f"capacity_coupled_rho{rho:g}.csv" for rho, _ in coupled]
+    return [_write_capacity_csv(out / name, curve) for name, curve in
+            zip(names, ergodic_capacity(models, _snr_grid(cfg), cfg.mc, cfg.seed))]
 
 
-def _run_coupling_matrix(cfg: ExperimentConfig, out: Path) -> list[str]:
-    g = geometry_from_config(cfg.tx)
-    base = coupling_general(g, pattern_from_name(cfg.pattern, spectrum_from_name(cfg.spectrum)))
+def _run_coupling_matrix(cfg: ExperimentConfig, out: Path, g, rx, spectrum,
+                         pattern) -> list[str]:
+    base = coupling_general(g, pattern)
     if cfg.rho:
         base = regularize(base, cfg.rho[0])
     write_coupling_csv(base, out / "coupling_matrix.csv")
     return ["coupling_matrix.csv"]
 
 
-def _run_bound_check(cfg: ExperimentConfig, out: Path) -> list[str]:
-    gt = geometry_from_config(cfg.tx)
-    gr = geometry_from_config(cfg.rx) if cfg.rx is not None else gt
-    spectrum = spectrum_from_name(cfg.spectrum)
-    pattern = pattern_from_name(cfg.pattern, spectrum)
+def _run_bound_check(cfg: ExperimentConfig, out: Path, gt, gr, spectrum, pattern) -> list[str]:
     model = fourier_model(build_fourier_basis(gr, spectrum),
                           build_fourier_basis(gt, spectrum, pattern))
-    result = low_snr_bound_check(model, cfg.mc, cfg.seed)
-    payload = dataclasses.asdict(result)
+    payload = dataclasses.asdict(low_snr_bound_check(model, cfg.mc, cfg.seed))
     payload["spectrum"] = spectrum.name
     payload["pattern"] = pattern.name
     with open(out / "bound_check.json", "w", newline="\n") as fh:
@@ -331,10 +315,11 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
     """Execute one experiment and write outputs plus a manifest; returns it."""
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers}")
+    resolved = _resolve(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     with _thread_limits(workers):
-        files = _EXECUTORS[cfg.kind](cfg, out_dir)
+        files = _EXECUTORS[cfg.kind](cfg, out_dir, *resolved)
     manifest = {
         "name": label,
         "kind": cfg.kind,
@@ -371,8 +356,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg, label = load_config(args.config)
-    tx = geometry_from_config(cfg.tx)
-    rx = geometry_from_config(cfg.rx) if cfg.rx is not None else tx
+    tx, rx, _, _ = _resolve(cfg)
     grid = _snr_grid(cfg)
     print(f"ok: {label}: kind={cfg.kind}, tx={tx.n_antennas} antennas, "
           f"rx={rx.n_antennas} antennas, spectrum={cfg.spectrum}, pattern={cfg.pattern}, "

@@ -335,7 +335,6 @@ class FourierBasis:
     variances: np.ndarray  # (n,)
     flavor: str  # "uncoupled" | "coupled"
     spectrum: AngularSpectrum
-    pattern: AntennaPattern | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -373,4 +372,4 @@ def build_fourier_basis(geometry: ArrayGeometry, spectrum: AngularSpectrum,
     else:
         sig = variances_coupled(lat, spectrum, pattern)
         flavor = "coupled"
-    return FourierBasis(geometry, lat, sig, flavor, spectrum, pattern)
+    return FourierBasis(geometry, lat, sig, flavor, spectrum)

@@ -1,4 +1,4 @@
-"""Planar antenna-array geometries and free-space constants.
+"""Planar antenna-array geometries.
 
 All lengths are expressed in carrier wavelengths, so a half-wavelength grid
 has spacing 0.5 and the wavenumber is 2*pi.
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "PhysicalConstants",
     "ArrayGeometry",
     "build_upa",
     "build_ula",
@@ -20,29 +19,6 @@ __all__ = [
     "array_response",
 ]
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Carrier-scale constants with lengths in wavelengths."""
-
-    wavelength: float = 1.0
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * np.pi / self.wavelength
-
-    @property
-    def impedance(self) -> float:
-        """Free-space wave impedance in ohms."""
-        return 120.0 * np.pi
-
-    @property
-    def radiation_resistance(self) -> float:
-        """Radiation resistance of the canonical current element."""
-        return self.wavenumber**2 * self.impedance / (4.0 * np.pi)
-
-
-CONSTANTS = PhysicalConstants()
 
 # Tolerance used when checking that positions are distinct and coplanar.
 _POSITION_TOL = 1e-9
@@ -176,5 +152,5 @@ def array_response(geometry: ArrayGeometry, theta, phi) -> np.ndarray:
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta) * np.ones_like(phi)],
         axis=0,
     )
-    phase = CONSTANTS.wavenumber * np.tensordot(geometry.positions, k_hat, axes=(1, 0))
+    phase = 2.0 * np.pi * np.tensordot(geometry.positions, k_hat, axes=(1, 0))
     return np.exp(1j * phase)

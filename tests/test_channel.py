@@ -12,7 +12,6 @@ from holomimo import (AngularSpectrum, ArrayGeometry, CorrelationMatrix, Singula
 from holomimo._kernels import angular_kernel
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
-from holomimo.geometry import CONSTANTS
 
 
 def test_isotropic_correlation_is_sinc():
@@ -60,7 +59,7 @@ def test_asymmetric_spectrum_keeps_complex_hermitian_correlation():
     assert np.abs(r.imag).max() > 1e-2
     # direct plane-wave sum over the same nodes: A[k, n] = exp(i k . r_n)
     theta, phi = q.grids()
-    k = CONSTANTS.wavenumber
+    k = 2 * np.pi
     a = np.exp(1j * k * (np.outer(np.sin(theta) * np.cos(phi), g.positions[:, 0])
                          + np.outer(np.sin(theta) * np.sin(phi), g.positions[:, 1])))
     w = q.weights() * tilted(theta, phi) / (2.0 * np.pi)
@@ -265,7 +264,7 @@ def test_exact_model_refuses_powerless_receive_spectrum():
 
 
 def test_sample_exact_channel_refuses_powerless_receive_draw():
-    dead = CorrelationMatrix(np.zeros((4, 4)), "exact")
+    dead = CorrelationMatrix(np.zeros((4, 4)))
     with pytest.raises(ValueError, match="no power"):
         sample_exact_channel(dead, seed=3, normalize="receive")
     # the transmit reference draws the all-zero channel

@@ -99,11 +99,28 @@ def test_coerce_rejections(tmp_path, overrides, match):
         load_config(str(write_config(tmp_path, **overrides)))
 
 
-def test_bound_check_requires_covering_pattern(tmp_path):
-    path = write_config(tmp_path, kind="bound-check", spectrum="isotropic",
+@pytest.mark.parametrize("kind", ["bound-check", "eigenvalues"])
+def test_bound_check_requires_covering_pattern(tmp_path, capsys, kind):
+    # both kinds build coupled Fourier variances, which diverge where the
+    # pattern vanishes inside the spectrum's support
+    path = write_config(tmp_path, kind=kind, spectrum="isotropic",
                         pattern="matched(cap(0.5))")
     with pytest.raises(ConfigError, match="vanishes inside"):
         load_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 1
+    assert "vanishes inside" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,rho", [("capacity", [0.1]), ("dof-sweep", [0.1]),
+                                      ("eigenvalues", [])])
+def test_exact_paths_accept_uncovering_pattern(tmp_path, kind, rho):
+    # exact whitening and R alone are well defined for any pattern
+    path = write_config(tmp_path, kind=kind, spectrum="isotropic",
+                        pattern="matched(cap(0.5))", rho=rho)
+    cfg, _ = load_config(str(path))
+    assert cfg.kind == kind
 
 
 def test_snr_grid_forms():
@@ -162,6 +179,20 @@ def test_run_dof_sweep_outputs(tmp_path):
     counts = [int(r["count_above_threshold"]) for r in rows]
     assert all(1 <= c <= 49 for c in counts)
     assert (out / "eigs_exact_coupled_rho0.01.csv").exists()
+
+
+def test_dof_sweep_without_rho_builds_no_coupling(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coupling_general called without a rho")
+
+    monkeypatch.setattr("holomimo.cli.coupling_general", refuse)
+    path = write_config(tmp_path, kind="dof-sweep",
+                        tx={"kind": "upa", "nx": 5, "ny": 5, "dx": 0.25}, rho=[])
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 0
+    assert [r["curve"] for r in read_csv(out / "dof_counts.csv")] == ["uncoupled"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["eigs_exact_uncoupled.csv", "dof_counts.csv"]
 
 
 def test_run_capacity_outputs(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from holomimo import (array_response, build_ula, build_upa, coupling_closed_form,
                       geometry_from_config)
-from holomimo.geometry import ArrayGeometry, PhysicalConstants
+from holomimo.geometry import ArrayGeometry
 
 
 def test_upa_corner_origin_and_order():
@@ -96,10 +96,3 @@ def test_array_response_matches_direct_phase():
     k = 2 * np.pi * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
     direct = np.exp(1j * g.positions @ k)
     assert np.allclose(array_response(g, th, ph), direct)
-
-
-def test_physical_constants():
-    pc = PhysicalConstants()
-    assert pc.wavenumber == pytest.approx(2 * np.pi)
-    assert pc.impedance == pytest.approx(120 * np.pi)
-    assert pc.radiation_resistance == pytest.approx((2 * np.pi) ** 2 * 120 * np.pi / (4 * np.pi))
