@@ -9,8 +9,8 @@ them at large apertures, and the capacity analysis on top.
 __version__ = "0.1.0"
 
 from .geometry import ArrayGeometry, array_response, build_ula, build_upa, geometry_from_config
-from .spectra import (AngularSpectrum, AntennaPattern, HemisphereQuadrature, Support,
-                      cap_constant, cap_spectrum, check_normalization, isotropic_spectrum,
+from .spectra import (AngularSpectrum, AntennaPattern, cap_constant, cap_spectrum,
+                      check_normalization, hemisphere_quadrature, isotropic_spectrum,
                       matched_pattern, omni_pattern, pattern_covers, quadrature_for)
 from .coupling import (CouplingMatrix, SingularCouplingError, coupling_closed_form,
                        coupling_general, regularize, spd_inv_sqrt, spd_sqrt,

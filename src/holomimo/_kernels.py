@@ -69,10 +69,11 @@ def angular_kernel(positions: np.ndarray, density, quadrature, scale: float) -> 
 
     The result is real symmetric when its imaginary and asymmetric residue is
     at quadrature-noise level (every point-symmetric density), and complex
-    Hermitian otherwise.
+    Hermitian otherwise.  ``quadrature`` is the (theta, phi, weight) triple of
+    ``spectra.hemisphere_quadrature``.
     """
-    theta, phi = quadrature.grids()
-    w = quadrature.weights() * density(theta, phi) * scale
+    theta, phi, w = quadrature
+    w = w * density(theta, phi) * scale
     kx = 2.0 * np.pi * np.sin(theta) * np.cos(phi)
     ky = 2.0 * np.pi * np.sin(theta) * np.sin(phi)
     m = phase_kernel(positions, kx, ky, w)
@@ -90,7 +91,7 @@ def density_kernel(positions: np.ndarray, density, scale: float, quadrature=None
     ``angular_kernel`` on ``quadrature`` (default ``quadrature_for(density)``).
     Returns the matrix and the quadrature used, None for the closed form.
     """
-    if (density.evaluator is _unit and density.support.kind == "full"
+    if (density.evaluator is _unit and density.edge is None
             and density.lower == "mirror" and scale == HEMISPHERE):
         return sinc_kernel(positions), None
     q = quadrature if quadrature is not None else quadrature_for(density)

@@ -19,7 +19,7 @@ from ._kernels import HEMISPHERE, density_kernel
 from .coupling import CouplingMatrix, _check_floor, spd_inv_sqrt, spd_sqrt
 from .fourier import FourierBasis, dof_prime
 from .geometry import ArrayGeometry
-from .spectra import AngularSpectrum, HemisphereQuadrature
+from .spectra import AngularSpectrum
 
 __all__ = [
     "CorrelationMatrix",
@@ -60,7 +60,7 @@ class CorrelationMatrix:
 
 
 def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
-                      quadrature: HemisphereQuadrature | None = None) -> CorrelationMatrix:
+                      quadrature=None) -> CorrelationMatrix:
     """Upper-hemisphere correlation (1/2pi) * integral of E exp(i k . (r - s)).
 
     The diagonal equals the spectrum's upper-hemisphere mass over 2pi: one for

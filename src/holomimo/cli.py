@@ -77,6 +77,9 @@ def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
     """Type- and range-check a parsed config; raises ConfigError."""
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {', '.join(KINDS)}")
+    if cfg.rx is not None and cfg.kind not in ("capacity", "bound-check"):
+        raise ConfigError(f"{cfg.kind} runs on tx alone; only capacity and bound-check "
+                          f"use an rx geometry")
     tx, rx, spectrum, pattern = _resolve(cfg)
     if isinstance(cfg.rho, (int, float)):
         cfg.rho = [cfg.rho]
@@ -142,7 +145,10 @@ def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
     if isinstance(s, list):
         if not s:
             raise ConfigError("snr_db list is empty")
-        return np.asarray([float(v) for v in s])
+        grid = np.asarray([float(v) for v in s])
+        if np.any(np.diff(grid) < 0):
+            raise ConfigError(f"snr_db list must not decrease, got {s}")
+        return grid
     if isinstance(s, dict):
         extra = set(s) - {"start", "stop", "step"}
         if extra:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._kernels import density_kernel
 from .geometry import ArrayGeometry
-from .spectra import AntennaPattern, HemisphereQuadrature, check_normalization, omni_pattern
+from .spectra import AntennaPattern, check_normalization, omni_pattern
 
 __all__ = [
     "CouplingMatrix",
@@ -58,7 +58,7 @@ def coupling_closed_form(geometry: ArrayGeometry) -> CouplingMatrix:
 
 
 def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern,
-                     quadrature: HemisphereQuadrature | None = None) -> CouplingMatrix:
+                     quadrature=None) -> CouplingMatrix:
     """Coupling for an arbitrary normalized element power pattern.
 
     Full-sphere average (1/4pi) of |A|^2 times the plane-wave outer product.

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import ArrayGeometry
-from .spectra import (AngularSpectrum, AntennaPattern, Support, isotropic_spectrum, omni_pattern,
+from .spectra import (AngularSpectrum, AntennaPattern, isotropic_spectrum, omni_pattern,
                       pattern_covers)
 
 __all__ = [
@@ -155,12 +155,12 @@ def _circle_edge_angles(rect, r: float) -> list[float]:
     return out
 
 
-def _integrate_rect_disk(rect, f, weight: str, radial_breaks=()) -> float:
+def _integrate_rect_disk(rect, f, weight: str, break_radii=()) -> float:
     """Integral of f(kx, ky) * w over rect intersected with the unit disk.
 
     weight "plain" uses w = 1 (area measure dk); "rim" uses w = 1/sqrt(1-|k|^2)
     integrated in the substituted variable u = sqrt(1 - r^2), which is exact at
-    the disk boundary.  radial_breaks split the radial panels where the
+    the disk boundary.  break_radii split the radial panels where the
     integrand is discontinuous (support edges).  Every node of the cell goes
     through one call of f.
     """
@@ -168,7 +168,7 @@ def _integrate_rect_disk(rect, f, weight: str, radial_breaks=()) -> float:
     if rmin >= 1.0:
         return 0.0
     x0, x1, y0, y1 = rect
-    breaks = sorted(b for b in radial_breaks if rmin < b < min(rmax, 1.0))
+    breaks = sorted(b for b in break_radii if rmin < b < min(rmax, 1.0))
     # Polar decomposition: angular panels split at every corner and at every
     # circle/edge crossing so each panel has smooth radial limits.
     angs = [float(np.arctan2(cy, cx)) for cx in (x0, x1) for cy in (y0, y1)]
@@ -229,13 +229,16 @@ def _orphan_cells(lattice: WavenumberLattice) -> list[tuple[tuple[int, int], int
     return out
 
 
-def _cell_integrals(lattice: WavenumberLattice, f, weight: str, radial_breaks=()) -> np.ndarray:
+def _cell_integrals(lattice: WavenumberLattice, f, weight: str, *densities) -> np.ndarray:
+    """Cell integrals with a radial break at sin(edge) of every density whose
+    support ends inside the disk."""
     d = lattice.aperture
+    breaks = sorted({float(np.sin(s.edge)) for s in densities if s.edge is not None})
     vals = np.array([
-        _integrate_rect_disk(_rect_of(j, d), f, weight, radial_breaks) for j in lattice.points
+        _integrate_rect_disk(_rect_of(j, d), f, weight, breaks) for j in lattice.points
     ])
     for j, k in _orphan_cells(lattice):
-        vals[k] += _integrate_rect_disk(_rect_of(j, d), f, weight, radial_breaks)
+        vals[k] += _integrate_rect_disk(_rect_of(j, d), f, weight, breaks)
     return vals
 
 
@@ -257,8 +260,7 @@ def variances_uncoupled(lattice: WavenumberLattice, spectrum: AngularSpectrum) -
     cells and sum to 1.
     """
     f = lambda kx, ky: _direction_values(spectrum, kx, ky)
-    breaks = () if spectrum.support.radial_break is None else (spectrum.support.radial_break,)
-    return _cell_integrals(lattice, f, "rim", breaks) / (2.0 * np.pi)
+    return _cell_integrals(lattice, f, "rim", spectrum) / (2.0 * np.pi)
 
 
 def variances_coupled(lattice: WavenumberLattice, spectrum: AngularSpectrum,
@@ -285,8 +287,7 @@ def variances_coupled(lattice: WavenumberLattice, spectrum: AngularSpectrum,
             out[m] = e[m] / a[m]
         return out
 
-    breaks = {spectrum.support.radial_break, pattern.support.radial_break} - {None}
-    return _cell_integrals(lattice, f, "plain", sorted(breaks)) / np.pi
+    return _cell_integrals(lattice, f, "plain", spectrum, pattern) / np.pi
 
 
 def solid_angles(lattice: WavenumberLattice) -> np.ndarray:
@@ -299,16 +300,13 @@ def projected_solid_angles(lattice: WavenumberLattice) -> np.ndarray:
     return variances_coupled(lattice, isotropic_spectrum(), omni_pattern())
 
 
-def dof_prime(lattice: WavenumberLattice, spectrum_or_support) -> int:
-    """Effective spatial degrees of freedom under an angular support.
+def dof_prime(lattice: WavenumberLattice, spectrum: AngularSpectrum) -> int:
+    """Effective spatial degrees of freedom under a spectrum's support.
 
     ceil of the lattice size times the fraction of the wavenumber disk covered
-    by the support: n for full-sphere spectra, ceil(n sin^2 theta0) for caps.
+    by the support cap: ceil(n sin^2 theta0), which is n for full support.
     """
-    support = spectrum_or_support
-    if not isinstance(support, Support):
-        support = support.support
-    return int(np.ceil(lattice.n_points * support.disk_area / np.pi - _DISK_TOL))
+    return int(np.ceil(lattice.n_points * np.sin(spectrum.theta0) ** 2 - _DISK_TOL))
 
 
 def write_variances_csv(lattice: WavenumberLattice, sigma2: np.ndarray, path) -> None:

@@ -7,7 +7,7 @@ has spacing 0.5 and the wavenumber is 2*pi.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +29,9 @@ class ArrayGeometry:
     """A finite set of antenna positions in a single z plane.
 
     positions : (N, 3) float array, wavelength units.
-    meta : builder provenance, enough to reconstruct via ``geometry_from_config``.
     """
 
     positions: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -71,15 +69,7 @@ class ArrayGeometry:
         return d
 
     def translated(self, offset) -> "ArrayGeometry":
-        off = np.asarray(offset, dtype=float).reshape(3)
-        meta = dict(self.meta)
-        meta["offset"] = [float(v) for v in off + np.asarray(meta.get("offset", (0, 0, 0)))]
-        return ArrayGeometry(self.positions + off, meta=meta)
-
-    def to_config(self) -> dict:
-        if self.meta.get("kind") in ("upa", "ula"):
-            return dict(self.meta)
-        return {"kind": "points", "positions": self.positions.tolist()}
+        return ArrayGeometry(self.positions + np.asarray(offset, dtype=float).reshape(3))
 
     def content_hash(self) -> str:
         """Short stable hash of the rounded positions, for output headers."""
@@ -104,8 +94,7 @@ def build_upa(nx: int, ny: int, dx: float, dy: float | None = None) -> ArrayGeom
     pos = np.zeros((nx * ny, 3))
     pos[:, 0] = ix.ravel() * dx
     pos[:, 1] = iy.ravel() * dy
-    meta = {"kind": "upa", "nx": int(nx), "ny": int(ny), "dx": float(dx), "dy": float(dy)}
-    return ArrayGeometry(pos, meta=meta)
+    return ArrayGeometry(pos)
 
 
 def build_ula(n: int, d: float) -> ArrayGeometry:
@@ -116,11 +105,12 @@ def build_ula(n: int, d: float) -> ArrayGeometry:
         raise ValueError("spacing must be positive")
     pos = np.zeros((n, 3))
     pos[:, 0] = np.arange(n) * d
-    return ArrayGeometry(pos, meta={"kind": "ula", "n": int(n), "d": float(d)})
+    return ArrayGeometry(pos)
 
 
 def geometry_from_config(cfg: dict) -> ArrayGeometry:
-    """Rebuild a geometry from its ``to_config`` mapping (or a CLI table)."""
+    """Build a geometry from a config table: ``upa`` (the default kind), ``ula``
+    or ``points``, with an optional ``offset``."""
     cfg = dict(cfg)
     kind = cfg.pop("kind", "upa")
     offset = cfg.pop("offset", None)

@@ -58,11 +58,11 @@ def test_asymmetric_spectrum_keeps_complex_hermitian_correlation():
     assert np.array_equal(r, r.conj().T)
     assert np.abs(r.imag).max() > 1e-2
     # direct plane-wave sum over the same nodes: A[k, n] = exp(i k . r_n)
-    theta, phi = q.grids()
+    theta, phi, qw = q
     k = 2 * np.pi
     a = np.exp(1j * k * (np.outer(np.sin(theta) * np.cos(phi), g.positions[:, 0])
                          + np.outer(np.sin(theta) * np.sin(phi), g.positions[:, 1])))
-    w = q.weights() * tilted(theta, phi) / (2.0 * np.pi)
+    w = qw * tilted(theta, phi) / (2.0 * np.pi)
     direct = (a.T * w) @ a.conj()
     assert np.abs(r - direct).max() < 1e-12
 
@@ -75,9 +75,9 @@ def test_jittered_array_correlation_matches_direct_sum():
     cap = cap_spectrum(np.pi / 3)
     q = quadrature_for(cap, n_theta=24, n_phi=48)
     r = exact_correlation(g, cap, q).matrix
-    theta, phi = q.grids()
+    theta, phi, qw = q
     a = array_response(g, theta, phi).reshape(40, -1)
-    w = (q.weights() * cap(theta, phi) / (2.0 * np.pi)).ravel()
+    w = qw * cap(theta, phi) / (2.0 * np.pi)
     direct = (a * w) @ a.conj().T
     # differences are grouped at 1e-12 wavelengths: phase error <= pi * 1e-12
     assert np.abs(r - direct).max() < 1e-10

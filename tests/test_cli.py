@@ -123,6 +123,32 @@ def test_exact_paths_accept_uncovering_pattern(tmp_path, kind, rho):
     assert cfg.kind == kind
 
 
+def test_decreasing_snr_list_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, kind="capacity", snr_db=[10, 0, 20], mc=2)
+    with pytest.raises(ConfigError, match="must not decrease"):
+        load_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 1
+    assert "must not decrease" in capsys.readouterr().err
+    assert not out.exists()
+    # repeated values stay accepted
+    cfg, _ = load_config(str(write_config(tmp_path, kind="capacity", snr_db=[0, 10, 10])))
+    assert np.array_equal(_snr_grid(cfg), [0.0, 10.0, 10.0])
+
+
+@pytest.mark.parametrize("kind", ["eigenvalues", "dof-sweep", "coupling-matrix"])
+def test_rx_refused_where_no_executor_reads_it(tmp_path, kind):
+    path = write_config(tmp_path, kind=kind, rx={"kind": "upa", "nx": 9, "ny": 2, "dx": 0.5})
+    with pytest.raises(ConfigError, match="only capacity and bound-check"):
+        load_config(str(path))
+
+
+def test_capacity_accepts_distinct_rx(tmp_path):
+    rx = {"kind": "upa", "nx": 9, "ny": 2, "dx": 0.5}
+    cfg, _ = load_config(str(write_config(tmp_path, kind="capacity", rx=rx)))
+    assert cfg.rx == rx
+
+
 def test_snr_grid_forms():
     cfg = ExperimentConfig("capacity", {}, snr_db=[0, 5.0, 10])
     assert np.array_equal(_snr_grid(cfg), [0.0, 5.0, 10.0])

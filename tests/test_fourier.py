@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from holomimo import (build_fourier_basis, build_lattice, build_upa, cap_spectrum,
-                      dof_prime, fourier_matrix, isotropic_spectrum, matched_pattern,
+from holomimo import (build_fourier_basis, build_lattice, build_upa, cap_constant,
+                      cap_spectrum, dof_prime, fourier_matrix, isotropic_spectrum, matched_pattern,
                       omni_pattern, projected_solid_angles, solid_angles,
                       variances_coupled, variances_uncoupled, write_variances_csv)
 from holomimo.fourier import (_direction_values, _integrate_rect_disk, _orphan_cells,
@@ -157,7 +157,7 @@ def test_radial_break_cells_match_dblquad():
     # (cap disk) x (cell) of c / sqrt(1 - |k|^2)
     lat = build_lattice((6.0, 6.0))
     cap = cap_spectrum(np.pi / 3)
-    rb = cap.support.radial_break
+    rb = np.sin(cap.edge)
     c = float(cap(np.array(0.0), np.array(0.0)))
     f = lambda kx, ky: _direction_values(cap, kx, ky)
     cut = 0
@@ -184,14 +184,14 @@ def test_cap_spectrum_variances():
     su = variances_uncoupled(lat, cap)
     # upper-only cap carries all power from above: mass 2 in the ++ component
     assert su.sum() == pytest.approx(2.0, abs=1e-4)
-    rb = cap.support.radial_break
+    rb = np.sin(cap.theta0)
     r = np.hypot(lat.points[:, 0] / 6.0, lat.points[:, 1] / 6.0)
     far = r > rb + np.hypot(1 / 12, 1 / 12)  # cells wholly outside the cap disk
     assert np.all(su[far] == 0.0)
     assert np.all(su[r < rb - np.hypot(1 / 12, 1 / 12)] > 0)
 
     sc = variances_coupled(lat, cap, omni_pattern())
-    assert sc.sum() == pytest.approx(cap.params["constant"] * np.sin(np.pi / 3) ** 2, abs=1e-4)
+    assert sc.sum() == pytest.approx(cap_constant(cap.theta0) * np.sin(np.pi / 3) ** 2, abs=1e-4)
 
 
 def test_matched_pattern_flattens_variances():
@@ -201,7 +201,7 @@ def test_matched_pattern_flattens_variances():
     sm = variances_coupled(lat, cap, matched_pattern(cap))
     # cells wholly inside the cap disk (edge slivers excluded)
     r = np.hypot(lat.points[:, 0], lat.points[:, 1]) / 4.0
-    inner = r < cap.support.radial_break - np.hypot(1 / 8, 1 / 8)
+    inner = r < np.sin(cap.theta0) - np.hypot(1 / 8, 1 / 8)
     assert inner.sum() >= 5
     # matched deconvolution leaves pure cell areas: equal values inside the
     # support, so a strictly smaller spread than the rim-weighted uncoupled

@@ -43,17 +43,21 @@ def test_non_coplanar_rejected():
 
 
 def test_config_round_trip():
-    g = build_upa(4, 3, 0.4, 0.5)
-    g2 = geometry_from_config(g.to_config())
-    assert np.allclose(g.positions, g2.positions)
-
-    shifted = g.translated([1.0, -2.0, 0.0])
-    g3 = geometry_from_config(shifted.to_config())
-    assert np.allclose(shifted.positions, g3.positions)
-
-    pts = ArrayGeometry(np.array([[0.0, 0, 0], [0.7, 0.1, 0]]))
-    g4 = geometry_from_config(pts.to_config())
-    assert np.allclose(pts.positions, g4.positions)
+    # every config table kind builds the positions of its builder
+    shift = [1.0, -2.0, 0.0]
+    cases = [
+        ({"kind": "upa", "nx": 4, "ny": 3, "dx": 0.4, "dy": 0.5}, build_upa(4, 3, 0.4, 0.5)),
+        ({"nx": 3, "ny": 3, "dx": 0.5}, build_upa(3, 3, 0.5)),
+        ({"kind": "ula", "n": 5, "d": 0.3}, build_ula(5, 0.3)),
+        ({"kind": "points", "positions": [[0.0, 0, 0], [0.7, 0.1, 0]]},
+         ArrayGeometry(np.array([[0.0, 0, 0], [0.7, 0.1, 0]]))),
+        ({"kind": "upa", "nx": 4, "ny": 3, "dx": 0.4, "offset": shift},
+         build_upa(4, 3, 0.4).translated(shift)),
+        ({"kind": "ula", "n": 3, "d": 0.5, "offset": [0.0, 0.0, 1.5]},
+         build_ula(3, 0.5).translated([0.0, 0.0, 1.5])),
+    ]
+    for table, expect in cases:
+        assert np.array_equal(geometry_from_config(table).positions, expect.positions), table
 
 
 def test_config_rejects_unknown():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from holomimo.spectra import (AngularSpectrum, AntennaPattern, HemisphereQuadrature, Support,
-                              cap_constant, cap_spectrum, check_normalization,
-                              isotropic_spectrum, matched_pattern, omni_pattern,
-                              pattern_covers, pattern_from_name, quadrature_for,
-                              spectrum_from_name)
+from holomimo.spectra import (AngularSpectrum, AntennaPattern, cap_constant, cap_spectrum,
+                              check_normalization, hemisphere_quadrature, isotropic_spectrum,
+                              matched_pattern, omni_pattern, pattern_covers, pattern_from_name,
+                              quadrature_for, spectrum_from_name)
 
 
 @pytest.mark.parametrize("obj", [
@@ -37,7 +36,7 @@ def test_cap_constants_frozen():
 
 def test_cap_evaluator_support():
     s = cap_spectrum(np.pi / 3)
-    c = s.params["constant"]
+    c = cap_constant(s.theta0)
     th = np.array([0.1, np.pi / 3 - 1e-6, np.pi / 3 + 1e-3, np.pi / 2, 2.5])
     vals = s(th, np.zeros_like(th))
     assert np.allclose(vals, [c, c, 0.0, 0.0, 0.0])
@@ -50,10 +49,9 @@ def test_isotropic_mirrors_to_lower_hemisphere():
 
 
 def test_quadrature_hemisphere_area():
-    q = HemisphereQuadrature.build(64, 128)
-    t, p = q.grids()
-    assert q.integrate_upper(np.ones(q.n_nodes)) == pytest.approx(2 * np.pi, rel=1e-12)
-    assert t.size == q.n_nodes == q.weights().size
+    t, p, w = hemisphere_quadrature(64, 128)
+    assert w.sum() == pytest.approx(2 * np.pi, rel=1e-12)
+    assert t.size == p.size == w.size == 64 * 128
 
 
 def test_quadrature_panel_edges_make_caps_exact():
@@ -63,17 +61,15 @@ def test_quadrature_panel_edges_make_caps_exact():
 
 
 def test_support_properties():
-    full = Support("full")
-    assert full.disk_area == pytest.approx(np.pi)
-    assert full.radial_break is None and full.theta_edges == ()
-    cap = Support("cap", np.pi / 6)
-    assert cap.disk_area == pytest.approx(np.pi * 0.25)
-    assert cap.radial_break == pytest.approx(0.5)
-    assert cap.theta_edges == (pytest.approx(np.pi / 6),)
-    with pytest.raises(ValueError):
-        Support("cap", 2.0)
-    with pytest.raises(ValueError):
-        Support("ring")
+    # a support is the upper cap theta <= theta0; edge is theta0 only when
+    # the cap ends inside the hemisphere
+    for full in (isotropic_spectrum(), cap_spectrum(np.pi / 2)):
+        assert full.theta0 == pytest.approx(np.pi / 2)
+        assert full.edge is None
+    cap = cap_spectrum(np.pi / 6)
+    assert cap.theta0 == cap.edge == pytest.approx(np.pi / 6)
+    with pytest.raises(ValueError, match="half-angle"):
+        cap_spectrum(2.0)
 
 
 def test_matched_pattern_positivity_flags():
@@ -91,8 +87,7 @@ def test_pattern_is_a_renamed_spectrum():
     pat = matched_pattern(cap)
     assert pat.name == "matched(cap(0.7))"
     assert pat.evaluator is cap.evaluator
-    assert (pat.support, pat.lower, pat.params) == (cap.support, cap.lower, cap.params)
-    assert pat.params is not cap.params
+    assert (pat.theta0, pat.lower) == (cap.theta0, cap.lower)
     assert omni_pattern().evaluator is isotropic_spectrum().evaluator
 
 
@@ -104,12 +99,17 @@ def test_pattern_covers():
     assert pattern_covers(cap_spectrum(0.5), matched_pattern(cap_spectrum(0.5)))
     assert pattern_covers(cap_spectrum(0.5), matched_pattern(cap_spectrum(0.8)))
     assert not pattern_covers(cap_spectrum(0.8), matched_pattern(cap_spectrum(0.5)))
+    # full upper support, truncated below: a pattern positive on the whole
+    # upper hemisphere covers it even when its own lower rule is "zero"
+    upper_only = AngularSpectrum("upper", lambda th, ph: 2.0 * np.ones_like(th), lower="zero")
+    assert pattern_covers(upper_only, cap_spectrum(np.pi / 2))
+    assert not pattern_covers(iso, cap_spectrum(np.pi / 2))
 
 
 def test_name_parsing():
     assert spectrum_from_name("isotropic").name == "isotropic"
     s = spectrum_from_name("cap(0.5236)")
-    assert s.params["theta0"] == pytest.approx(0.5236)
+    assert s.theta0 == pytest.approx(0.5236)
     with pytest.raises(ValueError, match="unknown spectrum"):
         spectrum_from_name("gauss(0.3)")
 
@@ -117,7 +117,7 @@ def test_name_parsing():
     p = pattern_from_name("matched", spectrum_from_name("cap(0.6)"))
     assert p.name == "matched(cap(0.6))"
     p2 = pattern_from_name("matched(cap(0.7))")
-    assert p2.params["theta0"] == pytest.approx(0.7)
+    assert p2.theta0 == pytest.approx(0.7)
     with pytest.raises(ValueError, match="needs a spectrum"):
         pattern_from_name("matched")
     with pytest.raises(ValueError, match="unknown pattern"):
@@ -129,5 +129,5 @@ def test_custom_objects_integrate():
     theta_c, lo = np.pi / 3, 0.2
     hi = (1.0 - lo * (1 - np.cos(theta_c))) / np.cos(theta_c)
     pat = AntennaPattern("steps", lambda th, ph: np.where(th <= theta_c, lo, hi))
-    q = HemisphereQuadrature.build(256, 64, (theta_c,))
+    q = hemisphere_quadrature(256, 64, (theta_c,))
     assert check_normalization(pat, q) == pytest.approx(1.0, abs=1e-10)
