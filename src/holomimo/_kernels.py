@@ -10,7 +10,6 @@ product set, one small matrix product per node chunk, and is scattered back.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .spectra import _unit, quadrature_for
 
@@ -59,9 +58,19 @@ def phase_kernel(positions: np.ndarray, kx: np.ndarray, ky: np.ndarray,
 
 def sinc_kernel(positions: np.ndarray) -> np.ndarray:
     """sinc(2 d) in the pairwise distances: the full-sphere average of the
-    plane-wave outer product under a unit density."""
-    d = cdist(positions, positions)
-    return np.sinc(2.0 * d)
+    plane-wave outer product under a unit density.  The distances are planar,
+    like every kernel here, and are built in place in one N x N buffer beside
+    one for the y differences."""
+    x, y = positions[:, 0], positions[:, 1]
+    d = np.subtract.outer(x, x)
+    d *= d
+    dy = np.subtract.outer(y, y)
+    dy *= dy
+    d += dy
+    del dy
+    np.sqrt(d, out=d)
+    d *= 2.0
+    return np.sinc(d)
 
 
 def angular_kernel(positions: np.ndarray, density, quadrature, scale: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import ChannelModel, complex_normal, iid_model, substream
 from .coupling import CouplingMatrix, SingularCouplingError, spd_inv_sqrt, spd_sqrt
@@ -235,11 +234,13 @@ def los_precoder(coupling: CouplingMatrix, steering, snr: float) -> PrecoderMatr
     if snr <= 0.0:
         raise ValueError("snr must be positive")
     try:
-        x = scipy.linalg.solve(coupling.matrix, a, assume_a="pos")
+        factor = np.linalg.cholesky(coupling.matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularCouplingError(
             f"coupling matrix is not positive definite (rho={coupling.rho:g}); "
             f"increase the regularization rho") from exc
+    # C = L L^H, so C^{-1} a = L^{-H} (L^{-1} a)
+    x = np.linalg.solve(factor.conj().T, np.linalg.solve(factor, a))
     gain = float(np.real(np.vdot(a, x)))
     if gain <= 0.0:
         raise SingularCouplingError("steering vector has nonpositive whitened gain")

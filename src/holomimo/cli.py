@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -28,7 +27,7 @@ from .channel import (exact_correlation, exact_model, fourier_model, iid_model,
                       whitened_eigenvalues)
 from .coupling import SingularCouplingError, coupling_general, regularize, write_coupling_csv
 from .fourier import build_fourier_basis, build_lattice, write_variances_csv
-from .geometry import geometry_from_config
+from .geometry import _is_number, geometry_from_config
 from .presets import PRESET_NOTES, PRESETS
 from .spectra import pattern_covers, pattern_from_name, spectrum_from_name
 
@@ -73,6 +72,12 @@ def _resolve(cfg: ExperimentConfig):
         raise ConfigError(str(exc)) from exc
 
 
+def _real(value, what: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
     """Type- and range-check a parsed config; raises ConfigError."""
     if cfg.kind not in KINDS:
@@ -81,12 +86,10 @@ def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"{cfg.kind} runs on tx alone; only capacity and bound-check "
                           f"use an rx geometry")
     tx, rx, spectrum, pattern = _resolve(cfg)
-    if isinstance(cfg.rho, (int, float)):
-        cfg.rho = [cfg.rho]
-    if not isinstance(cfg.rho, list) or any(
-            not isinstance(r, (int, float)) or r < 0 for r in cfg.rho):
+    rho = cfg.rho if isinstance(cfg.rho, list) else [cfg.rho]
+    if not all(_is_number(r) and r >= 0 for r in rho):
         raise ConfigError(f"rho must be a list of nonnegative numbers, got {cfg.rho!r}")
-    cfg.rho = [float(r) for r in cfg.rho]
+    cfg.rho = [float(r) for r in rho]
     # Only the coupled Fourier variances deconvolve the pattern from the spectrum.
     coupled_fourier = cfg.kind == "bound-check" or (cfg.kind == "eigenvalues" and cfg.rho)
     if coupled_fourier and not pattern_covers(spectrum, pattern):
@@ -95,14 +98,14 @@ def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
             f"{spectrum.name!r}; the coupled variances would diverge")
     if cfg.kind == "coupling-matrix" and len(cfg.rho) > 1:
         raise ConfigError(f"coupling-matrix takes at most one rho, got {cfg.rho}")
-    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**128:
+    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**128:
         raise ConfigError(f"seed must be an integer in [0, 2**128), got {cfg.seed!r}")
-    if not isinstance(cfg.mc, int) or cfg.mc < 1:
-        raise ConfigError("mc must be a positive integer")
+    if isinstance(cfg.mc, bool) or not isinstance(cfg.mc, int) or cfg.mc < 1:
+        raise ConfigError(f"mc must be a positive integer, got {cfg.mc!r}")
     _snr_grid(cfg)  # validates
     if cfg.normalize not in ("transmit", "receive"):
         raise ConfigError(f"normalize must be 'transmit' or 'receive', got {cfg.normalize!r}")
-    cfg.threshold_db = float(cfg.threshold_db)
+    cfg.threshold_db = _real(cfg.threshold_db, "threshold_db")
     # Degenerate apertures cannot carry a wavenumber lattice or disk quadrature.
     if cfg.kind != "coupling-matrix":
         for g, name in ((tx, "tx"), (rx, "rx")):
@@ -145,7 +148,7 @@ def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
     if isinstance(s, list):
         if not s:
             raise ConfigError("snr_db list is empty")
-        grid = np.asarray([float(v) for v in s])
+        grid = np.asarray([_real(v, "snr_db entry") for v in s])
         if np.any(np.diff(grid) < 0):
             raise ConfigError(f"snr_db list must not decrease, got {s}")
         return grid
@@ -153,8 +156,8 @@ def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
         extra = set(s) - {"start", "stop", "step"}
         if extra:
             raise ConfigError(f"unknown snr_db keys: {', '.join(sorted(extra))}")
-        start, stop = float(s.get("start", -10.0)), float(s.get("stop", 40.0))
-        step = float(s.get("step", 5.0))
+        start, stop, step = (_real(s.get(k, v), f"snr_db {k}")
+                             for k, v in (("start", -10.0), ("stop", 40.0), ("step", 5.0)))
         if step <= 0 or stop < start:
             raise ConfigError("snr_db needs step > 0 and stop >= start")
         return np.arange(start, stop + 0.5 * step, step)
@@ -333,7 +336,6 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "holomimo": __version__,
         },
         "seed": cfg.seed,

@@ -78,7 +78,7 @@ def build_lattice(aperture) -> WavenumberLattice:
     else:
         d = np.asarray(aperture, dtype=float).reshape(2)
     if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-        raise ValueError(f"aperture must be positive and finite, got {tuple(d)}")
+        raise ValueError(f"aperture must be positive and finite, got ({d[0]:g}, {d[1]:g})")
     jx = np.arange(-int(np.ceil(d[0])), int(np.ceil(d[0])) + 1)
     jy = np.arange(-int(np.ceil(d[1])), int(np.ceil(d[1])) + 1)
     gx, gy = np.meshgrid(jx, jy, indexing="ij")

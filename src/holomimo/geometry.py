@@ -7,6 +7,8 @@ has spacing 0.5 and the wavenumber is 2*pi.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +66,8 @@ class ArrayGeometry:
         d = np.array(self.aperture, dtype=float)
         if np.any(d <= 0.0):
             raise ValueError(
-                f"aperture {tuple(d)} is degenerate; a two-dimensional aperture is required"
+                f"aperture ({d[0]:g}, {d[1]:g}) is degenerate; a two-dimensional aperture "
+                f"is required"
             )
         return d
 
@@ -108,6 +111,28 @@ def build_ula(n: int, d: float) -> ArrayGeometry:
     return ArrayGeometry(pos)
 
 
+def _is_number(value) -> bool:
+    """A finite real number; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _config_number(key: str, value, integral: bool = False):
+    """A config number as float, or as int for counts; booleans, strings and
+    fractional counts are refused rather than coerced."""
+    if not _is_number(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if not integral:
+        return float(value)
+    if not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def geometry_from_config(cfg: dict) -> ArrayGeometry:
     """Build a geometry from a config table: ``upa`` (the default kind), ``ula``
     or ``points``, with an optional ``offset``."""
@@ -115,19 +140,21 @@ def geometry_from_config(cfg: dict) -> ArrayGeometry:
     kind = cfg.pop("kind", "upa")
     offset = cfg.pop("offset", None)
     if kind == "upa":
-        nx, ny, dx = int(cfg.pop("nx")), int(cfg.pop("ny")), float(cfg.pop("dx"))
-        dy = cfg.pop("dy", None)
-        g = build_upa(nx, ny, dx, None if dy is None else float(dy))
+        nx, ny = (_config_number(k, cfg.pop(k), integral=True) for k in ("nx", "ny"))
+        dx, dy = _config_number("dx", cfg.pop("dx")), cfg.pop("dy", None)
+        g = build_upa(nx, ny, dx, None if dy is None else _config_number("dy", dy))
     elif kind == "ula":
-        g = build_ula(int(cfg.pop("n")), float(cfg.pop("d")))
+        g = build_ula(_config_number("n", cfg.pop("n"), integral=True),
+                      _config_number("d", cfg.pop("d")))
     elif kind == "points":
-        g = ArrayGeometry(np.asarray(cfg.pop("positions"), dtype=float))
+        g = ArrayGeometry(np.array([[_config_number("positions", v) for v in row]
+                                    for row in cfg.pop("positions")]))
     else:
         raise ValueError(f"unknown geometry kind {kind!r}")
     if cfg:
         raise ValueError(f"unknown geometry keys {sorted(cfg)}")
     if offset is not None:
-        g = g.translated(offset)
+        g = g.translated([_config_number("offset", v) for v in offset])
     return g
 
 

@@ -93,6 +93,19 @@ def test_load_config_failures(tmp_path):
     ({"tx": {"kind": "ula", "n": 8, "d": 0.5}}, "tx"),
     ({"kind": "coupling-matrix", "rho": [0.1, 0.01]}, "at most one rho"),
     ({"seed": -1}, "seed"),
+    ({"snr_db": [0, "high"]}, "snr_db entry must be a finite number"),
+    ({"snr_db": {"start": "x"}}, "snr_db start must be a finite number"),
+    ({"threshold_db": "low"}, "threshold_db must be a finite number"),
+    ({"mc": True}, "mc must be a positive integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"rho": [True]}, "nonnegative"),
+    ({"tx": {"kind": "upa", "nx": 4.7, "ny": 4, "dx": 0.5}}, "nx must be an integer"),
+    ({"tx": {"kind": "upa", "nx": 4, "ny": 4, "dx": True}}, "dx must be a finite number"),
+    ({"tx": {"kind": "points", "positions": [[0, 0, 0], [True, 0.5, 0], [0.3, 0.9, 0]]}},
+     "positions must be a finite number"),
+    ({"tx": {"kind": "upa", "nx": 4, "ny": 4, "dx": 0.5, "offset": [True, 0, 0]}},
+     "offset must be a finite number"),
+    ({"tx": {"kind": "ula", "n": 8, "d": 0.5}}, r"aperture \(3\.5, 0\) is degenerate"),
 ])
 def test_coerce_rejections(tmp_path, overrides, match):
     with pytest.raises(ConfigError, match=match):
@@ -183,7 +196,7 @@ def test_run_eigenvalues_outputs(tmp_path):
     assert set(manifest["outputs"]) == expected
     assert manifest["kind"] == "eigenvalues"
     assert manifest["seed"] == 7
-    assert {"numpy", "scipy", "python", "holomimo"} <= set(manifest["versions"])
+    assert {"numpy", "python", "holomimo"} <= set(manifest["versions"])
     rows = read_csv(out / "eigs_exact_uncoupled.csv")
     assert list(rows[0]) == ["index", "index_over_n",
                              "eig_db_max_normalized", "eig_db_trace_normalized"]
@@ -366,3 +379,29 @@ def test_python_dash_m():
 def test_installed_console_script():
     assert_lists_presets(subprocess.run(["holomimo", "presets"],
                                         capture_output=True, text=True))
+
+
+# numpy is the only numerical dependency: with scipy made unimportable the
+# package still runs a coupled eigenvalues config and the LoS precoder.
+_NO_SCIPY = """\
+import sys
+sys.modules["scipy"] = None
+import holomimo, holomimo.cli
+from holomimo import array_response, build_upa, coupling_closed_form, los_precoder, regularize
+assert holomimo.cli.main(["run", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+g = build_upa(4, 4, 0.3)
+pre = los_precoder(regularize(coupling_closed_form(g), 0.01), array_response(g, 0.2, 0.0), 1.0)
+assert abs(pre.power - 1.0) < 1e-9, pre.power
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    path = write_config(tmp_path, tx={"kind": "upa", "nx": 4, "ny": 4, "dx": 0.3})
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(path), str(out)],
+                          capture_output=True, text=True, env=_checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "eigs_exact_coupled_rho0.1.csv" in manifest["outputs"]

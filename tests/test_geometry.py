@@ -24,7 +24,7 @@ def test_ula_along_x():
 
 
 def test_aperture_matrix_rejects_degenerate():
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match=r"aperture \(1\.5, 0\) is degenerate"):
         build_ula(4, 0.5).aperture_matrix()
     d = build_upa(5, 5, 0.5).aperture_matrix()
     assert np.allclose(d, [2.0, 2.0])
