@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, complex_normal, iid_model, substream
-from .coupling import CouplingMatrix, SingularCouplingError, spd_inv_sqrt, spd_sqrt
+from .coupling import CouplingMatrix, SingularCouplingError, _eigh, spd_inv_sqrt, spd_sqrt
 
 __all__ = [
     "WaterfillingAllocation",
@@ -48,6 +48,11 @@ class WaterfillingAllocation:
     capacity_bits: float
 
 
+def _check_snr(snr: float) -> None:
+    if not 0.0 < snr < np.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr}")
+
+
 def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
     """Exact waterfilling by sort and threshold scan.
 
@@ -57,10 +62,9 @@ def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
     lam = np.asarray(eigenvalues, dtype=float).ravel()
     if lam.size == 0:
         raise ValueError("need at least one eigenvalue")
-    if snr <= 0.0:
-        raise ValueError("snr must be positive")
+    _check_snr(snr)
     scale = max(lam.max(initial=0.0), 1.0)
-    if np.any(lam < -1e-12 * scale):
+    if not np.all(lam >= -1e-12 * scale):
         raise ValueError(f"eigenvalues must be nonnegative (min {lam.min():.3e})")
     lam = np.clip(lam, 0.0, None)
     if not np.any(lam > 0.0):
@@ -89,10 +93,9 @@ def low_snr_allocation(eigenvalues, snr: float, tie_tol: float = 1e-3) -> Waterf
     equally; everything else gets zero.
     """
     lam = np.asarray(eigenvalues, dtype=float).ravel()
-    if snr <= 0.0:
-        raise ValueError("snr must be positive")
+    _check_snr(snr)
     top = lam.max()
-    if top <= 0.0:
+    if not top > 0.0:
         raise ValueError("all eigenvalues are zero")
     tied = lam >= (1.0 - tie_tol) * top
     k = int(np.count_nonzero(tied))
@@ -228,34 +231,32 @@ def los_precoder(coupling: CouplingMatrix, steering, snr: float) -> PrecoderMatr
 
     Solves max |a^H f|^2 subject to the composite constraint f^H C f <= snr;
     the optimum is proportional to C^{-1} a and strictly beats the conjugate
-    (matched) beamformer whenever C is not a scaled identity.
+    (matched) beamformer whenever C is not a scaled identity.  Both C^{-1} a
+    and the composite C^{1/2} f come from one eigendecomposition of C.
     """
     a = _steering_vector(steering)
-    if snr <= 0.0:
-        raise ValueError("snr must be positive")
-    try:
-        factor = np.linalg.cholesky(coupling.matrix)
-    except np.linalg.LinAlgError as exc:
+    _check_snr(snr)
+    w, v = _eigh(coupling)
+    if not w.min() > 0.0:
         raise SingularCouplingError(
             f"coupling matrix is not positive definite (rho={coupling.rho:g}); "
-            f"increase the regularization rho") from exc
-    # C = L L^H, so C^{-1} a = L^{-H} (L^{-1} a)
-    x = np.linalg.solve(factor.conj().T, np.linalg.solve(factor, a))
-    gain = float(np.real(np.vdot(a, x)))
-    if gain <= 0.0:
+            f"increase the regularization rho")
+    # C = V diag(w) V^H: C^{-1} a = V (b / w) and C^{1/2} C^{-1} a = V (b / sqrt(w)), b = V^H a
+    b = v.conj().T @ a
+    gain = float(np.sum(np.abs(b) ** 2 / w))
+    if not gain > 0.0:
         raise SingularCouplingError("steering vector has nonpositive whitened gain")
-    f = np.sqrt(snr / gain) * x
-    composite = spd_sqrt(coupling).astype(complex) @ f
-    return PrecoderMatrix(f, composite, float(np.real(np.vdot(composite, composite))))
+    b *= np.sqrt(snr / gain)
+    composite = v @ (b / np.sqrt(w))
+    return PrecoderMatrix(v @ (b / w), composite, float(np.real(np.vdot(composite, composite))))
 
 
 def matched_filter_precoder(coupling: CouplingMatrix, steering, snr: float) -> PrecoderMatrix:
     """Conjugate beamformer under the same composite power constraint."""
     a = _steering_vector(steering)
-    if snr <= 0.0:
-        raise ValueError("snr must be positive")
+    _check_snr(snr)
     gain = float(np.real(np.vdot(a, coupling.matrix @ a)))
-    if gain <= 0.0:
+    if not gain > 0.0:
         raise SingularCouplingError("steering vector has nonpositive coupled gain")
     f = np.sqrt(snr / gain) * a
     composite = spd_sqrt(coupling).astype(complex) @ f

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import HEMISPHERE, density_kernel
-from .coupling import CouplingMatrix, _check_floor, spd_inv_sqrt, spd_sqrt
+from .coupling import CouplingMatrix, _check_floor, _eigh, spd_inv_sqrt, spd_sqrt
 from .fourier import FourierBasis, dof_prime
 from .geometry import ArrayGeometry
 from .spectra import AngularSpectrum
@@ -92,13 +92,13 @@ def whitened_eigenvalues(correlation: CorrelationMatrix, coupling: CouplingMatri
     SingularCouplingError for a rho that leaves C + rho I at the floor.
     """
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    if np.any(rhos < 0.0):
-        raise ValueError("rho must be nonnegative")
-    w, v = np.linalg.eigh(coupling.matrix)
+    if not np.all((rhos >= 0.0) & (rhos < np.inf)):
+        raise ValueError(f"rho must be finite and nonnegative, got {rhos}")
+    w, v = _eigh(coupling)
     r = v.conj().T @ correlation.matrix @ v
     out = np.empty((rhos.size, w.size))
     for i, rho in enumerate(rhos):
-        _check_floor(w[0] + rho, coupling.rho + rho)
+        _check_floor(w.min() + rho, coupling.rho + rho)
         d = 1.0 / np.sqrt(w + rho)
         out[i] = np.linalg.eigvalsh(d[:, None] * r * d[None, :])[::-1]
     return out
@@ -170,7 +170,7 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
     count, comparing arrays at equal received power.
     """
     lam = np.asarray(tx_eigenvalues, dtype=float).ravel()
-    if lam.min() < -1e-8 * max(lam.max(), 1.0):
+    if not lam.min() >= -1e-8 * max(lam.max(), 1.0):
         raise ValueError(f"transmit spectrum is not positive semidefinite "
                          f"(eigenvalue {lam.min():.3e})")
     lam = np.clip(lam, 0.0, None)

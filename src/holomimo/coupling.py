@@ -84,48 +84,47 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern,
 
 def regularize(coupling: CouplingMatrix, rho: float) -> CouplingMatrix:
     """Diagonal loading: C + rho * I, accumulating rho in the provenance."""
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
+    if not 0.0 <= rho < np.inf:
+        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
     m = coupling.matrix + rho * np.eye(coupling.n_antennas)
     return replace(coupling, matrix=m, rho=coupling.rho + rho)
 
 
-def _check_floor(eigmin: float, rho: float, floor: float = EIGENVALUE_FLOOR) -> None:
+def _check_floor(eigmin: float, rho: float) -> None:
     """Refuse to invert a coupling matrix whose smallest eigenvalue is at the floor."""
-    if eigmin <= floor:
+    if not eigmin > EIGENVALUE_FLOOR:
         raise SingularCouplingError(
             f"coupling matrix is numerically singular: smallest eigenvalue "
-            f"{eigmin:.6e} <= floor {floor:.0e} (current rho={rho:g}); "
+            f"{eigmin:.6e} <= floor {EIGENVALUE_FLOOR:.0e} (current rho={rho:g}); "
             f"increase the regularization rho"
         )
 
 
-def _as_hermitian(coupling) -> np.ndarray:
+def _eigh(coupling) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and eigenvectors V of a coupling matrix or a
+    square array, C = V diag(w) V^H; only the lower triangle is read."""
     m = coupling.matrix if isinstance(coupling, CouplingMatrix) else np.asarray(coupling)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.conj().T)
+    return np.linalg.eigh(m)
 
 
 def spd_sqrt(coupling) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
     Roundoff-scale negative eigenvalues are clipped to zero; a significantly
-    indefinite input raises.
+    indefinite (or non-finite) input raises.
     """
-    h = _as_hermitian(coupling)
-    w, v = np.linalg.eigh(h)
-    if w[0] < -1e-8 * max(w[-1], 1.0):
-        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {w[0]:.3e})")
+    w, v = _eigh(coupling)
+    if not w.min() >= -1e-8 * max(w[-1], 1.0):
+        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {w.min():.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
-def spd_inv_sqrt(coupling, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+def spd_inv_sqrt(coupling) -> np.ndarray:
     """Hermitian inverse square root; refuses numerically singular input."""
-    h = _as_hermitian(coupling)
-    rho = coupling.rho if isinstance(coupling, CouplingMatrix) else 0.0
-    w, v = np.linalg.eigh(h)
-    _check_floor(w[0], rho, floor)
+    w, v = _eigh(coupling)
+    _check_floor(w.min(), coupling.rho if isinstance(coupling, CouplingMatrix) else 0.0)
     return (v / np.sqrt(w)) @ v.conj().T
 
 

@@ -3,11 +3,11 @@ import pytest
 
 from holomimo import (ChannelModel, CouplingMatrix, SingularCouplingError, array_response,
                       build_fourier_basis, build_ula, build_upa, coupling_closed_form,
-                      ergodic_capacity, exact_model, fourier_model,
+                      ergodic_capacity, exact_correlation, exact_model, fourier_model,
                       high_snr_dof_check, iid_model, isotropic_spectrum, los_precoder,
                       low_snr_allocation, low_snr_bound_check, matched_filter_precoder,
                       mutual_information_bits, optimal_precoder, precoded_mutual_information,
-                      regularize, spd_sqrt, waterfill)
+                      regularize, spd_inv_sqrt, spd_sqrt, waterfill, whitened_eigenvalues)
 from holomimo.capacity import _capacity_grid
 
 
@@ -232,6 +232,23 @@ def test_los_equals_matched_without_coupling():
     assert np.allclose(fl.matrix, fm.matrix, atol=1e-12)
 
 
+def test_los_precoder_matches_direct_solve():
+    # well-conditioned coupling: the eigenpair form of C^{-1} a and of the
+    # composite C^{1/2} f agrees with a general solve and a separate square root
+    g = build_upa(8, 8, 0.3)
+    c = regularize(coupling_closed_form(g), 0.01)
+    snr = 2.5
+    for theta in (0.0, 0.7):
+        a = array_response(g, theta, 0.4)
+        pre = los_precoder(c, a, snr)
+        x = np.linalg.solve(c.matrix, a)
+        f = np.sqrt(snr / np.vdot(a, x).real) * x
+        assert np.linalg.norm(pre.matrix - f) <= 1e-10 * np.linalg.norm(f)
+        ref = spd_sqrt(c) @ f
+        assert np.linalg.norm(pre.composite - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert pre.power == pytest.approx(snr, rel=1e-12)
+
+
 def test_los_beats_matched_always():
     rng = np.random.default_rng(44)
     g = build_upa(5, 5, 0.3)
@@ -326,3 +343,27 @@ def test_high_snr_dof_iid():
     assert abs(chk.ratio - 1.0) < 0.05
     with pytest.raises(ValueError):
         high_snr_dof_check(iid_model(2, 2), window_db=(40.0, 30.0))
+
+
+_G = build_upa(3, 3, 0.3)
+_C = coupling_closed_form(_G)
+_R = exact_correlation(_G, isotropic_spectrum())
+_A = array_response(_G, 0.2, 0.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: regularize(_C, np.nan), ValueError, "nonnegative"),
+    (lambda: regularize(_C, np.inf), ValueError, "nonnegative"),
+    (lambda: whitened_eigenvalues(_R, _C, [np.inf]), ValueError, "nonnegative"),
+    (lambda: whitened_eigenvalues(_R, _C, [0.01, np.nan]), ValueError, "nonnegative"),
+    (lambda: los_precoder(regularize(_C, 0.01), _A, np.nan), ValueError, "snr"),
+    (lambda: matched_filter_precoder(_C, _A, np.nan), ValueError, "snr"),
+    (lambda: waterfill([1.0, 0.5], np.nan), ValueError, "snr"),
+    (lambda: low_snr_allocation([1.0, 0.5], np.inf), ValueError, "snr"),
+    (lambda: spd_inv_sqrt(np.diag([1.0, np.nan, 1.0])), SingularCouplingError, r"rho=0\)"),
+    (lambda: spd_sqrt(np.diag([1.0, np.nan, 1.0])), ValueError, "positive semidefinite"),
+    (lambda: exact_model([1.0, np.nan]), ValueError, "positive semidefinite"),
+])
+def test_non_finite_inputs_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
