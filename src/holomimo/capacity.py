@@ -7,6 +7,8 @@ use and the waterfilling budget equals the SNR.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -63,6 +65,8 @@ def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
     if lam.size == 0:
         raise ValueError("need at least one eigenvalue")
     _check_snr(snr)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"eigenvalues must be finite, got {lam[~np.isfinite(lam)][0]}")
     scale = max(lam.max(initial=0.0), 1.0)
     if not np.all(lam >= -1e-12 * scale):
         raise ValueError(f"eigenvalues must be nonnegative (min {lam.min():.3e})")
@@ -144,39 +148,109 @@ class CapacityCurve:
     label: str = ""
 
 
-def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int):
-    """The one Monte-Carlo loop: W from substream (seed, i), drawn once per index,
-    and each model's singular values of diag(a_r) W diag(a_t).  Squaring is left
-    to the consumers: a scalar and an array square can round apart by one ulp."""
+# BLAS thread-count variables pinned to one in every Monte-Carlo worker.
+_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _draw_block(models: Sequence[ChannelModel], seed: int, start: int,
+                stop: int) -> np.ndarray:
+    """Draws ``start`` to ``stop - 1`` of a pass: for each, W from substream
+    (seed, i) and each model's descending eigenvalues of its smaller-side Gram
+    matrix, shape (draws, models, min(n_r, n_t)).
+
+    With the larger side first, H = diag(a_big) W diag(a_small) has Gram
+    diag(a_small) W^H diag(a_big^2) W diag(a_small); models that share a_big
+    share the inner product.  A wide H is handled as its transpose, whose
+    Gram is the complex conjugate of H H^H and has the same eigenvalues.
+    """
+    n_r, n_t = models[0].shape
+    tall = n_r >= n_t
+    sides = [(m.amp_r, m.amp_t) if tall else (m.amp_t, m.amp_r) for m in models]
+    out = np.empty((stop - start, len(models), min(n_r, n_t)))
+    for row, i in zip(out, range(start, stop)):
+        w = complex_normal(substream(seed, i), (n_r, n_t))
+        if not tall:
+            w = w.T
+        inner = {}
+        for j, (big, small) in enumerate(sides):
+            key = big.tobytes()
+            if key not in inner:
+                b = big[:, None] * w
+                inner[key] = b.conj().T @ b
+            row[j] = np.linalg.eigvalsh(small[:, None] * inner[key] * small[None, :])[::-1]
+    return out
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to one while worker processes start, so
+    each worker's numpy loads single-threaded; the old values come back after."""
+    saved = {k: os.environ.get(k) for k in _ONE_THREAD}
+    os.environ.update(dict.fromkeys(_ONE_THREAD, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
+def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
+             workers: int | None = None) -> np.ndarray:
+    """The one Monte-Carlo loop, shape (n_mc, models, min(n_r, n_t)): each draw
+    index's W is drawn once and every model's Gram eigenvalues taken on it
+    (``_draw_block``).
+
+    ``workers=None`` runs in this process.  A count splits the indices into
+    that many contiguous blocks (at most one per draw), each on a ``spawn``ed
+    process with one BLAS thread, gathered in index order; every draw then
+    runs the same single-threaded code, so the result depends neither on the
+    count nor on this process's BLAS threads.
+    """
     shapes = {m.shape for m in models}
     if len(shapes) != 1:
         raise ValueError("a pass needs models of one shape, got: " + (", ".join(
             f"{m.label!r} {m.shape[0]}x{m.shape[1]}" for m in models) or "no models"))
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
-    (shape,) = shapes
-    for i in range(n_mc):
-        w = complex_normal(substream(seed, i), shape)
-        yield [np.linalg.svd(m.apply(w), compute_uv=False) for m in models]
+    if workers is None:
+        return _draw_block(models, seed, 0, n_mc)
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    n = min(workers, n_mc)
+    edges = [n_mc * k // n for k in range(n + 1)]
+    with _one_blas_thread(), ProcessPoolExecutor(
+            n, mp_context=multiprocessing.get_context("spawn")) as pool:
+        blocks = [pool.submit(_draw_block, models, seed, a, b)
+                  for a, b in zip(edges, edges[1:])]
+        return np.concatenate([f.result() for f in blocks])
 
 
 def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
-                     seed: int = 0) -> list[CapacityCurve]:
+                     seed: int = 0, workers: int | None = None) -> list[CapacityCurve]:
     """Mean waterfilling capacity, one curve per model, all on the same draws of W
-    (common random numbers), which keeps curve crossings statistically stable."""
+    (common random numbers), which keeps curve crossings statistically stable.
+
+    ``workers=None`` draws in this process; a count runs the draws on that
+    many ``spawn``ed single-thread worker processes with the same result, so
+    a script that passes it must guard its entry point with
+    ``if __name__ == "__main__"``.
+    """
     snr_db = np.asarray(snr_db, dtype=float).ravel()
     if snr_db.size == 0:
         raise ValueError("empty SNR grid")
     snr_lin = 10.0 ** (snr_db / 10.0)
-    caps = [[] for _ in models]
-    for spectra in _mc_pass(models, n_mc, seed):
-        for rows, s in zip(caps, spectra):
-            lam = s * s
-            # An all-zero draw carries no information at any SNR.
-            rows.append(_capacity_grid(lam[lam > lam[0] * 1e-30], snr_lin) if lam[0] > 0
-                        else np.zeros(snr_lin.size))
+    spectra = _mc_pass(models, n_mc, seed, workers)
     curves = []
-    for model, c in zip(models, map(np.array, caps)):
+    for j, model in enumerate(models):
+        # An all-zero draw carries no information at any SNR.
+        c = np.array([_capacity_grid(lam[lam > lam[0] * 1e-30], snr_lin) if lam[0] > 0
+                      else np.zeros(snr_lin.size) for lam in spectra[:, j]])
         mean = c.mean(axis=0)
         if np.any(np.diff(mean) < -1e-9):
             raise RuntimeError(f"ergodic capacity {model.label!r} is decreasing in SNR")
@@ -276,18 +350,20 @@ class BoundCheck:
     n_mc: int
 
 
-def low_snr_bound_check(model: ChannelModel, n_mc: int = 2000, seed: int = 0) -> BoundCheck:
+def low_snr_bound_check(model: ChannelModel, n_mc: int = 2000, seed: int = 0,
+                        workers: int | None = None) -> BoundCheck:
     """Check E lam_max(H H^H) <= max(N_r sigma_r^2) max(N_t sigma_t^2) E lam_max(W W^H).
 
     The inequality holds draw by draw (submultiplicativity of the spectral
     norm), so ``holds`` requires every draw to satisfy it as well as the
     means.  It is an equality for a one-cell lattice on each end.
+    ``workers`` is as in ``ergodic_capacity``.
     """
     if model.kind != "fourier":
         raise ValueError("bound check applies to Fourier-model channels")
     top = float((model.amp_r.max() * model.amp_t.max()) ** 2)
-    lhs, wtop = np.array([(s[0] ** 2, s_w[0] ** 2) for s, s_w in
-                          _mc_pass([model, iid_model(*model.shape)], n_mc, seed)]).T.copy()
+    tops = _mc_pass([model, iid_model(*model.shape)], n_mc, seed, workers)[:, :, 0]
+    lhs, wtop = tops.T.copy()
     per_draw = lhs <= top * wtop * (1.0 + 1e-12)
     lhs_mean = float(lhs.mean())
     rhs_mean = float(top * wtop.mean())

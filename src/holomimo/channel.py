@@ -131,12 +131,10 @@ class ChannelModel:
     def shape(self) -> tuple[int, int]:
         return self.amp_r.size, self.amp_t.size
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        """diag(amp_r) w diag(amp_t) for one white draw ``w`` of this shape."""
-        return self.amp_r[:, None] * w * self.amp_t[None, :]
-
     def realize(self, seed: int, index: int = 0) -> np.ndarray:
-        return self.apply(complex_normal(substream(seed, index), self.shape))
+        """diag(amp_r) W diag(amp_t) for the white draw W of substream (seed, index)."""
+        w = complex_normal(substream(seed, index), self.shape)
+        return self.amp_r[:, None] * w * self.amp_t[None, :]
 
 
 def fourier_model(rx: FourierBasis, tx: FourierBasis, label: str = "") -> ChannelModel:
@@ -170,6 +168,9 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
     count, comparing arrays at equal received power.
     """
     lam = np.asarray(tx_eigenvalues, dtype=float).ravel()
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"transmit spectrum must be finite and positive semidefinite "
+                         f"(eigenvalue {lam[~np.isfinite(lam)][0]})")
     if not lam.min() >= -1e-8 * max(lam.max(), 1.0):
         raise ValueError(f"transmit spectrum is not positive semidefinite "
                          f"(eigenvalue {lam.min():.3e})")

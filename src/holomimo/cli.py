@@ -9,9 +9,9 @@ the same config and seed produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
+import os
 import platform
 import sys
 import time
@@ -204,8 +204,9 @@ def _write_capacity_csv(path: Path, curve) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment executors: each takes the config, the output directory and the
-# resolved (tx, rx, spectrum, pattern), and returns the files it wrote.
+# experiment executors: each takes the config, the output directory, the
+# Monte-Carlo worker count and the resolved (tx, rx, spectrum, pattern), and
+# returns the files it wrote.
 
 
 def _exact_spectra(cfg: ExperimentConfig, g, spectrum, pattern):
@@ -232,7 +233,8 @@ def _write_fourier(out: Path, basis, refs) -> list[str]:
     return files
 
 
-def _run_eigenvalues(cfg: ExperimentConfig, out: Path, g, rx, spectrum, pattern) -> list[str]:
+def _run_eigenvalues(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
+                     pattern) -> list[str]:
     ev, coupled = _exact_spectra(cfg, g, spectrum, pattern)
     basis = build_fourier_basis(g, spectrum)
     # (lattice size for the index/n axis, antenna count for the trace mean)
@@ -246,7 +248,8 @@ def _run_eigenvalues(cfg: ExperimentConfig, out: Path, g, rx, spectrum, pattern)
     return files
 
 
-def _run_dof_sweep(cfg: ExperimentConfig, out: Path, g, rx, spectrum, pattern) -> list[str]:
+def _run_dof_sweep(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
+                   pattern) -> list[str]:
     ev, coupled = _exact_spectra(cfg, g, spectrum, pattern)
     thr = 10.0 ** (cfg.threshold_db / 10.0)
     refs = build_lattice(g).n_points, g.n_antennas
@@ -262,7 +265,8 @@ def _run_dof_sweep(cfg: ExperimentConfig, out: Path, g, rx, spectrum, pattern) -
                        rows)]
 
 
-def _run_capacity(cfg: ExperimentConfig, out: Path, gt, gr, spectrum, pattern) -> list[str]:
+def _run_capacity(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectrum,
+                  pattern) -> list[str]:
     ev, coupled = _exact_spectra(cfg, gt, spectrum, pattern)
     n_rx = gr.n_antennas
     models = [iid_model(n_rx, gt.n_antennas),
@@ -271,10 +275,10 @@ def _run_capacity(cfg: ExperimentConfig, out: Path, gt, gr, spectrum, pattern) -
     names = ["capacity_iid.csv", "capacity_uncoupled.csv"]
     names += [f"capacity_coupled_rho{rho:g}.csv" for rho, _ in coupled]
     return [_write_capacity_csv(out / name, curve) for name, curve in
-            zip(names, ergodic_capacity(models, _snr_grid(cfg), cfg.mc, cfg.seed))]
+            zip(names, ergodic_capacity(models, _snr_grid(cfg), cfg.mc, cfg.seed, workers))]
 
 
-def _run_coupling_matrix(cfg: ExperimentConfig, out: Path, g, rx, spectrum,
+def _run_coupling_matrix(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
                          pattern) -> list[str]:
     base = coupling_general(g, pattern)
     if cfg.rho:
@@ -283,10 +287,11 @@ def _run_coupling_matrix(cfg: ExperimentConfig, out: Path, g, rx, spectrum,
     return ["coupling_matrix.csv"]
 
 
-def _run_bound_check(cfg: ExperimentConfig, out: Path, gt, gr, spectrum, pattern) -> list[str]:
+def _run_bound_check(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectrum,
+                     pattern) -> list[str]:
     model = fourier_model(build_fourier_basis(gr, spectrum),
                           build_fourier_basis(gt, spectrum, pattern))
-    payload = dataclasses.asdict(low_snr_bound_check(model, cfg.mc, cfg.seed))
+    payload = dataclasses.asdict(low_snr_bound_check(model, cfg.mc, cfg.seed, workers))
     payload["spectrum"] = spectrum.name
     payload["pattern"] = pattern.name
     with open(out / "bound_check.json", "w", newline="\n") as fh:
@@ -308,27 +313,33 @@ _EXECUTORS = {
 # commands
 
 
-def _thread_limits(workers: int | None):
-    if workers is None:
-        return contextlib.nullcontext()
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("note: threadpoolctl not installed; --workers ignored", file=sys.stderr)
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=workers)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
                    workers: int | None = None) -> dict:
-    """Execute one experiment and write outputs plus a manifest; returns it."""
-    if workers is not None and workers < 1:
+    """Execute one experiment and write outputs plus a manifest; returns it.
+
+    The Monte-Carlo kinds (capacity, bound-check) run their draws on
+    ``workers`` processes with one BLAS thread each, by default one per
+    usable CPU; their outputs do not depend on the count.
+    """
+    usable = _usable_cpus()
+    if workers is None:
+        workers = usable
+    if workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers}")
+    if workers > usable:
+        raise ConfigError(f"workers must be at most the {usable} usable CPUs, got {workers}")
     resolved = _resolve(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    with _thread_limits(workers):
-        files = _EXECUTORS[cfg.kind](cfg, out_dir, *resolved)
+    files = _EXECUTORS[cfg.kind](cfg, out_dir, workers, *resolved)
     manifest = {
         "name": label,
         "kind": cfg.kind,
@@ -339,6 +350,8 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
             "holomimo": __version__,
         },
         "seed": cfg.seed,
+        # processes the Monte-Carlo pass ran on (never more than one per draw)
+        "workers": min(workers, cfg.mc) if cfg.kind in ("capacity", "bound-check") else 0,
         "outputs": files,
         "wall_time_s": round(time.perf_counter() - start, 3),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -391,7 +404,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--mc", type=int, default=None, help="override the Monte-Carlo budget")
     p_run.add_argument("--out-dir", default=None, help="override the output directory")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="limit BLAS worker threads for this run")
+                       help="Monte-Carlo worker processes, one BLAS thread each "
+                            "(default: every usable CPU)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config without running it")

@@ -91,7 +91,11 @@ def regularize(coupling: CouplingMatrix, rho: float) -> CouplingMatrix:
 
 
 def _check_floor(eigmin: float, rho: float) -> None:
-    """Refuse to invert a coupling matrix whose smallest eigenvalue is at the floor."""
+    """Refuse to invert a coupling matrix whose smallest eigenvalue is at the
+    floor, or that is not finite (no regularization repairs that)."""
+    if not np.isfinite(eigmin):
+        raise ValueError(f"coupling matrix is not finite: smallest eigenvalue {eigmin} "
+                         f"(rho={rho:g}); check the input for NaN or inf entries")
     if not eigmin > EIGENVALUE_FLOOR:
         raise SingularCouplingError(
             f"coupling matrix is numerically singular: smallest eigenvalue "

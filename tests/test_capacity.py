@@ -8,7 +8,7 @@ from holomimo import (ChannelModel, CouplingMatrix, SingularCouplingError, array
                       low_snr_allocation, low_snr_bound_check, matched_filter_precoder,
                       mutual_information_bits, optimal_precoder, precoded_mutual_information,
                       regularize, spd_inv_sqrt, spd_sqrt, waterfill, whitened_eigenvalues)
-from holomimo.capacity import _capacity_grid
+from holomimo.capacity import _capacity_grid, _mc_pass
 
 
 def test_waterfill_two_channel_oracle():
@@ -155,6 +155,48 @@ def test_ergodic_capacity_error_modes():
     # one pass shares each W, so every model must have the same shape
     with pytest.raises(ValueError, match=r"'iid' 4x4, 'iid' 4x5"):
         ergodic_capacity([iid_model(4, 4), iid_model(4, 5)], [0.0], n_mc=3)
+
+
+def _tilted(n_r, n_t, label):
+    """Unit transmit side, a ramp on receive: shares a wide pass's larger side with iid."""
+    return ChannelModel(np.linspace(0.2, 1.5, n_r), np.ones(n_t), label, "exact", min(n_r, n_t))
+
+
+@pytest.mark.parametrize("n_r, n_t", [(7, 5), (5, 7)])
+def test_gram_eigenvalues_match_squared_singular_values(n_r, n_t):
+    n = min(n_r, n_t)
+    models = [iid_model(n_r, n_t),
+              exact_model(np.linspace(3.0, 0.0, n_t), n_rx=n_r, normalize="receive"),
+              _tilted(n_r, n_t, "tilted"),
+              ChannelModel(np.zeros(n_r), np.zeros(n_t), "zero", "exact", 0)]
+    spectra = _mc_pass(models, 4, seed=9)
+    assert spectra.shape == (4, len(models), n)
+    for i, per_model in enumerate(spectra):
+        for model, lam in zip(models, per_model):
+            s = np.linalg.svd(model.realize(9, i), compute_uv=False)
+            assert np.all(np.diff(lam) <= 0.0)
+            assert np.abs(lam - s * s).max() <= 1e-12 * s[0] ** 2, model.label
+
+
+def test_worker_pass_matches_in_process_pass():
+    # blocks of draw indices come back in index order, whatever their count
+    models = [iid_model(5, 7), _tilted(5, 7, "tilted")]
+    in_process = _mc_pass(models, 5, seed=3)
+    for workers in (1, 2):
+        assert np.array_equal(_mc_pass(models, 5, seed=3, workers=workers), in_process)
+    with pytest.raises(ValueError, match="workers"):
+        _mc_pass(models, 5, seed=3, workers=0)
+
+
+@pytest.mark.parametrize("rx, tx", [((4, 4), (3, 3)), ((3, 3), (4, 4))])
+def test_gram_eigenvalues_match_svd_fourier(rx, tx):
+    spectrum = isotropic_spectrum()
+    model = fourier_model(build_fourier_basis(build_upa(*rx, 0.4), spectrum),
+                          build_fourier_basis(build_upa(*tx, 0.4), spectrum))
+    assert model.shape[0] != model.shape[1]
+    for i, (lam,) in enumerate(_mc_pass([model], 3, seed=4)):
+        s = np.linalg.svd(model.realize(4, i), compute_uv=False)
+        assert np.abs(lam - s * s).max() <= 1e-12 * s[0] ** 2
 
 
 def test_joint_pass_matches_single_model_passes():
@@ -360,10 +402,18 @@ _A = array_response(_G, 0.2, 0.0)
     (lambda: matched_filter_precoder(_C, _A, np.nan), ValueError, "snr"),
     (lambda: waterfill([1.0, 0.5], np.nan), ValueError, "snr"),
     (lambda: low_snr_allocation([1.0, 0.5], np.inf), ValueError, "snr"),
-    (lambda: spd_inv_sqrt(np.diag([1.0, np.nan, 1.0])), SingularCouplingError, r"rho=0\)"),
+    (lambda: spd_inv_sqrt(np.diag([1.0, np.nan, 1.0])), ValueError, "not finite"),
     (lambda: spd_sqrt(np.diag([1.0, np.nan, 1.0])), ValueError, "positive semidefinite"),
     (lambda: exact_model([1.0, np.nan]), ValueError, "positive semidefinite"),
 ])
 def test_non_finite_inputs_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("refuse", [lambda lam: waterfill(lam, 1.0), exact_model],
+                         ids=["waterfill", "exact_model"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_spectra_are_refused(refuse, bad):
+    with pytest.raises(ValueError, match="finite"):
+        refuse([1.0, bad])

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import yaml
 
-from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, load_config, main,
-                          run_experiment)
+from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, _usable_cpus, load_config,
+                          main, run_experiment)
 from holomimo.presets import PRESETS
 
 
@@ -326,10 +326,45 @@ def test_workers_below_one_refused(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_workers_above_usable_cpus_refused(tmp_path, capsys):
+    path = write_config(tmp_path, kind="capacity",
+                        tx={"kind": "upa", "nx": 2, "ny": 2, "dx": 0.5}, rho=[], mc=2)
+    out = tmp_path / "out"
+    over = str(_usable_cpus() + 1)
+    assert main(["run", str(path), "--out-dir", str(out), "--workers", over]) == 1
+    assert "usable CPUs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _small_capacity(tmp_path):
+    return write_config(tmp_path, kind="capacity",
+                        tx={"kind": "upa", "nx": 6, "ny": 6, "dx": 0.4},
+                        rho=[0.1], mc=8, snr_db=[-10.0, 10.0, 30.0])
+
+
+def assert_same_csvs(dir_a, dir_b):
+    names = sorted(p.name for p in dir_a.glob("*.csv"))
+    assert names == sorted(p.name for p in dir_b.glob("*.csv")) and names
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
+def test_capacity_bytes_do_not_depend_on_workers(tmp_path):
+    path = _small_capacity(tmp_path)
+    for workers in ("1", "2"):
+        assert main(["run", str(path), "--out-dir", str(tmp_path / workers),
+                     "--workers", workers]) == 0
+        manifest = json.loads((tmp_path / workers / "manifest.json").read_text())
+        assert manifest["workers"] == int(workers)
+    assert_same_csvs(tmp_path / "1", tmp_path / "2")
+
+
 def test_run_experiment_api(tmp_path):
     cfg, label = load_config(str(write_config(tmp_path, kind="coupling-matrix", rho=[])))
     manifest = run_experiment(cfg, label, tmp_path / "api")
     assert manifest["outputs"] == ["coupling_matrix.csv"]
+    assert manifest["workers"] == 0  # no Monte-Carlo pass, no worker process
     assert (tmp_path / "api" / "manifest.json").exists()
 
 
@@ -405,3 +440,16 @@ def test_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     assert "eigs_exact_coupled_rho0.1.csv" in manifest["outputs"]
+
+
+# Every draw runs in a one-thread worker, so the caller's own BLAS threads
+# leave the capacity bytes unchanged.
+def test_capacity_bytes_do_not_depend_on_caller_blas_threads(tmp_path):
+    path = _small_capacity(tmp_path)
+    for threads in ("1", "2"):
+        env = dict(_checkout_env(), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "holomimo", "run", str(path),
+                               "--out-dir", str(tmp_path / threads)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert_same_csvs(tmp_path / "1", tmp_path / "2")
