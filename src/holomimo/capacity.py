@@ -181,6 +181,21 @@ def _draw_block(models: Sequence[ChannelModel], seed: int, start: int,
     return out
 
 
+def _exit_with_parent() -> None:
+    """Worker initializer: a daemon thread ends the worker once its parent
+    process is gone, so a killed parent leaves no worker behind."""
+    import multiprocessing.connection
+    import threading
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Set the BLAS thread variables to one while worker processes start, so
@@ -207,7 +222,8 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     that many contiguous blocks (at most one per draw), each on a ``spawn``ed
     process with one BLAS thread, gathered in index order; every draw then
     runs the same single-threaded code, so the result depends neither on the
-    count nor on this process's BLAS threads.
+    count nor on this process's BLAS threads.  A worker exits as soon as
+    this process is gone, even when it is killed without cleanup.
     """
     shapes = {m.shape for m in models}
     if len(shapes) != 1:
@@ -225,7 +241,8 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     n = min(workers, n_mc)
     edges = [n_mc * k // n for k in range(n + 1)]
     with _one_blas_thread(), ProcessPoolExecutor(
-            n, mp_context=multiprocessing.get_context("spawn")) as pool:
+            n, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_exit_with_parent) as pool:
         blocks = [pool.submit(_draw_block, models, seed, a, b)
                   for a, b in zip(edges, edges[1:])]
         return np.concatenate([f.result() for f in blocks])

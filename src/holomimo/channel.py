@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import HEMISPHERE, density_kernel
-from .coupling import CouplingMatrix, _check_floor, _eigh, spd_inv_sqrt, spd_sqrt
+from .coupling import (CouplingMatrix, _check_floor, _eigh, spd_inv_sqrt, spd_sqrt,
+                       symmetry_sectors)
 from .fourier import FourierBasis, dof_prime
 from .geometry import ArrayGeometry
 from .spectra import AngularSpectrum
@@ -48,15 +49,26 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _descending(parts) -> np.ndarray:
+    """The eigenvalues of all sectors in one decreasing array."""
+    return np.sort(np.concatenate(list(parts)))[::-1]
+
+
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Hermitian N x N spatial correlation."""
+    """Hermitian N x N spatial correlation.
+
+    ``geometry`` is the array it was built on, when known; its mirror
+    symmetries then split the eigenvalue solves (``symmetry_sectors``).
+    """
 
     matrix: np.ndarray
+    geometry: ArrayGeometry | None = None
 
     def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in decreasing order."""
-        return np.linalg.eigvalsh(self.matrix)[::-1]
+        """Real eigenvalues in decreasing order, solved sector by sector."""
+        return _descending(np.linalg.eigvalsh(s.block(self.matrix))
+                           for s in symmetry_sectors(self.geometry, self.matrix))
 
 
 def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
@@ -70,7 +82,7 @@ def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
     spectrum and complex Hermitian otherwise.
     """
     m, _ = density_kernel(geometry.positions, spectrum, HEMISPHERE, quadrature)
-    return CorrelationMatrix(m)
+    return CorrelationMatrix(m, geometry)
 
 
 def coupled_correlation_exact(correlation: CorrelationMatrix,
@@ -88,19 +100,28 @@ def whitened_eigenvalues(correlation: CorrelationMatrix, coupling: CouplingMatri
     C + rho I shares the eigenvectors V of C for every rho, so C is decomposed
     once and R' = V^H R V formed once; each rho then costs one eigvalsh of
     D R' D with D = diag((w + rho)^{-1/2}), which is similar to the whitened
-    correlation (Golub & Van Loan, Matrix Computations, sec. 8.7).  Raises
-    SingularCouplingError for a rho that leaves C + rho I at the floor.
+    correlation (Golub & Van Loan, Matrix Computations, sec. 8.7).  All of
+    this runs per reflection-symmetry sector that R and C share.  Raises
+    SingularCouplingError, before any per-rho solve, for a rho that leaves
+    C + rho I at the floor.
     """
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
     if not np.all((rhos >= 0.0) & (rhos < np.inf)):
         raise ValueError(f"rho must be finite and nonnegative, got {rhos}")
-    w, v = _eigh(coupling)
-    r = v.conj().T @ correlation.matrix @ v
-    out = np.empty((rhos.size, w.size))
+    parts = []
+    for s in symmetry_sectors(correlation.geometry, correlation.matrix, coupling.matrix):
+        w, v = _eigh(s.block(coupling.matrix))
+        parts.append((w, v.conj().T @ s.block(correlation.matrix) @ v))
+    w_min = np.concatenate([w for w, _ in parts]).min()
+    for rho in rhos:
+        _check_floor(w_min + rho, coupling.rho + rho)
+    out = np.empty((rhos.size, coupling.n_antennas))
     for i, rho in enumerate(rhos):
-        _check_floor(w.min() + rho, coupling.rho + rho)
-        d = 1.0 / np.sqrt(w + rho)
-        out[i] = np.linalg.eigvalsh(d[:, None] * r * d[None, :])[::-1]
+        ev = []
+        for w, r in parts:
+            d = 1.0 / np.sqrt(w + rho)
+            ev.append(np.linalg.eigvalsh(d[:, None] * r * d[None, :]))
+        out[i] = _descending(ev)
     return out
 
 

@@ -4,6 +4,10 @@ The coupling matrix is the full-sphere average of the element power pattern
 against the plane-wave outer product: the correlation's operator with the
 pattern as density.  Omnidirectional elements give sinc(2 d) in the pairwise
 distances d (in wavelengths); other patterns take the hemisphere quadrature.
+
+A matrix that commutes with the array's mirror reflections splits into
+reflection-symmetry sectors (Cantoni & Butler, Linear Algebra Appl. 13,
+1976), each solved on its own; ``symmetry_sectors`` finds them.
 """
 
 from __future__ import annotations
@@ -13,22 +17,26 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import density_kernel
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, mirror_permutations
 from .spectra import AntennaPattern, check_normalization, omni_pattern
 
 __all__ = [
     "CouplingMatrix",
+    "Sector",
     "SingularCouplingError",
     "coupling_closed_form",
     "coupling_general",
     "regularize",
     "spd_sqrt",
     "spd_inv_sqrt",
+    "symmetry_sectors",
     "write_coupling_csv",
 ]
 
 # Eigenvalue floor below which the inverse square root refuses to proceed.
 EIGENVALUE_FLOOR = 1e-12
+# Peak-relative residue up to which a matrix counts as commuting with a reflection.
+_COMMUTE_TOL = 1e-12
 
 
 class SingularCouplingError(RuntimeError):
@@ -111,6 +119,81 @@ def _eigh(coupling) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return np.linalg.eigh(m)
+
+
+@dataclass(frozen=True)
+class Sector:
+    """One reflection-symmetry sector of the group G of mirror permutations.
+
+    For a character chi of G, the basis vectors are
+    q_r = sum_k chi(k) e_{k(r)} / sqrt(|G| |Stab(r)|) for the orbit
+    representatives r on whose stabilizer chi is trivial.  ``rows`` holds
+    those r; ``images[k]`` their images k(r), identity first; ``signs[k]``
+    is chi(k); ``scale`` is 1 / sqrt(|Stab(r)|).
+    """
+
+    rows: np.ndarray
+    images: np.ndarray
+    signs: np.ndarray
+    scale: np.ndarray
+
+    def block(self, m: np.ndarray) -> np.ndarray:
+        """Q^T M Q for a matrix M that commutes with G, by gathers alone:
+        B[a, b] = sum_k chi(k) M[r_a, k(r_b)] / sqrt(|Stab(r_a)| |Stab(r_b)|)."""
+        b = m[np.ix_(self.rows, self.images[0])]
+        for sign, image in zip(self.signs[1:], self.images[1:]):
+            if sign > 0:
+                b += m[np.ix_(self.rows, image)]
+            else:
+                b -= m[np.ix_(self.rows, image)]
+        b *= self.scale[:, None]
+        b *= self.scale[None, :]
+        return b
+
+
+def _commutes(m: np.ndarray, perm: np.ndarray) -> bool:
+    """Whether M[p, p] equals M to within _COMMUTE_TOL of its peak entry."""
+    peak = np.abs(m).max()
+    if not np.isfinite(peak):
+        return False
+    d = m.take(perm, axis=0).take(perm, axis=1)
+    d -= m
+    return bool(np.abs(d).max() <= _COMMUTE_TOL * peak)
+
+
+def symmetry_sectors(geometry: ArrayGeometry | None, *matrices: np.ndarray) -> list[Sector]:
+    """The reflection-symmetry sectors shared by ``matrices`` on ``geometry``.
+
+    A mirror reflection of the array (``mirror_permutations``) joins the
+    group only if every matrix commutes with it.  Each character of the
+    group gives one sector; empty sectors are left out.  Without a geometry
+    or a shared reflection this is one sector: the whole matrix in the
+    identity basis.
+    """
+    n = matrices[0].shape[0]
+    perms = []
+    if geometry is not None and geometry.n_antennas == n:
+        perms = [p for p in mirror_permutations(geometry)
+                 if all(_commutes(m, p) for m in matrices)]
+    # Element j of G composes the generators whose bits are set in j.
+    images = [np.arange(n)]
+    for p in perms:
+        images += [image[p] for image in images]
+    images = np.stack(images)
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
+    stab = images[:, reps] == reps
+    scale = 1.0 / np.sqrt(stab.sum(axis=0))
+    sectors = []
+    for chi in range(len(images)):
+        # chi(j) = -1 when j holds an odd number of the generators chi negates.
+        signs = np.array([-1.0 if bin(j & chi).count("1") % 2 else 1.0
+                          for j in range(len(images))])
+        # a representative stays when chi is trivial on its stabilizer
+        keep = np.all(stab <= (signs[:, None] > 0), axis=0)
+        if keep.any():
+            rows = reps[keep]
+            sectors.append(Sector(rows, images[:, rows], signs, scale[keep]))
+    return sectors
 
 
 def spd_sqrt(coupling) -> np.ndarray:

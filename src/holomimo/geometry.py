@@ -19,11 +19,15 @@ __all__ = [
     "build_ula",
     "geometry_from_config",
     "array_response",
+    "mirror_permutations",
 ]
 
 
 # Tolerance used when checking that positions are distinct and coplanar.
 _POSITION_TOL = 1e-9
+# Mirror images are matched after rounding to this many decimals (wavelengths),
+# the rounding the kernels group position differences at.
+_MIRROR_ROUND = 12
 
 
 @dataclass(frozen=True)
@@ -171,3 +175,27 @@ def array_response(geometry: ArrayGeometry, theta, phi) -> np.ndarray:
     )
     phase = 2.0 * np.pi * np.tensordot(geometry.positions, k_hat, axes=(1, 0))
     return np.exp(1j * phase)
+
+
+def mirror_permutations(geometry: ArrayGeometry) -> list[np.ndarray]:
+    """Index permutations p of the reflections x -> -x and y -> -y about the
+    midpoint of each axis's extent: antenna p[n] sits at the mirror image of
+    antenna n.  A reflection is left out when its image is not the array
+    itself, or when it fixes every antenna (y -> -y on a line along x).
+    Antennas are matched by position, so any listing order works.
+    """
+    xy = geometry.positions[:, :2]
+    key = np.round(xy, _MIRROR_ROUND)
+    index = {row: n for n, row in enumerate(map(tuple, key.tolist()))}
+    perms = []
+    for axis in (0, 1):
+        mirrored = key.copy()
+        mirrored[:, axis] = np.round(xy[:, axis].min() + xy[:, axis].max() - xy[:, axis],
+                                     _MIRROR_ROUND)
+        perm = [index.get(row) for row in map(tuple, mirrored.tolist())]
+        if None in perm:
+            continue
+        perm = np.array(perm)
+        if np.any(perm != np.arange(perm.size)):
+            perms.append(perm)
+    return perms

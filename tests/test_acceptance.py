@@ -166,6 +166,16 @@ def test_criterion_5_dof_augmentation(fig5_run):
           f"{wall:.1f} s (< 600 s)")
 
 
+def test_fig5_dof_counts_are_pinned(fig5_run):
+    # The counts criterion 5 orders, held to their values: the exact
+    # eigenvalue solves may move at roundoff, never across the threshold.
+    out, _ = fig5_run
+    rows = read_rows(out / "dof_counts.csv")
+    counts = [(r["curve"], r["rho"], int(r["count_above_threshold"])) for r in rows]
+    assert counts == [("uncoupled", "", 503), ("coupled", "0.1", 576),
+                      ("coupled", "0.01", 612), ("coupled", "0.001", 644)]
+
+
 def test_criterion_6_capacity_crossing_desk_scale(fig6_desk_run):
     out, manifest = fig6_desk_run
     assert manifest["config"]["mc"] >= 100

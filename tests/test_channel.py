@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from holomimo import (AngularSpectrum, ArrayGeometry, CorrelationMatrix, SingularCouplingError,
-                      array_response, build_fourier_basis, build_upa, cap_spectrum,
+import holomimo.channel
+from holomimo import (AngularSpectrum, ArrayGeometry, CorrelationMatrix, CouplingMatrix,
+                      SingularCouplingError, array_response, build_fourier_basis, build_ula,
+                      build_upa, cap_spectrum,
                       check_normalization, coupled_correlation_exact, coupling_closed_form, coupling_general,
                       ergodic_capacity, exact_correlation, exact_model,
                       fourier_correlation, fourier_model, iid_model, isotropic_spectrum,
@@ -12,6 +14,7 @@ from holomimo import (AngularSpectrum, ArrayGeometry, CorrelationMatrix, Singula
 from holomimo._kernels import angular_kernel
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
+from holomimo.coupling import symmetry_sectors
 
 
 def test_isotropic_correlation_is_sinc():
@@ -98,12 +101,14 @@ def test_large_irregular_array_is_refused():
 WHITENED_RTOL = 1e-10
 
 
-@pytest.mark.parametrize("n, spacing, spectrum, matched", [
-    (8, 0.25, isotropic_spectrum(), False),
-    (7, 0.5, cap_spectrum(np.pi / 3), True),
-])
-def test_whitened_eigenvalues_match_matrix_path(n, spacing, spectrum, matched):
-    g = build_upa(n, n, spacing)
+@pytest.mark.parametrize("g, spectrum, matched", [
+    (build_upa(8, 8, 0.25), isotropic_spectrum(), False),
+    (build_upa(7, 7, 0.5), cap_spectrum(np.pi / 3), True),
+    (build_upa(7, 6, 0.3), cap_spectrum(np.pi / 3), True),
+    (build_ula(12, 0.2), isotropic_spectrum(), False),
+], ids=["8-0.25-spectrum0-False", "7-0.5-spectrum1-True", "7x6-0.3-spectrum1-True",
+        "ula12-0.2-spectrum0-False"])
+def test_whitened_eigenvalues_match_matrix_path(g, spectrum, matched):
     r = exact_correlation(g, spectrum)
     c = coupling_general(g, matched_pattern(spectrum)) if matched else coupling_closed_form(g)
     rhos = [0.1, 0.01, 0.001]
@@ -126,6 +131,84 @@ def test_whitened_eigenvalues_refuse_singular_coupling():
         whitened_eigenvalues(r, regularize(c, 1e-13), [0.0])
     with pytest.raises(ValueError, match="nonnegative"):
         whitened_eigenvalues(r, c, [-0.1])
+
+
+def test_whitening_refusal_reports_the_dense_smallest_eigenvalue(monkeypatch):
+    # C - 0.5 I keeps the grid's symmetry and has a well-conditioned negative
+    # smallest eigenvalue, so the sector and dense values agree to roundoff
+    g = build_upa(7, 6, 0.3)
+    r = exact_correlation(g, isotropic_spectrum())
+    c = coupling_closed_form(g)
+    c = CouplingMatrix(c.matrix - 0.5 * np.eye(g.n_antennas), g)
+    assert len(symmetry_sectors(g, r.matrix, c.matrix)) == 4
+    dense = np.linalg.eigh(c.matrix)[0].min()
+    reported = []
+    check_floor = holomimo.channel._check_floor
+
+    def spy(eigmin, rho):
+        reported.append(eigmin)
+        check_floor(eigmin, rho)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a per-rho solve ran before the refusal")
+
+    monkeypatch.setattr(holomimo.channel, "_check_floor", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    # rho=1 alone would pass: the refusal at rho=0 comes before any solve
+    with pytest.raises(SingularCouplingError,
+                       match=f"smallest eigenvalue {dense:.6e} .*rho=0\\)"):
+        whitened_eigenvalues(r, c, [1.0, 0.0])
+    assert reported[-1] == pytest.approx(dense, rel=1e-12)
+
+
+# Mirror-symmetric points off any grid, with stabilizers of order 1, 2 and 4,
+# listed in shuffled order.
+_rng = np.random.default_rng(5)
+_quarter = _rng.uniform(0.2, 1.5, (4, 2))
+_SYMMETRIC_POINTS = np.vstack([_quarter * s for s in ((1, 1), (-1, 1), (1, -1), (-1, -1))]
+                              + [[[0.7, 0.0], [-0.7, 0.0], [0.0, 0.9], [0.0, -0.9], [0.0, 0.0]]])
+_SYMMETRIC_POINTS = np.c_[_SYMMETRIC_POINTS[_rng.permutation(21)], np.zeros(21)]
+_JITTER = np.c_[_rng.uniform(-0.05, 0.05, (20, 2)), np.zeros(20)]
+# 1 + sin(theta) cos(phi - pi/4) / 2: neither x -> -x nor y -> -y leaves it unchanged
+_SKEWED = AngularSpectrum("skewed", lambda th, ph: 1.0 + 0.5 * np.sin(th) * np.cos(ph - np.pi / 4))
+# 1 + sin(theta) cos(phi) / 2 is even under y -> -y only
+_TILTED = AngularSpectrum("tilted", lambda th, ph: 1.0 + 0.5 * np.sin(th) * np.cos(ph))
+
+
+@pytest.mark.parametrize("g, spectrum, n_sectors", [
+    (build_upa(7, 6, 0.3), isotropic_spectrum(), 4),
+    (build_upa(6, 7, 0.3), cap_spectrum(np.pi / 3), 4),
+    (build_ula(9, 0.4), isotropic_spectrum(), 2),
+    (build_ula(9, 0.4), cap_spectrum(np.pi / 3), 2),
+    (build_upa(5, 4, 0.35).translated([1.3, -0.7, 0.2]), cap_spectrum(np.pi / 3), 4),
+    (ArrayGeometry(_SYMMETRIC_POINTS), isotropic_spectrum(), 4),
+    (ArrayGeometry(_SYMMETRIC_POINTS), cap_spectrum(np.pi / 3), 4),
+    (ArrayGeometry(build_upa(5, 4, 0.5).positions + _JITTER), isotropic_spectrum(), 1),
+    (build_upa(5, 4, 0.35), _SKEWED, 1),
+    (build_upa(5, 4, 0.35), _TILTED, 2),
+], ids=["7x6", "6x7-cap", "ula", "ula-cap", "translated", "points", "points-cap",
+        "jittered", "skewed-density", "tilted-density"])
+def test_sector_eigenvalues_match_dense(g, spectrum, n_sectors):
+    q = quadrature_for(spectrum, n_theta=48, n_phi=96)
+    r = exact_correlation(g, spectrum, q)
+    sectors = symmetry_sectors(g, r.matrix)
+    assert len(sectors) == n_sectors
+    # the sector bases together are one orthonormal basis Q, and each block
+    # is Q_s^H R Q_s
+    q_cols = []
+    for s in sectors:
+        basis = np.zeros((g.n_antennas, s.rows.size))
+        for sign, image in zip(s.signs, s.images):
+            basis[image, np.arange(s.rows.size)] += sign
+        basis /= np.sqrt(len(s.signs) / s.scale ** 2)
+        assert np.allclose(s.block(r.matrix), basis.T @ r.matrix @ basis, atol=1e-14)
+        q_cols.append(basis)
+    q_all = np.hstack(q_cols)
+    assert np.allclose(q_all.T @ q_all, np.eye(g.n_antennas), atol=1e-14)
+    ev = r.eigenvalues()
+    ref = np.linalg.eigvalsh(r.matrix)[::-1]
+    assert np.all(np.diff(ev) <= 0.0)
+    assert np.abs(ev - ref).max() <= 1e-12 * ref[0]
 
 
 def test_correlation_diagonal():

@@ -2,8 +2,10 @@ import csv
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -453,3 +455,73 @@ def test_capacity_bytes_do_not_depend_on_caller_blas_threads(tmp_path):
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
     assert_same_csvs(tmp_path / "1", tmp_path / "2")
+
+
+def _proc_stat(pid):
+    """(state, parent pid, start time) of a process from /proc; None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = stat[stat.rindex(")") + 2:].split()
+    return fields[0], int(fields[1]), fields[19]
+
+
+def _pool_children(pid):
+    """{pid: start time} of a process's multiprocessing children (workers and
+    the resource tracker), and how many of them are spawned workers."""
+    found, workers = {}, 0
+    for entry in Path("/proc").iterdir():
+        stat = _proc_stat(entry.name) if entry.name.isdigit() else None
+        if stat is None or stat[1] != pid:
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes().decode(errors="replace")
+        except OSError:
+            continue
+        if "multiprocessing" in cmdline:
+            found[int(entry.name)] = stat[2]
+            workers += "spawn_main" in cmdline
+    return found, workers
+
+
+def _alive(pid, start):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[2] == start and stat[0] != "Z"
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/stat").exists(),
+                    reason="worker PIDs are read from /proc")
+def test_killed_parent_leaves_no_worker(tmp_path):
+    workers = min(2, _usable_cpus())
+    path = write_config(tmp_path, kind="capacity",
+                        tx={"kind": "upa", "nx": 16, "ny": 16, "dx": 0.4},
+                        rho=[0.1], mc=5000, snr_db=[0.0])
+    proc = subprocess.Popen([sys.executable, "-m", "holomimo", "run", str(path), "--out-dir",
+                             str(tmp_path / "out"), "--workers", str(workers)],
+                            env=_checkout_env(), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    children = {}
+    try:
+        deadline = time.monotonic() + 60.0
+        started = 0
+        while started < workers and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            found, started = _pool_children(proc.pid)
+            children.update(found)
+        assert started == workers, f"{started} of {workers} workers seen before the parent ended"
+        time.sleep(0.5)  # let the workers get into their draws
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 10.0
+        while any(_alive(*c) for c in children.items()) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid, start in children.items() if _alive(pid, start)]
+        assert not survivors, f"processes {survivors} outlived their killed parent"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid, start in children.items():
+            if _alive(pid, start):
+                os.kill(pid, signal.SIGKILL)
