@@ -12,7 +12,7 @@ from .geometry import ArrayGeometry, array_response, build_ula, build_upa, geome
 from .spectra import (AngularSpectrum, AntennaPattern, cap_constant, cap_spectrum,
                       check_normalization, hemisphere_quadrature, isotropic_spectrum,
                       matched_pattern, omni_pattern, pattern_covers, quadrature_for)
-from .coupling import (CouplingMatrix, SingularCouplingError, coupling_closed_form,
+from .coupling import (CouplingMatrix, Kernel, SingularCouplingError, coupling_closed_form,
                        coupling_general, regularize, spd_inv_sqrt, spd_sqrt,
                        write_coupling_csv)
 from .fourier import (FourierBasis, WavenumberLattice, build_fourier_basis, build_lattice,

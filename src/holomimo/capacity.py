@@ -75,17 +75,10 @@ def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
         raise ValueError("all eigenvalues are zero")
     order = np.argsort(-lam, kind="stable")
     lam_sorted = lam[order]
-    n_pos = int(np.count_nonzero(lam_sorted > 0.0))
-    inv = 1.0 / lam_sorted[:n_pos]
-    cum = np.cumsum(inv)
-    counts = np.arange(1, n_pos + 1)
-    nu = (snr + cum) / counts
-    k = int(np.nonzero(nu > inv)[0].max()) + 1
-    level = float(nu[k - 1])
-    p_sorted = np.zeros_like(lam_sorted)
-    p_sorted[:k] = level - inv[:k]
-    powers = np.empty_like(p_sorted)
-    powers[order] = p_sorted
+    active, level = _water_levels(lam_sorted[lam_sorted > 0.0], np.array([snr]))
+    k, level = int(active[0]), float(level[0])
+    powers = np.zeros_like(lam)
+    powers[order[:k]] = level - 1.0 / lam_sorted[:k]
     cap = float(np.sum(np.log2(level * lam_sorted[:k])))
     return WaterfillingAllocation(powers, level, k, cap)
 
@@ -124,17 +117,22 @@ def precoded_mutual_information(h: np.ndarray, composite: np.ndarray) -> float:
     return float(logdet / np.log(2.0))
 
 
-def _capacity_grid(lam_desc: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
-    """Waterfilling capacity for one positive, descending spectrum on a grid."""
+def _water_levels(lam_desc: np.ndarray, snr_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Active count K = #{k : nu_k > 1/lambda_k} and level nu_K on an SNR grid,
+    nu_k = (snr + sum_{i<=k} 1/lambda_i) / k, for a positive, descending spectrum."""
     inv = 1.0 / lam_desc
     cum = np.cumsum(inv)
     counts = np.arange(1, lam_desc.size + 1)
     nu = (snr_lin[:, None] + cum[None, :]) / counts[None, :]
     active = np.count_nonzero(nu > inv[None, :], axis=1)
-    idx = active - 1
-    level = nu[np.arange(snr_lin.size), idx]
+    return active, nu[np.arange(snr_lin.size), active - 1]
+
+
+def _capacity_grid(lam_desc: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
+    """Waterfilling capacity for one positive, descending spectrum on a grid."""
+    active, level = _water_levels(lam_desc, snr_lin)
     log_lam_cum = np.cumsum(np.log2(lam_desc))
-    return active * np.log2(level) + log_lam_cum[idx]
+    return active * np.log2(level) + log_lam_cum[active - 1]
 
 
 @dataclass(frozen=True)
@@ -327,7 +325,7 @@ def los_precoder(coupling: CouplingMatrix, steering, snr: float) -> PrecoderMatr
     """
     a = _steering_vector(steering)
     _check_snr(snr)
-    w, v = _eigh(coupling)
+    w, v = _eigh(coupling.matrix)
     if not w.min() > 0.0:
         raise SingularCouplingError(
             f"coupling matrix is not positive definite (rho={coupling.rho:g}); "

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import HEMISPHERE, density_kernel
-from .coupling import (CouplingMatrix, _check_floor, _eigh, spd_inv_sqrt, spd_sqrt,
-                       symmetry_sectors)
+from .coupling import Kernel, _check_floor, _descending, _eigh, spd_inv_sqrt, spd_sqrt
 from .fourier import FourierBasis, dof_prime
 from .geometry import ArrayGeometry
 from .spectra import AngularSpectrum
@@ -49,30 +48,11 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _descending(parts) -> np.ndarray:
-    """The eigenvalues of all sectors in one decreasing array."""
-    return np.sort(np.concatenate(list(parts)))[::-1]
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Hermitian N x N spatial correlation.
-
-    ``geometry`` is the array it was built on, when known; its mirror
-    symmetries then split the eigenvalue solves (``symmetry_sectors``).
-    """
-
-    matrix: np.ndarray
-    geometry: ArrayGeometry | None = None
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in decreasing order, solved sector by sector."""
-        return _descending(np.linalg.eigvalsh(s.block(self.matrix))
-                           for s in symmetry_sectors(self.geometry, self.matrix))
+CorrelationMatrix = Kernel
 
 
 def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
-                      quadrature=None) -> CorrelationMatrix:
+                      quadrature=None) -> Kernel:
     """Upper-hemisphere correlation (1/2pi) * integral of E exp(i k . (r - s)).
 
     The diagonal equals the spectrum's upper-hemisphere mass over 2pi: one for
@@ -82,34 +62,34 @@ def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
     spectrum and complex Hermitian otherwise.
     """
     m, _ = density_kernel(geometry.positions, spectrum, HEMISPHERE, quadrature)
-    return CorrelationMatrix(m, geometry)
+    return Kernel(m, geometry)
 
 
-def coupled_correlation_exact(correlation: CorrelationMatrix,
-                              coupling: CouplingMatrix) -> CorrelationMatrix:
-    """Coupling-whitened correlation C^{-1/2} R C^{-1/2}."""
+def coupled_correlation_exact(correlation: Kernel, coupling: Kernel) -> Kernel:
+    """Coupling-whitened correlation C^{-1/2} R C^{-1/2}, without a geometry:
+    the dense reference, solved as one sector."""
     f = spd_inv_sqrt(coupling)
     m = f @ correlation.matrix @ f
-    return CorrelationMatrix(0.5 * (m + m.conj().T))
+    return Kernel(0.5 * (m + m.conj().T))
 
 
-def whitened_eigenvalues(correlation: CorrelationMatrix, coupling: CouplingMatrix,
-                         rhos) -> np.ndarray:
+def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndarray:
     """Descending eigenvalues of C^{-1/2}(rho) R C^{-1/2}(rho), one row per rho.
 
     C + rho I shares the eigenvectors V of C for every rho, so C is decomposed
     once and R' = V^H R V formed once; each rho then costs one eigvalsh of
     D R' D with D = diag((w + rho)^{-1/2}), which is similar to the whitened
     correlation (Golub & Van Loan, Matrix Computations, sec. 8.7).  All of
-    this runs per reflection-symmetry sector that R and C share.  Raises
-    SingularCouplingError, before any per-rho solve, for a rho that leaves
-    C + rho I at the floor.
+    this runs per sector of the reflections of R (``Kernel.reflections``)
+    that C also commutes with (``Kernel.sectors``), so R is never checked a
+    second time.  Raises SingularCouplingError, before any per-rho solve, for
+    a rho that leaves C + rho I at the floor.
     """
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
     if not np.all((rhos >= 0.0) & (rhos < np.inf)):
         raise ValueError(f"rho must be finite and nonnegative, got {rhos}")
     parts = []
-    for s in symmetry_sectors(correlation.geometry, correlation.matrix, coupling.matrix):
+    for s in correlation.sectors(coupling.matrix):
         w, v = _eigh(s.block(coupling.matrix))
         parts.append((w, v.conj().T @ s.block(correlation.matrix) @ v))
     w_min = np.concatenate([w for w, _ in parts]).min()
@@ -125,12 +105,12 @@ def whitened_eigenvalues(correlation: CorrelationMatrix, coupling: CouplingMatri
     return out
 
 
-def fourier_correlation(basis: FourierBasis) -> CorrelationMatrix:
-    """Low-rank model correlation V diag(N sigma2) V^H."""
+def fourier_correlation(basis: FourierBasis) -> Kernel:
+    """Low-rank model correlation V diag(N sigma2) V^H, without a geometry."""
     lam = basis.n_antennas * basis.variances
     v = basis.matrix
     m = (v * lam) @ v.conj().T
-    return CorrelationMatrix(0.5 * (m + m.conj().T))
+    return Kernel(0.5 * (m + m.conj().T))
 
 
 @dataclass(frozen=True)
@@ -214,8 +194,7 @@ def sample_fourier_channel(rx: FourierBasis, tx: FourierBasis,
     return h
 
 
-def sample_exact_channel(tx_correlation: CorrelationMatrix,
-                         coupling: CouplingMatrix | None = None,
+def sample_exact_channel(tx_correlation: Kernel, coupling: Kernel | None = None,
                          seed: int = 0, n_rx: int | None = None, index: int = 0,
                          normalize: str = "transmit",
                          radiation_resistance: float | None = None) -> np.ndarray:
@@ -226,7 +205,7 @@ def sample_exact_channel(tx_correlation: CorrelationMatrix,
     SNR definition; precoded mutual information is invariant to it because
     the matching power constraint scales inversely.
     """
-    t = spd_sqrt(tx_correlation.matrix).astype(complex)
+    t = spd_sqrt(tx_correlation).astype(complex)
     if coupling is not None:
         t = t @ spd_inv_sqrt(coupling)
     if normalize == "receive":

@@ -33,9 +33,6 @@ from .spectra import pattern_covers, pattern_from_name, spectrum_from_name
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "main", "entry"]
 
-KINDS = ("eigenvalues", "dof-sweep", "capacity", "coupling-matrix", "bound-check")
-
-
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
@@ -80,8 +77,8 @@ def _real(value, what: str) -> float:
 
 def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
     """Type- and range-check a parsed config; raises ConfigError."""
-    if cfg.kind not in KINDS:
-        raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {', '.join(KINDS)}")
+    if cfg.kind not in _EXECUTORS:
+        raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {', '.join(_EXECUTORS)}")
     if cfg.rx is not None and cfg.kind not in ("capacity", "bound-check"):
         raise ConfigError(f"{cfg.kind} runs on tx alone; only capacity and bound-check "
                           f"use an rx geometry")
@@ -424,6 +421,10 @@ def main(argv=None) -> int:
     except (SingularCouplingError, np.linalg.LinAlgError, FloatingPointError,
             RuntimeError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}; lower mc, the SNR grid or the array size",
+              file=sys.stderr)
         return 2
 
 

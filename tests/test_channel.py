@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import holomimo.channel
-from holomimo import (AngularSpectrum, ArrayGeometry, CorrelationMatrix, CouplingMatrix,
+from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, CorrelationMatrix,
+                      CouplingMatrix,
                       SingularCouplingError, array_response, build_fourier_basis, build_ula,
                       build_upa, cap_spectrum,
                       check_normalization, coupled_correlation_exact, coupling_closed_form, coupling_general,
@@ -14,6 +15,7 @@ from holomimo import (AngularSpectrum, ArrayGeometry, CorrelationMatrix, Couplin
 from holomimo._kernels import angular_kernel
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
+from holomimo.cli import ExperimentConfig, _exact_spectra
 from holomimo.coupling import symmetry_sectors
 
 
@@ -101,16 +103,31 @@ def test_large_irregular_array_is_refused():
 WHITENED_RTOL = 1e-10
 
 
-@pytest.mark.parametrize("g, spectrum, matched", [
-    (build_upa(8, 8, 0.25), isotropic_spectrum(), False),
-    (build_upa(7, 7, 0.5), cap_spectrum(np.pi / 3), True),
-    (build_upa(7, 6, 0.3), cap_spectrum(np.pi / 3), True),
-    (build_ula(12, 0.2), isotropic_spectrum(), False),
+# 1 + sin^2(theta) cos(2 (phi - pi/4)) / 2 is point-symmetric but even under
+# neither x -> -x nor y -> -y
+_DIAGONAL = AntennaPattern("diagonal", lambda th, ph:
+                           1.0 + 0.5 * np.sin(th) ** 2 * np.cos(2.0 * (ph - np.pi / 4)))
+# 1 + sin(theta) cos(phi) / 2 is even under y -> -y only (a complex Hermitian R)
+_TILTED = AngularSpectrum("tilted", lambda th, ph: 1.0 + 0.5 * np.sin(th) * np.cos(ph))
+
+
+@pytest.mark.parametrize("g, spectrum, pattern, n_sectors", [
+    (build_upa(8, 8, 0.25), isotropic_spectrum(), None, 4),
+    (build_upa(7, 7, 0.5), cap_spectrum(np.pi / 3), "matched", 4),
+    (build_upa(7, 6, 0.3), cap_spectrum(np.pi / 3), "matched", 4),
+    (build_ula(12, 0.2), isotropic_spectrum(), None, 2),
+    (build_upa(7, 6, 0.3), isotropic_spectrum(), _DIAGONAL, 1),
+    (build_upa(7, 6, 0.3), _TILTED, omni_pattern(), 2),
 ], ids=["8-0.25-spectrum0-False", "7-0.5-spectrum1-True", "7x6-0.3-spectrum1-True",
-        "ula12-0.2-spectrum0-False"])
-def test_whitened_eigenvalues_match_matrix_path(g, spectrum, matched):
+        "ula12-0.2-spectrum0-False", "7x6-diagonal-pattern", "7x6-tilted-complex-r"])
+def test_whitened_eigenvalues_match_matrix_path(g, spectrum, pattern, n_sectors):
+    # the whitening splits on the reflections of R that C also commutes with
     r = exact_correlation(g, spectrum)
-    c = coupling_general(g, matched_pattern(spectrum)) if matched else coupling_closed_form(g)
+    if pattern is None:
+        c = coupling_closed_form(g)
+    else:
+        c = coupling_general(g, matched_pattern(spectrum) if pattern == "matched" else pattern)
+    assert len(r.sectors(c.matrix)) == n_sectors
     rhos = [0.1, 0.01, 0.001]
     got = whitened_eigenvalues(r, c, rhos)
     assert got.shape == (3, g.n_antennas)
@@ -171,8 +188,6 @@ _SYMMETRIC_POINTS = np.c_[_SYMMETRIC_POINTS[_rng.permutation(21)], np.zeros(21)]
 _JITTER = np.c_[_rng.uniform(-0.05, 0.05, (20, 2)), np.zeros(20)]
 # 1 + sin(theta) cos(phi - pi/4) / 2: neither x -> -x nor y -> -y leaves it unchanged
 _SKEWED = AngularSpectrum("skewed", lambda th, ph: 1.0 + 0.5 * np.sin(th) * np.cos(ph - np.pi / 4))
-# 1 + sin(theta) cos(phi) / 2 is even under y -> -y only
-_TILTED = AngularSpectrum("tilted", lambda th, ph: 1.0 + 0.5 * np.sin(th) * np.cos(ph))
 
 
 @pytest.mark.parametrize("g, spectrum, n_sectors", [
@@ -209,6 +224,24 @@ def test_sector_eigenvalues_match_dense(g, spectrum, n_sectors):
     ref = np.linalg.eigvalsh(r.matrix)[::-1]
     assert np.all(np.diff(ev) <= 0.0)
     assert np.abs(ev - ref).max() <= 1e-12 * ref[0]
+
+
+@pytest.mark.parametrize("rho, checks", [([0.01], 4), ([], 2)], ids=["coupled", "uncoupled"])
+def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, rho, checks):
+    # R's two reflections are checked once for its eigenvalues and the
+    # whitening together; C only on the reflections that R commutes with
+    commutes = holomimo.coupling._commutes
+    calls = []
+
+    def count(m, perm):
+        calls.append(m.shape)
+        return commutes(m, perm)
+
+    monkeypatch.setattr(holomimo.coupling, "_commutes", count)
+    cfg = ExperimentConfig("eigenvalues", {"nx": 7, "ny": 6, "dx": 0.3}, rho=rho)
+    ev, coupled = _exact_spectra(cfg, build_upa(7, 6, 0.3), isotropic_spectrum(), omni_pattern())
+    assert len(calls) == checks
+    assert ev.size == 42 and len(coupled) == len(rho)
 
 
 def test_correlation_diagonal():

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -336,6 +337,20 @@ def test_workers_above_usable_cpus_refused(tmp_path, capsys):
     assert main(["run", str(path), "--out-dir", str(out), "--workers", over]) == 1
     assert "usable CPUs" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_of_memory_is_one_line_with_exit_2(tmp_path, capsys):
+    # 10**13 draws ask the worker for about 870 TiB, beyond the address space,
+    # so the allocation fails at once without touching memory
+    path = write_config(tmp_path, kind="capacity",
+                        tx={"kind": "upa", "nx": 2, "ny": 2, "dx": 0.5},
+                        rho=[0.01], mc=10**13, snr_db=[0.0])
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("out of memory: Unable to allocate")
+    assert "(10000000000000, 3, 4)" in err and "lower mc, the SNR grid or the array size" in err
+    assert not multiprocessing.active_children()
 
 
 def _small_capacity(tmp_path):

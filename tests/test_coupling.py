@@ -165,3 +165,6 @@ def test_coupling_csv(tmp_path):
     m = np.zeros((3, 3))
     m[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2]
     assert np.abs(m - c.matrix).max() < 1e-12
+    # a kernel built without a geometry says so in its header
+    write_coupling_csv(CouplingMatrix(np.eye(2), kind="test"), path)
+    assert path.read_text().splitlines()[2:4] == ["# kind=test", "# geometry=none"]
