@@ -20,8 +20,7 @@ from .fourier import (FourierBasis, WavenumberLattice, build_fourier_basis, buil
                       variances_coupled, variances_uncoupled, write_variances_csv)
 from .channel import (ChannelModel, CorrelationMatrix, coupled_correlation_exact,
                       exact_correlation, exact_model, fourier_correlation, fourier_model,
-                      iid_model, sample_exact_channel, sample_fourier_channel,
-                      whitened_eigenvalues)
+                      iid_model, sample_exact_channel, whitened_eigenvalues)
 from .capacity import (BoundCheck, CapacityCurve, DofCheck, PrecoderMatrix,
                        WaterfillingAllocation, ergodic_capacity, high_snr_dof_check,
                        los_precoder, low_snr_allocation, low_snr_bound_check,

@@ -50,17 +50,18 @@ class WaterfillingAllocation:
     capacity_bits: float
 
 
+# Relative gap below the top eigenvalue that low_snr_allocation counts as a tie.
+_TIE_TOL = 1e-3
+
+
 def _check_snr(snr: float) -> None:
     if not 0.0 < snr < np.inf:
         raise ValueError(f"snr must be positive and finite, got {snr}")
 
 
-def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
-    """Exact waterfilling by sort and threshold scan.
-
-    Power on channel i is max(0, nu - 1/lambda_i) with nu chosen so the powers
-    sum to ``snr``; exactly tied eigenvalues receive equal power.
-    """
+def _spectrum(eigenvalues, snr: float) -> np.ndarray:
+    """The eigenvalues as a flat array with roundoff negatives clipped; refuses
+    a bad ``snr`` and an empty, non-finite, negative or all-zero spectrum."""
     lam = np.asarray(eigenvalues, dtype=float).ravel()
     if lam.size == 0:
         raise ValueError("need at least one eigenvalue")
@@ -73,6 +74,16 @@ def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
     lam = np.clip(lam, 0.0, None)
     if not np.any(lam > 0.0):
         raise ValueError("all eigenvalues are zero")
+    return lam
+
+
+def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
+    """Exact waterfilling by sort and threshold scan.
+
+    Power on channel i is max(0, nu - 1/lambda_i) with nu chosen so the powers
+    sum to ``snr``; exactly tied eigenvalues receive equal power.
+    """
+    lam = _spectrum(eigenvalues, snr)
     order = np.argsort(-lam, kind="stable")
     lam_sorted = lam[order]
     active, level = _water_levels(lam_sorted[lam_sorted > 0.0], np.array([snr]))
@@ -83,18 +94,16 @@ def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
     return WaterfillingAllocation(powers, level, k, cap)
 
 
-def low_snr_allocation(eigenvalues, snr: float, tie_tol: float = 1e-3) -> WaterfillingAllocation:
+def low_snr_allocation(eigenvalues, snr: float) -> WaterfillingAllocation:
     """Low-SNR limit of waterfilling: equal split across the near-maximal set.
 
-    Eigenvalues within ``tie_tol`` (relative) of the maximum share the budget
-    equally; everything else gets zero.
+    Eigenvalues within ``_TIE_TOL`` (relative) of the maximum share the
+    budget equally; everything else gets zero.  The input checks are
+    ``waterfill``'s.
     """
-    lam = np.asarray(eigenvalues, dtype=float).ravel()
-    _check_snr(snr)
+    lam = _spectrum(eigenvalues, snr)
     top = lam.max()
-    if not top > 0.0:
-        raise ValueError("all eigenvalues are zero")
-    tied = lam >= (1.0 - tie_tol) * top
+    tied = lam >= (1.0 - _TIE_TOL) * top
     k = int(np.count_nonzero(tied))
     powers = np.where(tied, snr / k, 0.0)
     cap = mutual_information_bits(lam, powers)

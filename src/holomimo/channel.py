@@ -31,7 +31,6 @@ __all__ = [
     "fourier_model",
     "exact_model",
     "iid_model",
-    "sample_fourier_channel",
     "sample_exact_channel",
     "substream",
     "complex_normal",
@@ -150,11 +149,17 @@ def iid_model(n_rx: int, n_tx: int) -> ChannelModel:
     return ChannelModel(np.ones(n_rx), np.ones(n_tx), "iid", "iid", min(n_rx, n_tx))
 
 
-def _receive_gain(power: float, n: int) -> float:
-    """Factor that brings a total transmit power to n ('receive' normalization)."""
-    if not power > 0.0:
+def _receive_gain(normalize: str, power, n: int) -> float | None:
+    """None for 'transmit' normalization; for 'receive', the factor n / power()
+    that brings the total transmit power to the antenna count."""
+    if normalize == "transmit":
+        return None
+    if normalize != "receive":
+        raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
+    p = power()
+    if not p > 0.0:
         raise ValueError("'receive' cannot scale a spectrum with no power; use 'transmit'")
-    return n / power
+    return n / p
 
 
 def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "transmit",
@@ -176,22 +181,12 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
         raise ValueError(f"transmit spectrum is not positive semidefinite "
                          f"(eigenvalue {lam.min():.3e})")
     lam = np.clip(lam, 0.0, None)
-    if normalize == "receive":
-        lam = lam * _receive_gain(lam.sum(), lam.size)
-    elif normalize != "transmit":
-        raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
+    gain = _receive_gain(normalize, lam.sum, lam.size)
+    if gain is not None:
+        lam = lam * gain
     n_rx = int(n_rx) if n_rx is not None else lam.size
     return ChannelModel(np.ones(n_rx), np.sqrt(lam), label or "exact", "exact",
                         min(n_rx, lam.size))
-
-
-def sample_fourier_channel(rx: FourierBasis, tx: FourierBasis,
-                           seed: int, index: int = 0, lift: bool = False) -> np.ndarray:
-    """One beamspace realization; ``lift`` maps it to the antenna domain."""
-    h = fourier_model(rx, tx).realize(seed, index)
-    if lift:
-        h = rx.matrix @ h @ tx.matrix.conj().T
-    return h
 
 
 def sample_exact_channel(tx_correlation: Kernel, coupling: Kernel | None = None,
@@ -208,10 +203,9 @@ def sample_exact_channel(tx_correlation: Kernel, coupling: Kernel | None = None,
     t = spd_sqrt(tx_correlation).astype(complex)
     if coupling is not None:
         t = t @ spd_inv_sqrt(coupling)
-    if normalize == "receive":
-        t = t * np.sqrt(_receive_gain(np.trace(t.conj().T @ t).real, t.shape[0]))
-    elif normalize != "transmit":
-        raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
+    gain = _receive_gain(normalize, lambda: np.trace(t.conj().T @ t).real, t.shape[0])
+    if gain is not None:
+        t = t * np.sqrt(gain)
     if radiation_resistance is not None:
         t = t * np.sqrt(2.0 / radiation_resistance)
     n_t = t.shape[0]

@@ -87,6 +87,12 @@ def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
     if not all(_is_number(r) and r >= 0 for r in rho):
         raise ConfigError(f"rho must be a list of nonnegative numbers, got {cfg.rho!r}")
     cfg.rho = [float(r) for r in rho]
+    # Output file names and labels carry each rho as %g.
+    tags = [f"{r:g}" for r in cfg.rho]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ConfigError(f"rho values {cfg.rho[tags.index(tag)]!r} and {cfg.rho[i]!r} share "
+                              f"the file name *_rho{tag}.csv; give each rho a distinct %g name")
     # Only the coupled Fourier variances deconvolve the pattern from the spectrum.
     coupled_fourier = cfg.kind == "bound-check" or (cfg.kind == "eigenvalues" and cfg.rho)
     if coupled_fourier and not pattern_covers(spectrum, pattern):
@@ -179,6 +185,13 @@ def _write_csv(path: Path, header: str, rows) -> str:
     return path.name
 
 
+def _write_json(path: Path, payload: dict) -> str:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path.name
+
+
 def _write_eig_csv(path: Path, ev_desc: np.ndarray, n_ref: int, n_antennas: int) -> str:
     """Eigenvalues in dB under both normalizations (peak and mean-of-trace);
     roundoff negatives are clipped to zero."""
@@ -240,8 +253,7 @@ def _run_eigenvalues(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spec
              *_write_fourier(out, basis, refs)]
     if cfg.rho:
         files += _write_coupled_eigs(out, coupled, refs)
-        files += _write_fourier(out, build_fourier_basis(g, spectrum, pattern,
-                                                         lattice=basis.lattice), refs)
+        files += _write_fourier(out, build_fourier_basis(g, spectrum, pattern), refs)
     return files
 
 
@@ -291,10 +303,7 @@ def _run_bound_check(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spe
     payload = dataclasses.asdict(low_snr_bound_check(model, cfg.mc, cfg.seed, workers))
     payload["spectrum"] = spectrum.name
     payload["pattern"] = pattern.name
-    with open(out / "bound_check.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return ["bound_check.json"]
+    return [_write_json(out / "bound_check.json", payload)]
 
 
 _EXECUTORS = {
@@ -353,9 +362,7 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         "wall_time_s": round(time.perf_counter() - start, 3),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    with open(out_dir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 

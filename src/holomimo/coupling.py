@@ -30,7 +30,6 @@ __all__ = [
     "regularize",
     "spd_sqrt",
     "spd_inv_sqrt",
-    "symmetry_sectors",
     "write_coupling_csv",
 ]
 
@@ -155,20 +154,19 @@ def coupling_closed_form(geometry: ArrayGeometry) -> Kernel:
     return coupling_general(geometry, omni_pattern())
 
 
-def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern,
-                     quadrature=None) -> Kernel:
+def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel:
     """Coupling for an arbitrary normalized element power pattern.
 
     Full-sphere average (1/4pi) of |A|^2 times the plane-wave outer product.
     The omni pattern (and a pattern matched to the isotropic spectrum) takes
-    the closed form and ignores ``quadrature``.  Any other pattern must be
-    normalized; the result is symmetrized after checking that the asymmetry
-    and imaginary residue are at quadrature-noise level.
+    the closed form.  Any other pattern must be normalized; the result is
+    symmetrized after checking that the asymmetry and imaginary residue are
+    at quadrature-noise level.
     """
     # Planar arrays have no z offsets, so a mirrored lower hemisphere shares
     # the upper one's in-plane phases and doubles its weight.
     hemispheres = 2.0 if pattern.lower == "mirror" else 1.0
-    m, q = density_kernel(geometry.positions, pattern, hemispheres / (4.0 * np.pi), quadrature)
+    m, q = density_kernel(geometry.positions, pattern, hemispheres / (4.0 * np.pi))
     if q is None:
         return Kernel(m, geometry, kind="closed-form")
     norm = check_normalization(pattern, q)
@@ -209,11 +207,6 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return np.linalg.eigh(m)
-
-
-def symmetry_sectors(geometry: ArrayGeometry | None, *matrices: np.ndarray) -> list[Sector]:
-    """The reflection-symmetry sectors that ``matrices`` share on ``geometry``."""
-    return Kernel(matrices[0], geometry).sectors(*matrices[1:])
 
 
 def spd_sqrt(kernel) -> np.ndarray:

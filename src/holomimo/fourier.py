@@ -165,8 +165,6 @@ def _integrate_rect_disk(rect, f, weight: str, break_radii=()) -> float:
     through one call of f.
     """
     rmin, rmax = _rect_minmax_r(rect)
-    if rmin >= 1.0:
-        return 0.0
     x0, x1, y0, y1 = rect
     breaks = sorted(b for b in break_radii if rmin < b < min(rmax, 1.0))
     # Polar decomposition: angular panels split at every corner and at every
@@ -356,14 +354,13 @@ class FourierBasis:
 
 
 def build_fourier_basis(geometry: ArrayGeometry, spectrum: AngularSpectrum,
-                        pattern: AntennaPattern | None = None,
-                        lattice: WavenumberLattice | None = None) -> FourierBasis:
+                        pattern: AntennaPattern | None = None) -> FourierBasis:
     """Assemble the lattice and variances for one end of the link.
 
     Without a pattern the variances are the uncoupled (convolution-only) ones;
     with a pattern they are the coupling-deconvolved flavor.
     """
-    lat = lattice if lattice is not None else build_lattice(geometry)
+    lat = build_lattice(geometry)
     if pattern is None:
         sig = variances_uncoupled(lat, spectrum)
         flavor = "uncoupled"

@@ -96,10 +96,15 @@ def test_waterfill_error_modes():
         waterfill([1.0, -0.5], 1.0)
     with pytest.raises(ValueError):
         waterfill([0.0, 0.0], 1.0)
+    # the low-SNR limit runs the same input checks
+    with pytest.raises(ValueError, match="at least one eigenvalue"):
+        low_snr_allocation([], 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        low_snr_allocation([-5.0, 1.0], 1.0)
 
 
 def test_low_snr_allocation_shares_near_maximal_set():
-    alloc = low_snr_allocation([4.0, 3.9999, 1.0], 0.01, tie_tol=1e-3)
+    alloc = low_snr_allocation([4.0, 3.9999, 1.0], 0.01)
     assert np.allclose(alloc.powers[:2], 0.005, atol=1e-15)
     assert alloc.powers[2] == 0.0
     assert alloc.n_active == 2
@@ -411,8 +416,9 @@ def test_non_finite_inputs_are_refused(call, error, match):
         call()
 
 
-@pytest.mark.parametrize("refuse", [lambda lam: waterfill(lam, 1.0), exact_model],
-                         ids=["waterfill", "exact_model"])
+@pytest.mark.parametrize("refuse", [lambda lam: waterfill(lam, 1.0), exact_model,
+                                    lambda lam: low_snr_allocation(lam, 1.0)],
+                         ids=["waterfill", "exact_model", "low_snr_allocation"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
 def test_non_finite_spectra_are_refused(refuse, bad):
     with pytest.raises(ValueError, match="finite"):

@@ -10,13 +10,12 @@ from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, Correlatio
                       ergodic_capacity, exact_correlation, exact_model,
                       fourier_correlation, fourier_model, iid_model, isotropic_spectrum,
                       matched_pattern, omni_pattern, quadrature_for, regularize,
-                      sample_exact_channel, sample_fourier_channel, spd_inv_sqrt,
+                      sample_exact_channel, spd_inv_sqrt,
                       whitened_eigenvalues)
 from holomimo._kernels import angular_kernel
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
 from holomimo.cli import ExperimentConfig, _exact_spectra
-from holomimo.coupling import symmetry_sectors
 
 
 def test_isotropic_correlation_is_sinc():
@@ -157,7 +156,7 @@ def test_whitening_refusal_reports_the_dense_smallest_eigenvalue(monkeypatch):
     r = exact_correlation(g, isotropic_spectrum())
     c = coupling_closed_form(g)
     c = CouplingMatrix(c.matrix - 0.5 * np.eye(g.n_antennas), g)
-    assert len(symmetry_sectors(g, r.matrix, c.matrix)) == 4
+    assert len(r.sectors(c.matrix)) == 4
     dense = np.linalg.eigh(c.matrix)[0].min()
     reported = []
     check_floor = holomimo.channel._check_floor
@@ -206,7 +205,7 @@ _SKEWED = AngularSpectrum("skewed", lambda th, ph: 1.0 + 0.5 * np.sin(th) * np.c
 def test_sector_eigenvalues_match_dense(g, spectrum, n_sectors):
     q = quadrature_for(spectrum, n_theta=48, n_phi=96)
     r = exact_correlation(g, spectrum, q)
-    sectors = symmetry_sectors(g, r.matrix)
+    sectors = r.sectors()
     assert len(sectors) == n_sectors
     # the sector bases together are one orthonormal basis Q, and each block
     # is Q_s^H R Q_s
@@ -306,16 +305,6 @@ def test_complex_normal_unit_variance():
     assert abs(np.mean(w)) < 5e-3
     # real and imaginary parts carry half the power each
     assert np.mean(w.real**2) == pytest.approx(0.5, rel=1e-2)
-
-
-def test_fourier_sampling_shapes_and_lift():
-    g = build_upa(6, 6, 0.4)
-    b = build_fourier_basis(g, isotropic_spectrum())
-    h = sample_fourier_channel(b, b, seed=3, index=1)
-    assert h.shape == (b.n_points, b.n_points)
-    lifted = sample_fourier_channel(b, b, seed=3, index=1, lift=True)
-    assert lifted.shape == (36, 36)
-    assert np.allclose(lifted, b.matrix @ h @ b.matrix.conj().T)
 
 
 def test_fourier_model_covariance():

@@ -77,6 +77,10 @@ def test_load_config_failures(tmp_path):
     listy.write_text("- 1\n- 2\n")
     with pytest.raises(ConfigError, match="must be a mapping"):
         load_config(str(listy))
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("kind: [eigenvalues\n")
+    with pytest.raises(ConfigError, match="could not parse"):
+        load_config(str(broken))
 
 
 @pytest.mark.parametrize("overrides,match", [
@@ -109,6 +113,9 @@ def test_load_config_failures(tmp_path):
     ({"tx": {"kind": "upa", "nx": 4, "ny": 4, "dx": 0.5, "offset": [True, 0, 0]}},
      "offset must be a finite number"),
     ({"tx": {"kind": "ula", "n": 8, "d": 0.5}}, r"aperture \(3\.5, 0\) is degenerate"),
+    ({"rho": [0.1, 0.1]}, r"rho values 0\.1 and 0\.1 share the file name \*_rho0\.1\.csv"),
+    ({"rho": [0.1, 0.1000000001, 0.01]},
+     r"rho values 0\.1 and 0\.1000000001 share the file name \*_rho0\.1\.csv"),
 ])
 def test_coerce_rejections(tmp_path, overrides, match):
     with pytest.raises(ConfigError, match=match):

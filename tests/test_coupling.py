@@ -141,6 +141,11 @@ def test_spd_sqrt_rejects_indefinite():
         spd_sqrt(np.diag([1.0, -1.0]))
 
 
+def test_spd_sqrt_rejects_non_square():
+    with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+        spd_sqrt(np.ones((2, 3)))
+
+
 def test_inv_sqrt_singular_error_is_actionable():
     # quarter-wavelength coupling is singular at machine precision without rho
     c = coupling_closed_form(build_upa(10, 10, 0.25))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from holomimo import (build_fourier_basis, build_lattice, build_upa, cap_constant,
+from holomimo import (AngularSpectrum, build_fourier_basis, build_lattice, build_upa, cap_constant,
                       cap_spectrum, dof_prime, fourier_matrix, isotropic_spectrum, matched_pattern,
                       omni_pattern, projected_solid_angles, solid_angles,
                       variances_coupled, variances_uncoupled, write_variances_csv)
@@ -216,6 +216,11 @@ def test_coupled_variances_reject_uncovered_spectrum():
     lat = build_lattice((2.0, 2.0))
     with pytest.raises(ValueError, match="vanishes inside"):
         variances_coupled(lat, isotropic_spectrum(), matched_pattern(cap_spectrum(0.8)))
+    # a pattern whose support covers the spectrum's but which is zero at
+    # nodes inside it is refused node by node
+    notch = AngularSpectrum("notch", lambda th, ph: np.where(th < 0.3, 0.0, 1.0))
+    with pytest.raises(ValueError, match="vanishes inside the spectrum support"):
+        variances_coupled(lat, isotropic_spectrum(), notch)
 
 
 def test_dof_prime():
@@ -238,9 +243,9 @@ def test_basis_bundle_and_model_eigenvalues():
     assert np.count_nonzero(ev > 0) == b.n_points
     assert ev.sum() == pytest.approx(49 * b.variances.sum())
 
-    bc = build_fourier_basis(g, iso, omni_pattern(), lattice=b.lattice)
+    bc = build_fourier_basis(g, iso, omni_pattern())
     assert bc.flavor == "coupled"
-    assert bc.lattice is b.lattice
+    np.testing.assert_array_equal(bc.lattice.points, b.lattice.points)
 
 
 def test_basis_forms_columns_on_demand():

@@ -30,6 +30,20 @@ def test_aperture_matrix_rejects_degenerate():
     assert np.allclose(d, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: ArrayGeometry(np.zeros((3, 2))), r"positions must be \(N, 3\)"),
+    (lambda: ArrayGeometry(np.zeros((0, 3))), "at least one antenna"),
+    (lambda: build_upa(0, 3, 0.5), "nx and ny must be positive"),
+    (lambda: build_upa(3, 3, 0.5, 0.0), "spacings must be positive"),
+    (lambda: build_ula(0, 0.5), "n must be positive"),
+    (lambda: build_ula(3, -0.1), "spacing must be positive"),
+], ids=["positions-shape", "no-antennas", "upa-count", "upa-spacing", "ula-count",
+        "ula-spacing"])
+def test_constructor_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_duplicate_positions_rejected():
     pos = np.zeros((2, 3))
     with pytest.raises(ValueError, match="distinct"):
