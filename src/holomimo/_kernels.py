@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _MIRROR_ROUND
 from .spectra import _unit, quadrature_for
 
-# Differences are grouped after rounding to this many decimals (wavelengths).
-_ROUND = 12
 # Relative imaginary / asymmetric residue treated as quadrature noise.
 _RESIDUE_TOL = 1e-6
 # Bytes allowed for the unique-difference table and each chunk's buffers.
@@ -24,7 +23,7 @@ HEMISPHERE = 1.0 / (2.0 * np.pi)
 
 
 def _unique_differences(coord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diff = np.round(coord[:, None] - coord[None, :], _ROUND)
+    diff = np.round(coord[:, None] - coord[None, :], _MIRROR_ROUND)
     uniq, inverse = np.unique(diff.ravel(), return_inverse=True)
     return uniq, inverse.reshape(diff.shape)
 

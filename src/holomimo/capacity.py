@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, complex_normal, iid_model, substream
-from .coupling import CouplingMatrix, SingularCouplingError, _eigh, spd_inv_sqrt, spd_sqrt
+from .coupling import (CouplingMatrix, SingularCouplingError, _check_floor, _eigh, _psd_spectrum,
+                       spd_inv_sqrt, spd_sqrt)
 
 __all__ = [
     "WaterfillingAllocation",
@@ -54,24 +55,17 @@ class WaterfillingAllocation:
 _TIE_TOL = 1e-3
 
 
-def _check_snr(snr: float) -> None:
-    if not 0.0 < snr < np.inf:
+def _check_snr(snr) -> None:
+    """Refuses an SNR (or any point of an SNR grid) that is not positive and finite."""
+    s = np.asarray(snr)
+    if not np.all((s > 0.0) & (s < np.inf)):
         raise ValueError(f"snr must be positive and finite, got {snr}")
 
 
 def _spectrum(eigenvalues, snr: float) -> np.ndarray:
-    """The eigenvalues as a flat array with roundoff negatives clipped; refuses
-    a bad ``snr`` and an empty, non-finite, negative or all-zero spectrum."""
-    lam = np.asarray(eigenvalues, dtype=float).ravel()
-    if lam.size == 0:
-        raise ValueError("need at least one eigenvalue")
+    """``_psd_spectrum`` of the eigenvalues; also refuses a bad snr or no power."""
     _check_snr(snr)
-    if not np.all(np.isfinite(lam)):
-        raise ValueError(f"eigenvalues must be finite, got {lam[~np.isfinite(lam)][0]}")
-    scale = max(lam.max(initial=0.0), 1.0)
-    if not np.all(lam >= -1e-12 * scale):
-        raise ValueError(f"eigenvalues must be nonnegative (min {lam.min():.3e})")
-    lam = np.clip(lam, 0.0, None)
+    lam = _psd_spectrum(np.ravel(eigenvalues), "spectrum")
     if not np.any(lam > 0.0):
         raise ValueError("all eigenvalues are zero")
     return lam
@@ -269,6 +263,7 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     if snr_db.size == 0:
         raise ValueError("empty SNR grid")
     snr_lin = 10.0 ** (snr_db / 10.0)
+    _check_snr(snr_lin)
     spectra = _mc_pass(models, n_mc, seed, workers)
     curves = []
     for j, model in enumerate(models):
@@ -335,10 +330,7 @@ def los_precoder(coupling: CouplingMatrix, steering, snr: float) -> PrecoderMatr
     a = _steering_vector(steering)
     _check_snr(snr)
     w, v = _eigh(coupling.matrix)
-    if not w.min() > 0.0:
-        raise SingularCouplingError(
-            f"coupling matrix is not positive definite (rho={coupling.rho:g}); "
-            f"increase the regularization rho")
+    _check_floor(w.min(), coupling.rho)
     # C = V diag(w) V^H: C^{-1} a = V (b / w) and C^{1/2} C^{-1} a = V (b / sqrt(w)), b = V^H a
     b = v.conj().T @ a
     gain = float(np.sum(np.abs(b) ** 2 / w))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import HEMISPHERE, density_kernel
-from .coupling import Kernel, _check_floor, _descending, _eigh, spd_inv_sqrt, spd_sqrt
+from .coupling import (Kernel, _check_floor, _check_rho, _descending, _eigh, _psd_spectrum,
+                       spd_inv_sqrt, spd_sqrt)
 from .fourier import FourierBasis, dof_prime
 from .geometry import ArrayGeometry
 from .spectra import AngularSpectrum
@@ -84,9 +85,7 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
     second time.  Raises SingularCouplingError, before any per-rho solve, for
     a rho that leaves C + rho I at the floor.
     """
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    if not np.all((rhos >= 0.0) & (rhos < np.inf)):
-        raise ValueError(f"rho must be finite and nonnegative, got {rhos}")
+    rhos = np.atleast_1d(_check_rho(rhos))
     parts = []
     for s in correlation.sectors(coupling.matrix):
         w, v = _eigh(s.block(coupling.matrix))
@@ -173,14 +172,7 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
     uncoupled transmitter); ``"receive"`` scales it to sum to the antenna
     count, comparing arrays at equal received power.
     """
-    lam = np.asarray(tx_eigenvalues, dtype=float).ravel()
-    if not np.all(np.isfinite(lam)):
-        raise ValueError(f"transmit spectrum must be finite and positive semidefinite "
-                         f"(eigenvalue {lam[~np.isfinite(lam)][0]})")
-    if not lam.min() >= -1e-8 * max(lam.max(), 1.0):
-        raise ValueError(f"transmit spectrum is not positive semidefinite "
-                         f"(eigenvalue {lam.min():.3e})")
-    lam = np.clip(lam, 0.0, None)
+    lam = _psd_spectrum(np.ravel(tx_eigenvalues), "transmit spectrum")
     gain = _receive_gain(normalize, lam.sum, lam.size)
     if gain is not None:
         lam = lam * gain

@@ -55,8 +55,20 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
-def _resolve(cfg: ExperimentConfig):
-    """Config names as objects: (tx, rx, spectrum, pattern); rx defaults to tx."""
+def _real(value, what: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _coerce(cfg: ExperimentConfig):
+    """Type- and range-check a config, raising ConfigError; returns the checked copy
+    and its names as objects, (tx, rx, spectrum, pattern) with rx defaulting to tx."""
+    if cfg.kind not in _EXECUTORS:
+        raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {', '.join(_EXECUTORS)}")
+    if cfg.rx is not None and cfg.kind not in ("capacity", "bound-check"):
+        raise ConfigError(f"{cfg.kind} runs on tx alone; only capacity and bound-check "
+                          f"use an rx geometry")
     try:
         tx = geometry_from_config(cfg.tx)
         rx = geometry_from_config(cfg.rx) if cfg.rx is not None else tx
@@ -64,51 +76,36 @@ def _resolve(cfg: ExperimentConfig):
         raise ConfigError(f"bad geometry: {exc}") from exc
     try:
         spectrum = spectrum_from_name(cfg.spectrum)
-        return tx, rx, spectrum, pattern_from_name(cfg.pattern, spectrum)
+        pattern = pattern_from_name(cfg.pattern, spectrum)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _real(value, what: str) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Type- and range-check a parsed config; raises ConfigError."""
-    if cfg.kind not in _EXECUTORS:
-        raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {', '.join(_EXECUTORS)}")
-    if cfg.rx is not None and cfg.kind not in ("capacity", "bound-check"):
-        raise ConfigError(f"{cfg.kind} runs on tx alone; only capacity and bound-check "
-                          f"use an rx geometry")
-    tx, rx, spectrum, pattern = _resolve(cfg)
     rho = cfg.rho if isinstance(cfg.rho, list) else [cfg.rho]
     if not all(_is_number(r) and r >= 0 for r in rho):
         raise ConfigError(f"rho must be a list of nonnegative numbers, got {cfg.rho!r}")
-    cfg.rho = [float(r) for r in rho]
+    rho = [float(r) for r in rho]
     # Output file names and labels carry each rho as %g.
-    tags = [f"{r:g}" for r in cfg.rho]
+    tags = [f"{r:g}" for r in rho]
     for i, tag in enumerate(tags):
         if tag in tags[:i]:
-            raise ConfigError(f"rho values {cfg.rho[tags.index(tag)]!r} and {cfg.rho[i]!r} share "
+            raise ConfigError(f"rho values {rho[tags.index(tag)]!r} and {rho[i]!r} share "
                               f"the file name *_rho{tag}.csv; give each rho a distinct %g name")
     # Only the coupled Fourier variances deconvolve the pattern from the spectrum.
-    coupled_fourier = cfg.kind == "bound-check" or (cfg.kind == "eigenvalues" and cfg.rho)
+    coupled_fourier = cfg.kind == "bound-check" or (cfg.kind == "eigenvalues" and rho)
     if coupled_fourier and not pattern_covers(spectrum, pattern):
         raise ConfigError(
             f"pattern {pattern.name!r} vanishes inside the support of spectrum "
             f"{spectrum.name!r}; the coupled variances would diverge")
-    if cfg.kind == "coupling-matrix" and len(cfg.rho) > 1:
-        raise ConfigError(f"coupling-matrix takes at most one rho, got {cfg.rho}")
+    if cfg.kind == "coupling-matrix" and len(rho) > 1:
+        raise ConfigError(f"coupling-matrix takes at most one rho, got {rho}")
     if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**128:
         raise ConfigError(f"seed must be an integer in [0, 2**128), got {cfg.seed!r}")
     if isinstance(cfg.mc, bool) or not isinstance(cfg.mc, int) or cfg.mc < 1:
         raise ConfigError(f"mc must be a positive integer, got {cfg.mc!r}")
     _snr_grid(cfg)  # validates
+    # exact_model checks normalize too, but only once the spectra are solved.
     if cfg.normalize not in ("transmit", "receive"):
         raise ConfigError(f"normalize must be 'transmit' or 'receive', got {cfg.normalize!r}")
-    cfg.threshold_db = _real(cfg.threshold_db, "threshold_db")
+    threshold_db = _real(cfg.threshold_db, "threshold_db")
     # Degenerate apertures cannot carry a wavenumber lattice or disk quadrature.
     if cfg.kind != "coupling-matrix":
         for g, name in ((tx, "tx"), (rx, "rx")):
@@ -116,11 +113,11 @@ def _coerce(cfg: ExperimentConfig) -> ExperimentConfig:
                 g.aperture_matrix()
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-    return cfg
+    return dataclasses.replace(cfg, rho=rho, threshold_db=threshold_db), (tx, rx, spectrum, pattern)
 
 
 def load_config(source: str) -> tuple[ExperimentConfig, str]:
-    """Resolve a preset name or a YAML/JSON config path."""
+    """Resolve a preset name or a YAML/JSON config path into a checked config."""
     if source in PRESETS:
         raw, label = dict(PRESETS[source]), source
     else:
@@ -143,7 +140,7 @@ def load_config(source: str) -> tuple[ExperimentConfig, str]:
     missing = {"kind", "tx"} - set(raw)
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(sorted(missing))}")
-    return _coerce(ExperimentConfig(**raw)), label
+    return _coerce(ExperimentConfig(**raw))[0], label
 
 
 def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -331,10 +328,13 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
                    workers: int | None = None) -> dict:
     """Execute one experiment and write outputs plus a manifest; returns it.
 
+    A bad config raises ``_coerce``'s ConfigError before ``out_dir`` is made.
+
     The Monte-Carlo kinds (capacity, bound-check) run their draws on
     ``workers`` processes with one BLAS thread each, by default one per
     usable CPU; their outputs do not depend on the count.
     """
+    cfg, resolved = _coerce(cfg)
     usable = _usable_cpus()
     if workers is None:
         workers = usable
@@ -342,7 +342,6 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         raise ConfigError(f"workers must be a positive integer, got {workers}")
     if workers > usable:
         raise ConfigError(f"workers must be at most the {usable} usable CPUs, got {workers}")
-    resolved = _resolve(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     files = _EXECUTORS[cfg.kind](cfg, out_dir, workers, *resolved)
@@ -368,9 +367,9 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
 
 def _cmd_run(args) -> int:
     cfg, label = load_config(args.config)
-    # Overrides pass the same checks as config values.
+    # run_experiment checks the config again with its overrides applied.
     overrides = {k: v for k, v in (("seed", args.seed), ("mc", args.mc)) if v is not None}
-    cfg = _coerce(dataclasses.replace(cfg, **overrides))
+    cfg = dataclasses.replace(cfg, **overrides)
     out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
     manifest = run_experiment(cfg, label, out_dir, args.workers)
     for name in manifest["outputs"]:
@@ -381,7 +380,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg, label = load_config(args.config)
-    tx, rx, _, _ = _resolve(cfg)
+    _, (tx, rx, _, _) = _coerce(cfg)
     grid = _snr_grid(cfg)
     print(f"ok: {label}: kind={cfg.kind}, tx={tx.n_antennas} antennas, "
           f"rx={rx.n_antennas} antennas, spectrum={cfg.spectrum}, pattern={cfg.pattern}, "

@@ -178,10 +178,17 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel
     return Kernel(m, geometry, kind=f"general({pattern.name})")
 
 
+def _check_rho(rho) -> np.ndarray:
+    """One or many diagonal loadings as a float array; each must be finite and >= 0."""
+    r = np.asarray(rho, dtype=float)
+    if not np.all((r >= 0.0) & (r < np.inf)):
+        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
+    return r
+
+
 def regularize(coupling: Kernel, rho: float) -> Kernel:
     """Diagonal loading: C + rho * I, accumulating rho in the provenance."""
-    if not 0.0 <= rho < np.inf:
-        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
+    rho = float(_check_rho(rho))
     m = coupling.matrix + rho * np.eye(coupling.n_antennas)
     return replace(coupling, matrix=m, rho=coupling.rho + rho)
 
@@ -200,6 +207,21 @@ def _check_floor(eigmin: float, rho: float) -> None:
         )
 
 
+def _psd_spectrum(w, what: str = "matrix") -> np.ndarray:
+    """The eigenvalues of a positive semidefinite ``what`` as a float array;
+    negatives down to -1e-8 max(top, 1) are roundoff and clipped to zero."""
+    w = np.asarray(w, dtype=float)
+    if w.size == 0:
+        raise ValueError("need at least one eigenvalue")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{what} must be finite and positive semidefinite, "
+                         f"got eigenvalue {w[~np.isfinite(w)][0]}")
+    if not w.min() >= -1e-8 * max(w.max(), 1.0):
+        raise ValueError(f"{what} is not positive semidefinite: eigenvalues must be "
+                         f"nonnegative, got {w.min():.3e}")
+    return np.clip(w, 0.0, None)
+
+
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues w and eigenvectors V of a square array,
     M = V diag(w) V^H; only the lower triangle is read."""
@@ -210,15 +232,10 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spd_sqrt(kernel) -> np.ndarray:
-    """Hermitian PSD square root of a kernel or a square array.
-
-    Roundoff-scale negative eigenvalues are clipped to zero; a significantly
-    indefinite (or non-finite) input raises.
-    """
+    """Hermitian PSD square root of a kernel or a square array; roundoff negative
+    eigenvalues are clipped, an indefinite or non-finite input raises."""
     w, v = _eigh(getattr(kernel, "matrix", kernel))
-    if not w.min() >= -1e-8 * max(w[-1], 1.0):
-        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {w.min():.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (v * np.sqrt(_psd_spectrum(w))) @ v.conj().T
 
 
 def spd_inv_sqrt(kernel) -> np.ndarray:

@@ -25,8 +25,8 @@ __all__ = [
 
 # Tolerance used when checking that positions are distinct and coplanar.
 _POSITION_TOL = 1e-9
-# Mirror images are matched after rounding to this many decimals (wavelengths),
-# the rounding the kernels group position differences at.
+# Decimals (wavelengths) that mirror images are matched at here, and that
+# ``_kernels`` groups position differences at.
 _MIRROR_ROUND = 12
 
 

@@ -311,10 +311,12 @@ def test_los_beats_matched_always():
 
 def test_los_superdirective_currents_blow_up_unregularized():
     # quarter-wavelength spacing drives the coupling matrix nearly singular:
-    # the optimal currents explode while the composite power stays fixed
+    # the optimal currents explode while the composite power stays fixed.
+    # Unloaded, C is below the eigenvalue floor and refused (see the refusal
+    # table below); a loading just above the floor still shows the blow-up
     g = build_upa(10, 10, 0.25)
     a = array_response(g, 0.0, 0.0)
-    raw = los_precoder(coupling_closed_form(g), a, 1.0)
+    raw = los_precoder(regularize(coupling_closed_form(g), 1e-10), a, 1.0)
     reg = los_precoder(regularize(coupling_closed_form(g), 0.01), a, 1.0)
     assert np.linalg.norm(raw.matrix) > 100.0
     assert np.linalg.norm(reg.matrix) < 5.0
@@ -394,6 +396,7 @@ def test_high_snr_dof_iid():
 
 _G = build_upa(3, 3, 0.3)
 _C = coupling_closed_form(_G)
+_G_FLOOR = build_upa(10, 10, 0.25)  # smallest coupling eigenvalue 1.4e-14
 _R = exact_correlation(_G, isotropic_spectrum())
 _A = array_response(_G, 0.2, 0.0)
 
@@ -410,6 +413,12 @@ _A = array_response(_G, 0.2, 0.0)
     (lambda: spd_inv_sqrt(np.diag([1.0, np.nan, 1.0])), ValueError, "not finite"),
     (lambda: spd_sqrt(np.diag([1.0, np.nan, 1.0])), ValueError, "positive semidefinite"),
     (lambda: exact_model([1.0, np.nan]), ValueError, "positive semidefinite"),
+    (lambda: los_precoder(coupling_closed_form(_G_FLOOR), array_response(_G_FLOOR, 0.0, 0.0),
+                          1.0), SingularCouplingError, "floor"),
+    # every point of an SNR grid, in dB
+    (lambda: ergodic_capacity([iid_model(2, 2)], [0.0, np.nan], n_mc=2), ValueError, "snr"),
+    (lambda: ergodic_capacity([iid_model(2, 2)], [np.inf], n_mc=2), ValueError, "snr"),
+    (lambda: high_snr_dof_check(iid_model(2, 2), (-np.inf, 30.0), n_mc=2), ValueError, "snr"),
 ])
 def test_non_finite_inputs_are_refused(call, error, match):
     with pytest.raises(error, match=match):

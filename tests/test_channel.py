@@ -10,7 +10,7 @@ from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, Correlatio
                       ergodic_capacity, exact_correlation, exact_model,
                       fourier_correlation, fourier_model, iid_model, isotropic_spectrum,
                       matched_pattern, omni_pattern, quadrature_for, regularize,
-                      sample_exact_channel, spd_inv_sqrt,
+                      sample_exact_channel, spd_inv_sqrt, spd_sqrt, waterfill,
                       whitened_eigenvalues)
 from holomimo._kernels import angular_kernel
 from holomimo.capacity import _capacity_grid
@@ -376,12 +376,17 @@ def test_sample_exact_channel_refuses_powerless_receive_draw():
     assert np.array_equal(sample_exact_channel(dead, seed=3), np.zeros((4, 4)))
 
 
-def test_exact_model_refuses_indefinite_spectrum():
+@pytest.mark.parametrize("last", [
+    lambda lam: waterfill(lam, 1.0).powers[-1],
+    lambda lam: exact_model(lam).amp_t[-1],
+    lambda lam: spd_sqrt(np.diag(lam))[-1, -1],
+], ids=["waterfill", "exact_model", "spd_sqrt"])
+def test_exact_model_refuses_indefinite_spectrum(last):
+    # every spectrum-sign check is one rule with one roundoff tolerance
     with pytest.raises(ValueError, match="not positive semidefinite"):
-        exact_model([2.0, 1.0, -0.5])
+        last([2.0, 1.0, -0.5])
     # roundoff-scale negatives are clipped to zero
-    m = exact_model([2.0, 1.0, -1e-14])
-    assert m.amp_t[-1] == 0.0
+    assert last([2.0, 1.0, -1e-10]) == 0.0
 
 
 def test_diagonal_form_matches_antenna_domain_capacity():

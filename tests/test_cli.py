@@ -53,6 +53,13 @@ def test_load_yaml_file(tmp_path):
 def test_scalar_rho_promoted(tmp_path):
     cfg, _ = load_config(str(write_config(tmp_path, rho=0.25)))
     assert cfg.rho == [0.25]
+    # the library entry promotes it too, and leaves the caller's config as given
+    api = ExperimentConfig("dof-sweep", {"kind": "upa", "nx": 5, "ny": 5, "dx": 0.5}, rho=0.1)
+    manifest = run_experiment(api, "api", tmp_path / "out")
+    assert manifest["config"]["rho"] == [0.1]
+    assert manifest["outputs"] == ["eigs_exact_uncoupled.csv", "eigs_exact_coupled_rho0.1.csv",
+                                   "dof_counts.csv"]
+    assert api.rho == 0.1
 
 
 def test_json_config_accepted(tmp_path):
@@ -118,8 +125,14 @@ def test_load_config_failures(tmp_path):
      r"rho values 0\.1 and 0\.1000000001 share the file name \*_rho0\.1\.csv"),
 ])
 def test_coerce_rejections(tmp_path, overrides, match):
+    path = write_config(tmp_path, **overrides)
     with pytest.raises(ConfigError, match=match):
-        load_config(str(write_config(tmp_path, **overrides)))
+        load_config(str(path))
+    # the library entry runs the same checks before it makes its output directory
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(ExperimentConfig(**yaml.safe_load(path.read_text())), "exp", out, 1)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["bound-check", "eigenvalues"])
