@@ -262,7 +262,9 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     snr_db = np.asarray(snr_db, dtype=float).ravel()
     if snr_db.size == 0:
         raise ValueError("empty SNR grid")
-    snr_lin = 10.0 ** (snr_db / 10.0)
+    # a finite dB value above about 3083 overflows to inf, which _check_snr refuses
+    with np.errstate(over="ignore"):
+        snr_lin = 10.0 ** (snr_db / 10.0)
     _check_snr(snr_lin)
     spectra = _mc_pass(models, n_mc, seed, workers)
     curves = []
@@ -345,6 +347,9 @@ def matched_filter_precoder(coupling: CouplingMatrix, steering, snr: float) -> P
     """Conjugate beamformer under the same composite power constraint."""
     a = _steering_vector(steering)
     _check_snr(snr)
+    if not np.all(np.isfinite(coupling.matrix)):
+        raise ValueError(f"coupling matrix is not finite (rho={coupling.rho:g}); "
+                         f"check the input for NaN or inf entries")
     gain = float(np.real(np.vdot(a, coupling.matrix @ a)))
     if not gain > 0.0:
         raise SingularCouplingError("steering vector has nonpositive coupled gain")

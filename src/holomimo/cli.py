@@ -25,7 +25,8 @@ from . import __version__
 from .capacity import ergodic_capacity, low_snr_bound_check
 from .channel import (exact_correlation, exact_model, fourier_model, iid_model,
                       whitened_eigenvalues)
-from .coupling import SingularCouplingError, coupling_general, regularize, write_coupling_csv
+from .coupling import (SingularCouplingError, _check_floor, _check_rho, coupling_general,
+                       coupling_ratio, regularize, write_coupling_csv)
 from .fourier import build_fourier_basis, build_lattice, write_variances_csv
 from .geometry import _is_number, geometry_from_config
 from .presets import PRESET_NOTES, PRESETS
@@ -218,12 +219,25 @@ def _write_capacity_csv(path: Path, curve) -> str:
 
 def _exact_spectra(cfg: ExperimentConfig, g, spectrum, pattern):
     """Descending eigenvalues of R, and (rho, whitened eigenvalues) for each
-    ``cfg.rho``; C is built only when there is a rho."""
+    ``cfg.rho``.
+
+    A pattern proportional to the spectrum, C = kappa R (``coupling_ratio``),
+    is the paper's case of coupling that counters correlation: the whitened
+    eigenvalues are lambda / (kappa lambda + rho) of R's, an increasing map
+    that keeps their order, and C is never built.  Any other pair builds C
+    when there is a rho and takes ``whitened_eigenvalues``.
+    """
     corr = exact_correlation(g, spectrum)
     ev = corr.eigenvalues()
     if not cfg.rho:
         return ev, []
-    return ev, list(zip(cfg.rho, whitened_eigenvalues(corr, coupling_general(g, pattern), cfg.rho)))
+    kappa = coupling_ratio(spectrum, pattern)
+    if kappa is None:
+        return ev, list(zip(cfg.rho, whitened_eigenvalues(corr, coupling_general(g, pattern),
+                                                          cfg.rho)))
+    for rho in _check_rho(cfg.rho):
+        _check_floor(kappa * ev.min() + rho, rho)
+    return ev, [(rho, ev / (kappa * ev + rho)) for rho in cfg.rho]
 
 
 def _write_coupled_eigs(out: Path, coupled, refs) -> list[str]:
@@ -361,6 +375,11 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         "wall_time_s": round(time.perf_counter() - start, 3),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
+    if cfg.rho and cfg.kind in ("eigenvalues", "dof-sweep", "capacity"):
+        # the path _exact_spectra took for the coupled spectra
+        kappa = coupling_ratio(*resolved[2:])
+        manifest["whitening"] = ({"path": "general"} if kappa is None
+                                 else {"path": "scalar", "kappa": kappa})
     _write_json(out_dir / "manifest.json", manifest)
     return manifest
 

@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import density_kernel
+from ._kernels import HEMISPHERE, density_kernel
 from .geometry import ArrayGeometry, mirror_permutations
-from .spectra import AntennaPattern, check_normalization, omni_pattern
+from .spectra import AngularSpectrum, AntennaPattern, check_normalization, omni_pattern
 
 __all__ = [
     "CouplingMatrix",
@@ -27,6 +27,7 @@ __all__ = [
     "SingularCouplingError",
     "coupling_closed_form",
     "coupling_general",
+    "coupling_ratio",
     "regularize",
     "spd_sqrt",
     "spd_inv_sqrt",
@@ -154,19 +155,39 @@ def coupling_closed_form(geometry: ArrayGeometry) -> Kernel:
     return coupling_general(geometry, omni_pattern())
 
 
+def _coupling_scale(pattern: AntennaPattern) -> float:
+    """The ``density_kernel`` scale of C: the full-sphere average 1/4pi over
+    the hemispheres the pattern radiates into.  Planar arrays have no z
+    offsets, so a mirrored lower hemisphere shares the upper one's in-plane
+    phases and doubles its weight."""
+    hemispheres = 2.0 if pattern.lower == "mirror" else 1.0
+    return hemispheres / (4.0 * np.pi)
+
+
+def coupling_ratio(spectrum: AngularSpectrum, pattern: AntennaPattern) -> float | None:
+    """kappa with C = kappa R when the pattern is the spectrum's own density
+    (the same evaluator object, cap and lower-hemisphere rule), else None.
+
+    Both kernels are then one ``density_kernel`` at two scales, R's
+    ``HEMISPHERE`` and ``_coupling_scale``, so kappa is their ratio: 1 for a
+    mirrored density such as isotropic with omni, 1/2 for a one-sided cap.
+    """
+    if (pattern.evaluator is spectrum.evaluator and pattern.theta0 == spectrum.theta0
+            and pattern.lower == spectrum.lower):
+        return _coupling_scale(pattern) / HEMISPHERE
+    return None
+
+
 def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel:
     """Coupling for an arbitrary normalized element power pattern.
 
-    Full-sphere average (1/4pi) of |A|^2 times the plane-wave outer product.
-    The omni pattern (and a pattern matched to the isotropic spectrum) takes
-    the closed form.  Any other pattern must be normalized; the result is
-    symmetrized after checking that the asymmetry and imaginary residue are
-    at quadrature-noise level.
+    Full-sphere average (1/4pi) of |A|^2 times the plane-wave outer product
+    (``_coupling_scale``).  The omni pattern (and a pattern matched to the
+    isotropic spectrum) takes the closed form.  Any other pattern must be
+    normalized; the result is symmetrized after checking that the asymmetry
+    and imaginary residue are at quadrature-noise level.
     """
-    # Planar arrays have no z offsets, so a mirrored lower hemisphere shares
-    # the upper one's in-plane phases and doubles its weight.
-    hemispheres = 2.0 if pattern.lower == "mirror" else 1.0
-    m, q = density_kernel(geometry.positions, pattern, hemispheres / (4.0 * np.pi))
+    m, q = density_kernel(geometry.positions, pattern, _coupling_scale(pattern))
     if q is None:
         return Kernel(m, geometry, kind="closed-form")
     norm = check_normalization(pattern, q)

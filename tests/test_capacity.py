@@ -419,6 +419,10 @@ _A = array_response(_G, 0.2, 0.0)
     (lambda: ergodic_capacity([iid_model(2, 2)], [0.0, np.nan], n_mc=2), ValueError, "snr"),
     (lambda: ergodic_capacity([iid_model(2, 2)], [np.inf], n_mc=2), ValueError, "snr"),
     (lambda: high_snr_dof_check(iid_model(2, 2), (-np.inf, 30.0), n_mc=2), ValueError, "snr"),
+    (lambda: matched_filter_precoder(CouplingMatrix(np.diag([1.0, np.nan])), np.ones(2), 1.0),
+     ValueError, "coupling matrix is not finite"),
+    # finite in dB, beyond the float range once linear
+    (lambda: ergodic_capacity([iid_model(2, 2)], [0.0, 4000.0], n_mc=2), ValueError, "snr"),
 ])
 def test_non_finite_inputs_are_refused(call, error, match):
     with pytest.raises(error, match=match):

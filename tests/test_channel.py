@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import holomimo.channel
+import holomimo.cli
 from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, CorrelationMatrix,
                       CouplingMatrix,
                       SingularCouplingError, array_response, build_fourier_basis, build_ula,
@@ -16,6 +19,8 @@ from holomimo._kernels import angular_kernel
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
 from holomimo.cli import ExperimentConfig, _exact_spectra
+from holomimo.coupling import coupling_ratio
+from holomimo.spectra import pattern_from_name, spectrum_from_name
 
 
 def test_isotropic_correlation_is_sinc():
@@ -225,10 +230,16 @@ def test_sector_eigenvalues_match_dense(g, spectrum, n_sectors):
     assert np.abs(ev - ref).max() <= 1e-12 * ref[0]
 
 
-@pytest.mark.parametrize("rho, checks", [([0.01], 4), ([], 2)], ids=["coupled", "uncoupled"])
-def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, rho, checks):
+@pytest.mark.parametrize("spectrum, pattern, rho, checks", [
+    (isotropic_spectrum(), omni_pattern(), [0.01], 2),
+    (isotropic_spectrum(), omni_pattern(), [], 2),
+    (cap_spectrum(np.pi / 3), omni_pattern(), [0.01], 4),
+], ids=["coupled", "uncoupled", "coupled-general"])
+def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, spectrum, pattern,
+                                                             rho, checks):
     # R's two reflections are checked once for its eigenvalues and the
-    # whitening together; C only on the reflections that R commutes with
+    # whitening together; C, built only for a pattern not proportional to the
+    # spectrum, only on the reflections that R commutes with
     commutes = holomimo.coupling._commutes
     calls = []
 
@@ -238,9 +249,75 @@ def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, rho, c
 
     monkeypatch.setattr(holomimo.coupling, "_commutes", count)
     cfg = ExperimentConfig("eigenvalues", {"nx": 7, "ny": 6, "dx": 0.3}, rho=rho)
-    ev, coupled = _exact_spectra(cfg, build_upa(7, 6, 0.3), isotropic_spectrum(), omni_pattern())
+    ev, coupled = _exact_spectra(cfg, build_upa(7, 6, 0.3), spectrum, pattern)
     assert len(calls) == checks
     assert ev.size == 42 and len(coupled) == len(rho)
+
+
+def _refuse_coupling(*args, **kwargs):
+    raise AssertionError("C built or whitened in general for a pattern proportional to the "
+                         "spectrum")
+
+
+@pytest.mark.parametrize("g, spectrum, pattern, kappa", [
+    (build_upa(7, 6, 0.3), "isotropic", "omni", 1.0),
+    (build_ula(12, 0.2), "isotropic", "omni", 1.0),
+    (build_upa(7, 6, 0.3), "cap(0.6)", "matched", 0.5),
+], ids=["7x6-omni", "ula-omni", "7x6-cap-matched"])
+def test_proportional_pattern_whitens_by_the_scalar_map(monkeypatch, g, spectrum, pattern, kappa):
+    # C = kappa R: the whitened spectrum is lambda / (kappa lambda + rho), and
+    # C is never built
+    s = spectrum_from_name(spectrum)
+    p = pattern_from_name(pattern, s)
+    assert coupling_ratio(s, p) == kappa
+    rhos = [0.1, 0.01, 0.001]
+    dense = whitened_eigenvalues(exact_correlation(g, s), coupling_general(g, p), rhos)
+    monkeypatch.setattr(holomimo.cli, "coupling_general", _refuse_coupling)
+    monkeypatch.setattr(holomimo.cli, "whitened_eigenvalues", _refuse_coupling)
+    _, coupled = _exact_spectra(ExperimentConfig("eigenvalues", {}, rho=rhos), g, s, p)
+    assert [rho for rho, _ in coupled] == rhos
+    for (_, ev), ref in zip(coupled, dense):
+        assert np.all(np.diff(ev) <= 0.0)
+        assert np.abs(ev - ref).max() <= 1e-12 * ref[0]
+
+
+@pytest.mark.parametrize("spectrum, pattern", [
+    ("cap(0.6)", "omni"),
+    ("cap(0.31)", "matched(cap(0.3))"),
+    # a spelled-out match parses its own spectrum, another evaluator object
+    ("cap(0.6)", "matched(cap(0.6))"),
+])
+def test_other_patterns_build_coupling_once(monkeypatch, spectrum, pattern):
+    s = spectrum_from_name(spectrum)
+    p = pattern_from_name(pattern, s)
+    assert coupling_ratio(s, p) is None
+    built = []
+
+    def count(*args):
+        built.append(args)
+        return coupling_general(*args)
+
+    monkeypatch.setattr(holomimo.cli, "coupling_general", count)
+    _exact_spectra(ExperimentConfig("eigenvalues", {}, rho=[0.1, 0.01]), build_upa(5, 4, 0.3),
+                   s, p)
+    assert len(built) == 1
+
+
+def test_scalar_map_refuses_the_floor_like_the_dense_path(monkeypatch):
+    g = build_upa(10, 10, 0.25)
+    s = isotropic_spectrum()
+    with pytest.raises(SingularCouplingError) as dense:
+        whitened_eigenvalues(exact_correlation(g, s), coupling_general(g, omni_pattern()), [0.0])
+    monkeypatch.setattr(holomimo.cli, "coupling_general", _refuse_coupling)
+    with pytest.raises(SingularCouplingError) as scalar:
+        _exact_spectra(ExperimentConfig("eigenvalues", {}, rho=[0.1, 0.0]), g, s, omni_pattern())
+    # the smallest eigenvalue comes from R here and from C there, so it may
+    # differ at roundoff; the rest of the text is the same
+    def text(exc):
+        return re.sub(r"eigenvalue \S+ <=", "eigenvalue ... <=", str(exc.value))
+
+    assert text(scalar) == text(dense)
+    assert "rho=0)" in text(scalar)
 
 
 def test_correlation_diagonal():

@@ -255,6 +255,21 @@ def test_dof_sweep_without_rho_builds_no_coupling(tmp_path, monkeypatch):
     assert [r["curve"] for r in read_csv(out / "dof_counts.csv")] == ["uncoupled"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == ["eigs_exact_uncoupled.csv", "dof_counts.csv"]
+    assert "whitening" not in manifest
+
+
+@pytest.mark.parametrize("spectrum, pattern, whitening", [
+    ("cap(0.6)", "matched", {"path": "scalar", "kappa": 0.5}),
+    ("cap(0.6)", "omni", {"path": "general"}),
+], ids=["scalar", "general"])
+def test_manifest_names_the_whitening_path(tmp_path, spectrum, pattern, whitening):
+    path = write_config(tmp_path, kind="dof-sweep", spectrum=spectrum, pattern=pattern,
+                        tx={"kind": "upa", "nx": 4, "ny": 4, "dx": 0.5}, rho=[0.1])
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["whitening"] == whitening
+    assert {"outputs", "seed", "kind", "versions", "workers", "wall_time_s"} <= set(manifest)
 
 
 def test_run_capacity_outputs(tmp_path):
