@@ -3,10 +3,11 @@
 R and C are one operator with two densities, the angular spectrum and the
 element power pattern (``_kernels``), so one ``Kernel`` type holds both.
 Omnidirectional elements give sinc(2 d) in the pairwise distances d (in
-wavelengths); other patterns take the hemisphere quadrature.  A kernel that
-commutes with the array's mirror reflections splits into reflection-symmetry
-sectors (Cantoni & Butler, Linear Algebra Appl. 13, 1976), each solved on its
-own; ``Kernel.reflections`` finds those reflections once per kernel.
+wavelengths), other axisymmetric patterns a radial Bessel rule in d, and the
+rest the hemisphere quadrature.  A kernel that commutes with the array's
+mirror reflections splits into reflection-symmetry sectors (Cantoni & Butler,
+Linear Algebra Appl. 13, 1976), each solved on its own; ``Kernel.reflections``
+finds those reflections once per kernel.
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel
     Full-sphere average (1/4pi) of |A|^2 times the plane-wave outer product
     (``_coupling_scale``).  The omni pattern (and a pattern matched to the
     isotropic spectrum) takes the closed form.  Any other pattern must be
-    normalized; the result is symmetrized after checking that the asymmetry
-    and imaginary residue are at quadrature-noise level.
+    normalized, which is checked on the rule that built C (the radial theta
+    rule or the 2-D quadrature); the result is symmetrized after checking
+    that the asymmetry and imaginary residue are at quadrature-noise level.
     """
     m, q = density_kernel(geometry.positions, pattern, _coupling_scale(pattern))
     if q is None:

@@ -53,13 +53,16 @@ class AngularSpectrum:
     power pattern |A|^2 (``AntennaPattern`` is the same type).
 
     The support is the upper cap theta <= theta0, where pi/2 is the whole
-    hemisphere.
+    hemisphere.  ``axisymmetric`` declares that the evaluator depends on theta
+    alone, which lets kernels take the radial rule; it is never probed, and
+    like the evaluator it takes no part in equality.
     """
 
     name: str
     evaluator: Callable = field(compare=False)
     theta0: float = np.pi / 2
     lower: str = "mirror"  # lower-hemisphere rule: "mirror" | "zero"
+    axisymmetric: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.theta0 <= np.pi / 2 + _EDGE_TOL:
@@ -127,7 +130,7 @@ def _unit(theta, phi) -> np.ndarray:
 
 def isotropic_spectrum() -> AngularSpectrum:
     """Unit density over the full sphere."""
-    return AngularSpectrum("isotropic", _unit)
+    return AngularSpectrum("isotropic", _unit, axisymmetric=True)
 
 
 def cap_constant(theta0: float) -> float:
@@ -141,16 +144,17 @@ def cap_spectrum(theta0: float) -> AngularSpectrum:
     c = cap_constant(theta0)
     return AngularSpectrum(f"cap({theta0:g})",
                            lambda th, ph: np.where(th <= theta0 + _EDGE_TOL, c, 0.0),
-                           theta0, lower="zero")
+                           theta0, lower="zero", axisymmetric=True)
 
 
 def omni_pattern() -> AntennaPattern:
     """Omnidirectional element: unit power pattern over the full sphere."""
-    return AntennaPattern("omni", _unit)
+    return AntennaPattern("omni", _unit, axisymmetric=True)
 
 
 def matched_pattern(spectrum: AngularSpectrum) -> AntennaPattern:
-    """Element pattern proportional to the given spectrum: a renamed copy."""
+    """Element pattern proportional to the given spectrum: a renamed copy
+    (``axisymmetric`` included)."""
     return replace(spectrum, name=f"matched({spectrum.name})")
 
 

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import holomimo._kernels
 import holomimo.channel
 import holomimo.cli
 from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, CorrelationMatrix,
@@ -92,13 +93,87 @@ def test_jittered_array_correlation_matches_direct_sum():
     assert np.abs(r - direct).max() < 1e-10
 
 
+def test_jittered_array_cap_correlation_takes_the_radial_rule():
+    # an axisymmetric density on an irregular array: the radial rule over the
+    # N^2 pair distances, against a direct plane-wave sum on a fine 2-D rule
+    rng = np.random.default_rng(12)
+    jitter = np.c_[rng.uniform(-0.1, 0.1, (40, 2)), np.zeros(40)]
+    g = ArrayGeometry(build_upa(8, 5, 0.5).positions + jitter)
+    cap = cap_spectrum(np.pi / 3)
+    r = exact_correlation(g, cap).matrix
+    assert r.dtype == np.float64
+    theta, phi, qw = quadrature_for(cap, n_theta=64, n_phi=128)
+    a = array_response(g, theta, phi).reshape(40, -1)
+    w = qw * cap(theta, phi) / (2.0 * np.pi)
+    direct = (a * w) @ a.conj().T
+    assert np.abs(r - direct).max() < 1e-12 * np.abs(direct).max()
+
+
 def test_large_irregular_array_is_refused():
+    # a density that depends on phi needs the 2-D phase table, whose
+    # unique-difference grid here is far above the budget
     rng = np.random.default_rng(3)
     g = ArrayGeometry(np.c_[rng.uniform(0.0, 10.0, (256, 2)), np.zeros(256)])
-    with pytest.raises(ValueError, match="gridded geometry.*isotropic"):
-        exact_correlation(g, cap_spectrum(0.8))
+    with pytest.raises(ValueError, match="gridded geometry.*axisymmetric.*isotropic"):
+        exact_correlation(g, _TILTED)
     # the closed form still serves this geometry
     assert exact_correlation(g, isotropic_spectrum()).matrix.shape == (256, 256)
+
+
+@pytest.mark.parametrize("g", [build_upa(31, 31, 0.5), build_upa(16, 16, 0.4)],
+                         ids=["31x31-0.5", "16x16-0.4"])
+@pytest.mark.parametrize("theta0", [0.3, 0.6, 1.2])
+def test_radial_rule_matches_the_2d_rule(g, theta0):
+    # the default R of a cap against the 2-D product rule it replaces
+    cap = cap_spectrum(theta0)
+    r = exact_correlation(g, cap).matrix
+    ref = angular_kernel(g.positions, cap, quadrature_for(cap), 1.0 / (2.0 * np.pi))
+    assert r.dtype == np.float64
+    assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_radial_rule_is_converged(monkeypatch):
+    # doubling both node counts moves the largest kernel at roundoff only
+    g = build_upa(31, 31, 0.5)
+    cap = cap_spectrum(1.2)
+    r = exact_correlation(g, cap).matrix
+    counts = holomimo._kernels._radial_counts
+    monkeypatch.setattr(holomimo._kernels, "_radial_counts",
+                        lambda x_max: tuple(2 * n for n in counts(x_max)))
+    fine = exact_correlation(g, cap).matrix
+    assert np.abs(fine - r).max() <= 1e-13 * np.abs(r).max()
+
+
+def _refuse_phase_table(*args, **kwargs):
+    raise AssertionError("an axisymmetric density built the 2-D phase table")
+
+
+def test_cap_spectra_never_build_the_phase_table(monkeypatch):
+    monkeypatch.setattr(holomimo._kernels, "phase_kernel", _refuse_phase_table)
+    g = build_upa(7, 6, 0.3)
+    s = spectrum_from_name("cap(0.6)")
+    ev, coupled = _exact_spectra(ExperimentConfig("eigenvalues", {}, rho=[0.01]), g, s,
+                                 pattern_from_name("matched", s))
+    assert ev.size == 42 and len(coupled) == 1
+    c = coupling_general(g, matched_pattern(cap_spectrum(0.3)))
+    assert c.kind == "general(matched(cap(0.3)))"
+
+
+def test_custom_spectrum_takes_the_phase_table(monkeypatch):
+    # a density that does not declare itself axisymmetric keeps the 2-D rule,
+    # even when it depends on theta alone
+    calls = []
+    phase_kernel = holomimo._kernels.phase_kernel
+
+    def count(*args):
+        calls.append(args)
+        return phase_kernel(*args)
+
+    monkeypatch.setattr(holomimo._kernels, "phase_kernel", count)
+    upper = AngularSpectrum("upper", lambda th, ph: 2.0 * np.ones_like(th), lower="zero")
+    assert not upper.axisymmetric
+    exact_correlation(build_upa(4, 4, 0.3), upper)
+    assert len(calls) == 1
 
 
 # Peak-relative agreement of the shared-eigh whitening with the per-rho

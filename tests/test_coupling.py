@@ -6,8 +6,9 @@ import holomimo.coupling
 from holomimo import (build_ula, build_upa, cap_spectrum, coupling_closed_form,
                       coupling_general, isotropic_spectrum, matched_pattern, omni_pattern,
                       regularize, spd_inv_sqrt, spd_sqrt, write_coupling_csv)
-from holomimo.coupling import CouplingMatrix, SingularCouplingError
-from holomimo.spectra import AntennaPattern
+from holomimo._kernels import angular_kernel
+from holomimo.coupling import CouplingMatrix, SingularCouplingError, _coupling_scale
+from holomimo.spectra import AntennaPattern, quadrature_for
 
 # The unit pattern under a name and evaluator of its own: it takes the
 # hemisphere quadrature, which these tests hold to the closed form.
@@ -95,6 +96,30 @@ def test_general_rejects_unnormalized_pattern():
     bad = AntennaPattern("double", lambda th, ph: 2.0 * np.ones_like(th))
     with pytest.raises(ValueError, match="not normalized"):
         coupling_general(build_ula(4, 0.4), bad)
+
+
+def test_radial_rule_rejects_unnormalized_pattern(monkeypatch):
+    # the radial rule hands back its theta rule, on which the normalization
+    # is checked as on the 2-D one
+    def refuse(*args, **kwargs):
+        raise AssertionError("an axisymmetric pattern took the 2-D rule")
+
+    monkeypatch.setattr(holomimo._kernels, "angular_kernel", refuse)
+    bad = AntennaPattern("double", lambda th, ph: 2.0 * np.ones_like(th), axisymmetric=True)
+    with pytest.raises(ValueError, match="not normalized"):
+        coupling_general(build_upa(4, 3, 0.4), bad)
+
+
+@pytest.mark.parametrize("g", [build_upa(31, 31, 0.5), build_upa(16, 16, 0.4)],
+                         ids=["31x31-0.5", "16x16-0.4"])
+def test_radial_coupling_matches_the_2d_rule(g):
+    # the general C of a one-sided cap pattern against the 2-D product rule
+    pattern = matched_pattern(cap_spectrum(0.3))
+    assert pattern.axisymmetric
+    c = coupling_general(g, pattern).matrix
+    ref = angular_kernel(g.positions, pattern, quadrature_for(pattern),
+                         _coupling_scale(pattern))
+    assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_general_rejects_asymmetric_pattern():
