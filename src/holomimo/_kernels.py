@@ -3,13 +3,17 @@
 R and C are one operator, a density's average of the plane-wave outer product
 sum_k w_k exp(i (kx_k dx + ky_k dy)) over all pairwise coordinate differences
 (dx, dy), and ``density_kernel`` is the one rule that builds it.  On gridded
-arrays the unique differences per axis are few, so the sum runs on their
-product set, one small matrix product per node chunk, and is scattered back.
-A density of theta alone needs no phi nodes at all: its kernel is a function
-of the distance, one Bessel integral in theta (``radial_kernel``).
+arrays the unique differences per axis are few, so every kernel is a table
+over their product set (``Grid``) and no N x N matrix is formed; the 2-D rule
+fills it by one small matrix product per node chunk.  Irregular arrays take
+the N^2 antenna pairs instead.  A density of theta alone needs no phi nodes
+at all: its kernel is a function of the distance, one Bessel integral in
+theta (``radial_kernel``).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -19,61 +23,120 @@ from .spectra import _unit, quadrature_for
 
 # Relative imaginary / asymmetric residue treated as quadrature noise.
 _RESIDUE_TOL = 1e-6
-# Bytes allowed for the unique-difference table and each chunk's buffers.
+# Bytes allowed for a 2-D rule's table or pair matrix and each chunk's buffers.
 _BUDGET = 1 << 27
+# Plane-wave terms (nodes x antenna pairs) allowed to the 2-D rule off a grid.
+_PAIR_TERMS = 1 << 32
 # Upper-hemisphere average; also a mirrored density's full-sphere average.
 HEMISPHERE = 1.0 / (2.0 * np.pi)
 
 
-def _unique_differences(coord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unique rounded pairwise differences of ``coord`` and the N x N
-    index into them, formed among the unique coordinates (few on a grid)."""
+def _axis(coord: np.ndarray):
+    """The unique pairwise differences of ``coord``, each antenna's index into
+    its unique coordinates, and the index of each coordinate pair's
+    difference.  Differences are grouped after rounding to _MIRROR_ROUND
+    decimals and represented by an unrounded one, negated across zero so
+    that d[::-1] == -d exactly."""
     values, which = np.unique(coord, return_inverse=True)
-    diff = np.round(values[:, None] - values[None, :], _MIRROR_ROUND)
-    uniq, inverse = np.unique(diff.ravel(), return_inverse=True)
-    return uniq, inverse.reshape(diff.shape)[which[:, None], which[None, :]]
+    diff = values[:, None] - values[None, :]
+    _, first, cell = np.unique(np.round(diff, _MIRROR_ROUND).ravel(), return_index=True,
+                               return_inverse=True)
+    d = diff.ravel()[first]
+    half = d.size // 2
+    d[:half] = -d[:half:-1]
+    return d, which.ravel(), cell.reshape(diff.shape)
+
+
+@dataclass(frozen=True)
+class Grid:
+    """An array whose kernels are tables over the unique differences: rows
+    hold the x differences ``dx``, columns the y differences ``dy``, and pair
+    (n, m) sits at flat cell x_cell[ix[n], ix[m]] + y_cell[iy[n], iy[m]] of
+    the row-major table.  Both axes are antisymmetric (``_axis``), so the
+    table of M^T is table[::-1, ::-1] and the zero difference is the centre
+    cell."""
+
+    dx: np.ndarray
+    dy: np.ndarray
+    ix: np.ndarray
+    iy: np.ndarray
+    x_cell: np.ndarray
+    y_cell: np.ndarray
+
+    @property
+    def n_antennas(self) -> int:
+        return self.ix.size
+
+    @property
+    def origin(self) -> tuple[int, int]:
+        """The table cell of the zero difference, which only the diagonal hits."""
+        return self.dx.size // 2, self.dy.size // 2
+
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Flat table indices of the antenna pairs (rows[a], cols[b])."""
+        flat = self.x_cell[self.ix[rows]][:, self.ix[cols]]
+        flat += self.y_cell[self.iy[rows]][:, self.iy[cols]]
+        return flat
+
+
+def array_grid(positions: np.ndarray) -> Grid | None:
+    """The Grid of an array, or None when its table would hold more cells than
+    there are antenna pairs (irregular arrays, which then take the pairs), or
+    when two distinct coordinates of an axis share the zero difference."""
+    (dx, ix, x_cell), (dy, iy, y_cell) = _axis(positions[:, 0]), _axis(positions[:, 1])
+    if dx.size * dy.size > positions.shape[0] ** 2:
+        return None
+    for d, cell in ((dx, x_cell), (dy, y_cell)):
+        if np.count_nonzero(cell == d.size // 2) != cell.shape[0]:
+            return None
+    index = np.int32 if dx.size * dy.size < 2 ** 31 else np.intp
+    return Grid(dx, dy, ix, iy, (x_cell * dy.size).astype(index), y_cell.astype(index))
 
 
 def phase_kernel(positions: np.ndarray, kx: np.ndarray, ky: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
-    """N x N matrix M[n, m] = sum_k w_k exp(i k . (r_n - r_m)) for planar r.
+                 weights: np.ndarray, grid: Grid | None) -> np.ndarray:
+    """sum_k w_k exp(i k . (r_n - r_m)) for planar r: the table over
+    ``grid``'s differences, or without a grid the N x N matrix A diag(w) A^H
+    with A[n, k] = exp(i k . r_n), summed over node chunks.
 
-    Raises ValueError when the unique-difference table exceeds the memory
-    budget: irregular arrays have up to N^2 differences per axis.
+    Raises ValueError when the table or matrix exceeds the memory budget, or
+    when the N^2 pairs times the nodes exceed the plane-wave term budget.
     """
-    ux, ix = _unique_differences(positions[:, 0])
-    uy, iy = _unique_differences(positions[:, 1])
-    if 16 * ux.size * uy.size > _BUDGET:
-        raise ValueError(f"{ux.size} x {uy.size} unique position differences exceed the "
-                         f"{_BUDGET >> 20} MiB phase-table budget; use a gridded geometry, "
-                         f"a density of theta alone (axisymmetric, the radial rule), or "
-                         f"the isotropic spectrum with omni elements (closed-form sinc)")
-    # Node chunks whose exponential buffers fit the budget too.
-    chunk = min(32768, _BUDGET // (16 * max(ux.size, uy.size)))
-    table = np.zeros((ux.size, uy.size), dtype=complex)
     kx = np.asarray(kx, dtype=float).ravel()
     ky = np.asarray(ky, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
+    n = positions.shape[0]
+    cells = n * n if grid is None else grid.dx.size * grid.dy.size
+    if 16 * cells > _BUDGET or (grid is None and kx.size * cells > _PAIR_TERMS):
+        raise ValueError(f"the 2-D rule over {cells} antenna pairs or table cells and "
+                         f"{kx.size} nodes exceeds its budget; use a gridded geometry, a "
+                         f"density of theta alone (axisymmetric, the radial rule), or the "
+                         f"isotropic spectrum with omni elements (closed-form sinc)")
+    if grid is None:
+        m = np.zeros((n, n), dtype=complex)
+        chunk = max(1, _BUDGET // (16 * n))
+        for start in range(0, kx.size, chunk):
+            sl = slice(start, start + chunk)
+            a = np.exp(1j * (np.outer(positions[:, 0], kx[sl])
+                             + np.outer(positions[:, 1], ky[sl])))
+            m += (a * weights[sl]) @ a.conj().T
+        return m
+    # Node chunks whose exponential buffers fit the budget too.
+    chunk = min(32768, _BUDGET // (16 * max(grid.dx.size, grid.dy.size)))
+    table = np.zeros((grid.dx.size, grid.dy.size), dtype=complex)
     for start in range(0, kx.size, chunk):
         sl = slice(start, start + chunk)
-        ex = np.exp(1j * np.outer(kx[sl], ux))
-        ey = np.exp(1j * np.outer(ky[sl], uy))
+        ex = np.exp(1j * np.outer(kx[sl], grid.dx))
+        ey = np.exp(1j * np.outer(ky[sl], grid.dy))
         table += (ex * weights[sl, None]).T @ ey
-    return table[ix, iy]
+    return table
 
 
-def sinc_kernel(positions: np.ndarray) -> np.ndarray:
-    """sinc(2 d) in the pairwise distances: the full-sphere average of the
-    plane-wave outer product under a unit density.  The distances are planar,
-    like every kernel here, and are built in place in one N x N buffer beside
-    one for the y differences."""
-    x, y = positions[:, 0], positions[:, 1]
-    d = np.subtract.outer(x, x)
-    d *= d
-    dy = np.subtract.outer(y, y)
-    dy *= dy
-    d += dy
-    del dy
+def sinc_kernel(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sinc(2 d) in the planar distance d of the differences (dx, dy), which
+    broadcast: the full-sphere average of the plane-wave outer product under
+    a unit density."""
+    d = dx * dx + dy * dy
     np.sqrt(d, out=d)
     d *= 2.0
     return np.sinc(d)
@@ -89,29 +152,20 @@ def _radial_counts(x_max: float) -> tuple[int, int]:
     return n_theta, n_phi
 
 
-def radial_kernel(positions: np.ndarray, density, scale: float):
+def radial_kernel(dx: np.ndarray, dy: np.ndarray, density, scale: float):
     """scale * upper-hemisphere integral of an axisymmetric density (one of
-    theta alone) times exp(i k . (r_n - r_m)), as a real symmetric matrix.
+    theta alone) times exp(i k . (r_n - r_m)), real, at the differences
+    (dx, dy), which broadcast.
 
     The phi integral is 2 pi J0(2 pi d sin theta) in the distance d, so each
     entry is one theta integral (Teal, Abhayapala & Kennedy, IEEE Signal
     Process. Lett. 9, 2002): Gauss-Legendre nodes on the support [0, theta0],
     and J0 by the midpoint rule on a quarter period of phi, both sized from
-    x_max = 2 pi d_max sin theta0 to stay at roundoff.  The distances are
-    those of the unique (dx, dy) pairs, gathered back like ``phase_kernel``'s
-    table, or of the N^2 unrounded antenna pairs when those are fewer
-    (irregular arrays); equal distances are grouped exactly, never after
-    rounding.  Returns the matrix and the theta rule as a (theta, 0,
-    2 pi weight) triple.
+    x_max = 2 pi d_max sin theta0 to stay at roundoff.  Equal distances are
+    grouped exactly, never after rounding.  Returns the kernel and the theta
+    rule as a (theta, 0, 2 pi weight) triple.
     """
-    x, y = positions[:, 0], positions[:, 1]
-    ux, ix = _unique_differences(x)
-    uy, iy = _unique_differences(y)
-    grid = ux.size * uy.size <= x.size ** 2
-    if grid:
-        dist = np.hypot.outer(ux, uy)
-    else:
-        dist = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
+    dist = np.hypot(dx, dy)
     d, inverse = np.unique(dist.ravel(), return_inverse=True)
     theta0 = density.theta0
     n_theta, n_phi = _radial_counts(2.0 * np.pi * d[-1] * np.sin(theta0))
@@ -128,12 +182,13 @@ def radial_kernel(positions: np.ndarray, density, scale: float):
         arg = np.multiply.outer(d[start:start + chunk], freq)
         np.cos(arg, out=arg)
         values[start:start + chunk] = arg @ node_w
-    table = values[inverse].reshape(dist.shape)
-    return (table[ix, iy] if grid else table), (theta, phi, w)
+    return values[inverse].reshape(dist.shape), (theta, phi, w)
 
 
-def angular_kernel(positions: np.ndarray, density, quadrature, scale: float) -> np.ndarray:
-    """scale * upper-hemisphere integral of density * exp(i k . (r_n - r_m)).
+def angular_kernel(positions: np.ndarray, density, quadrature, scale: float,
+                   grid: Grid | None = None) -> np.ndarray:
+    """scale * upper-hemisphere integral of density * exp(i k . (r_n - r_m)):
+    the table over ``grid``'s differences, or the N x N matrix without one.
 
     The result is real symmetric when its imaginary and asymmetric residue is
     at quadrature-noise level (every point-symmetric density), and complex
@@ -144,11 +199,13 @@ def angular_kernel(positions: np.ndarray, density, quadrature, scale: float) -> 
     w = w * density(theta, phi) * scale
     kx = 2.0 * np.pi * np.sin(theta) * np.cos(phi)
     ky = 2.0 * np.pi * np.sin(theta) * np.sin(phi)
-    m = phase_kernel(positions, kx, ky, w)
-    residue = max(np.abs(m.imag).max(), 0.5 * np.abs(m - m.T).max())
+    m = phase_kernel(positions, kx, ky, w, grid)
+    # the kernel of the transposed pairs: the flipped table, or M^T
+    mt = m.T if grid is None else m[::-1, ::-1]
+    residue = max(np.abs(m.imag).max(), 0.5 * np.abs(m - mt).max())
     if residue <= _RESIDUE_TOL * max(np.abs(m).max(), 1.0):
-        return 0.5 * (m.real + m.real.T)
-    return 0.5 * (m + m.conj().T)
+        return 0.5 * (m.real + mt.real)
+    return 0.5 * (m + mt.conj())
 
 
 def density_kernel(positions: np.ndarray, density, scale: float, quadrature=None):
@@ -159,13 +216,22 @@ def density_kernel(positions: np.ndarray, density, scale: float, quadrature=None
     ``quadrature``, a density declared ``axisymmetric`` (every built-in one)
     takes ``radial_kernel``.  Every other density, and any density given a
     ``quadrature``, takes ``angular_kernel`` on the 2-D product rule (default
-    ``quadrature_for(density)``).  Returns the matrix and the rule used, a
-    (theta, phi, weight) triple, or None for the closed form.
+    ``quadrature_for(density)``).  Returns (entries, grid, rule): the table
+    over the Grid's differences, or the N x N matrix with grid None on an
+    irregular array (``array_grid``); and the rule used, a (theta, phi,
+    weight) triple, or None for the closed form.
     """
+    grid = array_grid(positions)
+    if grid is not None:
+        dx, dy = grid.dx[:, None], grid.dy[None, :]
+    else:
+        x, y = positions[:, 0], positions[:, 1]
+        dx, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
     if (density.evaluator is _unit and density.edge is None
             and density.lower == "mirror" and scale == HEMISPHERE):
-        return sinc_kernel(positions), None
+        return sinc_kernel(dx, dy), grid, None
     if quadrature is None and density.axisymmetric:
-        return radial_kernel(positions, density, scale)
+        entries, rule = radial_kernel(dx, dy, density, scale)
+        return entries, grid, rule
     q = quadrature if quadrature is not None else quadrature_for(density)
-    return angular_kernel(positions, density, q, scale), q
+    return angular_kernel(positions, density, q, scale, grid), grid, q

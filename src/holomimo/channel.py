@@ -65,8 +65,8 @@ def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
     The matrix is real for every point-symmetric spectrum and complex
     Hermitian otherwise.
     """
-    m, _ = density_kernel(geometry.positions, spectrum, HEMISPHERE, quadrature)
-    return Kernel(m, geometry)
+    m, grid, _ = density_kernel(geometry.positions, spectrum, HEMISPHERE, quadrature)
+    return Kernel(m, geometry, grid=grid)
 
 
 def coupled_correlation_exact(correlation: Kernel, coupling: Kernel) -> Kernel:
@@ -91,18 +91,18 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
     """
     rhos = np.atleast_1d(_check_rho(rhos))
     parts = []
-    for s in correlation.sectors(coupling.matrix):
-        w, v = _eigh(s.block(coupling.matrix))
-        parts.append((w, v.conj().T @ s.block(correlation.matrix) @ v))
-    w_min = np.concatenate([w for w, _ in parts]).min()
+    for s in correlation.sectors(coupling):
+        w, v = _eigh(s.block(coupling))
+        parts.append((s, w, v.conj().T @ s.block(correlation) @ v))
+    w_min = min(w.min() for _, w, _ in parts)
     for rho in rhos:
         _check_floor(w_min + rho, coupling.rho + rho)
     out = np.empty((rhos.size, coupling.n_antennas))
     for i, rho in enumerate(rhos):
         ev = []
-        for w, r in parts:
+        for s, w, r in parts:
             d = 1.0 / np.sqrt(w + rho)
-            ev.append(np.linalg.eigvalsh(d[:, None] * r * d[None, :]))
+            ev.append(s.eigenvalues(d[:, None] * r * d[None, :]))
         out[i] = _descending(ev)
     return out
 

@@ -197,12 +197,14 @@ def _write_eig_csv(path: Path, ev_desc: np.ndarray, n_ref: int, n_antennas: int)
     top = ev[0]
     mean = ev.sum() / n_antennas
     floor = top * 1e-30
-    rows = []
-    for i, v in enumerate(ev, start=1):
-        vv = max(v, floor)
-        rows.append((i, i / n_ref, 10.0 * np.log10(vv / top), 10.0 * np.log10(vv / mean)))
-    return _write_csv(path, "index,index_over_n,eig_db_max_normalized,eig_db_trace_normalized",
-                      rows)
+    vv = np.maximum(ev, floor)
+    index = np.arange(1, ev.size + 1)
+    rows = zip(index.tolist(), (index / n_ref).tolist(), (10.0 * np.log10(vv / top)).tolist(),
+               (10.0 * np.log10(vv / mean)).tolist())
+    with open(path, "w", newline="\n") as fh:
+        fh.write("index,index_over_n,eig_db_max_normalized,eig_db_trace_normalized\n")
+        fh.writelines("%d,%.12g,%.12g,%.12g\n" % row for row in rows)
+    return path.name
 
 
 def _write_capacity_csv(path: Path, curve) -> str:

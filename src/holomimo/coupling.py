@@ -4,10 +4,13 @@ R and C are one operator with two densities, the angular spectrum and the
 element power pattern (``_kernels``), so one ``Kernel`` type holds both.
 Omnidirectional elements give sinc(2 d) in the pairwise distances d (in
 wavelengths), other axisymmetric patterns a radial Bessel rule in d, and the
-rest the hemisphere quadrature.  A kernel that commutes with the array's
-mirror reflections splits into reflection-symmetry sectors (Cantoni & Butler,
-Linear Algebra Appl. 13, 1976), each solved on its own; ``Kernel.reflections``
-finds those reflections once per kernel.
+rest the hemisphere quadrature.  On a grid a kernel is a table over the
+unique position differences, and the N x N matrix is formed only on demand.
+A kernel that commutes with the array's mirror reflections splits into
+reflection-symmetry sectors (Cantoni & Butler, Linear Algebra Appl. 13,
+1976), and with the diagonal of a square grid into the sectors of the
+dihedral group, each solved on its own; ``Kernel.reflections`` finds those
+reflections once per kernel, on its table.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import HEMISPHERE, density_kernel
+from ._kernels import HEMISPHERE, Grid, density_kernel
 from .geometry import ArrayGeometry, mirror_permutations
 from .spectra import AngularSpectrum, AntennaPattern, check_normalization, omni_pattern
 
@@ -47,42 +50,80 @@ class SingularCouplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Sector:
-    """One reflection-symmetry sector of the group G of mirror permutations.
+    """One symmetry sector of a group G of antenna permutations under a real
+    one-dimensional character chi.
 
-    For a character chi of G, the basis vectors are
-    q_r = sum_k chi(k) e_{k(r)} / sqrt(|G| |Stab(r)|) for the orbit
-    representatives r on whose stabilizer chi is trivial.  ``rows`` holds
-    those r; ``images[k]`` their images k(r), identity first; ``signs[k]``
-    is chi(k); ``scale`` is 1 / sqrt(|Stab(r)|).
+    The basis vectors are q_r = sum_k chi(k) e_{k(r)} / sqrt(|G| |Stab(r)|)
+    for the orbit representatives r on whose stabilizer chi is trivial.
+    ``rows`` holds those r; ``images[k]`` their images k(r), identity first;
+    ``signs[k]`` is chi(k); ``scale`` is 1 / sqrt(|Stab(r)|).  The block's
+    eigenvalues occur ``multiplicity`` times in the whole spectrum.
     """
 
     rows: np.ndarray
     images: np.ndarray
     signs: np.ndarray
     scale: np.ndarray
+    multiplicity: int = 1
 
-    def block(self, m: np.ndarray) -> np.ndarray:
-        """Q^T M Q for a matrix M that commutes with G, by gathers alone:
+    def block(self, kernel: "Kernel") -> np.ndarray:
+        """Q^T M Q for a kernel M that commutes with G, by gathers alone:
         B[a, b] = sum_k chi(k) M[r_a, k(r_b)] / sqrt(|Stab(r_a)| |Stab(r_b)|)."""
-        b = m[np.ix_(self.rows, self.images[0])]
+        b = kernel.take(self.rows, self.images[0])
         for sign, image in zip(self.signs[1:], self.images[1:]):
             if sign > 0:
-                b += m[np.ix_(self.rows, image)]
+                b += kernel.take(self.rows, image)
             else:
-                b -= m[np.ix_(self.rows, image)]
+                b -= kernel.take(self.rows, image)
         b *= self.scale[:, None]
         b *= self.scale[None, :]
         return b
 
+    def eigenvalues(self, m: np.ndarray) -> np.ndarray:
+        """The eigenvalues of a block of this sector, each as often as it occurs."""
+        return np.tile(np.linalg.eigvalsh(m), self.multiplicity)
+
+
+def _close(image: np.ndarray, m: np.ndarray) -> bool:
+    """Whether ``image`` equals M to within _COMMUTE_TOL of M's peak entry."""
+    peak = np.abs(m).max()
+    return bool(np.isfinite(peak) and np.abs(image - m).max() <= _COMMUTE_TOL * peak)
+
 
 def _commutes(m: np.ndarray, perm: np.ndarray) -> bool:
-    """Whether M[p, p] equals M to within _COMMUTE_TOL of its peak entry."""
-    peak = np.abs(m).max()
-    if not np.isfinite(peak):
-        return False
-    d = m.take(perm, axis=0).take(perm, axis=1)
-    d -= m
-    return bool(np.abs(d).max() <= _COMMUTE_TOL * peak)
+    """Whether M[p, p] equals M."""
+    return _close(m.take(perm, axis=0).take(perm, axis=1), m)
+
+
+def _even(table: np.ndarray, grid: Grid, name: str) -> bool:
+    """Whether a kernel table is even under a reflection of the differences:
+    K(-dx, dy) = K(dx, dy) for "x", K(dx, -dy) for "y", and K(dy, dx) for
+    "diagonal", which needs the same differences on both axes."""
+    if name == "x":
+        return _close(table[::-1], table)
+    if name == "y":
+        return _close(table[:, ::-1], table)
+    return (grid.dx.size == grid.dy.size and np.abs(grid.dx - grid.dy).max() <= 1e-12
+            and _close(table.T, table))
+
+
+def _sectors(images: np.ndarray, chis, multiplicity: int = 1):
+    """The nonempty sectors of the group whose element j, composed of the
+    generators whose bits are set in j, maps antenna n to images[j, n]; one
+    per character in ``chis``, each the set of generators that it negates."""
+    n = images.shape[1]
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
+    stab = images[:, reps] == reps
+    scale = 1.0 / np.sqrt(stab.sum(axis=0))
+    for chi in chis:
+        # chi(j) = -1 when j holds an odd number of the generators chi negates.
+        signs = np.array([-1.0 if bin(j & chi).count("1") % 2 else 1.0
+                          for j in range(len(images))])
+        # a representative stays when chi is trivial on its stabilizer
+        keep = np.all(stab <= (signs[:, None] > 0), axis=0)
+        if keep.any():
+            rows = reps[keep]
+            yield Sector(rows, images[:, rows], signs, scale[keep], multiplicity)
 
 
 def _descending(parts) -> np.ndarray:
@@ -92,60 +133,87 @@ def _descending(parts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Hermitian N x N correlation or coupling matrix with its provenance:
-    the array it was built on, when known; the total diagonal loading ``rho``
+    """Hermitian N x N correlation or coupling kernel with its provenance: the
+    array it was built on, when known; the total diagonal loading ``rho``
     applied so far (0 means raw); and the constructor's ``kind``.
+
+    ``entries`` is the N x N matrix, or, when ``grid`` is given, the table
+    over the grid's unique position differences (``_kernels.Grid``), from
+    which ``matrix`` is formed on first use only.
     """
 
-    matrix: np.ndarray
+    entries: np.ndarray
     geometry: ArrayGeometry | None = None
     rho: float = 0.0
     kind: str = "matrix"
+    grid: Grid | None = None
 
     @property
     def n_antennas(self) -> int:
-        return self.matrix.shape[0]
+        return self.entries.shape[0] if self.grid is None else self.grid.n_antennas
 
     @cached_property
-    def reflections(self) -> list[np.ndarray]:
-        """The mirror permutations of ``geometry`` this matrix commutes with,
-        checked on first use and kept (``_commutes``)."""
+    def matrix(self) -> np.ndarray:
+        """The dense N x N matrix."""
+        if self.grid is None:
+            return self.entries
+        every = np.arange(self.n_antennas)
+        return self.take(every, every)
+
+    def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The entries M[rows[a], cols[b]] as a new array."""
+        if self.grid is None:
+            return self.entries[np.ix_(rows, cols)]
+        return self.entries.ravel().take(self.grid.cells(rows, cols))
+
+    @cached_property
+    def reflections(self) -> dict[str, np.ndarray]:
+        """The reflections of ``geometry`` (``mirror_permutations``) this
+        kernel commutes with, by name, checked on first use and kept: on the
+        table when there is one (``_even``), else on the matrix."""
         g = self.geometry
         if g is None or g.n_antennas != self.n_antennas:
-            return []
-        return [p for p in mirror_permutations(g) if _commutes(self.matrix, p)]
+            return {}
+        return {name: p for name, p in mirror_permutations(g).items()
+                if (_commutes(self.matrix, p) if self.grid is None
+                    else _even(self.entries, self.grid, name))}
 
-    def sectors(self, *others: np.ndarray) -> list[Sector]:
-        """One sector per character of the group G generated by those of
-        ``reflections`` that every matrix in ``others`` also commutes with;
-        empty sectors are left out.  Without such a reflection this is one
-        sector: the whole matrix in the identity basis.
+    def sectors(self, *others: "Kernel") -> list[Sector]:
+        """The sectors of the group G generated by those of ``reflections``
+        that every kernel in ``others`` also commutes with; empty sectors are
+        left out.  Without such a reflection this is one sector: the whole
+        matrix in the identity basis.
+
+        The x and y mirrors generate an abelian group, one sector per sign
+        pair (Cantoni & Butler).  With the diagonal as well, G is the dihedral
+        group of order 8 (Fassler & Stiefel, Group Theoretical Methods and
+        Their Applications, 1992): one sector for each of its four
+        one-dimensional characters, chi(x) = chi(y) and chi(diagonal) = +-1,
+        and for its two-dimensional one the (+, -) mirror sector, whose
+        spectrum the diagonal copies onto the (-, +) one, counted twice.
         """
-        perms = [p for p in self.reflections if all(_commutes(m, p) for m in others)]
-        n = self.n_antennas
-        # Element j of G composes the generators whose bits are set in j.
-        images = [np.arange(n)]
+        shared = {name: p for name, p in self.reflections.items()
+                  if all(np.array_equal(o.reflections.get(name), p) for o in others)}
+        # the diagonal with one mirror generates the dihedral group too, and
+        # then the other mirror is missing from the generators: leave it out
+        perms = [p for name, p in shared.items()
+                 if name != "diagonal" or len(shared) != 2]
+        dihedral = len(perms) == 3
+        images = [np.arange(self.n_antennas)]
         for p in perms:
             images += [image[p] for image in images]
         images = np.stack(images)
-        reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
-        stab = images[:, reps] == reps
-        scale = 1.0 / np.sqrt(stab.sum(axis=0))
-        sectors = []
-        for chi in range(len(images)):
-            # chi(j) = -1 when j holds an odd number of the generators chi negates.
-            signs = np.array([-1.0 if bin(j & chi).count("1") % 2 else 1.0
-                              for j in range(len(images))])
-            # a representative stays when chi is trivial on its stabilizer
-            keep = np.all(stab <= (signs[:, None] > 0), axis=0)
-            if keep.any():
-                rows = reps[keep]
-                sectors.append(Sector(rows, images[:, rows], signs, scale[keep]))
-        return sectors
+        if not dihedral:
+            return list(_sectors(images, range(len(images))))
+        # generator bits x = 1, y = 2, diagonal = 4 (mirror_permutations'
+        # order): characters negating none, both mirrors, the diagonal, or
+        # all three; then the (+, -) sector of the mirrors alone, the first
+        # four elements
+        return [*_sectors(images, (0, 3, 4, 7)), *_sectors(images[:4], (2,), 2)]
 
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in decreasing order, solved sector by sector."""
-        return _descending(np.linalg.eigvalsh(s.block(self.matrix)) for s in self.sectors())
+        return _descending(s.eigenvalues(s.block(self)) for s in self.sectors())
 
 
 CouplingMatrix = Kernel
@@ -189,16 +257,16 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel
     rule or the 2-D quadrature); the result is symmetrized after checking
     that the asymmetry and imaginary residue are at quadrature-noise level.
     """
-    m, q = density_kernel(geometry.positions, pattern, _coupling_scale(pattern))
+    m, grid, q = density_kernel(geometry.positions, pattern, _coupling_scale(pattern))
     if q is None:
-        return Kernel(m, geometry, kind="closed-form")
+        return Kernel(m, geometry, kind="closed-form", grid=grid)
     norm = check_normalization(pattern, q)
     if abs(norm - 1.0) > 1e-3:
         raise ValueError(f"pattern {pattern.name!r} is not normalized (average {norm:.6f})")
     if np.iscomplexobj(m):
         residue = np.abs(m.imag).max()
         raise RuntimeError(f"coupling quadrature residue {residue:.3e} exceeds tolerance")
-    return Kernel(m, geometry, kind=f"general({pattern.name})")
+    return Kernel(m, geometry, kind=f"general({pattern.name})", grid=grid)
 
 
 def _check_rho(rho) -> np.ndarray:
@@ -210,10 +278,15 @@ def _check_rho(rho) -> np.ndarray:
 
 
 def regularize(coupling: Kernel, rho: float) -> Kernel:
-    """Diagonal loading: C + rho * I, accumulating rho in the provenance."""
+    """Diagonal loading: C + rho * I, accumulating rho in the provenance.  A
+    table takes rho at its zero difference, which only the diagonal hits."""
     rho = float(_check_rho(rho))
-    m = coupling.matrix + rho * np.eye(coupling.n_antennas)
-    return replace(coupling, matrix=m, rho=coupling.rho + rho)
+    if coupling.grid is None:
+        m = coupling.entries + rho * np.eye(coupling.n_antennas)
+    else:
+        m = coupling.entries.copy()
+        m[coupling.grid.origin] += rho
+    return replace(coupling, entries=m, rho=coupling.rho + rho)
 
 
 def _check_floor(eigmin: float, rho: float) -> None:

@@ -177,25 +177,28 @@ def array_response(geometry: ArrayGeometry, theta, phi) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def mirror_permutations(geometry: ArrayGeometry) -> list[np.ndarray]:
-    """Index permutations p of the reflections x -> -x and y -> -y about the
-    midpoint of each axis's extent: antenna p[n] sits at the mirror image of
-    antenna n.  A reflection is left out when its image is not the array
-    itself, or when it fixes every antenna (y -> -y on a line along x).
+def mirror_permutations(geometry: ArrayGeometry) -> dict[str, np.ndarray]:
+    """Index permutations p of the array's reflections, by name: antenna p[n]
+    sits at the image of antenna n.  "x" and "y" reflect x -> -x and y -> -y
+    about the midpoint of each axis's extent; "diagonal" swaps x and y about
+    the corner of the bounding box, which on a square grid is the reflection
+    in its diagonal.  A reflection is left out when its image is not the
+    array itself, or when it fixes every antenna (y -> -y on a line along x).
     Antennas are matched by position, so any listing order works.
     """
     xy = geometry.positions[:, :2]
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
     key = np.round(xy, _MIRROR_ROUND)
     index = {row: n for n, row in enumerate(map(tuple, key.tolist()))}
-    perms = []
-    for axis in (0, 1):
-        mirrored = key.copy()
-        mirrored[:, axis] = np.round(xy[:, axis].min() + xy[:, axis].max() - xy[:, axis],
-                                     _MIRROR_ROUND)
-        perm = [index.get(row) for row in map(tuple, mirrored.tolist())]
+    images = {"x": np.c_[lo[0] + hi[0] - xy[:, 0], xy[:, 1]],
+              "y": np.c_[xy[:, 0], lo[1] + hi[1] - xy[:, 1]],
+              "diagonal": np.c_[xy[:, 1] - lo[1] + lo[0], xy[:, 0] - lo[0] + lo[1]]}
+    perms = {}
+    for name, image in images.items():
+        perm = [index.get(row) for row in map(tuple, np.round(image, _MIRROR_ROUND).tolist())]
         if None in perm:
             continue
         perm = np.array(perm)
         if np.any(perm != np.arange(perm.size)):
-            perms.append(perm)
+            perms[name] = perm
     return perms

@@ -47,6 +47,11 @@ def _evaluate(evaluator, lower: str, theta, phi) -> np.ndarray:
     return vals
 
 
+def _check_half_angle(theta0: float) -> None:
+    if not 0.0 < theta0 <= np.pi / 2 + _EDGE_TOL:
+        raise ValueError(f"cap half-angle must lie in (0, pi/2], got {theta0!r}")
+
+
 @dataclass(frozen=True)
 class AngularSpectrum:
     """Normalized angular power density: a scattering spectrum, or an element
@@ -65,8 +70,7 @@ class AngularSpectrum:
     axisymmetric: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.theta0 <= np.pi / 2 + _EDGE_TOL:
-            raise ValueError("cap half-angle must lie in (0, pi/2]")
+        _check_half_angle(self.theta0)
 
     @property
     def edge(self) -> float | None:
@@ -139,8 +143,17 @@ def cap_constant(theta0: float) -> float:
 
 
 def cap_spectrum(theta0: float) -> AngularSpectrum:
-    """Uniform density on the upper polar cap theta <= theta0, zero elsewhere."""
+    """Uniform density on the upper polar cap theta <= theta0, zero elsewhere.
+
+    Refuses a half-angle outside (0, pi/2], and one so small that
+    1 - cos(theta0) rounds to zero (below about 1e-8 rad), whose constant
+    would be infinite.
+    """
     theta0 = float(theta0)
+    _check_half_angle(theta0)
+    if np.cos(theta0) == 1.0:
+        raise ValueError(f"cap half-angle {theta0!r} is too small: 1 - cos(theta0) rounds to "
+                         f"zero in double precision; use a half-angle of at least 1e-7 rad")
     c = cap_constant(theta0)
     return AngularSpectrum(f"cap({theta0:g})",
                            lambda th, ph: np.where(th <= theta0 + _EDGE_TOL, c, 0.0),

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,8 +51,10 @@ def test_custom_spectrum_named_isotropic_takes_quadrature():
     assert check_normalization(custom) == pytest.approx(1.0, abs=1e-6)
     g = build_upa(4, 4, 0.3)
     r = exact_correlation(g, custom).matrix
+    assert np.array_equal(r, exact_correlation(g, custom, quadrature_for(custom)).matrix)
+    # the table of the grid against the sum over the antenna pairs
     quad = angular_kernel(g.positions, custom, quadrature_for(custom), 1.0 / (2.0 * np.pi))
-    assert np.array_equal(r, quad)
+    assert np.abs(r - quad).max() <= 1e-12 * np.abs(quad).max()
     assert np.abs(r - coupling_closed_form(g).matrix).max() > 0.1
 
 
@@ -109,9 +112,29 @@ def test_jittered_array_cap_correlation_takes_the_radial_rule():
     assert np.abs(r - direct).max() < 1e-12 * np.abs(direct).max()
 
 
+def test_phase_kernel_takes_the_table_on_grids_and_the_pairs_off_them(monkeypatch):
+    # a product table over the ~N^2 x N^2 unique differences of a jittered
+    # array would cost nodes * N^4; the pairs cost nodes * N^2
+    grids = []
+    phase_kernel = holomimo._kernels.phase_kernel
+
+    def spy(*args):
+        grids.append(args[4])
+        return phase_kernel(*args)
+
+    monkeypatch.setattr(holomimo._kernels, "phase_kernel", spy)
+    rng = np.random.default_rng(12)
+    jitter = np.c_[rng.uniform(-0.1, 0.1, (20, 2)), np.zeros(20)]
+    q = quadrature_for(_TILTED, n_theta=24, n_phi=48)
+    exact_correlation(ArrayGeometry(build_upa(5, 4, 0.5).positions + jitter), _TILTED, q)
+    r = exact_correlation(build_upa(5, 4, 0.5), _TILTED, q)
+    assert grids[0] is None and grids[1] is r.grid
+    assert r.entries.shape == (9, 7)
+
+
 def test_large_irregular_array_is_refused():
-    # a density that depends on phi needs the 2-D phase table, whose
-    # unique-difference grid here is far above the budget
+    # a density that depends on phi takes the 2-D rule over the antenna pairs
+    # off a grid, and 2^17 nodes times 256^2 pairs are above its budget
     rng = np.random.default_rng(3)
     g = ArrayGeometry(np.c_[rng.uniform(0.0, 10.0, (256, 2)), np.zeros(256)])
     with pytest.raises(ValueError, match="gridded geometry.*axisymmetric.*isotropic"):
@@ -127,7 +150,7 @@ def test_radial_rule_matches_the_2d_rule(g, theta0):
     # the default R of a cap against the 2-D product rule it replaces
     cap = cap_spectrum(theta0)
     r = exact_correlation(g, cap).matrix
-    ref = angular_kernel(g.positions, cap, quadrature_for(cap), 1.0 / (2.0 * np.pi))
+    ref = exact_correlation(g, cap, quadrature_for(cap)).matrix
     assert r.dtype == np.float64
     assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -191,8 +214,8 @@ _TILTED = AngularSpectrum("tilted", lambda th, ph: 1.0 + 0.5 * np.sin(th) * np.c
 
 
 @pytest.mark.parametrize("g, spectrum, pattern, n_sectors", [
-    (build_upa(8, 8, 0.25), isotropic_spectrum(), None, 4),
-    (build_upa(7, 7, 0.5), cap_spectrum(np.pi / 3), "matched", 4),
+    (build_upa(8, 8, 0.25), isotropic_spectrum(), None, 5),
+    (build_upa(7, 7, 0.5), cap_spectrum(np.pi / 3), "matched", 5),
     (build_upa(7, 6, 0.3), cap_spectrum(np.pi / 3), "matched", 4),
     (build_ula(12, 0.2), isotropic_spectrum(), None, 2),
     (build_upa(7, 6, 0.3), isotropic_spectrum(), _DIAGONAL, 1),
@@ -206,7 +229,7 @@ def test_whitened_eigenvalues_match_matrix_path(g, spectrum, pattern, n_sectors)
         c = coupling_closed_form(g)
     else:
         c = coupling_general(g, matched_pattern(spectrum) if pattern == "matched" else pattern)
-    assert len(r.sectors(c.matrix)) == n_sectors
+    assert len(r.sectors(c)) == n_sectors
     rhos = [0.1, 0.01, 0.001]
     got = whitened_eigenvalues(r, c, rhos)
     assert got.shape == (3, g.n_antennas)
@@ -236,7 +259,7 @@ def test_whitening_refusal_reports_the_dense_smallest_eigenvalue(monkeypatch):
     r = exact_correlation(g, isotropic_spectrum())
     c = coupling_closed_form(g)
     c = CouplingMatrix(c.matrix - 0.5 * np.eye(g.n_antennas), g)
-    assert len(r.sectors(c.matrix)) == 4
+    assert len(r.sectors(c)) == 4
     dense = np.linalg.eigh(c.matrix)[0].min()
     reported = []
     check_floor = holomimo.channel._check_floor
@@ -267,6 +290,9 @@ _SYMMETRIC_POINTS = np.c_[_SYMMETRIC_POINTS[_rng.permutation(21)], np.zeros(21)]
 _JITTER = np.c_[_rng.uniform(-0.05, 0.05, (20, 2)), np.zeros(20)]
 # 1 + sin(theta) cos(phi - pi/4) / 2: neither x -> -x nor y -> -y leaves it unchanged
 _SKEWED = AngularSpectrum("skewed", lambda th, ph: 1.0 + 0.5 * np.sin(th) * np.cos(ph - np.pi / 4))
+# 1 + sin^2(theta) cos(2 phi) / 2 is even under both mirrors but odd under x <-> y
+_STRETCHED = AngularSpectrum("stretched", lambda th, ph:
+                             1.0 + 0.5 * np.sin(th) ** 2 * np.cos(2.0 * ph))
 
 
 @pytest.mark.parametrize("g, spectrum, n_sectors", [
@@ -280,53 +306,104 @@ _SKEWED = AngularSpectrum("skewed", lambda th, ph: 1.0 + 0.5 * np.sin(th) * np.c
     (ArrayGeometry(build_upa(5, 4, 0.5).positions + _JITTER), isotropic_spectrum(), 1),
     (build_upa(5, 4, 0.35), _SKEWED, 1),
     (build_upa(5, 4, 0.35), _TILTED, 2),
+    (build_upa(8, 8, 0.3), isotropic_spectrum(), 5),
+    (build_upa(7, 7, 0.5), cap_spectrum(np.pi / 3), 5),
+    (build_upa(6, 6, 0.35).translated([1.3, -0.7, 0.2]), cap_spectrum(np.pi / 3), 5),
+    (build_upa(6, 6, 0.3, 0.35), isotropic_spectrum(), 4),
+    (build_upa(6, 6, 0.3), _STRETCHED, 4),
 ], ids=["7x6", "6x7-cap", "ula", "ula-cap", "translated", "points", "points-cap",
-        "jittered", "skewed-density", "tilted-density"])
+        "jittered", "skewed-density", "tilted-density", "8x8-square", "7x7-square-cap",
+        "translated-square-cap", "non-square-spacing", "diagonal-breaking-density"])
 def test_sector_eigenvalues_match_dense(g, spectrum, n_sectors):
+    # a square grid adds the diagonal x <-> y: the dihedral group's four
+    # one-dimensional blocks and the (+, -) mirror block counted twice
     q = quadrature_for(spectrum, n_theta=48, n_phi=96)
     r = exact_correlation(g, spectrum, q)
     sectors = r.sectors()
     assert len(sectors) == n_sectors
-    # the sector bases together are one orthonormal basis Q, and each block
-    # is Q_s^H R Q_s
+    multiplicities = [1, 1, 1, 1, 2] if n_sectors == 5 else [1] * n_sectors
+    assert [s.multiplicity for s in sectors] == multiplicities
+    assert sum(s.rows.size * s.multiplicity for s in sectors) == g.n_antennas
+    # the sector bases are orthonormal, together a basis of all but the
+    # copies, and each block is Q_s^H R Q_s
     q_cols = []
     for s in sectors:
         basis = np.zeros((g.n_antennas, s.rows.size))
         for sign, image in zip(s.signs, s.images):
             basis[image, np.arange(s.rows.size)] += sign
         basis /= np.sqrt(len(s.signs) / s.scale ** 2)
-        assert np.allclose(s.block(r.matrix), basis.T @ r.matrix @ basis, atol=1e-14)
+        assert np.allclose(s.block(r), basis.T @ r.matrix @ basis, atol=1e-14)
         q_cols.append(basis)
     q_all = np.hstack(q_cols)
-    assert np.allclose(q_all.T @ q_all, np.eye(g.n_antennas), atol=1e-14)
+    assert np.allclose(q_all.T @ q_all, np.eye(q_all.shape[1]), atol=1e-14)
     ev = r.eigenvalues()
     ref = np.linalg.eigvalsh(r.matrix)[::-1]
     assert np.all(np.diff(ev) <= 0.0)
     assert np.abs(ev - ref).max() <= 1e-12 * ref[0]
 
 
-@pytest.mark.parametrize("spectrum, pattern, rho, checks", [
-    (isotropic_spectrum(), omni_pattern(), [0.01], 2),
-    (isotropic_spectrum(), omni_pattern(), [], 2),
-    (cap_spectrum(np.pi / 3), omni_pattern(), [0.01], 4),
-], ids=["coupled", "uncoupled", "coupled-general"])
-def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, spectrum, pattern,
+def test_whitening_with_a_diagonal_breaking_pattern_drops_the_diagonal():
+    # R of the square grid keeps x <-> y, C does not: the whitening splits on
+    # the mirrors alone
+    g = build_upa(6, 6, 0.3)
+    r = exact_correlation(g, isotropic_spectrum())
+    c = coupling_general(g, _STRETCHED)
+    assert "diagonal" in r.reflections and "diagonal" not in c.reflections
+    assert len(r.sectors(c)) == 4
+    got = whitened_eigenvalues(r, c, [0.01])[0]
+    ref = coupled_correlation_exact(r, regularize(c, 0.01)).eigenvalues()
+    assert np.abs(got - ref).max() <= WHITENED_RTOL * ref[0]
+
+
+def test_scalar_path_builds_no_dense_matrix(monkeypatch):
+    # fig5's array: R stays a table over the 81 x 81 differences, its sector
+    # blocks are gathered from it, and no N x N array is allocated
+    def refuse(self):
+        raise AssertionError("a kernel on the scalar path formed its N x N matrix")
+
+    monkeypatch.setattr(holomimo.coupling.Kernel, "matrix", property(refuse))
+    g = build_upa(41, 41, 0.25)
+    cfg = ExperimentConfig("dof-sweep", {}, rho=[0.1, 0.01, 0.001])
+    tracemalloc.start()
+    try:
+        ev, coupled = _exact_spectra(cfg, g, isotropic_spectrum(), omni_pattern())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.size == 1681 and len(coupled) == 3
+    assert peak < 8 * 1681 ** 2
+
+
+def _refuse_dense_check(*args):
+    raise AssertionError("a kernel on a grid checked a reflection on its N x N matrix")
+
+
+@pytest.mark.parametrize("g, spectrum, pattern, rho, checks", [
+    (build_upa(7, 6, 0.3), isotropic_spectrum(), omni_pattern(), [0.01], 2),
+    (build_upa(7, 6, 0.3), isotropic_spectrum(), omni_pattern(), [], 2),
+    (build_upa(7, 6, 0.3), cap_spectrum(np.pi / 3), omni_pattern(), [0.01], 4),
+    (build_upa(6, 6, 0.3), cap_spectrum(np.pi / 3), omni_pattern(), [0.01], 6),
+], ids=["coupled", "uncoupled", "coupled-general", "square-coupled-general"])
+def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, g, spectrum, pattern,
                                                              rho, checks):
-    # R's two reflections are checked once for its eigenvalues and the
-    # whitening together; C, built only for a pattern not proportional to the
-    # spectrum, only on the reflections that R commutes with
-    commutes = holomimo.coupling._commutes
+    # each kernel's table is checked once per reflection of the array (x and
+    # y, and the diagonal of a square one) for its eigenvalues and the
+    # whitening together; C is built only for a pattern not proportional to
+    # the spectrum; no reflection is checked on an N x N matrix
+    even = holomimo.coupling._even
     calls = []
 
-    def count(m, perm):
-        calls.append(m.shape)
-        return commutes(m, perm)
+    def count(table, grid, name):
+        assert table.shape == (grid.dx.size, grid.dy.size)
+        calls.append((id(table), name))
+        return even(table, grid, name)
 
-    monkeypatch.setattr(holomimo.coupling, "_commutes", count)
-    cfg = ExperimentConfig("eigenvalues", {"nx": 7, "ny": 6, "dx": 0.3}, rho=rho)
-    ev, coupled = _exact_spectra(cfg, build_upa(7, 6, 0.3), spectrum, pattern)
-    assert len(calls) == checks
-    assert ev.size == 42 and len(coupled) == len(rho)
+    monkeypatch.setattr(holomimo.coupling, "_even", count)
+    monkeypatch.setattr(holomimo.coupling, "_commutes", _refuse_dense_check)
+    cfg = ExperimentConfig("eigenvalues", {}, rho=rho)
+    ev, coupled = _exact_spectra(cfg, g, spectrum, pattern)
+    assert len(calls) == checks and len(set(calls)) == checks
+    assert ev.size == g.n_antennas and len(coupled) == len(rho)
 
 
 def _refuse_coupling(*args, **kwargs):

@@ -123,6 +123,8 @@ def test_load_config_failures(tmp_path):
     ({"rho": [0.1, 0.1]}, r"rho values 0\.1 and 0\.1 share the file name \*_rho0\.1\.csv"),
     ({"rho": [0.1, 0.1000000001, 0.01]},
      r"rho values 0\.1 and 0\.1000000001 share the file name \*_rho0\.1\.csv"),
+    ({"spectrum": "cap(0)"}, r"cap half-angle must lie in \(0, pi/2\], got 0\.0"),
+    ({"spectrum": "cap(1e-9)"}, r"1 - cos\(theta0\) rounds to zero.*at least 1e-7 rad"),
 ])
 def test_coerce_rejections(tmp_path, overrides, match):
     path = write_config(tmp_path, **overrides)

@@ -6,8 +6,8 @@ import holomimo.coupling
 from holomimo import (build_ula, build_upa, cap_spectrum, coupling_closed_form,
                       coupling_general, isotropic_spectrum, matched_pattern, omni_pattern,
                       regularize, spd_inv_sqrt, spd_sqrt, write_coupling_csv)
-from holomimo._kernels import angular_kernel
-from holomimo.coupling import CouplingMatrix, SingularCouplingError, _coupling_scale
+from holomimo._kernels import density_kernel
+from holomimo.coupling import CouplingMatrix, Kernel, SingularCouplingError, _coupling_scale
 from holomimo.spectra import AntennaPattern, quadrature_for
 
 # The unit pattern under a name and evaluator of its own: it takes the
@@ -117,8 +117,9 @@ def test_radial_coupling_matches_the_2d_rule(g):
     pattern = matched_pattern(cap_spectrum(0.3))
     assert pattern.axisymmetric
     c = coupling_general(g, pattern).matrix
-    ref = angular_kernel(g.positions, pattern, quadrature_for(pattern),
-                         _coupling_scale(pattern))
+    table, grid, _ = density_kernel(g.positions, pattern, _coupling_scale(pattern),
+                                    quadrature_for(pattern))
+    ref = Kernel(table, grid=grid).matrix
     assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -140,6 +141,15 @@ def test_regularize():
     assert r2.rho == pytest.approx(0.15)
     with pytest.raises(ValueError):
         regularize(c, -0.1)
+
+
+def test_regularize_keeps_the_table():
+    # rho lands on the zero difference, which only the diagonal pairs hit
+    g = build_upa(5, 4, 0.3)
+    c = coupling_closed_form(g)
+    r = regularize(c, 0.1)
+    assert r.grid is c.grid and r.entries.shape == c.entries.shape == (9, 7)
+    assert np.array_equal(r.matrix, c.matrix + 0.1 * np.eye(20))
 
 
 def test_spd_sqrt_round_trip():

@@ -34,6 +34,25 @@ def test_cap_constants_frozen():
     assert cap_constant(np.pi) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("theta0, match", [
+    (0.0, r"must lie in \(0, pi/2\]"),
+    (-0.2, r"must lie in \(0, pi/2\]"),
+    (np.nan, r"must lie in \(0, pi/2\]"),
+    (2.0, r"must lie in \(0, pi/2\]"),
+    (1e-9, "rounds to zero"),
+    (1e-8, "rounds to zero"),
+])
+def test_degenerate_caps_are_refused(theta0, match):
+    # refused before the constant 2 / (1 - cos theta0) divides by zero, which
+    # warnings-as-errors would turn into a traceback instead
+    with pytest.raises(ValueError, match=match):
+        cap_spectrum(theta0)
+
+
+def test_smallest_resolved_cap_is_normalized():
+    assert check_normalization(cap_spectrum(1e-7)) == pytest.approx(1.0, rel=0.05)
+
+
 def test_cap_evaluator_support():
     s = cap_spectrum(np.pi / 3)
     c = cap_constant(s.theta0)
