@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import _MIRROR_ROUND
 from .spectra import _unit, quadrature_for
 
+# Decimals (wavelengths) that position differences are grouped at.
+_MIRROR_ROUND = 12
 # Relative imaginary / asymmetric residue treated as quadrature noise.
 _RESIDUE_TOL = 1e-6
 # Bytes allowed for a 2-D rule's table or pair matrix and each chunk's buffers.
@@ -77,6 +78,33 @@ class Grid:
         flat = self.x_cell[self.ix[rows]][:, self.ix[cols]]
         flat += self.y_cell[self.iy[rows]][:, self.iy[cols]]
         return flat
+
+    def reflections(self) -> dict[str, np.ndarray]:
+        """Index permutations p of the array's reflections, by name: antenna
+        p[n] sits at the image of antenna n.  "x" and "y" reverse an axis's
+        unique coordinates, which the axis admits when its difference index
+        has cell[i, j] == cell[n-1-j, n-1-i]; "diagonal" swaps the axes, which
+        needs one difference set and one index on both.  A reflection is left
+        out when an image is missing or when it fixes every antenna."""
+        nx, ny = self.x_cell.shape[0], self.y_cell.shape[0]
+        images = {}
+        if np.array_equal(self.x_cell, self.x_cell[::-1, ::-1].T):
+            images["x"] = (nx - 1 - self.ix) * ny + self.iy
+        if np.array_equal(self.y_cell, self.y_cell[::-1, ::-1].T):
+            images["y"] = self.ix * ny + (ny - 1 - self.iy)
+        if (np.array_equal(self.x_cell, self.y_cell * self.dy.size)
+                and np.abs(self.dx - self.dy).max() <= 10.0 ** -_MIRROR_ROUND):
+            images["diagonal"] = self.iy * ny + self.ix
+        # each image is found by bisection in the antennas' sorted keys
+        key = self.ix * ny + self.iy
+        order = np.argsort(key)
+        key = key[order]
+        perms = {}
+        for name, image in images.items():
+            at = np.minimum(np.searchsorted(key, image), key.size - 1)
+            if np.array_equal(key[at], image) and np.any(order[at] != np.arange(at.size)):
+                perms[name] = order[at]
+        return perms
 
 
 def array_grid(positions: np.ndarray) -> Grid | None:

@@ -187,23 +187,15 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
 
 def sample_exact_channel(tx_correlation: Kernel, coupling: Kernel | None = None,
                          seed: int = 0, n_rx: int | None = None, index: int = 0,
-                         normalize: str = "transmit",
-                         radiation_resistance: float | None = None) -> np.ndarray:
-    """One antenna-domain realization G R^{1/2} C^{-1/2}.
-
-    ``normalize`` is as in ``exact_model``.  ``radiation_resistance`` carries
-    the physical element gain 2/R explicitly instead of folding it into the
-    SNR definition; precoded mutual information is invariant to it because
-    the matching power constraint scales inversely.
-    """
+                         normalize: str = "transmit") -> np.ndarray:
+    """One antenna-domain realization G R^{1/2} C^{-1/2}; ``normalize`` is as
+    in ``exact_model``."""
     t = spd_sqrt(tx_correlation).astype(complex)
     if coupling is not None:
         t = t @ spd_inv_sqrt(coupling)
     gain = _receive_gain(normalize, lambda: np.trace(t.conj().T @ t).real, t.shape[0])
     if gain is not None:
         t = t * np.sqrt(gain)
-    if radiation_resistance is not None:
-        t = t * np.sqrt(2.0 / radiation_resistance)
     n_t = t.shape[0]
     g = complex_normal(substream(seed, index), (int(n_rx) if n_rx is not None else n_t, n_t))
     return g @ t

@@ -9,8 +9,9 @@ unique position differences, and the N x N matrix is formed only on demand.
 A kernel that commutes with the array's mirror reflections splits into
 reflection-symmetry sectors (Cantoni & Butler, Linear Algebra Appl. 13,
 1976), and with the diagonal of a square grid into the sectors of the
-dihedral group, each solved on its own; ``Kernel.reflections`` finds those
-reflections once per kernel, on its table.
+dihedral group, each solved on its own; ``Kernel.reflections`` reads those
+reflections off the grid's difference index and checks them once per kernel,
+on its table.  An array without a grid is one sector.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import HEMISPHERE, Grid, density_kernel
-from .geometry import ArrayGeometry, mirror_permutations
+from .geometry import ArrayGeometry
 from .spectra import AngularSpectrum, AntennaPattern, check_normalization, omni_pattern
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
 
 # Eigenvalue floor below which the inverse square root refuses to proceed.
 EIGENVALUE_FLOOR = 1e-12
-# Peak-relative residue up to which a matrix counts as commuting with a reflection.
+# Peak-relative residue up to which a table counts as even under a reflection.
 _COMMUTE_TOL = 1e-12
 
 
@@ -88,11 +89,6 @@ def _close(image: np.ndarray, m: np.ndarray) -> bool:
     """Whether ``image`` equals M to within _COMMUTE_TOL of M's peak entry."""
     peak = np.abs(m).max()
     return bool(np.isfinite(peak) and np.abs(image - m).max() <= _COMMUTE_TOL * peak)
-
-
-def _commutes(m: np.ndarray, perm: np.ndarray) -> bool:
-    """Whether M[p, p] equals M."""
-    return _close(m.take(perm, axis=0).take(perm, axis=1), m)
 
 
 def _even(table: np.ndarray, grid: Grid, name: str) -> bool:
@@ -168,15 +164,13 @@ class Kernel:
 
     @cached_property
     def reflections(self) -> dict[str, np.ndarray]:
-        """The reflections of ``geometry`` (``mirror_permutations``) this
-        kernel commutes with, by name, checked on first use and kept: on the
-        table when there is one (``_even``), else on the matrix."""
-        g = self.geometry
-        if g is None or g.n_antennas != self.n_antennas:
+        """The reflections of the grid (``Grid.reflections``) this kernel's
+        table is even under (``_even``), by name, checked on first use and
+        kept; none without a grid, so an irregular array is one sector."""
+        if self.grid is None:
             return {}
-        return {name: p for name, p in mirror_permutations(g).items()
-                if (_commutes(self.matrix, p) if self.grid is None
-                    else _even(self.entries, self.grid, name))}
+        return {name: p for name, p in self.grid.reflections().items()
+                if _even(self.entries, self.grid, name)}
 
     def sectors(self, *others: "Kernel") -> list[Sector]:
         """The sectors of the group G generated by those of ``reflections``
@@ -205,7 +199,7 @@ class Kernel:
         images = np.stack(images)
         if not dihedral:
             return list(_sectors(images, range(len(images))))
-        # generator bits x = 1, y = 2, diagonal = 4 (mirror_permutations'
+        # generator bits x = 1, y = 2, diagonal = 4 (Grid.reflections'
         # order): characters negating none, both mirrors, the diagonal, or
         # all three; then the (+, -) sector of the mirrors alone, the first
         # four elements

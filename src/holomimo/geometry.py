@@ -19,15 +19,11 @@ __all__ = [
     "build_ula",
     "geometry_from_config",
     "array_response",
-    "mirror_permutations",
 ]
 
 
 # Tolerance used when checking that positions are distinct and coplanar.
 _POSITION_TOL = 1e-9
-# Decimals (wavelengths) that mirror images are matched at here, and that
-# ``_kernels`` groups position differences at.
-_MIRROR_ROUND = 12
 
 
 @dataclass(frozen=True)
@@ -175,30 +171,3 @@ def array_response(geometry: ArrayGeometry, theta, phi) -> np.ndarray:
     )
     phase = 2.0 * np.pi * np.tensordot(geometry.positions, k_hat, axes=(1, 0))
     return np.exp(1j * phase)
-
-
-def mirror_permutations(geometry: ArrayGeometry) -> dict[str, np.ndarray]:
-    """Index permutations p of the array's reflections, by name: antenna p[n]
-    sits at the image of antenna n.  "x" and "y" reflect x -> -x and y -> -y
-    about the midpoint of each axis's extent; "diagonal" swaps x and y about
-    the corner of the bounding box, which on a square grid is the reflection
-    in its diagonal.  A reflection is left out when its image is not the
-    array itself, or when it fixes every antenna (y -> -y on a line along x).
-    Antennas are matched by position, so any listing order works.
-    """
-    xy = geometry.positions[:, :2]
-    lo, hi = xy.min(axis=0), xy.max(axis=0)
-    key = np.round(xy, _MIRROR_ROUND)
-    index = {row: n for n, row in enumerate(map(tuple, key.tolist()))}
-    images = {"x": np.c_[lo[0] + hi[0] - xy[:, 0], xy[:, 1]],
-              "y": np.c_[xy[:, 0], lo[1] + hi[1] - xy[:, 1]],
-              "diagonal": np.c_[xy[:, 1] - lo[1] + lo[0], xy[:, 0] - lo[0] + lo[1]]}
-    perms = {}
-    for name, image in images.items():
-        perm = [index.get(row) for row in map(tuple, np.round(image, _MIRROR_ROUND).tolist())]
-        if None in perm:
-            continue
-        perm = np.array(perm)
-        if np.any(perm != np.arange(perm.size)):
-            perms[name] = perm
-    return perms

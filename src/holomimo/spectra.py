@@ -200,7 +200,9 @@ def spectrum_from_name(text: str) -> AngularSpectrum:
 def pattern_from_name(text: str, spectrum: AngularSpectrum | None = None) -> AntennaPattern:
     """Parse config names: ``omni``, ``matched`` or ``matched(<spectrum>)``.
 
-    Bare ``matched`` matches the experiment's own spectrum.
+    Bare ``matched`` matches the experiment's own spectrum, and so does a
+    spelled-out match equal to it: each parse makes a new evaluator, and
+    ``coupling.coupling_ratio`` knows a density by its evaluator object.
     """
     text = text.strip()
     if text == "omni":
@@ -208,7 +210,8 @@ def pattern_from_name(text: str, spectrum: AngularSpectrum | None = None) -> Ant
     m = _MATCHED_RE.match(text)
     if m:
         if m.group(2):
-            return matched_pattern(spectrum_from_name(m.group(2)))
+            named = spectrum_from_name(m.group(2))
+            return matched_pattern(spectrum if named == spectrum else named)
         if spectrum is None:
             raise ValueError("pattern 'matched' needs a spectrum to match")
         return matched_pattern(spectrum)

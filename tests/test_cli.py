@@ -274,6 +274,25 @@ def test_manifest_names_the_whitening_path(tmp_path, spectrum, pattern, whitenin
     assert {"outputs", "seed", "kind", "versions", "workers", "wall_time_s"} <= set(manifest)
 
 
+def test_spelled_out_matched_pattern_takes_the_scalar_map(tmp_path):
+    # "matched(cap(0.6))" parses the cap again; it is the same density as bare
+    # "matched", so both take the scalar map and write the same bytes
+    outs = []
+    for pattern in ("matched", "matched(cap(0.6))"):
+        path = write_config(tmp_path, spectrum="cap(0.6)", pattern=pattern,
+                            tx={"kind": "upa", "nx": 6, "ny": 5, "dx": 0.5}, rho=[0.1, 0.01])
+        out = tmp_path / pattern
+        assert main(["run", str(path), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["whitening"] == {"path": "scalar", "kappa": 0.5}
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert names == sorted(p.name for p in outs[1].glob("*.csv"))
+    assert "eigs_exact_coupled_rho0.01.csv" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_run_capacity_outputs(tmp_path):
     path = write_config(tmp_path, kind="capacity",
                         tx={"kind": "upa", "nx": 3, "ny": 3, "dx": 0.5},

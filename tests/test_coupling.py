@@ -3,10 +3,10 @@ import pytest
 
 import holomimo._kernels
 import holomimo.coupling
-from holomimo import (build_ula, build_upa, cap_spectrum, coupling_closed_form,
+from holomimo import (ArrayGeometry, build_ula, build_upa, cap_spectrum, coupling_closed_form,
                       coupling_general, isotropic_spectrum, matched_pattern, omni_pattern,
                       regularize, spd_inv_sqrt, spd_sqrt, write_coupling_csv)
-from holomimo._kernels import density_kernel
+from holomimo._kernels import array_grid, density_kernel
 from holomimo.coupling import CouplingMatrix, Kernel, SingularCouplingError, _coupling_scale
 from holomimo.spectra import AntennaPattern, quadrature_for
 
@@ -121,6 +121,75 @@ def test_radial_coupling_matches_the_2d_rule(g):
                                     quadrature_for(pattern))
     ref = Kernel(table, grid=grid).matrix
     assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _matched_reflections(geometry):
+    """The array's reflections found by matching positions: x -> -x and
+    y -> -y about the midpoint of each axis's extent, and x <-> y about the
+    corner of the bounding box; each kept when every image is an antenna
+    (at 12 decimals) and some antenna moves."""
+    xy = geometry.positions[:, :2]
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    index = {row: n for n, row in enumerate(map(tuple, np.round(xy, 12).tolist()))}
+    images = {"x": np.c_[lo[0] + hi[0] - xy[:, 0], xy[:, 1]],
+              "y": np.c_[xy[:, 0], lo[1] + hi[1] - xy[:, 1]],
+              "diagonal": np.c_[xy[:, 1] - lo[1] + lo[0], xy[:, 0] - lo[0] + lo[1]]}
+    perms = {}
+    for name, image in images.items():
+        perm = [index.get(row) for row in map(tuple, np.round(image, 12).tolist())]
+        if None not in perm and perm != list(range(len(perm))):
+            perms[name] = np.array(perm)
+    return perms
+
+
+def _cells(mask, dx=0.3, dy=None, offset=(0.0, 0.0)):
+    """The grid points (ix dx, iy dy) + offset at the true cells of mask[ix, iy]."""
+    ix, iy = np.nonzero(np.asarray(mask))
+    return ArrayGeometry(np.c_[ix * dx + offset[0], iy * (dy or dx) + offset[1],
+                               np.zeros(ix.size)])
+
+
+_FULL = np.ones((8, 8), dtype=bool)
+_L = _FULL.copy()
+_L[3:, 3:] = False
+_PLUS = np.zeros((7, 7), dtype=bool)
+_PLUS[2:5, :] = _PLUS[:, 2:5] = True
+_HOLED = _FULL.copy()
+_HOLED[3:5, 3:5] = False
+_OFF_HOLE = _FULL.copy()
+_OFF_HOLE[1:3, 3:5] = False
+_NOTCHED = _FULL.copy()
+_NOTCHED[0, 0] = False
+
+
+@pytest.mark.parametrize("g, names", [
+    (build_upa(6, 6, 0.3), ["diagonal", "x", "y"]),
+    (build_upa(41, 41, 0.25), ["diagonal", "x", "y"]),
+    (build_upa(7, 6, 0.3), ["x", "y"]),
+    (build_upa(5, 4, 0.35).translated([1.3, -0.7, 0.2]), ["x", "y"]),
+    (build_upa(6, 6, 0.35).translated([1.3, -0.7, 0.2]), ["diagonal", "x", "y"]),
+    (build_upa(6, 6, 0.3, 0.35), ["x", "y"]),
+    (build_ula(9, 0.4), ["x"]),
+    (_cells(np.ones((1, 7))), ["y"]),
+    (build_upa(2, 9, 0.5), ["x", "y"]),
+    (_cells(_L), ["diagonal"]),
+    (_cells(_PLUS, offset=(-0.9, 0.4)), ["diagonal", "x", "y"]),
+    (_cells(_HOLED), ["diagonal", "x", "y"]),
+    (_cells(_OFF_HOLE), ["y"]),
+    (_cells(_NOTCHED), ["diagonal"]),
+    (_cells(_L, 0.3, 0.4), []),
+], ids=["6x6", "41x41", "7x6", "translated", "translated-square", "non-square-spacing", "ula",
+        "ula-along-y", "2x9", "L", "plus", "holed", "off-centre-hole", "notched", "L-stretched"])
+def test_grid_reflections_match_position_matching(g, names):
+    # the reflections read off the difference index are the permutations
+    # that matching the mirror images' positions finds, in any listing order
+    g = ArrayGeometry(g.positions[np.random.default_rng(3).permutation(g.n_antennas)])
+    grid = array_grid(g.positions)
+    assert grid is not None
+    got, ref = grid.reflections(), _matched_reflections(g)
+    assert sorted(got) == sorted(ref) == names
+    for name in names:
+        assert np.array_equal(got[name], ref[name])
 
 
 def test_general_rejects_asymmetric_pattern():
