@@ -91,16 +91,16 @@ def _close(image: np.ndarray, m: np.ndarray) -> bool:
     return bool(np.isfinite(peak) and np.abs(image - m).max() <= _COMMUTE_TOL * peak)
 
 
-def _even(table: np.ndarray, grid: Grid, name: str) -> bool:
+def _even(table: np.ndarray, name: str) -> bool:
     """Whether a kernel table is even under a reflection of the differences:
     K(-dx, dy) = K(dx, dy) for "x", K(dx, -dy) for "y", and K(dy, dx) for
-    "diagonal", which needs the same differences on both axes."""
+    "diagonal" (offered by ``Grid.reflections`` only when both axes share one
+    difference set)."""
     if name == "x":
         return _close(table[::-1], table)
     if name == "y":
         return _close(table[:, ::-1], table)
-    return (grid.dx.size == grid.dy.size and np.abs(grid.dx - grid.dy).max() <= 1e-12
-            and _close(table.T, table))
+    return _close(table.T, table)
 
 
 def _sectors(images: np.ndarray, chis, multiplicity: int = 1):
@@ -170,7 +170,7 @@ class Kernel:
         if self.grid is None:
             return {}
         return {name: p for name, p in self.grid.reflections().items()
-                if _even(self.entries, self.grid, name)}
+                if _even(self.entries, name)}
 
     def sectors(self, *others: "Kernel") -> list[Sector]:
         """The sectors of the group G generated by those of ``reflections``

@@ -6,23 +6,25 @@ unit disk; the Fourier model samples them on the integer lattice points j with
 (1/Dx) x (1/Dy) clipped to the disk, and the model variances are integrals of
 the angular spectrum (over the pattern, in the coupled flavor) over that cell.
 
-Every cell, interior or rim, takes one polar Gauss-Legendre rule with all its
-nodes in one call of the integrand.  The Fourier columns are formed only on
-demand (``fourier_matrix``, ``FourierBasis.matrix``).
+Every density the variances take is uniform on its polar cap, so along each
+ray from the origin the integrand is constant between the cap edges: the
+radial integral is exact, and only the angle takes a Gauss-Legendre rule.
+All cells, the rim cells folded into their nearest lattice point included,
+are integrated as arrays in fixed blocks.  The Fourier columns are formed
+only on demand (``fourier_matrix``, ``FourierBasis.matrix``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import ArrayGeometry
-from .spectra import (AngularSpectrum, AntennaPattern, isotropic_spectrum, omni_pattern,
-                      pattern_covers)
+from .spectra import (AngularSpectrum, AntennaPattern, _UniformCap, isotropic_spectrum,
+                      omni_pattern, pattern_covers)
 
 __all__ = [
     "WavenumberLattice",
@@ -39,19 +41,10 @@ __all__ = [
 ]
 
 _DISK_TOL = 1e-12
-# Gauss-Legendre node counts per integration panel.
-_N_R = 24
+# Gauss-Legendre nodes per angular panel of a cell.
 _N_PHI = 24
-
-
-@lru_cache(maxsize=64)
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(n)
-
-
-def _gl_ab(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gl(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+# Cells integrated in one array pass; bounds the temporaries.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -106,28 +99,42 @@ def fourier_matrix(geometry: ArrayGeometry, lattice: WavenumberLattice) -> np.nd
 # cell integration
 
 
-def _rect_of(j, d) -> tuple[float, float, float, float]:
-    cx, cy = j[0] / d[0], j[1] / d[1]
-    hx, hy = 0.5 / d[0], 0.5 / d[1]
-    return (cx - hx, cx + hx, cy - hy, cy + hy)
+def _cells(lattice: WavenumberLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell that meets the disk, as an (m, 4) array of rects
+    (x0, x1, y0, y1), and the lattice index each cell adds into.
 
-
-def _rect_minmax_r(rect) -> tuple[float, float]:
-    x0, x1, y0, y1 = rect
-    rmax = max(np.hypot(x, y) for x in (x0, x1) for y in (y0, y1))
-    cx = min(max(0.0, x0), x1)
-    cy = min(max(0.0, y0), y1)
-    return float(np.hypot(cx, cy)), float(rmax)
+    The lattice cells come first, in lattice order.  The cells of points just
+    outside the lattice can still clip the disk rim; folding each into the
+    nearest lattice point (the earliest in lattice order on ties) makes the
+    cells tile the disk exactly, so variance sums close to quadrature accuracy.
+    """
+    d = lattice.aperture
+    mx, my = int(np.ceil(d[0])) + 1, int(np.ceil(d[1])) + 1
+    member = np.zeros((2 * mx + 1, 2 * my + 1), dtype=bool)
+    member[lattice.points[:, 0] + mx, lattice.points[:, 1] + my] = True
+    gx, gy = np.meshgrid(np.arange(-mx, mx + 1), np.arange(-my, my + 1), indexing="ij")
+    outside = np.stack([gx[~member], gy[~member]], axis=1)
+    j = np.concatenate([lattice.points, outside])
+    c, h = j / d, 0.5 / d
+    rects = np.stack([c[:, 0] - h[0], c[:, 0] + h[0], c[:, 1] - h[1], c[:, 1] + h[1]], axis=1)
+    n = lattice.n_points
+    x0, x1, y0, y1 = rects[n:].T
+    orphan = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1)) < 1.0
+    (ox, oy), (px, py) = outside[orphan].T, lattice.points.T
+    d2 = np.subtract.outer(ox, px) ** 2 + np.subtract.outer(oy, py) ** 2
+    keep = np.concatenate([np.ones(n, dtype=bool), orphan])
+    return rects[keep], np.concatenate([np.arange(n), np.argmin(d2, axis=1)])
 
 
 def _ray_rect(phi: np.ndarray, rect) -> tuple[np.ndarray, np.ndarray]:
     """Parameter ranges [t0, t1] where the rays from the origin at angles phi
-    meet the rect; t1 < t0 where a ray misses it."""
+    meet the rects (each edge a scalar or an array broadcasting against
+    phi); t1 < t0 where a ray misses its rect."""
     x0, x1, y0, y1 = rect
     t0, t1 = np.zeros_like(phi), np.full_like(phi, np.inf)
     for lo, hi, d in ((x0, x1, np.cos(phi)), (y0, y1, np.sin(phi))):
         # a ray parallel to these edges lies between them for every t or for none
-        free = np.inf if lo <= 0.0 <= hi else -np.inf
+        free = np.where((lo <= 0.0) & (0.0 <= hi), np.inf, -np.inf)
         parallel = np.abs(d) < 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
             ta, tb = lo / d, hi / d
@@ -136,108 +143,86 @@ def _ray_rect(phi: np.ndarray, rect) -> tuple[np.ndarray, np.ndarray]:
     return t0, t1
 
 
-def _circle_edge_angles(rect, r: float) -> list[float]:
-    """Angles where the circle of radius r crosses the rectangle boundary."""
-    x0, x1, y0, y1 = rect
+def _crossings(rects: np.ndarray, r) -> list[np.ndarray]:
+    """Angles where the circles of radius r cross the rects' boundaries,
+    eight candidates per rect, NaN where a candidate does not exist."""
+    x0, x1, y0, y1 = rects.T
     out = []
-    for xv in (x0, x1):
-        if abs(xv) <= r:
-            yy = np.sqrt(r * r - xv * xv)
-            for yv in (yy, -yy):
-                if y0 - 1e-15 <= yv <= y1 + 1e-15:
-                    out.append(float(np.arctan2(yv, xv)))
-    for yv in (y0, y1):
-        if abs(yv) <= r:
-            xx = np.sqrt(r * r - yv * yv)
-            for xv in (xx, -xx):
-                if x0 - 1e-15 <= xv <= x1 + 1e-15:
-                    out.append(float(np.arctan2(yv, xv)))
+    for u, lo, hi, swap in ((x0, y0, y1, False), (x1, y0, y1, False),
+                            (y0, x0, x1, True), (y1, x0, x1, True)):
+        s = np.sqrt(np.maximum(0.0, r * r - u * u))
+        for v in (s, -s):
+            hit = (np.abs(u) <= r) & (lo - 1e-15 <= v) & (v <= hi + 1e-15)
+            out.append(np.where(hit, np.arctan2(u, v) if swap else np.arctan2(v, u), np.nan))
     return out
 
 
-def _integrate_rect_disk(rect, f, weight: str, break_radii=()) -> float:
-    """Integral of f(kx, ky) * w over rect intersected with the unit disk.
+def _integrate_cells(rects: np.ndarray, f, weight: str, breaks=()) -> np.ndarray:
+    """Integrals of f(kx, ky) * w over each rect intersected with the unit disk.
 
-    weight "plain" uses w = 1 (area measure dk); "rim" uses w = 1/sqrt(1-|k|^2)
-    integrated in the substituted variable u = sqrt(1 - r^2), which is exact at
-    the disk boundary.  break_radii split the radial panels where the
-    integrand is discontinuous (support edges).  Every node of the cell goes
-    through one call of f.
+    weight "plain" uses w = 1 (area measure dk); "rim" uses w = 1/sqrt(1-|k|^2).
+    f must be constant along each ray between the break radii, as a density
+    uniform on its cap is: each radial segment then integrates exactly, with
+    f read once at its midpoint, against -sqrt(1-r^2) (rim) or r^2/2 (plain).
+    The angles take Gauss-Legendre panels split at every corner, at every
+    crossing of the unit circle and of a break circle, and at +-pi for the
+    rect holding the origin.
     """
-    rmin, rmax = _rect_minmax_r(rect)
-    x0, x1, y0, y1 = rect
-    breaks = sorted(b for b in break_radii if rmin < b < min(rmax, 1.0))
-    # Polar decomposition: angular panels split at every corner and at every
-    # circle/edge crossing so each panel has smooth radial limits.
-    angs = [float(np.arctan2(cy, cx)) for cx in (x0, x1) for cy in (y0, y1)]
-    angs += _circle_edge_angles(rect, 1.0)
-    for b in breaks:
-        angs += _circle_edge_angles(rect, b)
-    if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1:
-        angs += [-np.pi, np.pi]
-    else:
-        ac = float(np.arctan2(0.5 * (y0 + y1), 0.5 * (x0 + x1)))
-        angs = [ac + float(np.arctan2(np.sin(a - ac), np.cos(a - ac))) for a in angs]
-    edges = np.unique(angs)
-    pa, pb = edges[:-1], edges[1:]
-    keep = pb - pa >= 1e-14
-    phi, wp = (v.ravel() for v in _gl_ab(_N_PHI, pa[keep, None], pb[keep, None]))
-    t0, t1 = _ray_rect(phi, rect)
+    x0, x1, y0, y1 = rects.T
+    angs = [np.arctan2(y, x) for x in (x0, x1) for y in (y0, y1)]
+    for r in (1.0, *breaks):
+        angs += _crossings(rects, r)
+    angs = np.stack(angs, axis=1)
+    origin = (x0 <= 0.0) & (0.0 <= x1) & (y0 <= 0.0) & (0.0 <= y1)
+    # unwrap around the rect's center angle, except where the rect holds the
+    # origin and its panels run from -pi to pi
+    ac = np.arctan2(0.5 * (y0 + y1), 0.5 * (x0 + x1))[:, None]
+    angs = np.where(origin[:, None], angs, ac + np.arctan2(np.sin(angs - ac), np.cos(angs - ac)))
+    pm = np.where(origin, np.pi, np.nan)[:, None]
+    edges = np.sort(np.concatenate([angs, -pm, pm], axis=1), axis=1)  # NaN last
+    pa, pb = edges[:, :-1], edges[:, 1:]
+    cell, panel = np.nonzero(pb - pa >= 1e-14)
+    pa, pb = pa[cell, panel, None], pb[cell, panel, None]
+    nodes, weights = leggauss(_N_PHI)
+    phi = 0.5 * (pb - pa) * nodes + 0.5 * (pa + pb)
+    wp = 0.5 * (pb - pa) * weights
+    t0, t1 = _ray_rect(phi, rects[cell].T[..., None])
     t1 = np.clip(t1, 0.0, 1.0)
     t0 = np.minimum(t0, t1)
-    # Radial segments (segments, rays, 1) split at every break.  Breaks a ray
+    # Radial segments (segments, rays) split at every break.  Breaks a ray
     # does not cross, and rays that miss the disk (t0 = t1), give zero-length
     # segments: zero weight, and f is not evaluated there.
-    bounds = np.stack([t0, *(np.clip(b, t0, t1) for b in breaks), t1])[..., None]
+    bounds = np.stack([t0, *(np.clip(b, t0, t1) for b in breaks), t1])
     ra, rb = bounds[:-1], bounds[1:]
     if weight == "rim":
-        ua = np.sqrt(np.maximum(0.0, 1.0 - ra * ra))
-        ub = np.sqrt(np.maximum(0.0, 1.0 - rb * rb))
-        un, uw = _gl_ab(_N_R, ub, ua)
-        r = np.sqrt(np.maximum(0.0, 1.0 - un * un))
+        w = np.sqrt(np.maximum(0.0, 1.0 - ra * ra)) - np.sqrt(np.maximum(0.0, 1.0 - rb * rb))
     else:
-        r, uw = _gl_ab(_N_R, ra, rb)
-        uw = uw * r
-    w = wp[:, None] * uw
+        w = 0.5 * (rb - ra) * (rb + ra)
+    w = w * wp
     m = w > 0.0
-    kx, ky = r * np.cos(phi)[:, None], r * np.sin(phi)[:, None]
-    return float(np.sum(w[m] * f(kx[m], ky[m])))
-
-
-def _orphan_cells(lattice: WavenumberLattice) -> list[tuple[tuple[int, int], int]]:
-    """Complement cells that still clip the disk, mapped to the nearest member.
-
-    The rectangular cells of points just outside the lattice can still overlap
-    the disk rim; folding them into the nearest lattice cell makes the cells
-    tile the disk exactly, so variance sums close to quadrature accuracy.
-    Ties resolve to the earliest point in lattice order.
-    """
-    member = {(int(a), int(b)) for a, b in lattice.points}
-    d = lattice.aperture
-    mx, my = int(np.ceil(d[0])) + 1, int(np.ceil(d[1])) + 1
-    out = []
-    for ax in range(-mx, mx + 1):
-        for ay in range(-my, my + 1):
-            if (ax, ay) in member:
-                continue
-            rmin, _ = _rect_minmax_r(_rect_of((ax, ay), d))
-            if rmin < 1.0:
-                d2 = (lattice.points[:, 0] - ax) ** 2 + (lattice.points[:, 1] - ay) ** 2
-                out.append(((ax, ay), int(np.argmin(d2))))
-    return out
+    r = 0.5 * (ra + rb)[m]
+    phi = np.broadcast_to(phi, m.shape)[m]
+    vals = w[m] * f(r * np.cos(phi), r * np.sin(phi))
+    return np.bincount(np.broadcast_to(cell[:, None], m.shape)[m], vals, minlength=len(rects))
 
 
 def _cell_integrals(lattice: WavenumberLattice, f, weight: str, *densities) -> np.ndarray:
-    """Cell integrals with a radial break at sin(edge) of every density whose
-    support ends inside the disk."""
-    d = lattice.aperture
+    """Cell integrals of f, a function of the densities, which must each be
+    uniform on their polar cap: a radial break at sin(edge) of every density
+    whose support ends inside the disk.  In blocks of _BLOCK cells to bound
+    the temporaries."""
+    for s in densities:
+        if not isinstance(s.evaluator, _UniformCap):
+            raise ValueError(
+                f"density {s.name!r} is not uniform on its polar cap; the cell variances take "
+                f"isotropic_spectrum, omni_pattern, cap_spectrum and their matched_pattern "
+                f"copies only (its exact R and C are still built by "
+                f"channel.exact_correlation and coupling.coupling_general)")
     breaks = sorted({float(np.sin(s.edge)) for s in densities if s.edge is not None})
-    vals = np.array([
-        _integrate_rect_disk(_rect_of(j, d), f, weight, breaks) for j in lattice.points
-    ])
-    for j, k in _orphan_cells(lattice):
-        vals[k] += _integrate_rect_disk(_rect_of(j, d), f, weight, breaks)
-    return vals
+    rects, into = _cells(lattice)
+    vals = np.concatenate([_integrate_cells(rects[i:i + _BLOCK], f, weight, breaks)
+                           for i in range(0, len(rects), _BLOCK)])
+    return np.bincount(into, vals, minlength=lattice.n_points)
 
 
 def _direction_values(obj, kx, ky) -> np.ndarray:
@@ -255,7 +240,7 @@ def variances_uncoupled(lattice: WavenumberLattice, spectrum: AngularSpectrum) -
     """Per-cell variances (1/2pi) * integral of E(k) dk / sqrt(1 - |k|^2).
 
     For the isotropic spectrum these are the normalized solid angles of the
-    cells and sum to 1.
+    cells and sum to 1.  Refuses a density not uniform on its cap.
     """
     f = lambda kx, ky: _direction_values(spectrum, kx, ky)
     return _cell_integrals(lattice, f, "rim", spectrum) / (2.0 * np.pi)
@@ -267,7 +252,8 @@ def variances_coupled(lattice: WavenumberLattice, spectrum: AngularSpectrum,
 
     Deconvolving the element pattern flattens the rim weight; for the
     isotropic spectrum with omnidirectional elements these are the normalized
-    projected solid angles of the cells and sum to 1.
+    projected solid angles of the cells and sum to 1.  Refuses a density not
+    uniform on its cap, and a pattern that does not cover the spectrum.
     """
     if not pattern_covers(spectrum, pattern):
         raise ValueError(
@@ -276,13 +262,9 @@ def variances_coupled(lattice: WavenumberLattice, spectrum: AngularSpectrum,
 
     def f(kx, ky):
         e = _direction_values(spectrum, kx, ky)
-        out = np.zeros_like(e)
         m = e > 0.0
-        if np.any(m):
-            a = _direction_values(pattern, kx, ky)
-            if np.any(a[m] <= 0.0):
-                raise ValueError("pattern vanishes inside the spectrum support")
-            out[m] = e[m] / a[m]
+        out = np.zeros_like(e)
+        out[m] = e[m] / _direction_values(pattern, kx[m], ky[m])
         return out
 
     return _cell_integrals(lattice, f, "plain", spectrum, pattern) / np.pi

@@ -127,9 +127,22 @@ def check_normalization(density, quadrature=None) -> float:
     return (upper + lower) / (4.0 * np.pi)
 
 
-def _unit(theta, phi) -> np.ndarray:
-    """The unit evaluator shared by the isotropic spectrum and the omni pattern."""
-    return np.ones_like(theta)
+@dataclass(frozen=True, eq=False)
+class _UniformCap:
+    """Evaluator of a density uniform on its polar cap: ``value`` for
+    theta <= theta0, zero beyond.  Every built-in density is one, and
+    ``fourier`` takes the cell variances only of densities evaluated by one:
+    along each ray they are constant between the cap edges."""
+
+    value: float = 1.0
+    theta0: float = np.pi / 2
+
+    def __call__(self, theta, phi) -> np.ndarray:
+        return np.where(theta <= self.theta0 + _EDGE_TOL, self.value, 0.0)
+
+
+# The unit evaluator shared by the isotropic spectrum and the omni pattern.
+_unit = _UniformCap()
 
 
 def isotropic_spectrum() -> AngularSpectrum:
@@ -154,9 +167,7 @@ def cap_spectrum(theta0: float) -> AngularSpectrum:
     if np.cos(theta0) == 1.0:
         raise ValueError(f"cap half-angle {theta0!r} is too small: 1 - cos(theta0) rounds to "
                          f"zero in double precision; use a half-angle of at least 1e-7 rad")
-    c = cap_constant(theta0)
-    return AngularSpectrum(f"cap({theta0:g})",
-                           lambda th, ph: np.where(th <= theta0 + _EDGE_TOL, c, 0.0),
+    return AngularSpectrum(f"cap({theta0:g})", _UniformCap(cap_constant(theta0), theta0),
                            theta0, lower="zero", axisymmetric=True)
 
 

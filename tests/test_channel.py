@@ -17,7 +17,7 @@ from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, Correlatio
                       matched_pattern, omni_pattern, quadrature_for, regularize,
                       sample_exact_channel, spd_inv_sqrt, spd_sqrt, waterfill,
                       whitened_eigenvalues)
-from holomimo._kernels import angular_kernel
+from holomimo._kernels import angular_kernel, array_grid
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
 from holomimo.cli import ExperimentConfig, _exact_spectra
@@ -389,12 +389,13 @@ def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, g, spe
     # whitening together; C is built only for a pattern not proportional to
     # the spectrum
     even = holomimo.coupling._even
+    grid = array_grid(g.positions)
     calls = []
 
-    def count(table, grid, name):
+    def count(table, name):
         assert table.shape == (grid.dx.size, grid.dy.size)
         calls.append((id(table), name))
-        return even(table, grid, name)
+        return even(table, name)
 
     monkeypatch.setattr(holomimo.coupling, "_even", count)
     cfg = ExperimentConfig("eigenvalues", {}, rho=rho)

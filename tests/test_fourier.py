@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ from holomimo import (AngularSpectrum, build_fourier_basis, build_lattice, build
                       cap_spectrum, dof_prime, fourier_matrix, isotropic_spectrum, matched_pattern,
                       omni_pattern, projected_solid_angles, solid_angles,
                       variances_coupled, variances_uncoupled, write_variances_csv)
-from holomimo.fourier import (_direction_values, _integrate_rect_disk, _orphan_cells,
-                              _ray_rect, _rect_minmax_r, _rect_of)
+from holomimo.channel import exact_correlation
+from holomimo.fourier import _cells, _direction_values, _integrate_cells, _ray_rect
 
 
 @pytest.mark.parametrize("d,expected", [
@@ -132,12 +133,25 @@ def test_cell_areas_match_closed_form(aperture):
     # every lattice and orphan cell, rim slivers included, against the exact
     # area of rectangle x unit disk (corner areas by inclusion-exclusion)
     lat = build_lattice(aperture)
-    cells = [tuple(j) for j in lat.points] + [j for j, _ in _orphan_cells(lat)]
-    one = lambda kx, ky: np.ones_like(kx)
-    for j in cells:
-        rect = _rect_of(j, lat.aperture)
-        exact = _rect_disk_area(rect)
-        assert _integrate_rect_disk(rect, one, "plain") == pytest.approx(exact, rel=1e-11)
+    rects, into = _cells(lat)
+    # reference: the lattice cells, then the orphans found one candidate at a
+    # time in (jx, jy) order, each folded into the earliest nearest point
+    member = {tuple(p) for p in lat.points}
+    mx, my = (int(np.ceil(a)) + 1 for a in lat.aperture)
+    orphans, nearest = [], []
+    for j in itertools.product(range(-mx, mx + 1), range(-my, my + 1)):
+        c, h = np.array(j) / lat.aperture, 0.5 / lat.aperture
+        if j not in member and np.hypot(*np.clip(0.0, c - h, c + h)) < 1.0:
+            orphans.append(j)
+            nearest.append(np.argmin(((lat.points - j) ** 2).sum(axis=1)))
+    assert orphans
+    c, h = np.concatenate([lat.points, orphans]) / lat.aperture, 0.5 / lat.aperture
+    np.testing.assert_array_equal(rects, np.stack([c[:, 0] - h[0], c[:, 0] + h[0],
+                                                   c[:, 1] - h[1], c[:, 1] + h[1]], axis=1))
+    np.testing.assert_array_equal(into, np.concatenate([np.arange(lat.n_points), nearest]))
+    got = _integrate_cells(rects, lambda kx, ky: np.ones_like(kx), "plain")
+    exact = [_rect_disk_area(rect) for rect in rects]
+    np.testing.assert_allclose(got, exact, rtol=1e-11, atol=0.0)
 
 
 def test_ray_rect_parallel_and_oblique_rays():
@@ -159,23 +173,20 @@ def test_radial_break_cells_match_dblquad():
     cap = cap_spectrum(np.pi / 3)
     rb = np.sin(cap.edge)
     c = float(cap(np.array(0.0), np.array(0.0)))
-    f = lambda kx, ky: _direction_values(cap, kx, ky)
-    cut = 0
-    for j in lat.points:
-        rect = _rect_of(j, lat.aperture)
-        rmin, rmax = _rect_minmax_r(rect)
-        if not rmin < rb < rmax:
-            continue
-        x0, x1, y0, y1 = rect
+    rects = _cells(lat)[0][:lat.n_points]
+    x0, x1, y0, y1 = rects.T
+    rmin = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
+    rmax = np.max([np.hypot(x, y) for x in (x0, x1) for y in (y0, y1)], axis=0)
+    rects = rects[(rmin < rb) & (rb < rmax)]
+    assert len(rects) >= 20
+    got = _integrate_cells(rects, lambda kx, ky: _direction_values(cap, kx, ky), "rim", (rb,))
+    for (x0, x1, y0, y1), g in zip(rects, got):
         s = lambda x: np.sqrt(max(0.0, rb * rb - x * x))
         ref, _ = dblquad(lambda y, x: 1.0 / np.sqrt(1.0 - x * x - y * y),
                          max(x0, -rb), min(x1, rb),
                          lambda x: min(max(y0, -s(x)), y1), lambda x: max(min(y1, s(x)), y0),
                          epsabs=0.0, epsrel=1e-13)
-        got = _integrate_rect_disk(rect, f, "rim", (rb,))
-        assert got == pytest.approx(c * ref, rel=1e-12)
-        cut += 1
-    assert cut >= 20
+        assert g == pytest.approx(c * ref, rel=1e-12)
 
 
 def test_cap_spectrum_variances():
@@ -216,11 +227,32 @@ def test_coupled_variances_reject_uncovered_spectrum():
     lat = build_lattice((2.0, 2.0))
     with pytest.raises(ValueError, match="vanishes inside"):
         variances_coupled(lat, isotropic_spectrum(), matched_pattern(cap_spectrum(0.8)))
-    # a pattern whose support covers the spectrum's but which is zero at
-    # nodes inside it is refused node by node
+    # a pattern whose support covers the spectrum's but which is zero inside
+    # it is not uniform on its cap
     notch = AngularSpectrum("notch", lambda th, ph: np.where(th < 0.3, 0.0, 1.0))
-    with pytest.raises(ValueError, match="vanishes inside the spectrum support"):
+    with pytest.raises(ValueError, match="'notch' is not uniform on its polar cap"):
         variances_coupled(lat, isotropic_spectrum(), notch)
+
+
+def test_variances_refuse_a_density_not_uniform_on_its_cap():
+    # 2 cos(theta), mirrored, is normalized; the variances refuse it (the
+    # closed radial integral would be wrong), but its exact R is built
+    cosine = AngularSpectrum("cosine", lambda th, ph: 2.0 * np.cos(th))
+    lat = build_lattice((3.0, 3.0))
+    with pytest.raises(ValueError, match="'cosine' is not uniform on its polar cap"):
+        variances_uncoupled(lat, cosine)
+    with pytest.raises(ValueError, match="'cosine' is not uniform on its polar cap"):
+        variances_coupled(lat, cosine, omni_pattern())
+    with pytest.raises(ValueError, match="'cosine' is not uniform on its polar cap"):
+        variances_coupled(lat, isotropic_spectrum(), cosine)
+    r = exact_correlation(build_upa(4, 4, 0.5), cosine).matrix
+    assert r.shape == (16, 16)
+    np.testing.assert_allclose(np.diag(r).real, 1.0, rtol=1e-8)
+    np.testing.assert_allclose(r, r.conj().T, atol=1e-14)
+    # a density named like a built-in one is refused all the same
+    fake = AngularSpectrum("isotropic", lambda th, ph: np.ones_like(th))
+    with pytest.raises(ValueError, match="not uniform"):
+        variances_uncoupled(lat, fake)
 
 
 def test_dof_prime():
