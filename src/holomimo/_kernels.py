@@ -6,9 +6,10 @@ sum_k w_k exp(i (kx_k dx + ky_k dy)) over all pairwise coordinate differences
 arrays the unique differences per axis are few, so every kernel is a table
 over their product set (``Grid``) and no N x N matrix is formed; the 2-D rule
 fills it by one small matrix product per node chunk.  Irregular arrays take
-the N^2 antenna pairs instead.  A density of theta alone needs no phi nodes
-at all: its kernel is a function of the distance, one Bessel integral in
-theta (``radial_kernel``).
+the N^2 antenna pairs instead.  A density uniform on its polar cap needs no
+phi nodes at all: its kernel is a function of the distance, sinc(2 d) on the
+whole hemisphere and one Bessel integral in theta on a cap
+(``radial_kernel``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .spectra import _unit, quadrature_for
+from .spectra import _uniform_on_cap, quadrature_for
 
 # Decimals (wavelengths) that position differences are grouped at.
 _MIRROR_ROUND = 12
@@ -137,9 +138,9 @@ def phase_kernel(positions: np.ndarray, kx: np.ndarray, ky: np.ndarray,
     cells = n * n if grid is None else grid.dx.size * grid.dy.size
     if 16 * cells > _BUDGET or (grid is None and kx.size * cells > _PAIR_TERMS):
         raise ValueError(f"the 2-D rule over {cells} antenna pairs or table cells and "
-                         f"{kx.size} nodes exceeds its budget; use a gridded geometry, a "
-                         f"density of theta alone (axisymmetric, the radial rule), or the "
-                         f"isotropic spectrum with omni elements (closed-form sinc)")
+                         f"{kx.size} nodes exceeds its budget; use a gridded geometry, or a "
+                         f"density uniform on its polar cap (the radial rule: isotropic, "
+                         f"omni, cap and their matched patterns)")
     if grid is None:
         m = np.zeros((n, n), dtype=complex)
         chunk = max(1, _BUDGET // (16 * n))
@@ -160,16 +161,6 @@ def phase_kernel(positions: np.ndarray, kx: np.ndarray, ky: np.ndarray,
     return table
 
 
-def sinc_kernel(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """sinc(2 d) in the planar distance d of the differences (dx, dy), which
-    broadcast: the full-sphere average of the plane-wave outer product under
-    a unit density."""
-    d = dx * dx + dy * dy
-    np.sqrt(d, out=d)
-    d *= 2.0
-    return np.sinc(d)
-
-
 def _radial_counts(x_max: float) -> tuple[int, int]:
     """Gauss-Legendre nodes in theta and midpoint nodes on a quarter period of
     phi for Bessel arguments up to x_max, with a margin over the fewest that
@@ -181,18 +172,30 @@ def _radial_counts(x_max: float) -> tuple[int, int]:
 
 
 def radial_kernel(dx: np.ndarray, dy: np.ndarray, density, scale: float):
-    """scale * upper-hemisphere integral of an axisymmetric density (one of
-    theta alone) times exp(i k . (r_n - r_m)), real, at the differences
-    (dx, dy), which broadcast.
+    """scale * upper-hemisphere integral of a density uniform on its polar cap
+    (``spectra._uniform_on_cap``) times exp(i k . (r_n - r_m)), real, at the
+    differences (dx, dy), which broadcast.
 
-    The phi integral is 2 pi J0(2 pi d sin theta) in the distance d, so each
-    entry is one theta integral (Teal, Abhayapala & Kennedy, IEEE Signal
-    Process. Lett. 9, 2002): Gauss-Legendre nodes on the support [0, theta0],
-    and J0 by the midpoint rule on a quarter period of phi, both sized from
-    x_max = 2 pi d_max sin theta0 to stay at roundoff.  Equal distances are
-    grouped exactly, never after rounding.  Returns the kernel and the theta
-    rule as a (theta, 0, 2 pi weight) triple.
+    On the whole hemisphere the integral is value * 2 pi sinc(2 d) in the
+    distance d, exactly.  On a cap the phi integral is 2 pi J0(2 pi d sin
+    theta), so each entry is one theta integral (Teal, Abhayapala & Kennedy,
+    IEEE Signal Process. Lett. 9, 2002): Gauss-Legendre nodes on the support
+    [0, theta0], and J0 by the midpoint rule on a quarter period of phi, both
+    sized from x_max = 2 pi d_max sin theta0 to stay at roundoff.  Equal
+    distances are grouped exactly, never after rounding.  Returns the kernel
+    and the theta rule as a (theta, 0, 2 pi weight) triple, or None for the
+    closed form.
     """
+    value = density.evaluator.value
+    if density.edge is None:
+        d = dx * dx + dy * dy
+        np.sqrt(d, out=d)
+        d *= 2.0
+        entries = np.sinc(d)
+        factor = value * scale / HEMISPHERE
+        if factor != 1.0:
+            entries *= factor
+        return entries, None
     dist = np.hypot(dx, dy)
     d, inverse = np.unique(dist.ravel(), return_inverse=True)
     theta0 = density.theta0
@@ -203,7 +206,7 @@ def radial_kernel(dx: np.ndarray, dy: np.ndarray, density, scale: float):
     phi = np.zeros_like(theta)
     cos_phi = np.cos((np.arange(n_phi) + 0.5) * (0.5 * np.pi / n_phi))
     freq = np.outer(2.0 * np.pi * np.sin(theta), cos_phi).ravel()
-    node_w = np.repeat(scale * w * density(theta, phi) / n_phi, n_phi)
+    node_w = np.repeat(scale * w * value / n_phi, n_phi)
     values = np.empty(d.size)
     chunk = max(1, _BUDGET // (8 * freq.size))
     for start in range(0, d.size, chunk):
@@ -239,15 +242,13 @@ def angular_kernel(positions: np.ndarray, density, quadrature, scale: float,
 def density_kernel(positions: np.ndarray, density, scale: float, quadrature=None):
     """scale * upper-hemisphere integral of density * exp(i k . (r_n - r_m)).
 
-    The mirrored full-support unit density at scale ``HEMISPHERE`` takes
-    ``sinc_kernel`` and builds no quadrature.  Without an explicit
-    ``quadrature``, a density declared ``axisymmetric`` (every built-in one)
-    takes ``radial_kernel``.  Every other density, and any density given a
-    ``quadrature``, takes ``angular_kernel`` on the 2-D product rule (default
-    ``quadrature_for(density)``).  Returns (entries, grid, rule): the table
-    over the Grid's differences, or the N x N matrix with grid None on an
-    irregular array (``array_grid``); and the rule used, a (theta, phi,
-    weight) triple, or None for the closed form.
+    Without an explicit ``quadrature``, a density uniform on its polar cap
+    (every built-in one) takes ``radial_kernel``.  Every other density, and
+    any density given a ``quadrature``, takes ``angular_kernel`` on the 2-D
+    product rule (default ``quadrature_for(density)``).  Returns (entries,
+    grid, rule): the table over the Grid's differences, or the N x N matrix
+    with grid None on an irregular array (``array_grid``); and the rule used,
+    a (theta, phi, weight) triple, or None for the closed form.
     """
     grid = array_grid(positions)
     if grid is not None:
@@ -255,10 +256,7 @@ def density_kernel(positions: np.ndarray, density, scale: float, quadrature=None
     else:
         x, y = positions[:, 0], positions[:, 1]
         dx, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
-    if (density.evaluator is _unit and density.edge is None
-            and density.lower == "mirror" and scale == HEMISPHERE):
-        return sinc_kernel(dx, dy), grid, None
-    if quadrature is None and density.axisymmetric:
+    if quadrature is None and _uniform_on_cap(density):
         entries, rule = radial_kernel(dx, dy, density, scale)
         return entries, grid, rule
     q = quadrature if quadrature is not None else quadrature_for(density)

@@ -255,9 +255,11 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     (common random numbers), which keeps curve crossings statistically stable.
 
     ``workers=None`` draws in this process; a count runs the draws on that
-    many ``spawn``ed single-thread worker processes with the same result, so
-    a script that passes it must guard its entry point with
-    ``if __name__ == "__main__"``.
+    many ``spawn``ed single-thread worker processes, so a script that passes
+    it must guard its entry point with ``if __name__ == "__main__"``.  Every
+    count gives the same bits.  The in-process draws agree with them to
+    roundoff only: this process's BLAS may run several threads, and a
+    multithreaded ``eigvalsh`` rounds differently from a single-threaded one.
     """
     snr_db = np.asarray(snr_db, dtype=float).ravel()
     if snr_db.size == 0:

@@ -57,11 +57,11 @@ def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
 
     The diagonal equals the spectrum's upper-hemisphere mass over 2pi: one for
     hemisphere-balanced spectra, two for one-sided caps (all the power arrives
-    from above).  The isotropic spectrum takes the closed form sinc(2 d) and
-    ignores ``quadrature``.  Without a ``quadrature``, another axisymmetric
-    spectrum (a cap) takes the radial Bessel rule in the distance, and a
-    spectrum that depends on phi the 2-D hemisphere rule; an explicit
-    ``quadrature`` always takes the 2-D rule (``_kernels.density_kernel``).
+    from above).  Without a ``quadrature``, a spectrum uniform on its polar
+    cap (every built-in one) takes the radial rule: the closed form sinc(2 d)
+    on the whole hemisphere (isotropic), the Bessel rule in the distance on a
+    smaller cap.  Any other spectrum, and any spectrum given an explicit
+    ``quadrature``, takes the 2-D hemisphere rule (``_kernels.density_kernel``).
     The matrix is real for every point-symmetric spectrum and complex
     Hermitian otherwise.
     """

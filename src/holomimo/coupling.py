@@ -2,16 +2,17 @@
 
 R and C are one operator with two densities, the angular spectrum and the
 element power pattern (``_kernels``), so one ``Kernel`` type holds both.
-Omnidirectional elements give sinc(2 d) in the pairwise distances d (in
-wavelengths), other axisymmetric patterns a radial Bessel rule in d, and the
-rest the hemisphere quadrature.  On a grid a kernel is a table over the
-unique position differences, and the N x N matrix is formed only on demand.
-A kernel that commutes with the array's mirror reflections splits into
-reflection-symmetry sectors (Cantoni & Butler, Linear Algebra Appl. 13,
-1976), and with the diagonal of a square grid into the sectors of the
-dihedral group, each solved on its own; ``Kernel.reflections`` reads those
-reflections off the grid's difference index and checks them once per kernel,
-on its table.  An array without a grid is one sector.
+A pattern uniform on the whole hemisphere (omni) gives sinc(2 d) in the
+pairwise distances d (in wavelengths), one uniform on a smaller cap a radial
+Bessel rule in d, and the rest the hemisphere quadrature.  On a grid a kernel
+is a table over the unique position differences, and the N x N matrix is
+formed only on demand.  A kernel that commutes with the array's mirror
+reflections splits into reflection-symmetry sectors (Cantoni & Butler,
+Linear Algebra Appl. 13, 1976), and with the diagonal of a square grid into
+the sectors of the dihedral group, each solved on its own;
+``Kernel.reflections`` reads those reflections off the grid's difference
+index and checks them once per kernel, on its table.  An array without a
+grid is one sector.
 """
 
 from __future__ import annotations
@@ -229,13 +230,13 @@ def _coupling_scale(pattern: AntennaPattern) -> float:
 
 def coupling_ratio(spectrum: AngularSpectrum, pattern: AntennaPattern) -> float | None:
     """kappa with C = kappa R when the pattern is the spectrum's own density
-    (the same evaluator object, cap and lower-hemisphere rule), else None.
+    (an equal evaluator, cap and lower-hemisphere rule), else None.
 
     Both kernels are then one ``density_kernel`` at two scales, R's
     ``HEMISPHERE`` and ``_coupling_scale``, so kappa is their ratio: 1 for a
     mirrored density such as isotropic with omni, 1/2 for a one-sided cap.
     """
-    if (pattern.evaluator is spectrum.evaluator and pattern.theta0 == spectrum.theta0
+    if (pattern.evaluator == spectrum.evaluator and pattern.theta0 == spectrum.theta0
             and pattern.lower == spectrum.lower):
         return _coupling_scale(pattern) / HEMISPHERE
     return None
@@ -245,18 +246,23 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel
     """Coupling for an arbitrary normalized element power pattern.
 
     Full-sphere average (1/4pi) of |A|^2 times the plane-wave outer product
-    (``_coupling_scale``).  The omni pattern (and a pattern matched to the
-    isotropic spectrum) takes the closed form.  Any other pattern must be
-    normalized, which is checked on the rule that built C (the radial theta
-    rule or the 2-D quadrature); the result is symmetrized after checking
-    that the asymmetry and imaginary residue are at quadrature-noise level.
+    (``_coupling_scale``).  A pattern uniform on the whole hemisphere (omni,
+    or one matched to the isotropic spectrum or to cap(pi/2)) takes the
+    closed form.  Every pattern must be normalized, which is checked on the
+    rule that built C (the radial theta rule or the 2-D quadrature), or, for
+    the closed form, on its zero difference, which holds the pattern's
+    average exactly; the result is symmetrized after checking that the
+    asymmetry and imaginary residue are at quadrature-noise level.
     """
     m, grid, q = density_kernel(geometry.positions, pattern, _coupling_scale(pattern))
     if q is None:
-        return Kernel(m, geometry, kind="closed-form", grid=grid)
-    norm = check_normalization(pattern, q)
+        norm = m[grid.origin] if grid is not None else m[0, 0]
+    else:
+        norm = check_normalization(pattern, q)
     if abs(norm - 1.0) > 1e-3:
         raise ValueError(f"pattern {pattern.name!r} is not normalized (average {norm:.6f})")
+    if q is None:
+        return Kernel(m, geometry, kind="closed-form", grid=grid)
     if np.iscomplexobj(m):
         residue = np.abs(m.imag).max()
         raise RuntimeError(f"coupling quadrature residue {residue:.3e} exceeds tolerance")

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import ArrayGeometry
-from .spectra import (AngularSpectrum, AntennaPattern, _UniformCap, isotropic_spectrum,
+from .spectra import (AngularSpectrum, AntennaPattern, _uniform_on_cap, isotropic_spectrum,
                       omni_pattern, pattern_covers)
 
 __all__ = [
@@ -212,7 +212,7 @@ def _cell_integrals(lattice: WavenumberLattice, f, weight: str, *densities) -> n
     whose support ends inside the disk.  In blocks of _BLOCK cells to bound
     the temporaries."""
     for s in densities:
-        if not isinstance(s.evaluator, _UniformCap):
+        if not _uniform_on_cap(s):
             raise ValueError(
                 f"density {s.name!r} is not uniform on its polar cap; the cell variances take "
                 f"isotropic_spectrum, omni_pattern, cap_spectrum and their matched_pattern "

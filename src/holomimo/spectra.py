@@ -34,19 +34,6 @@ __all__ = [
 _EDGE_TOL = 1e-12
 
 
-def _evaluate(evaluator, lower: str, theta, phi) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    theta, phi = np.broadcast_arrays(theta, phi)
-    upper = theta <= np.pi / 2 + _EDGE_TOL
-    folded = np.where(upper, theta, np.pi - theta)
-    vals = np.asarray(evaluator(folded, phi), dtype=float)
-    vals = np.broadcast_to(vals, folded.shape).copy()
-    if lower == "zero":
-        vals[~upper] = 0.0
-    return vals
-
-
 def _check_half_angle(theta0: float) -> None:
     if not 0.0 < theta0 <= np.pi / 2 + _EDGE_TOL:
         raise ValueError(f"cap half-angle must lie in (0, pi/2], got {theta0!r}")
@@ -58,16 +45,14 @@ class AngularSpectrum:
     power pattern |A|^2 (``AntennaPattern`` is the same type).
 
     The support is the upper cap theta <= theta0, where pi/2 is the whole
-    hemisphere.  ``axisymmetric`` declares that the evaluator depends on theta
-    alone, which lets kernels take the radial rule; it is never probed, and
-    like the evaluator it takes no part in equality.
+    hemisphere: the density is zero beyond it, whatever the evaluator gives
+    there.  The evaluator takes no part in equality.
     """
 
     name: str
     evaluator: Callable = field(compare=False)
     theta0: float = np.pi / 2
     lower: str = "mirror"  # lower-hemisphere rule: "mirror" | "zero"
-    axisymmetric: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         _check_half_angle(self.theta0)
@@ -78,7 +63,14 @@ class AngularSpectrum:
         return self.theta0 if self.theta0 < np.pi / 2 - _EDGE_TOL else None
 
     def __call__(self, theta, phi) -> np.ndarray:
-        return _evaluate(self.evaluator, self.lower, theta, phi)
+        theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                         np.asarray(phi, dtype=float))
+        upper = theta <= np.pi / 2 + _EDGE_TOL
+        folded = np.where(upper, theta, np.pi - theta)
+        inside = folded <= self.theta0 + _EDGE_TOL
+        if self.lower == "zero":
+            inside &= upper
+        return np.where(inside, np.asarray(self.evaluator(folded, phi), dtype=float), 0.0)
 
 
 AntennaPattern = AngularSpectrum
@@ -127,27 +119,29 @@ def check_normalization(density, quadrature=None) -> float:
     return (upper + lower) / (4.0 * np.pi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _UniformCap:
-    """Evaluator of a density uniform on its polar cap: ``value`` for
-    theta <= theta0, zero beyond.  Every built-in density is one, and
-    ``fourier`` takes the cell variances only of densities evaluated by one:
-    along each ray they are constant between the cap edges."""
+    """Evaluator of a density uniform on its polar cap: the constant
+    ``value``, bounded by the density's own ``theta0``.  Every built-in
+    density has one, and two parses of one name give equal evaluators."""
 
     value: float = 1.0
-    theta0: float = np.pi / 2
 
-    def __call__(self, theta, phi) -> np.ndarray:
-        return np.where(theta <= self.theta0 + _EDGE_TOL, self.value, 0.0)
+    def __call__(self, theta, phi) -> float:
+        return self.value
 
 
-# The unit evaluator shared by the isotropic spectrum and the omni pattern.
-_unit = _UniformCap()
+def _uniform_on_cap(density: AngularSpectrum) -> bool:
+    """Whether a density is uniform on its polar cap (every built-in one is).
+    Along each ray from the origin it is then constant between the cap
+    edges, so its kernels take the radial rule and its Fourier variances
+    integrate each ray exactly."""
+    return isinstance(density.evaluator, _UniformCap)
 
 
 def isotropic_spectrum() -> AngularSpectrum:
     """Unit density over the full sphere."""
-    return AngularSpectrum("isotropic", _unit, axisymmetric=True)
+    return AngularSpectrum("isotropic", _UniformCap())
 
 
 def cap_constant(theta0: float) -> float:
@@ -167,18 +161,17 @@ def cap_spectrum(theta0: float) -> AngularSpectrum:
     if np.cos(theta0) == 1.0:
         raise ValueError(f"cap half-angle {theta0!r} is too small: 1 - cos(theta0) rounds to "
                          f"zero in double precision; use a half-angle of at least 1e-7 rad")
-    return AngularSpectrum(f"cap({theta0:g})", _UniformCap(cap_constant(theta0), theta0),
-                           theta0, lower="zero", axisymmetric=True)
+    return AngularSpectrum(f"cap({theta0:g})", _UniformCap(cap_constant(theta0)), theta0,
+                           lower="zero")
 
 
 def omni_pattern() -> AntennaPattern:
     """Omnidirectional element: unit power pattern over the full sphere."""
-    return AntennaPattern("omni", _unit, axisymmetric=True)
+    return AntennaPattern("omni", _UniformCap())
 
 
 def matched_pattern(spectrum: AngularSpectrum) -> AntennaPattern:
-    """Element pattern proportional to the given spectrum: a renamed copy
-    (``axisymmetric`` included)."""
+    """Element pattern proportional to the given spectrum: a renamed copy."""
     return replace(spectrum, name=f"matched({spectrum.name})")
 
 
@@ -211,9 +204,7 @@ def spectrum_from_name(text: str) -> AngularSpectrum:
 def pattern_from_name(text: str, spectrum: AngularSpectrum | None = None) -> AntennaPattern:
     """Parse config names: ``omni``, ``matched`` or ``matched(<spectrum>)``.
 
-    Bare ``matched`` matches the experiment's own spectrum, and so does a
-    spelled-out match equal to it: each parse makes a new evaluator, and
-    ``coupling.coupling_ratio`` knows a density by its evaluator object.
+    Bare ``matched`` matches the experiment's own spectrum.
     """
     text = text.strip()
     if text == "omni":
@@ -221,8 +212,7 @@ def pattern_from_name(text: str, spectrum: AngularSpectrum | None = None) -> Ant
     m = _MATCHED_RE.match(text)
     if m:
         if m.group(2):
-            named = spectrum_from_name(m.group(2))
-            return matched_pattern(spectrum if named == spectrum else named)
+            return matched_pattern(spectrum_from_name(m.group(2)))
         if spectrum is None:
             raise ValueError("pattern 'matched' needs a spectrum to match")
         return matched_pattern(spectrum)

@@ -22,7 +22,7 @@ from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
 from holomimo.cli import ExperimentConfig, _exact_spectra
 from holomimo.coupling import coupling_ratio
-from holomimo.spectra import pattern_from_name, spectrum_from_name
+from holomimo.spectra import _uniform_on_cap, pattern_from_name, spectrum_from_name
 
 
 def test_isotropic_correlation_is_sinc():
@@ -97,7 +97,7 @@ def test_jittered_array_correlation_matches_direct_sum():
 
 
 def test_jittered_array_cap_correlation_takes_the_radial_rule():
-    # an axisymmetric density on an irregular array: the radial rule over the
+    # a uniform cap on an irregular array: the radial rule over the
     # N^2 pair distances, against a direct plane-wave sum on a fine 2-D rule
     rng = np.random.default_rng(12)
     jitter = np.c_[rng.uniform(-0.1, 0.1, (40, 2)), np.zeros(40)]
@@ -137,7 +137,7 @@ def test_large_irregular_array_is_refused():
     # off a grid, and 2^17 nodes times 256^2 pairs are above its budget
     rng = np.random.default_rng(3)
     g = ArrayGeometry(np.c_[rng.uniform(0.0, 10.0, (256, 2)), np.zeros(256)])
-    with pytest.raises(ValueError, match="gridded geometry.*axisymmetric.*isotropic"):
+    with pytest.raises(ValueError, match="gridded geometry.*uniform on its polar cap.*isotropic"):
         exact_correlation(g, _TILTED)
     # the closed form still serves this geometry
     assert exact_correlation(g, isotropic_spectrum()).matrix.shape == (256, 256)
@@ -167,8 +167,22 @@ def test_radial_rule_is_converged(monkeypatch):
     assert np.abs(fine - r).max() <= 1e-13 * np.abs(r).max()
 
 
+def test_hemisphere_cap_takes_the_closed_form():
+    # cap(pi/2) is uniform on the whole upper hemisphere: R is 2 sinc(2 d)
+    # and its matched C the sinc, neither from a rule
+    g = build_upa(31, 31, 0.5)
+    cap = cap_spectrum(np.pi / 2)
+    c = coupling_general(g, matched_pattern(cap))
+    assert c.kind == "closed-form"
+    assert np.abs(c.matrix - coupling_closed_form(g).matrix).max() <= 1e-15
+    assert coupling_ratio(cap, matched_pattern(cap)) == 0.5
+    r = exact_correlation(g, cap).matrix
+    ref = exact_correlation(g, cap, quadrature_for(cap)).matrix
+    assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def _refuse_phase_table(*args, **kwargs):
-    raise AssertionError("an axisymmetric density built the 2-D phase table")
+    raise AssertionError("a density uniform on its cap built the 2-D phase table")
 
 
 def test_cap_spectra_never_build_the_phase_table(monkeypatch):
@@ -183,8 +197,8 @@ def test_cap_spectra_never_build_the_phase_table(monkeypatch):
 
 
 def test_custom_spectrum_takes_the_phase_table(monkeypatch):
-    # a density that does not declare itself axisymmetric keeps the 2-D rule,
-    # even when it depends on theta alone
+    # a density with an evaluator of its own keeps the 2-D rule, even when it
+    # is uniform on its cap
     calls = []
     phase_kernel = holomimo._kernels.phase_kernel
 
@@ -194,7 +208,7 @@ def test_custom_spectrum_takes_the_phase_table(monkeypatch):
 
     monkeypatch.setattr(holomimo._kernels, "phase_kernel", count)
     upper = AngularSpectrum("upper", lambda th, ph: 2.0 * np.ones_like(th), lower="zero")
-    assert not upper.axisymmetric
+    assert not _uniform_on_cap(upper)
     exact_correlation(build_upa(4, 4, 0.3), upper)
     assert len(calls) == 1
 
@@ -415,12 +429,16 @@ def _refuse_coupling(*args, **kwargs):
     (build_upa(7, 6, 0.3), "cap(0.6)", "matched", 0.5),
     # a spelled-out match equal to the spectrum is the spectrum's own density
     (build_upa(7, 6, 0.3), "cap(0.6)", "matched(cap(0.6))", 0.5),
-], ids=["7x6-omni", "ula-omni", "7x6-cap-matched", "7x6-cap-matched-spelled-out"])
+    # and so is a pattern matched to a cap parsed on its own: densities are
+    # known by their value
+    (build_upa(7, 6, 0.3), "cap(0.6)", matched_pattern(cap_spectrum(0.6)), 0.5),
+], ids=["7x6-omni", "ula-omni", "7x6-cap-matched", "7x6-cap-matched-spelled-out",
+        "7x6-cap-matched-parsed-apart"])
 def test_proportional_pattern_whitens_by_the_scalar_map(monkeypatch, g, spectrum, pattern, kappa):
     # C = kappa R: the whitened spectrum is lambda / (kappa lambda + rho), and
     # C is never built
     s = spectrum_from_name(spectrum)
-    p = pattern_from_name(pattern, s)
+    p = pattern if isinstance(pattern, AngularSpectrum) else pattern_from_name(pattern, s)
     assert coupling_ratio(s, p) == kappa
     rhos = [0.1, 0.01, 0.001]
     dense = whitened_eigenvalues(exact_correlation(g, s), coupling_general(g, p), rhos)

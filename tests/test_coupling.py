@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from holomimo import (ArrayGeometry, build_ula, build_upa, cap_spectrum, couplin
                       regularize, spd_inv_sqrt, spd_sqrt, write_coupling_csv)
 from holomimo._kernels import array_grid, density_kernel
 from holomimo.coupling import CouplingMatrix, Kernel, SingularCouplingError, _coupling_scale
-from holomimo.spectra import AntennaPattern, quadrature_for
+from holomimo.spectra import AntennaPattern, _uniform_on_cap, _UniformCap, quadrature_for
 
 # The unit pattern under a name and evaluator of its own: it takes the
 # hemisphere quadrature, which these tests hold to the closed form.
@@ -102,12 +104,26 @@ def test_radial_rule_rejects_unnormalized_pattern(monkeypatch):
     # the radial rule hands back its theta rule, on which the normalization
     # is checked as on the 2-D one
     def refuse(*args, **kwargs):
-        raise AssertionError("an axisymmetric pattern took the 2-D rule")
+        raise AssertionError("a uniform cap pattern took the 2-D rule")
 
     monkeypatch.setattr(holomimo._kernels, "angular_kernel", refuse)
-    bad = AntennaPattern("double", lambda th, ph: 2.0 * np.ones_like(th), axisymmetric=True)
+    bad = AntennaPattern("double", _UniformCap(2.0), 1.0)
     with pytest.raises(ValueError, match="not normalized"):
         coupling_general(build_upa(4, 3, 0.4), bad)
+
+
+@pytest.mark.parametrize("bad", [AntennaPattern("double", _UniformCap(2.0)),
+                                 replace(omni_pattern(), lower="zero")],
+                         ids=["double", "upper-half"])
+@pytest.mark.parametrize("g", [
+    build_upa(4, 3, 0.4),
+    ArrayGeometry([[0.0, 0.0, 0.0], [0.37, 0.11, 0.0], [0.05, 0.61, 0.0], [0.83, 0.47, 0.0]]),
+], ids=["grid", "pairs"])
+def test_closed_form_rejects_unnormalized_pattern(g, bad):
+    # a pattern uniform on the whole hemisphere takes sinc, whose zero
+    # difference holds the pattern's average exactly: 2 and 1/2 here
+    with pytest.raises(ValueError, match="not normalized"):
+        coupling_general(g, bad)
 
 
 @pytest.mark.parametrize("g", [build_upa(31, 31, 0.5), build_upa(16, 16, 0.4)],
@@ -115,7 +131,7 @@ def test_radial_rule_rejects_unnormalized_pattern(monkeypatch):
 def test_radial_coupling_matches_the_2d_rule(g):
     # the general C of a one-sided cap pattern against the 2-D product rule
     pattern = matched_pattern(cap_spectrum(0.3))
-    assert pattern.axisymmetric
+    assert _uniform_on_cap(pattern)
     c = coupling_general(g, pattern).matrix
     table, grid, _ = density_kernel(g.positions, pattern, _coupling_scale(pattern),
                                     quadrature_for(pattern))

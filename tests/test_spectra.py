@@ -62,6 +62,13 @@ def test_cap_evaluator_support():
     assert s.lower == "zero"
 
 
+def test_custom_density_is_zero_beyond_its_cap():
+    # the support is the density's cap, whatever its evaluator gives there
+    s = AngularSpectrum("custom", lambda th, ph: np.ones_like(th), theta0=0.5)
+    th = np.array([0.3, 0.5, 0.7, np.pi - 0.3, np.pi - 0.7])
+    assert np.array_equal(s(th, np.zeros_like(th)), [1.0, 1.0, 0.0, 1.0, 0.0])
+
+
 def test_isotropic_mirrors_to_lower_hemisphere():
     s = isotropic_spectrum()
     assert np.allclose(s([0.2, np.pi - 0.2], [0.0, 0.0]), 1.0)
@@ -105,9 +112,9 @@ def test_pattern_is_a_renamed_spectrum():
     cap = cap_spectrum(0.7)
     pat = matched_pattern(cap)
     assert pat.name == "matched(cap(0.7))"
-    assert pat.evaluator is cap.evaluator
+    assert pat.evaluator == cap.evaluator
     assert (pat.theta0, pat.lower) == (cap.theta0, cap.lower)
-    assert omni_pattern().evaluator is isotropic_spectrum().evaluator
+    assert omni_pattern().evaluator == isotropic_spectrum().evaluator
 
 
 def test_pattern_covers():
