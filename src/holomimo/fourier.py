@@ -6,12 +6,15 @@ unit disk; the Fourier model samples them on the integer lattice points j with
 (1/Dx) x (1/Dy) clipped to the disk, and the model variances are integrals of
 the angular spectrum (over the pattern, in the coupled flavor) over that cell.
 
-Every density the variances take is uniform on its polar cap, so along each
-ray from the origin the integrand is constant between the cap edges: the
-radial integral is exact, and only the angle takes a Gauss-Legendre rule.
-All cells, the rim cells folded into their nearest lattice point included,
-are integrated as arrays in fixed blocks.  The Fourier columns are formed
-only on demand (``fourier_matrix``, ``FourierBasis.matrix``).
+Every density the variances take is uniform on its polar cap, and a
+pattern that covers the spectrum is uniform wherever the spectrum is
+positive.  So each variance is one constant (the spectrum's value, over the
+pattern's in the coupled flavor) times one integral of the weight over the
+cell cut to the disk of radius sin(theta0) of the spectrum: along each ray
+the radial integral is exact, and only the angle takes a Gauss-Legendre
+rule.  All cells, the rim cells folded into their nearest lattice point
+included, are integrated as arrays in fixed blocks.  The Fourier columns
+are formed only on demand (``fourier_matrix``, ``FourierBasis.matrix``).
 """
 
 from __future__ import annotations
@@ -106,7 +109,10 @@ def _cells(lattice: WavenumberLattice) -> tuple[np.ndarray, np.ndarray]:
     The lattice cells come first, in lattice order.  The cells of points just
     outside the lattice can still clip the disk rim; folding each into the
     nearest lattice point (the earliest in lattice order on ties) makes the
-    cells tile the disk exactly, so variance sums close to quadrature accuracy.
+    cells tile the disk exactly.  The sums of the area-weighted (coupled)
+    variances then close to quadrature accuracy; under the rim weight the
+    angular rule misses up to 5e-6 in a rim cell, and the isotropic sum on a
+    (6, 6) aperture closes only to -2.4e-7.
     """
     d = lattice.aperture
     mx, my = int(np.ceil(d[0])) + 1, int(np.ceil(d[1])) + 1
@@ -157,22 +163,18 @@ def _crossings(rects: np.ndarray, r) -> list[np.ndarray]:
     return out
 
 
-def _integrate_cells(rects: np.ndarray, f, weight: str, breaks=()) -> np.ndarray:
-    """Integrals of f(kx, ky) * w over each rect intersected with the unit disk.
+def _integrate_cells(rects: np.ndarray, weight: str, s: float, c: float) -> np.ndarray:
+    """c times the integral of w over each rect cut to the disk |k| <= s.
 
     weight "plain" uses w = 1 (area measure dk); "rim" uses w = 1/sqrt(1-|k|^2).
-    f must be constant along each ray between the break radii, as a density
-    uniform on its cap is: each radial segment then integrates exactly, with
-    f read once at its midpoint, against -sqrt(1-r^2) (rim) or r^2/2 (plain).
-    The angles take Gauss-Legendre panels split at every corner, at every
-    crossing of the unit circle and of a break circle, and at +-pi for the
-    rect holding the origin.
+    Along each ray the radial integral is exact, against -sqrt(1-r^2) (rim)
+    or r^2/2 (plain).  The angles take Gauss-Legendre panels split at every
+    corner, at every crossing of the circle r = s, and at +-pi for the rect
+    holding the origin.
     """
     x0, x1, y0, y1 = rects.T
     angs = [np.arctan2(y, x) for x in (x0, x1) for y in (y0, y1)]
-    for r in (1.0, *breaks):
-        angs += _crossings(rects, r)
-    angs = np.stack(angs, axis=1)
+    angs = np.stack(angs + _crossings(rects, s), axis=1)
     origin = (x0 <= 0.0) & (0.0 <= x1) & (y0 <= 0.0) & (0.0 <= y1)
     # unwrap around the rect's center angle, except where the rect holds the
     # origin and its panels run from -pi to pi
@@ -186,46 +188,36 @@ def _integrate_cells(rects: np.ndarray, f, weight: str, breaks=()) -> np.ndarray
     nodes, weights = leggauss(_N_PHI)
     phi = 0.5 * (pb - pa) * nodes + 0.5 * (pa + pb)
     wp = 0.5 * (pb - pa) * weights
-    t0, t1 = _ray_rect(phi, rects[cell].T[..., None])
-    t1 = np.clip(t1, 0.0, 1.0)
-    t0 = np.minimum(t0, t1)
-    # Radial segments (segments, rays) split at every break.  Breaks a ray
-    # does not cross, and rays that miss the disk (t0 = t1), give zero-length
-    # segments: zero weight, and f is not evaluated there.
-    bounds = np.stack([t0, *(np.clip(b, t0, t1) for b in breaks), t1])
-    ra, rb = bounds[:-1], bounds[1:]
+    ra, rb = _ray_rect(phi, rects[cell].T[..., None])
+    rb = np.clip(rb, 0.0, s)
+    ra = np.minimum(ra, rb)  # rays that miss the cut disk get zero length
     if weight == "rim":
         w = np.sqrt(np.maximum(0.0, 1.0 - ra * ra)) - np.sqrt(np.maximum(0.0, 1.0 - rb * rb))
     else:
         w = 0.5 * (rb - ra) * (rb + ra)
-    w = w * wp
-    m = w > 0.0
-    r = 0.5 * (ra + rb)[m]
-    phi = np.broadcast_to(phi, m.shape)[m]
-    vals = w[m] * f(r * np.cos(phi), r * np.sin(phi))
-    return np.bincount(np.broadcast_to(cell[:, None], m.shape)[m], vals, minlength=len(rects))
+    return np.bincount(np.broadcast_to(cell[:, None], w.shape).ravel(), (w * wp * c).ravel(),
+                       minlength=len(rects))
 
 
-def _cell_integrals(lattice: WavenumberLattice, f, weight: str, *densities) -> np.ndarray:
-    """Cell integrals of f, a function of the densities, which must each be
-    uniform on their polar cap: a radial break at sin(edge) of every density
-    whose support ends inside the disk.  In blocks of _BLOCK cells to bound
-    the temporaries."""
-    for s in densities:
-        if not _uniform_on_cap(s):
-            raise ValueError(
-                f"density {s.name!r} is not uniform on its polar cap; the cell variances take "
-                f"isotropic_spectrum, omni_pattern, cap_spectrum and their matched_pattern "
-                f"copies only (its exact R and C are still built by "
-                f"channel.exact_correlation and coupling.coupling_general)")
-    breaks = sorted({float(np.sin(s.edge)) for s in densities if s.edge is not None})
+def _cell_integrals(lattice: WavenumberLattice, weight: str, s: float, c: float) -> np.ndarray:
+    """``_integrate_cells`` over every cell, each added into its lattice
+    point, in blocks of _BLOCK cells to bound the temporaries."""
     rects, into = _cells(lattice)
-    vals = np.concatenate([_integrate_cells(rects[i:i + _BLOCK], f, weight, breaks)
+    vals = np.concatenate([_integrate_cells(rects[i:i + _BLOCK], weight, s, c)
                            for i in range(0, len(rects), _BLOCK)])
     return np.bincount(into, vals, minlength=lattice.n_points)
 
 
 def _direction_values(obj, kx, ky) -> np.ndarray:
+    """A density's values at wavenumbers (kx, ky) of the upper hemisphere.
+    Refuses a density not uniform on its polar cap: the cell variances read
+    each density once, at the zenith, as the constant of its cap."""
+    if not _uniform_on_cap(obj):
+        raise ValueError(
+            f"density {obj.name!r} is not uniform on its polar cap; the cell variances take "
+            f"isotropic_spectrum, omni_pattern, cap_spectrum and their matched_pattern "
+            f"copies only (its exact R and C are still built by "
+            f"channel.exact_correlation and coupling.coupling_general)")
     r = np.hypot(kx, ky)
     theta = np.arcsin(np.clip(r, 0.0, 1.0))
     phi = np.arctan2(ky, kx)
@@ -242,8 +234,8 @@ def variances_uncoupled(lattice: WavenumberLattice, spectrum: AngularSpectrum) -
     For the isotropic spectrum these are the normalized solid angles of the
     cells and sum to 1.  Refuses a density not uniform on its cap.
     """
-    f = lambda kx, ky: _direction_values(spectrum, kx, ky)
-    return _cell_integrals(lattice, f, "rim", spectrum) / (2.0 * np.pi)
+    c = float(_direction_values(spectrum, 0.0, 0.0))
+    return _cell_integrals(lattice, "rim", np.sin(spectrum.theta0), c) / (2.0 * np.pi)
 
 
 def variances_coupled(lattice: WavenumberLattice, spectrum: AngularSpectrum,
@@ -259,15 +251,8 @@ def variances_coupled(lattice: WavenumberLattice, spectrum: AngularSpectrum,
         raise ValueError(
             f"pattern {pattern.name!r} vanishes inside the support of spectrum "
             f"{spectrum.name!r}; the deconvolved variance diverges")
-
-    def f(kx, ky):
-        e = _direction_values(spectrum, kx, ky)
-        m = e > 0.0
-        out = np.zeros_like(e)
-        out[m] = e[m] / _direction_values(pattern, kx[m], ky[m])
-        return out
-
-    return _cell_integrals(lattice, f, "plain", spectrum, pattern) / np.pi
+    c = float(_direction_values(spectrum, 0.0, 0.0) / _direction_values(pattern, 0.0, 0.0))
+    return _cell_integrals(lattice, "plain", np.sin(spectrum.theta0), c) / np.pi
 
 
 def solid_angles(lattice: WavenumberLattice) -> np.ndarray:

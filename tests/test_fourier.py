@@ -9,6 +9,7 @@ from holomimo import (AngularSpectrum, build_fourier_basis, build_lattice, build
                       cap_spectrum, dof_prime, fourier_matrix, isotropic_spectrum, matched_pattern,
                       omni_pattern, projected_solid_angles, solid_angles,
                       variances_coupled, variances_uncoupled, write_variances_csv)
+from holomimo import fourier
 from holomimo.channel import exact_correlation
 from holomimo.fourier import _cells, _direction_values, _integrate_cells, _ray_rect
 
@@ -149,9 +150,23 @@ def test_cell_areas_match_closed_form(aperture):
     np.testing.assert_array_equal(rects, np.stack([c[:, 0] - h[0], c[:, 0] + h[0],
                                                    c[:, 1] - h[1], c[:, 1] + h[1]], axis=1))
     np.testing.assert_array_equal(into, np.concatenate([np.arange(lat.n_points), nearest]))
-    got = _integrate_cells(rects, lambda kx, ky: np.ones_like(kx), "plain")
+    got = _integrate_cells(rects, "plain", 1.0, 1.0)
     exact = [_rect_disk_area(rect) for rect in rects]
     np.testing.assert_allclose(got, exact, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("aperture", [(6.0, 6.0), (6.0, 3.0), (4.5, 2.2)])
+@pytest.mark.parametrize("t", [0.3, 0.6, np.pi / 3, 1.4])
+def test_cut_disk_areas_match_closed_form(aperture, t):
+    # every lattice and orphan cell cut to the disk of radius s = sin t, the
+    # support of cap(t), against s^2 times the unit-disk area of rect / s.
+    # Where a corner stops just short of the cut the reference reads ~1e-16
+    # and the integrator exactly 0, hence the atol.
+    s = np.sin(t)
+    rects = _cells(build_lattice(aperture))[0]
+    got = _integrate_cells(rects, "plain", s, 1.0)
+    exact = [s * s * _rect_disk_area(rect / s) for rect in rects]
+    np.testing.assert_allclose(got, exact, rtol=1e-11, atol=1e-15)
 
 
 def test_ray_rect_parallel_and_oblique_rays():
@@ -179,7 +194,7 @@ def test_radial_break_cells_match_dblquad():
     rmax = np.max([np.hypot(x, y) for x in (x0, x1) for y in (y0, y1)], axis=0)
     rects = rects[(rmin < rb) & (rb < rmax)]
     assert len(rects) >= 20
-    got = _integrate_cells(rects, lambda kx, ky: _direction_values(cap, kx, ky), "rim", (rb,))
+    got = _integrate_cells(rects, "rim", rb, c)
     for (x0, x1, y0, y1), g in zip(rects, got):
         s = lambda x: np.sqrt(max(0.0, rb * rb - x * x))
         ref, _ = dblquad(lambda y, x: 1.0 / np.sqrt(1.0 - x * x - y * y),
@@ -221,6 +236,31 @@ def test_matched_pattern_flattens_variances():
     assert ratio_c == pytest.approx(1.0, abs=1e-6)
     assert ratio_c < ratio_u
     assert ratio_u > 1.001
+
+
+def test_each_density_is_read_once(monkeypatch):
+    # the variances read each density at one point, and a covering pattern
+    # enters only through its constant: the same cut integral under omni, a
+    # matched pattern and a wider matched cap
+    calls = []
+
+    def counted(obj, kx, ky):
+        calls.append(obj.name)
+        return _direction_values(obj, kx, ky)
+
+    monkeypatch.setattr(fourier, "_direction_values", counted)
+    lat = build_lattice((6.0, 6.0))
+    cap = cap_spectrum(0.5)
+    variances_uncoupled(lat, cap)
+    assert calls == [cap.name]
+    calls.clear()
+    ref = variances_coupled(lat, cap, omni_pattern())
+    assert len(calls) == 2
+    assert np.count_nonzero(ref) >= 20 and np.count_nonzero(ref == 0.0) >= 20
+    for pattern in (matched_pattern(cap), matched_pattern(cap_spectrum(1.2))):
+        got = variances_coupled(lat, cap, pattern) * float(pattern(np.array(0.0), np.array(0.0)))
+        np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
 def test_coupled_variances_reject_uncovered_spectrum():
