@@ -182,9 +182,7 @@ def radial_kernel(dx: np.ndarray, dy: np.ndarray, density, scale: float):
     IEEE Signal Process. Lett. 9, 2002): Gauss-Legendre nodes on the support
     [0, theta0], and J0 by the midpoint rule on a quarter period of phi, both
     sized from x_max = 2 pi d_max sin theta0 to stay at roundoff.  Equal
-    distances are grouped exactly, never after rounding.  Returns the kernel
-    and the theta rule as a (theta, 0, 2 pi weight) triple, or None for the
-    closed form.
+    distances are grouped exactly, never after rounding.
     """
     value = density.evaluator.value
     if density.edge is None:
@@ -192,10 +190,8 @@ def radial_kernel(dx: np.ndarray, dy: np.ndarray, density, scale: float):
         np.sqrt(d, out=d)
         d *= 2.0
         entries = np.sinc(d)
-        factor = value * scale / HEMISPHERE
-        if factor != 1.0:
-            entries *= factor
-        return entries, None
+        entries *= value * scale / HEMISPHERE
+        return entries
     dist = np.hypot(dx, dy)
     d, inverse = np.unique(dist.ravel(), return_inverse=True)
     theta0 = density.theta0
@@ -203,7 +199,6 @@ def radial_kernel(dx: np.ndarray, dy: np.ndarray, density, scale: float):
     t, w = leggauss(n_theta)
     theta = 0.5 * theta0 * (t + 1.0)
     w = np.pi * theta0 * w * np.sin(theta)
-    phi = np.zeros_like(theta)
     cos_phi = np.cos((np.arange(n_phi) + 0.5) * (0.5 * np.pi / n_phi))
     freq = np.outer(2.0 * np.pi * np.sin(theta), cos_phi).ravel()
     node_w = np.repeat(scale * w * value / n_phi, n_phi)
@@ -213,7 +208,7 @@ def radial_kernel(dx: np.ndarray, dy: np.ndarray, density, scale: float):
         arg = np.multiply.outer(d[start:start + chunk], freq)
         np.cos(arg, out=arg)
         values[start:start + chunk] = arg @ node_w
-    return values[inverse].reshape(dist.shape), (theta, phi, w)
+    return values[inverse].reshape(dist.shape)
 
 
 def angular_kernel(positions: np.ndarray, density, quadrature, scale: float,
@@ -239,25 +234,22 @@ def angular_kernel(positions: np.ndarray, density, quadrature, scale: float,
     return 0.5 * (m + mt.conj())
 
 
-def density_kernel(positions: np.ndarray, density, scale: float, quadrature=None):
+def density_kernel(positions: np.ndarray, density, scale: float):
     """scale * upper-hemisphere integral of density * exp(i k . (r_n - r_m)).
 
-    Without an explicit ``quadrature``, a density uniform on its polar cap
-    (every built-in one) takes ``radial_kernel``.  Every other density, and
-    any density given a ``quadrature``, takes ``angular_kernel`` on the 2-D
-    product rule (default ``quadrature_for(density)``).  Returns (entries,
-    grid, rule): the table over the Grid's differences, or the N x N matrix
-    with grid None on an irregular array (``array_grid``); and the rule used,
-    a (theta, phi, weight) triple, or None for the closed form.
+    The density alone picks the rule: one uniform on its polar cap (every
+    built-in one) takes ``radial_kernel``, every other one ``angular_kernel``
+    on ``quadrature_for(density)``.  Returns (entries, grid): the table over
+    the Grid's differences, or the N x N matrix with grid None on an
+    irregular array (``array_grid``).  Either way the zero difference holds
+    scale times the rule's integral of the density.
     """
     grid = array_grid(positions)
+    if not _uniform_on_cap(density):
+        return angular_kernel(positions, density, quadrature_for(density), scale, grid), grid
     if grid is not None:
         dx, dy = grid.dx[:, None], grid.dy[None, :]
     else:
         x, y = positions[:, 0], positions[:, 1]
         dx, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
-    if quadrature is None and _uniform_on_cap(density):
-        entries, rule = radial_kernel(dx, dy, density, scale)
-        return entries, grid, rule
-    q = quadrature if quadrature is not None else quadrature_for(density)
-    return angular_kernel(positions, density, q, scale, grid), grid, q
+    return radial_kernel(dx, dy, density, scale), grid

@@ -115,8 +115,8 @@ def precoded_mutual_information(h: np.ndarray, composite: np.ndarray) -> float:
     g = h @ composite
     k = np.eye(g.shape[0]) + g @ g.conj().T
     sign, logdet = np.linalg.slogdet(k)
-    if sign.real <= 0:
-        raise RuntimeError("mutual-information determinant is not positive")
+    if not (sign.real > 0 and np.isfinite(logdet)):
+        raise RuntimeError("mutual-information determinant is not positive and finite")
     return float(logdet / np.log(2.0))
 
 

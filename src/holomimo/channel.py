@@ -51,21 +51,19 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 CorrelationMatrix = Kernel
 
 
-def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum,
-                      quadrature=None) -> Kernel:
+def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum) -> Kernel:
     """Upper-hemisphere correlation (1/2pi) * integral of E exp(i k . (r - s)).
 
     The diagonal equals the spectrum's upper-hemisphere mass over 2pi: one for
     hemisphere-balanced spectra, two for one-sided caps (all the power arrives
-    from above).  Without a ``quadrature``, a spectrum uniform on its polar
-    cap (every built-in one) takes the radial rule: the closed form sinc(2 d)
-    on the whole hemisphere (isotropic), the Bessel rule in the distance on a
-    smaller cap.  Any other spectrum, and any spectrum given an explicit
-    ``quadrature``, takes the 2-D hemisphere rule (``_kernels.density_kernel``).
-    The matrix is real for every point-symmetric spectrum and complex
-    Hermitian otherwise.
+    from above).  The spectrum alone picks the rule
+    (``_kernels.density_kernel``): one uniform on its polar cap (every
+    built-in one) takes the radial rule, the closed form sinc(2 d) on the
+    whole hemisphere (isotropic) and the Bessel rule in the distance on a
+    smaller cap; any other takes the 2-D hemisphere rule.  The matrix is real
+    for every point-symmetric spectrum and complex Hermitian otherwise.
     """
-    m, grid, _ = density_kernel(geometry.positions, spectrum, HEMISPHERE, quadrature)
+    m, grid = density_kernel(geometry.positions, spectrum, HEMISPHERE)
     return Kernel(m, geometry, grid=grid)
 
 

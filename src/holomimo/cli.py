@@ -107,8 +107,8 @@ def _coerce(cfg: ExperimentConfig):
     if cfg.normalize not in ("transmit", "receive"):
         raise ConfigError(f"normalize must be 'transmit' or 'receive', got {cfg.normalize!r}")
     threshold_db = _real(cfg.threshold_db, "threshold_db")
-    # Degenerate apertures cannot carry a wavenumber lattice or disk quadrature.
-    if cfg.kind != "coupling-matrix":
+    # Only the kinds that build a wavenumber lattice need a two-dimensional aperture.
+    if cfg.kind not in ("coupling-matrix", "capacity"):
         for g, name in ((tx, "tx"), (rx, "rx")):
             try:
                 g.aperture_matrix()

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import HEMISPHERE, Grid, density_kernel
 from .geometry import ArrayGeometry
-from .spectra import AngularSpectrum, AntennaPattern, check_normalization, omni_pattern
+from .spectra import AngularSpectrum, AntennaPattern, _uniform_on_cap, omni_pattern
 
 __all__ = [
     "CouplingMatrix",
@@ -248,25 +248,22 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel
     Full-sphere average (1/4pi) of |A|^2 times the plane-wave outer product
     (``_coupling_scale``).  A pattern uniform on the whole hemisphere (omni,
     or one matched to the isotropic spectrum or to cap(pi/2)) takes the
-    closed form.  Every pattern must be normalized, which is checked on the
-    rule that built C (the radial theta rule or the 2-D quadrature), or, for
-    the closed form, on its zero difference, which holds the pattern's
-    average exactly; the result is symmetrized after checking that the
-    asymmetry and imaginary residue are at quadrature-noise level.
+    closed form, one uniform on a smaller cap the radial rule, and the rest
+    the 2-D quadrature.  Every pattern must be normalized, which is read off
+    C's zero difference: on every rule it holds the scale times the rule's
+    integral of the pattern, its full-sphere average.  A complex C, whose
+    imaginary residue is above quadrature noise, is refused after that.
     """
-    m, grid, q = density_kernel(geometry.positions, pattern, _coupling_scale(pattern))
-    if q is None:
-        norm = m[grid.origin] if grid is not None else m[0, 0]
-    else:
-        norm = check_normalization(pattern, q)
+    m, grid = density_kernel(geometry.positions, pattern, _coupling_scale(pattern))
+    norm = (m[grid.origin] if grid is not None else m[0, 0]).real
     if abs(norm - 1.0) > 1e-3:
         raise ValueError(f"pattern {pattern.name!r} is not normalized (average {norm:.6f})")
-    if q is None:
-        return Kernel(m, geometry, kind="closed-form", grid=grid)
     if np.iscomplexobj(m):
         residue = np.abs(m.imag).max()
         raise RuntimeError(f"coupling quadrature residue {residue:.3e} exceeds tolerance")
-    return Kernel(m, geometry, kind=f"general({pattern.name})", grid=grid)
+    closed = _uniform_on_cap(pattern) and pattern.edge is None
+    kind = "closed-form" if closed else f"general({pattern.name})"
+    return Kernel(m, geometry, kind=kind, grid=grid)
 
 
 def _check_rho(rho) -> np.ndarray:

@@ -101,9 +101,9 @@ def hemisphere_quadrature(n_theta: int = 256, n_phi: int = 512,
     return theta.ravel(), phi.ravel(), weight
 
 
-def quadrature_for(*densities, n_theta: int = 256, n_phi: int = 512):
-    """``hemisphere_quadrature`` with a panel edge at every support edge."""
-    edges = [d.edge for d in densities if d.edge is not None]
+def quadrature_for(density, n_theta: int = 256, n_phi: int = 512):
+    """``hemisphere_quadrature`` with a panel edge at the density's edge, if any."""
+    edges = () if density.edge is None else (density.edge,)
     return hemisphere_quadrature(n_theta, n_phi, edges)
 
 

@@ -130,6 +130,12 @@ def test_precoded_mutual_information():
     assert precoded_mutual_information(h, f) == pytest.approx(ref, rel=1e-10)
 
 
+def test_precoded_mutual_information_refuses_a_non_finite_channel():
+    # slogdet gives sign 1 and log|det| nan here: the sign alone would pass
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="finite"):
+        precoded_mutual_information(np.array([[np.nan, 1.0]]), np.eye(2))
+
+
 def test_ergodic_capacity_reproducible_and_monotone():
     model = iid_model(4, 4)
     a, = ergodic_capacity([model], [-10.0, 0.0, 10.0, 20.0], n_mc=50, seed=12)

@@ -17,12 +17,19 @@ from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, Correlatio
                       matched_pattern, omni_pattern, quadrature_for, regularize,
                       sample_exact_channel, spd_inv_sqrt, spd_sqrt, waterfill,
                       whitened_eigenvalues)
-from holomimo._kernels import angular_kernel, array_grid
+from holomimo._kernels import HEMISPHERE, angular_kernel, array_grid
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
 from holomimo.cli import ExperimentConfig, _exact_spectra
 from holomimo.coupling import coupling_ratio
 from holomimo.spectra import _uniform_on_cap, pattern_from_name, spectrum_from_name
+
+
+def _rule_kernel(g, density, q):
+    """R of ``density`` on the 2-D rule ``q``, whatever rule the density picks."""
+    grid = array_grid(g.positions)
+    return CorrelationMatrix(angular_kernel(g.positions, density, q, HEMISPHERE, grid), g,
+                             grid=grid)
 
 
 def test_isotropic_correlation_is_sinc():
@@ -51,7 +58,7 @@ def test_custom_spectrum_named_isotropic_takes_quadrature():
     assert check_normalization(custom) == pytest.approx(1.0, abs=1e-6)
     g = build_upa(4, 4, 0.3)
     r = exact_correlation(g, custom).matrix
-    assert np.array_equal(r, exact_correlation(g, custom, quadrature_for(custom)).matrix)
+    assert np.array_equal(r, _rule_kernel(g, custom, quadrature_for(custom)).matrix)
     # the table of the grid against the sum over the antenna pairs
     quad = angular_kernel(g.positions, custom, quadrature_for(custom), 1.0 / (2.0 * np.pi))
     assert np.abs(r - quad).max() <= 1e-12 * np.abs(quad).max()
@@ -63,10 +70,10 @@ def test_asymmetric_spectrum_keeps_complex_hermitian_correlation():
     # so R keeps an imaginary part; the cos(phi) term averages out, so it is
     # normalized with a mirrored lower hemisphere
     tilted = AngularSpectrum("tilted", lambda th, ph: 1.0 + np.sin(th) * np.cos(ph))
-    q = quadrature_for(tilted, n_theta=64, n_phi=128)
+    q = quadrature_for(tilted)
     assert check_normalization(tilted, q) == pytest.approx(1.0, abs=1e-12)
     g = build_upa(3, 3, 0.3)
-    r = exact_correlation(g, tilted, q).matrix
+    r = exact_correlation(g, tilted).matrix
     assert np.iscomplexobj(r)
     assert np.array_equal(r, r.conj().T)
     assert np.abs(r.imag).max() > 1e-2
@@ -87,7 +94,7 @@ def test_jittered_array_correlation_matches_direct_sum():
     g = ArrayGeometry(build_upa(8, 5, 0.5).positions + jitter)
     cap = cap_spectrum(np.pi / 3)
     q = quadrature_for(cap, n_theta=24, n_phi=48)
-    r = exact_correlation(g, cap, q).matrix
+    r = angular_kernel(g.positions, cap, q, HEMISPHERE)
     theta, phi, qw = q
     a = array_response(g, theta, phi).reshape(40, -1)
     w = qw * cap(theta, phi) / (2.0 * np.pi)
@@ -125,9 +132,8 @@ def test_phase_kernel_takes_the_table_on_grids_and_the_pairs_off_them(monkeypatc
     monkeypatch.setattr(holomimo._kernels, "phase_kernel", spy)
     rng = np.random.default_rng(12)
     jitter = np.c_[rng.uniform(-0.1, 0.1, (20, 2)), np.zeros(20)]
-    q = quadrature_for(_TILTED, n_theta=24, n_phi=48)
-    exact_correlation(ArrayGeometry(build_upa(5, 4, 0.5).positions + jitter), _TILTED, q)
-    r = exact_correlation(build_upa(5, 4, 0.5), _TILTED, q)
+    exact_correlation(ArrayGeometry(build_upa(5, 4, 0.5).positions + jitter), _TILTED)
+    r = exact_correlation(build_upa(5, 4, 0.5), _TILTED)
     assert grids[0] is None and grids[1] is r.grid
     assert r.entries.shape == (9, 7)
 
@@ -150,7 +156,7 @@ def test_radial_rule_matches_the_2d_rule(g, theta0):
     # the default R of a cap against the 2-D product rule it replaces
     cap = cap_spectrum(theta0)
     r = exact_correlation(g, cap).matrix
-    ref = exact_correlation(g, cap, quadrature_for(cap)).matrix
+    ref = _rule_kernel(g, cap, quadrature_for(cap)).matrix
     assert r.dtype == np.float64
     assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -177,7 +183,7 @@ def test_hemisphere_cap_takes_the_closed_form():
     assert np.abs(c.matrix - coupling_closed_form(g).matrix).max() <= 1e-15
     assert coupling_ratio(cap, matched_pattern(cap)) == 0.5
     r = exact_correlation(g, cap).matrix
-    ref = exact_correlation(g, cap, quadrature_for(cap)).matrix
+    ref = _rule_kernel(g, cap, quadrature_for(cap)).matrix
     assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -333,8 +339,7 @@ _STRETCHED = AngularSpectrum("stretched", lambda th, ph:
 def test_sector_eigenvalues_match_dense(g, spectrum, n_sectors):
     # a square grid adds the diagonal x <-> y: the dihedral group's four
     # one-dimensional blocks and the (+, -) mirror block counted twice
-    q = quadrature_for(spectrum, n_theta=48, n_phi=96)
-    r = exact_correlation(g, spectrum, q)
+    r = exact_correlation(g, spectrum)
     sectors = r.sectors()
     assert len(sectors) == n_sectors
     multiplicities = [1, 1, 1, 1, 2] if n_sectors == 5 else [1] * n_sectors

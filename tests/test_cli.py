@@ -307,6 +307,20 @@ def test_run_capacity_outputs(tmp_path):
         assert caps[1] > caps[0] > 0
 
 
+def test_capacity_runs_on_a_line_array(tmp_path):
+    # capacity builds neither a wavenumber lattice nor a disk rule, so a line
+    # array's degenerate aperture is no reason to refuse it (eigenvalues still
+    # refuses one, see test_coerce_rejections)
+    path = write_config(tmp_path, kind="capacity", tx={"kind": "ula", "n": 16, "d": 0.5},
+                        rho=[0.1], mc=4)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 0
+    for name in ("capacity_iid.csv", "capacity_uncoupled.csv", "capacity_coupled_rho0.1.csv"):
+        rows = read_csv(out / name)
+        assert rows and all(int(r["n_mc"]) == 4 for r in rows)
+        assert all(np.isfinite(float(r["capacity_bits"])) for r in rows)
+
+
 def test_run_coupling_matrix_outputs(tmp_path):
     path = write_config(tmp_path, kind="coupling-matrix",
                         tx={"kind": "upa", "nx": 3, "ny": 3, "dx": 0.5}, rho=[0.2])
@@ -474,6 +488,14 @@ def test_console_script():
     proc = subprocess.run([sys.executable, "-c", _WRAPPER, module, func, "presets"],
                           capture_output=True, text=True, env=_checkout_env())
     assert_lists_presets(proc)
+
+
+def test_presets_command_lists_every_preset_with_its_kind(capsys):
+    assert main(["presets"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(PRESETS)
+    for line, (name, preset) in zip(lines, PRESETS.items()):
+        assert line.split()[:2] == [name, preset["kind"]]
 
 
 def test_python_dash_m():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import holomimo._kernels
-import holomimo.coupling
 from holomimo import (ArrayGeometry, build_ula, build_upa, cap_spectrum, coupling_closed_form,
                       coupling_general, isotropic_spectrum, matched_pattern, omni_pattern,
                       regularize, spd_inv_sqrt, spd_sqrt, write_coupling_csv)
-from holomimo._kernels import array_grid, density_kernel
+from holomimo._kernels import angular_kernel, array_grid
 from holomimo.coupling import CouplingMatrix, Kernel, SingularCouplingError, _coupling_scale
 from holomimo.spectra import AntennaPattern, _uniform_on_cap, _UniformCap, quadrature_for
 
@@ -77,7 +76,6 @@ def test_unit_pattern_takes_closed_form_without_quadrature(monkeypatch, pattern)
         raise AssertionError("the unit density built a quadrature")
 
     monkeypatch.setattr(holomimo._kernels, "quadrature_for", refuse)
-    monkeypatch.setattr(holomimo.coupling, "check_normalization", refuse)
     g = build_upa(4, 3, 0.3)
     c = coupling_general(g, pattern)
     assert c.kind == "closed-form"
@@ -95,14 +93,20 @@ def test_general_translation_invariant():
 
 
 def test_general_rejects_unnormalized_pattern():
+    # on the 2-D rule too, the zero difference holds the pattern's average:
+    # the table's centre on a grid, m[0, 0] off one
     bad = AntennaPattern("double", lambda th, ph: 2.0 * np.ones_like(th))
-    with pytest.raises(ValueError, match="not normalized"):
-        coupling_general(build_ula(4, 0.4), bad)
+    irregular = ArrayGeometry([[0.0, 0.0, 0.0], [0.37, 0.11, 0.0], [0.05, 0.61, 0.0],
+                               [0.83, 0.47, 0.0]])
+    assert array_grid(irregular.positions) is None
+    for g in (build_ula(4, 0.4), irregular):
+        with pytest.raises(ValueError, match=r"not normalized \(average 2\.000000\)"):
+            coupling_general(g, bad)
 
 
 def test_radial_rule_rejects_unnormalized_pattern(monkeypatch):
-    # the radial rule hands back its theta rule, on which the normalization
-    # is checked as on the 2-D one
+    # on a cap the radial rule's zero difference holds its theta rule's
+    # integral of the pattern, read as on every other rule
     def refuse(*args, **kwargs):
         raise AssertionError("a uniform cap pattern took the 2-D rule")
 
@@ -133,8 +137,9 @@ def test_radial_coupling_matches_the_2d_rule(g):
     pattern = matched_pattern(cap_spectrum(0.3))
     assert _uniform_on_cap(pattern)
     c = coupling_general(g, pattern).matrix
-    table, grid, _ = density_kernel(g.positions, pattern, _coupling_scale(pattern),
-                                    quadrature_for(pattern))
+    grid = array_grid(g.positions)
+    table = angular_kernel(g.positions, pattern, quadrature_for(pattern), _coupling_scale(pattern),
+                           grid)
     ref = Kernel(table, grid=grid).matrix
     assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -235,6 +240,24 @@ def test_regularize_keeps_the_table():
     r = regularize(c, 0.1)
     assert r.grid is c.grid and r.entries.shape == c.entries.shape == (9, 7)
     assert np.array_equal(r.matrix, c.matrix + 0.1 * np.eye(20))
+
+
+@pytest.mark.parametrize("positions", [
+    [[0.0, 0.0, 0.0], [1e-13, 1.0, 0.0], [0.0, 2.0, 0.0]],
+    # 2e-14 apart on one row, on either side of a 1e-9 rounding boundary, so
+    # ArrayGeometry accepts them as distinct
+    [[0.5e-9 - 1e-14, 0.0, 0.0], [0.5e-9 + 1e-14, 0.0, 0.0], [0.0, 1.0, 0.0]],
+], ids=["rows", "one-row"])
+def test_coordinates_within_the_grouping_take_the_pairs(positions):
+    # two distinct x coordinates closer than the 1e-12 grouping share the zero
+    # difference, so no table could tell their pairs from the diagonal
+    g = ArrayGeometry(positions)
+    assert array_grid(g.positions) is None
+    c = coupling_closed_form(g)
+    assert c.grid is None
+    # off a table rho lands on the diagonal of the matrix and nowhere else; a
+    # table would put it on the one-row pair (0, 1) too
+    assert np.array_equal(regularize(c, 0.5).matrix - c.matrix, 0.5 * np.eye(3))
 
 
 def test_spd_sqrt_round_trip():
