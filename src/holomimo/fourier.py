@@ -10,15 +10,18 @@ Every density the variances take is uniform on its polar cap, and a
 pattern that covers the spectrum is uniform wherever the spectrum is
 positive.  So each variance is one constant (the spectrum's value, over the
 pattern's in the coupled flavor) times one integral of the weight over the
-cell cut to the disk of radius sin(theta0) of the spectrum: along each ray
-the radial integral is exact, and only the angle takes a Gauss-Legendre
-rule.  All cells, the rim cells folded into their nearest lattice point
-included, are integrated as arrays in fixed blocks.  The Fourier columns
-are formed only on demand (``fourier_matrix``, ``FourierBasis.matrix``).
+cell cut to the disk of radius sin(theta0) of the spectrum.  A cell wholly
+inside that disk takes a closed form, and a cell wholly outside gives 0;
+only the cells its circle cuts take a Gauss-Legendre rule in angle, the
+radial integral along each ray being exact.  All cells, the rim cells folded
+into their nearest lattice point included, are integrated as arrays.  The
+Fourier columns are formed only on demand (``fourier_matrix``,
+``FourierBasis.matrix``).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -46,7 +49,7 @@ __all__ = [
 _DISK_TOL = 1e-12
 # Gauss-Legendre nodes per angular panel of a cell.
 _N_PHI = 24
-# Cells integrated in one array pass; bounds the temporaries.
+# Cut cells integrated in one array pass; bounds the temporaries.
 _BLOCK = 128
 
 
@@ -110,8 +113,9 @@ def _cells(lattice: WavenumberLattice) -> tuple[np.ndarray, np.ndarray]:
     outside the lattice can still clip the disk rim; folding each into the
     nearest lattice point (the earliest in lattice order on ties) makes the
     cells tile the disk exactly.  The sums of the area-weighted (coupled)
-    variances then close to quadrature accuracy; under the rim weight the
-    angular rule misses up to 5e-6 in a rim cell, and the isotropic sum on a
+    variances then close to quadrature accuracy.  Under the rim weight the
+    cells inside the unit disk are exact to roundoff, but the angular rule
+    misses up to 5e-6 in a cell the rim cuts, and the isotropic sum on a
     (6, 6) aperture closes only to -2.4e-7.
     """
     d = lattice.aperture
@@ -163,10 +167,28 @@ def _crossings(rects: np.ndarray, r) -> list[np.ndarray]:
     return out
 
 
-def _integrate_cells(rects: np.ndarray, weight: str, s: float, c: float) -> np.ndarray:
-    """c times the integral of w over each rect cut to the disk |k| <= s.
+@functools.cache
+def _gauss() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the angular Gauss-Legendre rule."""
+    return leggauss(_N_PHI)
 
-    weight "plain" uses w = 1 (area measure dk); "rim" uses w = 1/sqrt(1-|k|^2).
+
+def _rim_corner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """G(X, Y), the integral of 1/sqrt(1-|k|^2) over [0, X] x [0, Y], at
+    corners in the closed unit disk.  G is odd in X and in Y, so a rect's
+    integral is its four signed corners.
+
+    With Z = sqrt(1-X^2-Y^2), asin(X/sqrt(1-Y^2)) = atan2(X, Z): so written,
+    G takes no quotient, and its terms' error in Z cancels to O(Z^2) at the
+    circle, where each term alone is steep.
+    """
+    z = np.sqrt(np.maximum(0.0, 1.0 - x * x - y * y))
+    return y * np.arctan2(x, z) + x * np.arctan2(y, z) - np.arctan2(x * y, z)
+
+
+def _integrate_cut(rects: np.ndarray, weight: str, s: float) -> np.ndarray:
+    """The integral of w over each rect cut to the disk |k| <= s, by angle.
+
     Along each ray the radial integral is exact, against -sqrt(1-r^2) (rim)
     or r^2/2 (plain).  The angles take Gauss-Legendre panels split at every
     corner, at every crossing of the circle r = s, and at +-pi for the rect
@@ -185,7 +207,7 @@ def _integrate_cells(rects: np.ndarray, weight: str, s: float, c: float) -> np.n
     pa, pb = edges[:, :-1], edges[:, 1:]
     cell, panel = np.nonzero(pb - pa >= 1e-14)
     pa, pb = pa[cell, panel, None], pb[cell, panel, None]
-    nodes, weights = leggauss(_N_PHI)
+    nodes, weights = _gauss()
     phi = 0.5 * (pb - pa) * nodes + 0.5 * (pa + pb)
     wp = 0.5 * (pb - pa) * weights
     ra, rb = _ray_rect(phi, rects[cell].T[..., None])
@@ -195,17 +217,43 @@ def _integrate_cells(rects: np.ndarray, weight: str, s: float, c: float) -> np.n
         w = np.sqrt(np.maximum(0.0, 1.0 - ra * ra)) - np.sqrt(np.maximum(0.0, 1.0 - rb * rb))
     else:
         w = 0.5 * (rb - ra) * (rb + ra)
-    return np.bincount(np.broadcast_to(cell[:, None], w.shape).ravel(), (w * wp * c).ravel(),
+    return np.bincount(np.broadcast_to(cell[:, None], w.shape).ravel(), (w * wp).ravel(),
                        minlength=len(rects))
 
 
+def _integrate_cells(rects: np.ndarray, weight: str, s: float, c: float) -> np.ndarray:
+    """c times the integral of w over each rect cut to the disk |k| <= s.
+
+    weight "plain" uses w = 1 (area measure dk); "rim" uses w = 1/sqrt(1-|k|^2).
+    Each rect is sorted against the circle |k| = s.  A rect wholly inside
+    (farthest corner <= s) takes the closed form: its area, or under the rim
+    weight its four signed corners of ``_rim_corner``.  A rect wholly outside
+    (nearest point >= s) gives 0.  Only the rects the circle cuts take the
+    angular rule of ``_integrate_cut``, in blocks of _BLOCK rects to bound
+    the temporaries.
+    """
+    x0, x1, y0, y1 = rects.T
+    far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
+    near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
+    inside = far <= s
+    out = np.zeros(len(rects))
+    a0, a1, b0, b1 = rects[inside].T
+    if weight == "rim":
+        g = _rim_corner(np.stack([a1, a0, a1, a0]), np.stack([b1, b1, b0, b0]))
+        out[inside] = g[0] - g[1] - g[2] + g[3]
+    else:
+        out[inside] = (a1 - a0) * (b1 - b0)
+    cut = np.flatnonzero((near < s) & ~inside)
+    for i in range(0, len(cut), _BLOCK):
+        block = cut[i:i + _BLOCK]
+        out[block] = _integrate_cut(rects[block], weight, s)
+    return c * out
+
+
 def _cell_integrals(lattice: WavenumberLattice, weight: str, s: float, c: float) -> np.ndarray:
-    """``_integrate_cells`` over every cell, each added into its lattice
-    point, in blocks of _BLOCK cells to bound the temporaries."""
+    """``_integrate_cells`` over every cell, each added into its lattice point."""
     rects, into = _cells(lattice)
-    vals = np.concatenate([_integrate_cells(rects[i:i + _BLOCK], weight, s, c)
-                           for i in range(0, len(rects), _BLOCK)])
-    return np.bincount(into, vals, minlength=lattice.n_points)
+    return np.bincount(into, _integrate_cells(rects, weight, s, c), minlength=lattice.n_points)
 
 
 def _direction_values(obj, kx, ky) -> np.ndarray:
@@ -280,8 +328,8 @@ def write_variances_csv(lattice: WavenumberLattice, sigma2: np.ndarray, path) ->
         raise ValueError("variance vector does not match the lattice")
     with open(path, "w", newline="\n") as fh:
         fh.write("jx,jy,sigma2\n")
-        for (a, b), v in zip(lattice.points, sigma2):
-            fh.write(f"{a},{b},{v:.12g}\n")
+        rows = zip(lattice.points[:, 0].tolist(), lattice.points[:, 1].tolist(), sigma2.tolist())
+        fh.writelines("%d,%d,%.12g\n" % row for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,36 @@ __all__ = [
 _POSITION_TOL = 1e-9
 
 
+def _has_close_pair(xy: np.ndarray, tol: float) -> bool:
+    """Whether two points lie closer than tol in x and in y.
+
+    Each axis is cut into cells of side 2 tol twice, the second cut offset
+    by tol, and a pair that close shares a cell under one of the four pairs
+    of cuts wherever the cell edges fall.  Only points sharing a cell are
+    compared, each against the next three of its cell in sorted order: four
+    points pairwise at least tol apart fill a cell, so a fifth is closer than
+    tol to one of them.
+    """
+    for shift in ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)):
+        keys = np.floor(xy / (2.0 * tol) + shift)
+        order = np.lexsort((keys[:, 1], keys[:, 0]))
+        keys, pts = keys[order], xy[order]
+        for step in range(1, 5):
+            same = np.all(keys[step:] == keys[:-step], axis=1)
+            if not same.any():
+                break
+            if step == 4 or np.any(same & np.all(np.abs(pts[step:] - pts[:-step]) < tol, axis=1)):
+                return True
+    return False
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """A finite set of antenna positions in a single z plane.
 
-    positions : (N, 3) float array, wavelength units.
+    positions : (N, 3) float array, wavelength units.  Refused when the z
+    coordinates spread over more than _POSITION_TOL, or when two antennas lie
+    closer than _POSITION_TOL in x and in y.
     """
 
     positions: np.ndarray
@@ -41,11 +66,10 @@ class ArrayGeometry:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
         if pos.shape[0] < 1:
             raise ValueError("geometry needs at least one antenna")
-        rounded = np.round(pos / _POSITION_TOL) * _POSITION_TOL
-        if np.unique(rounded, axis=0).shape[0] != pos.shape[0]:
-            raise ValueError("antenna positions must be pairwise distinct")
         if np.ptp(pos[:, 2]) > _POSITION_TOL:
             raise ValueError("antenna positions must lie in a single z plane")
+        if _has_close_pair(pos[:, :2], _POSITION_TOL):
+            raise ValueError("antenna positions must be pairwise distinct")
         object.__setattr__(self, "positions", pos)
 
     @property

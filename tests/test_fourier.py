@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 from holomimo import (AngularSpectrum, build_fourier_basis, build_lattice, build_upa, cap_constant,
                       cap_spectrum, dof_prime, fourier_matrix, isotropic_spectrum, matched_pattern,
@@ -11,7 +11,8 @@ from holomimo import (AngularSpectrum, build_fourier_basis, build_lattice, build
                       variances_coupled, variances_uncoupled, write_variances_csv)
 from holomimo import fourier
 from holomimo.channel import exact_correlation
-from holomimo.fourier import _cells, _direction_values, _integrate_cells, _ray_rect
+from holomimo.fourier import (_cells, _direction_values, _integrate_cells, _integrate_cut,
+                              _ray_rect)
 
 
 @pytest.mark.parametrize("d,expected", [
@@ -204,6 +205,89 @@ def test_radial_break_cells_match_dblquad():
         assert g == pytest.approx(c * ref, rel=1e-12)
 
 
+def _far_near(rects):
+    """Farthest corner and nearest point of each rect, from the origin."""
+    x0, x1, y0, y1 = rects.T
+    far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
+    return far, np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
+
+
+@pytest.mark.parametrize("aperture", [(6.0, 6.0), (20.5, 20.5)])
+@pytest.mark.parametrize("weight, t", [("rim", np.pi / 2), ("rim", 0.6), ("plain", np.pi / 2),
+                                       ("plain", 0.6)])
+def test_interior_cells_match_dblquad(aperture, weight, t):
+    # cells wholly inside the disk of radius s take the closed form; checked
+    # on the origin cell and the five whose farthest corner is nearest the
+    # circle, where the corner function cancels most
+    s = np.sin(t)
+    rects = _cells(build_lattice(aperture))[0]
+    far = _far_near(rects)[0]
+    inner = np.flatnonzero(far <= s)
+    rects = rects[np.concatenate([[0], inner[np.argsort(far[inner])[-5:]]])]
+    got = _integrate_cells(rects, weight, s, 0.75)
+    f = (lambda y, x: 1.0 / np.sqrt(1.0 - x * x - y * y)) if weight == "rim" else (lambda y, x: 1.0)
+    for (x0, x1, y0, y1), g in zip(rects, got):
+        ref, _ = dblquad(f, x0, x1, y0, y1, epsabs=0.0, epsrel=1e-13)
+        assert g == pytest.approx(0.75 * ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("weight", ["rim", "plain"])
+def test_cells_that_miss_the_disk_are_zero(weight):
+    # every cell of a (6, 6) lattice whose nearest point lies on or beyond the
+    # circle of cap(0.6), and rects that touch the unit circle at one corner
+    s = np.sin(0.6)
+    rects = _cells(build_lattice((6.0, 6.0)))[0]
+    rects = rects[_far_near(rects)[1] >= s]
+    assert len(rects) >= 50
+    assert np.all(_integrate_cells(rects, weight, s, 1.0) == 0.0)
+    touch = np.array([[0.6, 0.7, 0.8, 0.9], [-0.9, -0.8, -0.7, -0.6], [1.0, 1.2, -0.1, 0.1]])
+    assert np.all(_integrate_cells(touch, weight, 1.0, 1.0) == 0.0)
+
+
+@pytest.mark.parametrize("weight", ["rim", "plain"])
+def test_corner_on_the_circle_raises_no_warning(weight):
+    # rects whose farthest corner lies on the unit circle to roundoff, in
+    # three quadrants, against quadrature in x of the exact integral in y;
+    # and the zero-width rect reaching (0, 1)
+    t = np.array([0.3, np.arccos(0.6), 0.9, 1.2])
+    cx, cy = np.cos(t), np.sin(t)
+    rects = np.concatenate([np.stack([cx - 0.05, cx, cy - 0.05, cy], axis=1),
+                            np.stack([-cx, 0.05 - cx, -cy, 0.05 - cy], axis=1),
+                            np.stack([cx - 0.05, cx, -cy, 0.05 - cy], axis=1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _integrate_cells(rects, weight, 1.0, 1.0)
+        assert _integrate_cells(np.array([[0.0, 0.0, 0.9, 1.0]]), weight, 1.0, 1.0)[0] == 0.0
+    for (x0, x1, y0, y1), g in zip(rects, got):
+        if weight == "rim":
+            a = lambda x: np.sqrt(1.0 - x * x)
+            ref, _ = quad(lambda x: np.arcsin(np.clip(y1 / a(x), -1.0, 1.0))
+                          - np.arcsin(np.clip(y0 / a(x), -1.0, 1.0)),
+                          x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)
+        else:
+            ref = (x1 - x0) * (y1 - y0)
+        assert g == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("weight, t", [("rim", np.pi / 2), ("plain", np.pi / 2), ("rim", 0.6)])
+def test_angular_rule_runs_on_cut_cells_only(monkeypatch, weight, t):
+    seen = []
+
+    def spy(rects, *args):
+        seen.append(rects)
+        return _integrate_cut(rects, *args)
+
+    monkeypatch.setattr(fourier, "_integrate_cut", spy)
+    s = np.sin(t)
+    rects = _cells(build_lattice((20.0, 20.0)))[0]
+    got = _integrate_cells(rects, weight, s, 1.0)
+    far, near = _far_near(rects)
+    cut = (near < s) & (s < far)
+    assert 0 < cut.sum() < len(rects) // 2
+    np.testing.assert_array_equal(np.concatenate(seen), rects[cut])
+    assert np.all(got[cut] > 0.0) and np.all(got[near >= s] == 0.0)
+
+
 def test_cap_spectrum_variances():
     lat = build_lattice((6.0, 6.0))
     cap = cap_spectrum(np.pi / 3)
@@ -331,6 +415,15 @@ def test_basis_forms_columns_on_demand():
     with pytest.warns(UserWarning, match="alias"):
         v = b.matrix
         assert np.array_equal(v, fourier_matrix(g, b.lattice))
+
+
+def test_variances_csv_bytes(tmp_path):
+    # lattice order, negative indices, and %.12g values
+    lat = build_lattice((1.0, 1.0))
+    path = tmp_path / "v.csv"
+    write_variances_csv(lat, [0.25, 1e-13, 0.125, 1.0 / 3.0, 0.0], path)
+    assert path.read_bytes() == (b"jx,jy,sigma2\n0,0,0.25\n-1,0,1e-13\n0,-1,0.125\n"
+                                 b"0,1,0.333333333333\n1,0,0\n")
 
 
 def test_variances_csv_round_trip(tmp_path):

@@ -50,6 +50,35 @@ def test_duplicate_positions_rejected():
         ArrayGeometry(pos)
 
 
+@pytest.mark.parametrize("positions", [
+    # 2e-14 apart, on either side of a 1e-9 rounding boundary
+    [[0.5e-9 - 1e-14, 0, 0], [0.5e-9 + 1e-14, 0, 0], [0, 1, 0]],
+    [[0.0, 0.3, 0], [1.0, 0.3, 0], [1.0 + 0.9e-9, 0.3 - 0.9e-9, 0]],
+], ids=["found", "diagonal"])
+def test_pairs_closer_than_the_tolerance_rejected(positions):
+    with pytest.raises(ValueError, match="distinct"):
+        ArrayGeometry(positions)
+
+
+def test_close_pairs_rejected_wherever_the_cell_edges_fall():
+    # a pair 0.99e-9 apart in x and in y is refused, and one 1.01e-9 apart in
+    # x accepted, at every offset across the cells of side 2e-9
+    rng = np.random.default_rng(3)
+    for x in np.linspace(-3e-9, 3e-9, 61):
+        pos = np.array([[x, 0.5, 0], [0.3, -2.0, 0]])
+        for dxy in rng.uniform(-0.99e-9, 0.99e-9, size=(4, 2)):
+            with pytest.raises(ValueError, match="distinct"):
+                ArrayGeometry(np.vstack([pos, [x + dxy[0], 0.5 + dxy[1], 0]]))
+        assert ArrayGeometry(np.vstack([pos, [x + 1.01e-9, 0.5, 0]])).n_antennas == 3
+
+
+def test_large_grid_and_crowded_cells_accepted():
+    # a 100 x 100 quarter-wavelength grid, and points 1.1e-9 apart, which put
+    # four of them in some cells of side 2e-9
+    assert build_upa(100, 100, 0.25).n_antennas == 10000
+    assert build_upa(20, 20, 1.1e-9).n_antennas == 400
+
+
 def test_non_coplanar_rejected():
     pos = np.array([[0.0, 0, 0], [0.5, 0, 0.1]])
     with pytest.raises(ValueError, match="z plane"):
