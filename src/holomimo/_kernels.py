@@ -7,13 +7,15 @@ arrays the unique differences per axis are few, so every kernel is a table
 over their product set (``Grid``) and no N x N matrix is formed; the 2-D rule
 fills it by one small matrix product per node chunk.  Irregular arrays take
 the N^2 antenna pairs instead.  A density uniform on its polar cap needs no
-phi nodes at all: its kernel is a function of the distance, sinc(2 d) on the
+2-D rule at all: its kernel is a function of the distance, sinc(2 d) on the
 whole hemisphere and one Bessel integral in theta on a cap
-(``radial_kernel``).
+(``radial_kernel``), taken at the Chebyshev points of [0, d_max] only and
+interpolated to every distance, within 1e-13 of the kernel's peak.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,14 +163,72 @@ def phase_kernel(positions: np.ndarray, kx: np.ndarray, ky: np.ndarray,
     return table
 
 
-def _radial_counts(x_max: float) -> tuple[int, int]:
-    """Gauss-Legendre nodes in theta and midpoint nodes on a quarter period of
-    phi for Bessel arguments up to x_max, with a margin over the fewest that
-    reach 1e-14 of the peak.  The phi rule's error is of the size of
-    J_{4 n_phi}(x), negligible once 4 n_phi > x + 12 x^(1/3)."""
+@functools.cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]; each count's eigensolve
+    runs once per process."""
+    return leggauss(n)
+
+
+def _radial_counts(x_max: float) -> tuple[int, int, int]:
+    """Gauss-Legendre nodes in theta, midpoint nodes on a quarter period of
+    phi, and the degree of the interpolant in distance, for Bessel arguments
+    up to x_max, each with a margin over the fewest that reach 1e-14 of the
+    peak.  The phi rule's error is of the size of J_{4 n_phi}(x), negligible
+    once 4 n_phi > x + 12 x^(1/3); on [0, d_max] the kernel's Chebyshev
+    coefficients decay as J_k(x_max / 2), negligible by the same margin."""
     n_theta = int(np.ceil(x_max / 2.0)) + 24
     n_phi = int(np.ceil((x_max + 12.0 * np.cbrt(x_max)) / 4.0)) + 8
-    return n_theta, n_phi
+    h = 0.5 * x_max
+    n_cheb = int(np.ceil(h + 12.0 * np.cbrt(h))) + 8
+    return n_theta, n_phi, n_cheb
+
+
+def _theta_rule(d: np.ndarray, density, scale: float, n_theta: int, n_phi: int) -> np.ndarray:
+    """scale * value * 2 pi * integral over [0, theta0] of J0(2 pi d sin
+    theta) sin theta at the distances d, for a density of ``value`` on the
+    cap theta <= theta0: Gauss-Legendre nodes in theta, and J0 by the
+    midpoint rule on a quarter period of phi."""
+    theta0 = density.theta0
+    t, w = _legendre(n_theta)
+    theta = 0.5 * theta0 * (t + 1.0)
+    w = np.pi * theta0 * w * np.sin(theta)
+    cos_phi = np.cos((np.arange(n_phi) + 0.5) * (0.5 * np.pi / n_phi))
+    freq = np.outer(2.0 * np.pi * np.sin(theta), cos_phi).ravel()
+    node_w = np.repeat(scale * w * density.evaluator.value / n_phi, n_phi)
+    values = np.empty(d.size)
+    chunk = max(1, _BUDGET // (8 * freq.size))
+    for start in range(0, d.size, chunk):
+        arg = np.multiply.outer(d[start:start + chunk], freq)
+        np.cos(arg, out=arg)
+        values[start:start + chunk] = arg @ node_w
+    return values
+
+
+def _chebyshev_points(n: int, length: float) -> np.ndarray:
+    """The n + 1 Chebyshev points of the second kind on [0, length],
+    ascending, with 0 and length exact."""
+    x = np.sin(0.5 * np.pi * (2.0 * np.arange(n + 1) - n) / n)
+    return 0.5 * length * (1.0 + x)
+
+
+def _barycentric(nodes: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial through (nodes, f), Chebyshev points of the second
+    kind, at x by the second barycentric formula (Berrut & Trefethen, SIAM
+    Rev. 46, 2004); an x equal to a node takes its value exactly."""
+    w = np.where(np.arange(nodes.size) % 2 == 0, 1.0, -1.0)
+    w[[0, -1]] *= 0.5
+    out = np.empty(x.size)
+    chunk = max(1, _BUDGET // (8 * nodes.size))
+    for start in range(0, x.size, chunk):
+        c = np.subtract.outer(x[start:start + chunk], nodes)
+        row, col = np.nonzero(c == 0.0)
+        c[row] = 1.0
+        np.divide(w, c, out=c)
+        c[row] = 0.0
+        c[row, col] = 1.0
+        out[start:start + chunk] = (c @ f) / c.sum(axis=1)
+    return out
 
 
 def radial_kernel(dx: np.ndarray, dy: np.ndarray, density, scale: float):
@@ -178,36 +238,31 @@ def radial_kernel(dx: np.ndarray, dy: np.ndarray, density, scale: float):
 
     On the whole hemisphere the integral is value * 2 pi sinc(2 d) in the
     distance d, exactly.  On a cap the phi integral is 2 pi J0(2 pi d sin
-    theta), so each entry is one theta integral (Teal, Abhayapala & Kennedy,
-    IEEE Signal Process. Lett. 9, 2002): Gauss-Legendre nodes on the support
-    [0, theta0], and J0 by the midpoint rule on a quarter period of phi, both
-    sized from x_max = 2 pi d_max sin theta0 to stay at roundoff.  Equal
-    distances are grouped exactly, never after rounding.
+    theta), so the kernel is one theta integral in d (Teal, Abhayapala &
+    Kennedy, IEEE Signal Process. Lett. 9, 2002), band-limited to 2 pi sin
+    theta0.  That rule (``_theta_rule``) runs at the n + 1 Chebyshev points
+    of [0, d_max] only, and the kernel at every distinct distance is their
+    barycentric interpolant; all counts are sized from x_max = 2 pi d_max
+    sin theta0 (``_radial_counts``).  Entries are within 1e-13 of the peak
+    of a fine J0 reference; d = 0 and d_max are nodes, so the zero
+    difference holds the rule's own integral of the density.  An array with
+    no more distinct distances than nodes takes the rule at each one.
     """
-    value = density.evaluator.value
     if density.edge is None:
         d = dx * dx + dy * dy
         np.sqrt(d, out=d)
         d *= 2.0
         entries = np.sinc(d)
-        entries *= value * scale / HEMISPHERE
+        entries *= density.evaluator.value * scale / HEMISPHERE
         return entries
     dist = np.hypot(dx, dy)
     d, inverse = np.unique(dist.ravel(), return_inverse=True)
-    theta0 = density.theta0
-    n_theta, n_phi = _radial_counts(2.0 * np.pi * d[-1] * np.sin(theta0))
-    t, w = leggauss(n_theta)
-    theta = 0.5 * theta0 * (t + 1.0)
-    w = np.pi * theta0 * w * np.sin(theta)
-    cos_phi = np.cos((np.arange(n_phi) + 0.5) * (0.5 * np.pi / n_phi))
-    freq = np.outer(2.0 * np.pi * np.sin(theta), cos_phi).ravel()
-    node_w = np.repeat(scale * w * value / n_phi, n_phi)
-    values = np.empty(d.size)
-    chunk = max(1, _BUDGET // (8 * freq.size))
-    for start in range(0, d.size, chunk):
-        arg = np.multiply.outer(d[start:start + chunk], freq)
-        np.cos(arg, out=arg)
-        values[start:start + chunk] = arg @ node_w
+    n_theta, n_phi, n_cheb = _radial_counts(2.0 * np.pi * d[-1] * np.sin(density.theta0))
+    if d.size <= n_cheb + 1:
+        values = _theta_rule(d, density, scale, n_theta, n_phi)
+    else:
+        nodes = _chebyshev_points(n_cheb, d[-1])
+        values = _barycentric(nodes, _theta_rule(nodes, density, scale, n_theta, n_phi), d)
     return values[inverse].reshape(dist.shape)
 
 

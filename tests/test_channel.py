@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 import holomimo._kernels
 import holomimo.channel
@@ -17,11 +18,12 @@ from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, Correlatio
                       matched_pattern, omni_pattern, quadrature_for, regularize,
                       sample_exact_channel, spd_inv_sqrt, spd_sqrt, waterfill,
                       whitened_eigenvalues)
-from holomimo._kernels import HEMISPHERE, angular_kernel, array_grid
+from holomimo._kernels import (HEMISPHERE, _chebyshev_points, _radial_counts, _theta_rule,
+                               angular_kernel, array_grid, density_kernel)
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
 from holomimo.cli import ExperimentConfig, _exact_spectra
-from holomimo.coupling import coupling_ratio
+from holomimo.coupling import _coupling_scale, coupling_ratio
 from holomimo.spectra import _uniform_on_cap, pattern_from_name, spectrum_from_name
 
 
@@ -171,6 +173,67 @@ def test_radial_rule_is_converged(monkeypatch):
                         lambda x_max: tuple(2 * n for n in counts(x_max)))
     fine = exact_correlation(g, cap).matrix
     assert np.abs(fine - r).max() <= 1e-13 * np.abs(r).max()
+
+
+def _j0_kernel(dist, density, scale):
+    """scale * value * 2 pi * integral over the cap of J0(2 pi d sin theta)
+    sin theta at the distances ``dist``: scipy's J0 on 800 Gauss-Legendre
+    nodes in theta, independent of the radial rule's J0 and node counts."""
+    t, w = np.polynomial.legendre.leggauss(800)
+    theta = 0.5 * density.theta0 * (t + 1.0)
+    w = np.pi * density.theta0 * w * np.sin(theta)
+    d, inverse = np.unique(dist.ravel(), return_inverse=True)
+    values = j0(np.multiply.outer(d, 2.0 * np.pi * np.sin(theta))) @ w
+    return scale * density.evaluator.value * values[inverse].reshape(dist.shape)
+
+
+_JITTERED = ArrayGeometry(build_upa(8, 5, 0.5).positions
+                          + np.c_[np.random.default_rng(12).uniform(-0.1, 0.1, (40, 2)),
+                                  np.zeros(40)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g", [build_upa(16, 16, 0.4), build_upa(31, 31, 0.5),
+                               build_upa(101, 101, 0.25), _JITTERED],
+                         ids=["16x16-0.4", "31x31-0.5", "101x101-0.25", "jittered-pairs"])
+@pytest.mark.parametrize("theta0", [0.05, 0.6, 1.2, 1.55])
+def test_radial_rule_matches_a_j0_reference(g, theta0):
+    # the interpolated kernel against scipy's J0 at every distance; 0 and the
+    # largest distance are Chebyshev nodes, so they hold the rule's own values
+    cap = cap_spectrum(theta0)
+    table, grid = density_kernel(g.positions, cap, HEMISPHERE)
+    if grid is None:
+        x, y = g.positions[:, 0], g.positions[:, 1]
+        dist, origin = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y)), np.diag(table)
+    else:
+        dist, origin = np.hypot(grid.dx[:, None], grid.dy[None, :]), table[grid.origin]
+    ref = _j0_kernel(dist, cap, HEMISPHERE)
+    assert np.abs(table - ref).max() <= 1e-13 * np.abs(ref).max()
+    n_theta, n_phi, n_cheb = _radial_counts(2.0 * np.pi * dist.max() * np.sin(theta0))
+    rule = _theta_rule(_chebyshev_points(n_cheb, dist.max()), cap, HEMISPHERE, n_theta, n_phi)
+    assert np.all(origin == rule[0]) and np.all(table[dist == dist.max()] == rule[-1])
+    # HEMISPHERE * value * 2 pi (1 - cos theta0) = 2, up to the roundoff of
+    # the cap's constant 2 / (1 - cos theta0)
+    assert np.abs(origin - 2.0).max() <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("positions", [[[0.3, -0.2, 0.0]], [[0.0, 0.0, 0.0], [0.37, 0.11, 0.0]]],
+                         ids=["one", "two"])
+def test_cap_kernels_on_one_and_two_antennas(positions):
+    # an array whose largest distance is 0 or whose distances are fewer than
+    # the interpolation nodes takes the theta rule at each distance
+    g = ArrayGeometry(positions)
+    x, y = g.positions[:, 0], g.positions[:, 1]
+    dist = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
+    cap = cap_spectrum(0.6)
+    r = exact_correlation(g, cap).matrix
+    assert np.abs(r - _j0_kernel(dist, cap, HEMISPHERE)).max() <= 1e-13 * 2.0
+    pattern = matched_pattern(cap_spectrum(0.5))
+    c = coupling_general(g, pattern)
+    assert c.kind == "general(matched(cap(0.5)))"
+    assert np.abs(c.matrix - _j0_kernel(dist, pattern, _coupling_scale(pattern))).max() <= 1e-13
+    assert np.all(np.diag(c.matrix) == c.matrix[0, 0])
 
 
 def test_hemisphere_cap_takes_the_closed_form():
