@@ -152,9 +152,29 @@ class CapacityCurve:
 # BLAS thread-count variables pinned to one in every Monte-Carlo worker.
 _ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# Substream index offset of the iid law's draws: counter words that no W index reaches.
+_LAW_STREAMS = 2**64
+
+
+def _wishart_eigenvalues(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """Descending eigenvalues of W^H W for an m x n W (m >= n) of i.i.d.
+    CN(0, 1) entries, drawn from their law without W.
+
+    They are the squared singular values of the upper bidiagonal B with
+    diagonal sqrt(chi2_{2(m-i)} / 2) and superdiagonal sqrt(chi2_{2(n-1-i)} / 2)
+    (Dumitriu & Edelman, J. Math. Phys. 43, 2002), i.e. the eigenvalues of the
+    tridiagonal B^T B; chi2_{2k} / 2 is a Gamma(k, 1) variate.
+    """
+    from . import _lapack
+    sq = rng.standard_gamma(np.concatenate([np.arange(m, m - n, -1), np.arange(n - 1, 0, -1)]))
+    d2, e2 = sq[:n], sq[n:]
+    diag = d2.copy()
+    diag[1:] += e2
+    return _lapack.tridiagonal_eigenvalues(diag, np.sqrt(d2[:-1] * e2))[::-1]
+
 
 def _draw_block(models: Sequence[ChannelModel], seed: int, start: int,
-                stop: int) -> np.ndarray:
+                stop: int, law: bool = False) -> np.ndarray:
     """Draws ``start`` to ``stop - 1`` of a pass: for each, W from substream
     (seed, i) and each model's descending eigenvalues of its smaller-side Gram
     matrix, shape (draws, models, min(n_r, n_t)).
@@ -163,22 +183,44 @@ def _draw_block(models: Sequence[ChannelModel], seed: int, start: int,
     diag(a_small) W^H diag(a_big^2) W diag(a_small); models that share a_big
     share the inner product.  A wide H is handled as its transpose, whose
     Gram is the complex conjugate of H H^H and has the same eigenvalues.
+    Grams of ``_lapack.TWO_STAGE_MIN`` rows and more take the two-stage
+    ``zheevd_2stage``.  With ``law``, every ``iid_model`` instead takes
+    ``_wishart_eigenvalues`` from substream (seed, ``_LAW_STREAMS`` + i): it
+    no longer shares W with the other models, and a pass of iid models alone
+    draws no W.
     """
+    # imported here, so that only a Monte-Carlo pass loads the LAPACK binding module
+    from . import _lapack
+
     n_r, n_t = models[0].shape
     tall = n_r >= n_t
     sides = [(m.amp_r, m.amp_t) if tall else (m.amp_t, m.amp_r) for m in models]
+    white = [law and m.kind == "iid" for m in models]
     out = np.empty((stop - start, len(models), min(n_r, n_t)))
     for row, i in zip(out, range(start, stop)):
+        if any(white):
+            row[white] = _wishart_eigenvalues(substream(seed, _LAW_STREAMS + i),
+                                              max(n_r, n_t), min(n_r, n_t))
+        if all(white):
+            continue
         w = complex_normal(substream(seed, i), (n_r, n_t))
         if not tall:
             w = w.T
         inner = {}
-        for j, (big, small) in enumerate(sides):
+        for (big, _), skip in zip(sides, white):
             key = big.tobytes()
-            if key not in inner:
+            if not skip and key not in inner:
                 b = big[:, None] * w
                 inner[key] = b.conj().T @ b
-            row[j] = np.linalg.eigvalsh(small[:, None] * inner[key] * small[None, :])[::-1]
+                del b
+        # the solves need only the inner products: no W or Gram lingers past its use
+        del w
+        for j, (big, small) in enumerate(sides):
+            if not white[j]:
+                gram = inner[big.tobytes()] * small[:, None]
+                gram *= small[None, :]
+                row[j] = _lapack.eigvalsh(gram)[::-1]
+                del gram
     return out
 
 
@@ -214,10 +256,10 @@ def _one_blas_thread():
 
 
 def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
-             workers: int | None = None) -> np.ndarray:
+             workers: int | None = None, law: bool = False) -> np.ndarray:
     """The one Monte-Carlo loop, shape (n_mc, models, min(n_r, n_t)): each draw
-    index's W is drawn once and every model's Gram eigenvalues taken on it
-    (``_draw_block``).
+    index's W is drawn once and every model's Gram eigenvalues taken on it,
+    except the ``iid_model``s' under ``law`` (``_draw_block``).
 
     ``workers=None`` runs in this process.  A count splits the indices into
     that many contiguous blocks (at most one per draw), each on a ``spawn``ed
@@ -233,7 +275,7 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     if workers is None:
-        return _draw_block(models, seed, 0, n_mc)
+        return _draw_block(models, seed, 0, n_mc, law)
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     import multiprocessing
@@ -244,7 +286,7 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     with _one_blas_thread(), ProcessPoolExecutor(
             n, mp_context=multiprocessing.get_context("spawn"),
             initializer=_exit_with_parent) as pool:
-        blocks = [pool.submit(_draw_block, models, seed, a, b)
+        blocks = [pool.submit(_draw_block, models, seed, a, b, law)
                   for a, b in zip(edges, edges[1:])]
         return np.concatenate([f.result() for f in blocks])
 
@@ -254,12 +296,18 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     """Mean waterfilling capacity, one curve per model, all on the same draws of W
     (common random numbers), which keeps curve crossings statistically stable.
 
+    The exception is an ``iid_model`` curve: it takes its eigenvalues from
+    their law (``_wishart_eigenvalues``) on a substream of its own, with no
+    dense solve.  So it no longer shares W, and its differences from the
+    other curves lose the variance reduction of common random numbers.
+
     ``workers=None`` draws in this process; a count runs the draws on that
     many ``spawn``ed single-thread worker processes, so a script that passes
     it must guard its entry point with ``if __name__ == "__main__"``.  Every
     count gives the same bits.  The in-process draws agree with them to
     roundoff only: this process's BLAS may run several threads, and a
     multithreaded ``eigvalsh`` rounds differently from a single-threaded one.
+    The iid curve runs no BLAS, so its bits match in process too.
     """
     snr_db = np.asarray(snr_db, dtype=float).ravel()
     if snr_db.size == 0:
@@ -268,7 +316,7 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     with np.errstate(over="ignore"):
         snr_lin = 10.0 ** (snr_db / 10.0)
     _check_snr(snr_lin)
-    spectra = _mc_pass(models, n_mc, seed, workers)
+    spectra = _mc_pass(models, n_mc, seed, workers, law=True)
     curves = []
     for j, model in enumerate(models):
         # An all-zero draw carries no information at any SNR.

@@ -44,8 +44,18 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard circularly symmetric complex normal entries."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Standard circularly symmetric complex normal entries.
+
+    Both parts come from one draw, scaled in place: the bits of
+    ``(a + 1j * b) / sqrt(2)`` for consecutive draws ``a`` and ``b`` (numpy
+    divides a complex array by a real one through its reciprocal), without
+    the complex temporaries.
+    """
+    out = np.empty(shape, dtype=complex)
+    parts = rng.standard_normal((2, *out.shape))
+    parts *= 1.0 / np.sqrt(2.0)
+    out.real, out.imag = parts
+    return out
 
 
 CorrelationMatrix = Kernel

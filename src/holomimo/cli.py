@@ -382,6 +382,10 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         kappa = coupling_ratio(*resolved[2:])
         manifest["whitening"] = ({"path": "general"} if kappa is None
                                  else {"path": "scalar", "kappa": kappa})
+    if cfg.kind == "capacity":
+        from . import _lapack
+
+        manifest["mc_solvers"] = _lapack.solvers(min(g.n_antennas for g in resolved[:2]))
     _write_json(out_dir / "manifest.json", manifest)
     return manifest
 

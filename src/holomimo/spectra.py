@@ -145,16 +145,16 @@ def isotropic_spectrum() -> AngularSpectrum:
 
 
 def cap_constant(theta0: float) -> float:
-    """Normalizing constant of a one-sided polar cap of half-angle theta0."""
-    return 2.0 / (1.0 - np.cos(theta0))
+    """Normalizing constant of a one-sided polar cap of half-angle theta0,
+    2 / (1 - cos theta0), in a form that does not cancel as the cap shrinks."""
+    return 1.0 / np.sin(theta0 / 2.0) ** 2
 
 
 def cap_spectrum(theta0: float) -> AngularSpectrum:
     """Uniform density on the upper polar cap theta <= theta0, zero elsewhere.
 
     Refuses a half-angle outside (0, pi/2], and one so small that
-    1 - cos(theta0) rounds to zero (below about 1e-8 rad), whose constant
-    would be infinite.
+    1 - cos(theta0) rounds to zero (below about 1e-8 rad).
     """
     theta0 = float(theta0)
     _check_half_angle(theta0)

@@ -8,7 +8,9 @@ from holomimo import (ChannelModel, CouplingMatrix, SingularCouplingError, array
                       low_snr_allocation, low_snr_bound_check, matched_filter_precoder,
                       mutual_information_bits, optimal_precoder, precoded_mutual_information,
                       regularize, spd_inv_sqrt, spd_sqrt, waterfill, whitened_eigenvalues)
-from holomimo.capacity import _capacity_grid, _mc_pass
+from holomimo import _lapack
+from holomimo.capacity import _capacity_grid, _draw_block, _mc_pass
+from holomimo.channel import complex_normal, substream
 
 
 def test_waterfill_two_channel_oracle():
@@ -211,8 +213,9 @@ def test_gram_eigenvalues_match_svd_fourier(rx, tx):
 
 
 def test_joint_pass_matches_single_model_passes():
-    # every curve of a pass sees the same W per draw index, so a joint pass
-    # reproduces each one-model pass bit for bit, in any order
+    # every curve of a pass sees the same W per draw index (the iid curve its
+    # own law draws), so a joint pass reproduces each one-model pass bit for
+    # bit, in any order
     models = [iid_model(5, 6),
               exact_model(np.linspace(3.0, 0.0, 6), n_rx=5, normalize="receive", label="tilted"),
               exact_model([4.0, 1.0, 0.5, 0.2, 0.1, 0.0], n_rx=5, label="steep")]
@@ -225,6 +228,82 @@ def test_joint_pass_matches_single_model_passes():
         for curve in (a, b):
             assert np.array_equal(curve.capacity_bits, single.capacity_bits)
             assert np.array_equal(curve.stderr, single.stderr)
+
+
+def _z(a, b):
+    """Two-sample z score of the means of a and b."""
+    return (a.mean() - b.mean()) / np.hypot(a.std(ddof=1) / np.sqrt(a.size),
+                                            b.std(ddof=1) / np.sqrt(b.size))
+
+
+@pytest.mark.parametrize("n_r, n_t", [(32, 32), (40, 24)])
+def test_wishart_law_matches_dense_draws(n_r, n_t):
+    # the tridiagonal law against dense Grams of independent draws: the mean
+    # top eigenvalue, trace (m n exactly) and capacity at -10 and +10 dB
+    n_mc = 2000
+    model = [iid_model(n_r, n_t)]
+    law = _draw_block(model, 11, 0, n_mc, law=True)[:, 0]
+    dense = _draw_block(model, 12, 0, n_mc)[:, 0]
+    assert np.all(np.diff(law, axis=1) <= 0.0) and law[:, -1].min() > 0.0
+    snr = np.array([0.1, 10.0])
+    cap_law, cap_dense = (np.array([_capacity_grid(lam, snr) for lam in s]) for s in (law, dense))
+    stats = [(law[:, 0], dense[:, 0]), (law.sum(axis=1), dense.sum(axis=1)),
+             (cap_law[:, 0], cap_dense[:, 0]), (cap_law[:, 1], cap_dense[:, 1])]
+    assert max(abs(_z(a, b)) for a, b in stats) < 4.0
+    assert abs(law.sum(axis=1).mean() - n_r * n_t) < 4.0 * law.sum(axis=1).std() / np.sqrt(n_mc)
+
+
+def test_iid_curve_takes_the_law_with_any_worker_count():
+    # the law draws run inside the worker blocks: every count, and this
+    # process, give the iid curve's bits; the other curves keep one W per draw
+    models = [iid_model(4, 6), _tilted(4, 6, "tilted")]
+    snr_db = [-10.0, 10.0, 30.0]
+    ref = ergodic_capacity(models, snr_db, n_mc=5, seed=3)[0]
+    for workers in (1, 2):
+        got = ergodic_capacity(models, snr_db, n_mc=5, seed=3, workers=workers)[0]
+        assert np.array_equal(got.capacity_bits, ref.capacity_bits)
+        assert np.array_equal(got.stderr, ref.stderr)
+    law = _mc_pass(models, 5, 3, law=True)
+    dense = _mc_pass(models, 5, 3)
+    assert np.array_equal(law[:, 1], dense[:, 1])
+    assert not np.allclose(law[:, 0], dense[:, 0])
+
+
+def test_an_iid_only_pass_draws_no_channel(monkeypatch):
+    import holomimo.capacity
+
+    def refuse(*args):
+        raise AssertionError("W drawn")
+
+    monkeypatch.setattr(holomimo.capacity, "complex_normal", refuse)
+    curve, = ergodic_capacity([iid_model(5, 3)], [0.0], n_mc=3, seed=1)
+    assert curve.capacity_bits[0] > 0.0
+
+
+def test_bound_check_keeps_the_dense_iid_tops():
+    # the bound holds draw by draw, so its iid side is the dense Gram on the
+    # model's own W, not a law draw
+    b = build_fourier_basis(build_upa(4, 4, 0.4), isotropic_spectrum())
+    model = fourier_model(b, b)
+    seed, n_mc = 7, 6
+    chk = low_snr_bound_check(model, n_mc=n_mc, seed=seed)
+    wtop = [np.linalg.eigvalsh(w.conj().T @ w)[-1]
+            for w in (complex_normal(substream(seed, i), model.shape) for i in range(n_mc))]
+    top = (model.amp_r.max() * model.amp_t.max()) ** 2
+    assert chk.rhs_mean == pytest.approx(top * np.mean(wtop), rel=1e-12)
+
+
+def test_fallback_pass_matches_the_bound_pass(monkeypatch):
+    # without the binding the law runs numpy on the dense tridiagonal and the
+    # Grams numpy's eigvalsh: the same spectra to roundoff
+    monkeypatch.setattr(_lapack, "TWO_STAGE_MIN", 1)
+    models = [iid_model(9, 6), _tilted(9, 6, "tilted")]
+    bound = _mc_pass(models, 3, 5, law=True)
+    monkeypatch.setattr(_lapack, "_SYMBOLS", ("no_dsterf64_", "no_zheevd_2stage64_"))
+    monkeypatch.setattr(_lapack, "_routines", None)
+    assert not _lapack.bound()
+    fallback = _mc_pass(models, 3, 5, law=True)
+    assert np.abs(fallback - bound).max() <= 1e-12 * bound.max()
 
 
 def test_optimal_precoder_properties():

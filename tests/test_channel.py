@@ -213,7 +213,7 @@ def test_radial_rule_matches_a_j0_reference(g, theta0):
     rule = _theta_rule(_chebyshev_points(n_cheb, dist.max()), cap, HEMISPHERE, n_theta, n_phi)
     assert np.all(origin == rule[0]) and np.all(table[dist == dist.max()] == rule[-1])
     # HEMISPHERE * value * 2 pi (1 - cos theta0) = 2, up to the roundoff of
-    # the cap's constant 2 / (1 - cos theta0)
+    # the cap's constant 1 / sin^2(theta0 / 2)
     assert np.abs(origin - 2.0).max() <= 1e-13
 
 
@@ -610,6 +610,19 @@ def test_substreams_are_reproducible_and_independent():
     assert np.array_equal(complex_normal(substream(42, 5), 8), draws[5])
     assert not np.allclose(draws[0], draws[1])
     assert not np.allclose(complex_normal(substream(43, 0), 8), draws[0])
+
+
+@pytest.mark.parametrize("seed", [0, 66, 2**128 - 1])
+def test_complex_normal_matches_the_two_draw_expression(seed):
+    # one draw of both parts scaled in place gives the bits of the
+    # (a + 1j b) / sqrt(2) that every stored W was drawn with
+    for shape in (1, 7, (3, 5), (16, 9), (2, 3, 4)):
+        for index in (0, 1, 99, 2**40 + 3):
+            rng = substream(seed, index)
+            old = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+            w = complex_normal(substream(seed, index), shape)
+            assert w.shape == old.shape and w.dtype == old.dtype
+            assert np.array_equal(w.view(float), old.view(float))
 
 
 def test_complex_normal_unit_variance():

@@ -307,6 +307,30 @@ def test_run_capacity_outputs(tmp_path):
         assert caps[1] > caps[0] > 0
 
 
+_LAZY_BINDING = """
+import json, sys
+from pathlib import Path
+from holomimo.cli import ExperimentConfig, run_experiment
+out = Path(sys.argv[1])
+run_experiment(ExperimentConfig(kind="eigenvalues", tx={"nx": 4, "ny": 4, "dx": 0.5}), "e", out / "e")
+assert "holomimo._lapack" not in sys.modules
+cfg = ExperimentConfig(kind="capacity", tx={"nx": 2, "ny": 2, "dx": 0.5}, mc=2, snr_db=[0.0])
+print(json.dumps(run_experiment(cfg, "c", out / "c", workers=1)["mc_solvers"]))
+"""
+
+
+def test_only_a_capacity_run_loads_the_lapack_binding(tmp_path):
+    # an eigenvalue run never imports the binding module; a capacity run's
+    # manifest names the Monte-Carlo solvers
+    proc = subprocess.run([sys.executable, "-c", _LAZY_BINDING, str(tmp_path)], env=_checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    solvers = json.loads(proc.stdout.splitlines()[-1])
+    assert solvers["gram"] == "eigvalsh" and solvers["two_stage_min_rows"] == 400
+    assert solvers["iid"].startswith("Wishart law, ")
+    assert solvers["lapack"] in ("numpy's OpenBLAS through ctypes", "numpy fallback")
+
+
 def test_capacity_runs_on_a_line_array(tmp_path):
     # capacity builds neither a wavenumber lattice nor a disk rule, so a line
     # array's degenerate aperture is no reason to refuse it (eigenvalues still

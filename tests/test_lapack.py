@@ -1,0 +1,73 @@
+import numpy as np
+import pytest
+
+from holomimo import _lapack
+
+SIZES = [1, 2, 7, 256, 900]
+
+
+def _tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    d, e = rng.standard_normal(n) + 3.0, rng.standard_normal(n - 1)
+    return d, e, np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x.conj().T @ x
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """numpy's LAPACK as if it exported none of the bound symbols."""
+    monkeypatch.setattr(_lapack, "_SYMBOLS", ("no_dsterf64_", "no_zheevd_2stage64_"))
+    monkeypatch.setattr(_lapack, "_routines", None)
+    assert not _lapack.bound()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_dsterf_matches_eigvalsh(n):
+    d, e, t = _tridiagonal(n, n)
+    ref = np.linalg.eigvalsh(t)
+    lam = _lapack.tridiagonal_eigenvalues(d, e)
+    assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(t, np.diag(d) + np.diag(e, 1) + np.diag(e, -1))  # inputs kept
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_two_stage_solver_matches_eigvalsh(n, monkeypatch):
+    # every size takes zheevd_2stage here, below its threshold too
+    monkeypatch.setattr(_lapack, "TWO_STAGE_MIN", 1)
+    a = _hermitian(n, n)
+    ref = np.linalg.eigvalsh(a)
+    lam = _lapack.eigvalsh(a.copy())
+    assert np.abs(lam - ref).max() <= 1e-12 * ref[-1]
+
+
+def test_small_grams_keep_numpys_bytes():
+    a = _hermitian(_lapack.TWO_STAGE_MIN - 1, 5)
+    assert np.array_equal(_lapack.eigvalsh(a.copy()), np.linalg.eigvalsh(a))
+
+
+def test_binding_needs_64_bit_integers(monkeypatch):
+    monkeypatch.setattr(_lapack, "_routines", None)
+    monkeypatch.setattr(np, "show_config", lambda mode: {"Build Dependencies": {"lapack": {
+        "openblas configuration": "OpenBLAS 0.3.31 DYNAMIC_ARCH Haswell"}}})
+    assert not _lapack.bound()
+
+
+def test_fallback_gives_numpys_results(fallback):
+    n = 900
+    a = _hermitian(n, 1)
+    assert np.array_equal(_lapack.eigvalsh(a.copy()), np.linalg.eigvalsh(a))
+    d, e, t = _tridiagonal(n, 2)
+    assert np.array_equal(_lapack.tridiagonal_eigenvalues(d, e), np.linalg.eigvalsh(t))
+
+
+def test_a_failed_solve_raises(monkeypatch):
+    if not _lapack.bound():
+        pytest.skip("numpy's LAPACK is not bound here")
+    monkeypatch.setattr(_lapack, "TWO_STAGE_MIN", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="zheevd_2stage failed with info="):
+        _lapack.eigvalsh(np.full((3, 3), np.nan, dtype=complex))

@@ -34,6 +34,16 @@ def test_cap_constants_frozen():
     assert cap_constant(np.pi) == pytest.approx(1.0)
 
 
+def test_cap_constant_does_not_cancel():
+    # 1 / sin^2(x) = 1/x^2 + 1/3 + x^2/15 + O(x^4), x = theta0 / 2
+    x = 5e-5
+    ref = 1.0 / x**2 + 1.0 / 3.0 + x**2 / 15.0
+    assert abs(cap_constant(2.0 * x) - ref) <= np.spacing(ref)
+    # the presets' and the benchmark's caps keep the bits of 2 / (1 - cos theta0)
+    for theta0 in (0.6, 1.0, np.pi / 2):
+        assert cap_constant(theta0) == 2.0 / (1.0 - np.cos(theta0))
+
+
 @pytest.mark.parametrize("theta0, match", [
     (0.0, r"must lie in \(0, pi/2\]"),
     (-0.2, r"must lie in \(0, pi/2\]"),
