@@ -19,12 +19,10 @@ from .fourier import (FourierBasis, WavenumberLattice, build_fourier_basis, buil
                       dof_prime, fourier_matrix, projected_solid_angles, solid_angles,
                       variances_coupled, variances_uncoupled, write_variances_csv)
 from .channel import (ChannelModel, CorrelationMatrix, coupled_correlation_exact,
-                      exact_correlation, exact_model, fourier_correlation, fourier_model,
-                      iid_model, sample_exact_channel, whitened_eigenvalues)
-from .capacity import (BoundCheck, CapacityCurve, DofCheck, PrecoderMatrix,
-                       WaterfillingAllocation, ergodic_capacity, high_snr_dof_check,
-                       los_precoder, low_snr_allocation, low_snr_bound_check,
-                       matched_filter_precoder, mutual_information_bits, optimal_precoder,
-                       precoded_mutual_information, waterfill)
+                      exact_correlation, exact_model, fourier_model, iid_model,
+                      whitened_eigenvalues)
+from .capacity import (BoundCheck, CapacityCurve, DofCheck, WaterfillingAllocation,
+                       ergodic_capacity, high_snr_dof_check, low_snr_bound_check,
+                       mutual_information_bits, waterfill)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,8 @@
-"""Waterfilling, ergodic capacity, and coupling-aware precoding.
+"""Waterfilling, ergodic capacity and the low- and high-SNR checks.
 
-SNR throughout is the total transmit power constraint on the composite
-precoder (identity noise covariance), so capacities are in bits per channel
-use and the waterfilling budget equals the SNR.
+SNR throughout is the total transmit power constraint (identity noise
+covariance), so capacities are in bits per channel use and the waterfilling
+budget equals the SNR.
 """
 
 from __future__ import annotations
@@ -15,23 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, complex_normal, iid_model, substream
-from .coupling import (CouplingMatrix, SingularCouplingError, _check_floor, _eigh, _psd_spectrum,
-                       spd_inv_sqrt, spd_sqrt)
+from .coupling import _psd_spectrum
 
 __all__ = [
     "WaterfillingAllocation",
     "CapacityCurve",
-    "PrecoderMatrix",
     "BoundCheck",
     "DofCheck",
     "waterfill",
-    "low_snr_allocation",
     "mutual_information_bits",
-    "precoded_mutual_information",
     "ergodic_capacity",
-    "optimal_precoder",
-    "los_precoder",
-    "matched_filter_precoder",
     "low_snr_bound_check",
     "high_snr_dof_check",
 ]
@@ -51,10 +44,6 @@ class WaterfillingAllocation:
     capacity_bits: float
 
 
-# Relative gap below the top eigenvalue that low_snr_allocation counts as a tie.
-_TIE_TOL = 1e-3
-
-
 def _check_snr(snr) -> None:
     """Refuses an SNR (or any point of an SNR grid) that is not positive and finite."""
     s = np.asarray(snr)
@@ -62,22 +51,17 @@ def _check_snr(snr) -> None:
         raise ValueError(f"snr must be positive and finite, got {snr}")
 
 
-def _spectrum(eigenvalues, snr: float) -> np.ndarray:
-    """``_psd_spectrum`` of the eigenvalues; also refuses a bad snr or no power."""
-    _check_snr(snr)
-    lam = _psd_spectrum(np.ravel(eigenvalues), "spectrum")
-    if not np.any(lam > 0.0):
-        raise ValueError("all eigenvalues are zero")
-    return lam
-
-
 def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
     """Exact waterfilling by sort and threshold scan.
 
     Power on channel i is max(0, nu - 1/lambda_i) with nu chosen so the powers
-    sum to ``snr``; exactly tied eigenvalues receive equal power.
+    sum to ``snr``; exactly tied eigenvalues receive equal power.  The
+    eigenvalues pass ``_psd_spectrum``, and a bad snr or no power is refused.
     """
-    lam = _spectrum(eigenvalues, snr)
+    _check_snr(snr)
+    lam = _psd_spectrum(np.ravel(eigenvalues), "spectrum")
+    if not np.any(lam > 0.0):
+        raise ValueError("all eigenvalues are zero")
     order = np.argsort(-lam, kind="stable")
     lam_sorted = lam[order]
     active, level = _water_levels(lam_sorted[lam_sorted > 0.0], np.array([snr]))
@@ -88,36 +72,10 @@ def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
     return WaterfillingAllocation(powers, level, k, cap)
 
 
-def low_snr_allocation(eigenvalues, snr: float) -> WaterfillingAllocation:
-    """Low-SNR limit of waterfilling: equal split across the near-maximal set.
-
-    Eigenvalues within ``_TIE_TOL`` (relative) of the maximum share the
-    budget equally; everything else gets zero.  The input checks are
-    ``waterfill``'s.
-    """
-    lam = _spectrum(eigenvalues, snr)
-    top = lam.max()
-    tied = lam >= (1.0 - _TIE_TOL) * top
-    k = int(np.count_nonzero(tied))
-    powers = np.where(tied, snr / k, 0.0)
-    cap = mutual_information_bits(lam, powers)
-    return WaterfillingAllocation(powers, float(snr / k + 1.0 / top), k, cap)
-
-
 def mutual_information_bits(eigenvalues, powers) -> float:
     lam = np.asarray(eigenvalues, dtype=float)
     p = np.asarray(powers, dtype=float)
     return float(np.sum(np.log2(1.0 + p * lam)))
-
-
-def precoded_mutual_information(h: np.ndarray, composite: np.ndarray) -> float:
-    """log2 det(I + H F F^H H^H) for a composite precoder F."""
-    g = h @ composite
-    k = np.eye(g.shape[0]) + g @ g.conj().T
-    sign, logdet = np.linalg.slogdet(k)
-    if not (sign.real > 0 and np.isfinite(logdet)):
-        raise RuntimeError("mutual-information determinant is not positive and finite")
-    return float(logdet / np.log(2.0))
 
 
 def _water_levels(lam_desc: np.ndarray, snr_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,84 +286,6 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
         stderr = c.std(axis=0, ddof=1) / np.sqrt(n_mc) if n_mc > 1 else np.zeros_like(mean)
         curves.append(CapacityCurve(snr_db, mean, stderr, n_mc, model.label))
     return curves
-
-
-@dataclass(frozen=True)
-class PrecoderMatrix:
-    """Precoder in antenna coordinates plus its composite (power-bearing) form.
-
-    ``matrix`` drives the antenna currents; ``composite`` is C^{1/2} matrix,
-    whose squared norm is the constrained power.  For beamspace channels the
-    composite lives in beamspace and ``matrix`` equals it.
-    """
-
-    matrix: np.ndarray
-    composite: np.ndarray
-    power: float
-    allocation: WaterfillingAllocation | None = None
-
-
-def optimal_precoder(h: np.ndarray, snr: float,
-                     coupling: CouplingMatrix | None = None) -> PrecoderMatrix:
-    """Capacity-achieving precoder for one realization of the effective channel.
-
-    ``h`` is the effective channel seen by the composite precoder (for
-    antenna-domain draws, ``sample_exact_channel``'s G R^{1/2} C^{-1/2}; for
-    beamspace models, the beamspace matrix).
-    Waterfilling runs on its squared singular values; the composite power
-    equals ``snr`` exactly.  With ``coupling`` given, ``matrix`` is mapped
-    back to antenna currents through C^{-1/2}.
-    """
-    u, s, vh = np.linalg.svd(h, full_matrices=False)
-    alloc = waterfill(s * s, snr)
-    composite = vh.conj().T * np.sqrt(alloc.powers)
-    matrix = composite if coupling is None else spd_inv_sqrt(coupling) @ composite
-    power = float(np.sum(alloc.powers))
-    return PrecoderMatrix(matrix, composite, power, alloc)
-
-
-def _steering_vector(steering) -> np.ndarray:
-    a = np.asarray(steering, dtype=complex).ravel()
-    if a.size == 0:
-        raise ValueError("empty steering vector")
-    return a
-
-
-def los_precoder(coupling: CouplingMatrix, steering, snr: float) -> PrecoderMatrix:
-    """Line-of-sight beamformer maximizing received power under coupling.
-
-    Solves max |a^H f|^2 subject to the composite constraint f^H C f <= snr;
-    the optimum is proportional to C^{-1} a and strictly beats the conjugate
-    (matched) beamformer whenever C is not a scaled identity.  Both C^{-1} a
-    and the composite C^{1/2} f come from one eigendecomposition of C.
-    """
-    a = _steering_vector(steering)
-    _check_snr(snr)
-    w, v = _eigh(coupling.matrix)
-    _check_floor(w.min(), coupling.rho)
-    # C = V diag(w) V^H: C^{-1} a = V (b / w) and C^{1/2} C^{-1} a = V (b / sqrt(w)), b = V^H a
-    b = v.conj().T @ a
-    gain = float(np.sum(np.abs(b) ** 2 / w))
-    if not gain > 0.0:
-        raise SingularCouplingError("steering vector has nonpositive whitened gain")
-    b *= np.sqrt(snr / gain)
-    composite = v @ (b / np.sqrt(w))
-    return PrecoderMatrix(v @ (b / w), composite, float(np.real(np.vdot(composite, composite))))
-
-
-def matched_filter_precoder(coupling: CouplingMatrix, steering, snr: float) -> PrecoderMatrix:
-    """Conjugate beamformer under the same composite power constraint."""
-    a = _steering_vector(steering)
-    _check_snr(snr)
-    if not np.all(np.isfinite(coupling.matrix)):
-        raise ValueError(f"coupling matrix is not finite (rho={coupling.rho:g}); "
-                         f"check the input for NaN or inf entries")
-    gain = float(np.real(np.vdot(a, coupling.matrix @ a)))
-    if not gain > 0.0:
-        raise SingularCouplingError("steering vector has nonpositive coupled gain")
-    f = np.sqrt(snr / gain) * a
-    composite = spd_sqrt(coupling).astype(complex) @ f
-    return PrecoderMatrix(f, composite, float(np.real(np.vdot(composite, composite))))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import HEMISPHERE, density_kernel
 from .coupling import (Kernel, _check_floor, _check_rho, _descending, _eigh, _psd_spectrum,
-                       spd_inv_sqrt, spd_sqrt)
+                       spd_inv_sqrt)
 from .fourier import FourierBasis, dof_prime
 from .geometry import ArrayGeometry
 from .spectra import AngularSpectrum
@@ -28,11 +28,9 @@ __all__ = [
     "exact_correlation",
     "coupled_correlation_exact",
     "whitened_eigenvalues",
-    "fourier_correlation",
     "fourier_model",
     "exact_model",
     "iid_model",
-    "sample_exact_channel",
     "substream",
     "complex_normal",
 ]
@@ -115,14 +113,6 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
     return out
 
 
-def fourier_correlation(basis: FourierBasis) -> Kernel:
-    """Low-rank model correlation V diag(N sigma2) V^H, without a geometry."""
-    lam = basis.n_antennas * basis.variances
-    v = basis.matrix
-    m = (v * lam) @ v.conj().T
-    return Kernel(0.5 * (m + m.conj().T))
-
-
 @dataclass(frozen=True)
 class ChannelModel:
     """i.i.d.-in-time channel draws diag(amp_r) W diag(amp_t), W i.i.d. CN(0, 1).
@@ -160,19 +150,6 @@ def iid_model(n_rx: int, n_tx: int) -> ChannelModel:
     return ChannelModel(np.ones(n_rx), np.ones(n_tx), "iid", "iid", min(n_rx, n_tx))
 
 
-def _receive_gain(normalize: str, power, n: int) -> float | None:
-    """None for 'transmit' normalization; for 'receive', the factor n / power()
-    that brings the total transmit power to the antenna count."""
-    if normalize == "transmit":
-        return None
-    if normalize != "receive":
-        raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
-    p = power()
-    if not p > 0.0:
-        raise ValueError("'receive' cannot scale a spectrum with no power; use 'transmit'")
-    return n / p
-
-
 def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "transmit",
                 label: str = "") -> ChannelModel:
     """i.i.d.-receive channel with transmit spectrum eig R (uncoupled) or a row
@@ -185,25 +162,13 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
     count, comparing arrays at equal received power.
     """
     lam = _psd_spectrum(np.ravel(tx_eigenvalues), "transmit spectrum")
-    gain = _receive_gain(normalize, lam.sum, lam.size)
-    if gain is not None:
-        lam = lam * gain
+    if normalize == "receive":
+        p = lam.sum()
+        if not p > 0.0:
+            raise ValueError("'receive' cannot scale a spectrum with no power; use 'transmit'")
+        lam = lam * (lam.size / p)
+    elif normalize != "transmit":
+        raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
     n_rx = int(n_rx) if n_rx is not None else lam.size
     return ChannelModel(np.ones(n_rx), np.sqrt(lam), label or "exact", "exact",
                         min(n_rx, lam.size))
-
-
-def sample_exact_channel(tx_correlation: Kernel, coupling: Kernel | None = None,
-                         seed: int = 0, n_rx: int | None = None, index: int = 0,
-                         normalize: str = "transmit") -> np.ndarray:
-    """One antenna-domain realization G R^{1/2} C^{-1/2}; ``normalize`` is as
-    in ``exact_model``."""
-    t = spd_sqrt(tx_correlation).astype(complex)
-    if coupling is not None:
-        t = t @ spd_inv_sqrt(coupling)
-    gain = _receive_gain(normalize, lambda: np.trace(t.conj().T @ t).real, t.shape[0])
-    if gain is not None:
-        t = t * np.sqrt(gain)
-    n_t = t.shape[0]
-    g = complex_normal(substream(seed, index), (int(n_rx) if n_rx is not None else n_t, n_t))
-    return g @ t

@@ -44,6 +44,8 @@ __all__ = [
 EIGENVALUE_FLOOR = 1e-12
 # Peak-relative residue up to which a table counts as even under a reflection.
 _COMMUTE_TOL = 1e-12
+# Largest |average - 1| of an accepted pattern; every built-in one is within 5e-15.
+_NORM_TOL = 1e-10
 
 
 class SingularCouplingError(RuntimeError):
@@ -249,15 +251,17 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel
     (``_coupling_scale``).  A pattern uniform on the whole hemisphere (omni,
     or one matched to the isotropic spectrum or to cap(pi/2)) takes the
     closed form, one uniform on a smaller cap the radial rule, and the rest
-    the 2-D quadrature.  Every pattern must be normalized, which is read off
-    C's zero difference: on every rule it holds the scale times the rule's
-    integral of the pattern, its full-sphere average.  A complex C, whose
-    imaginary residue is above quadrature noise, is refused after that.
+    the 2-D quadrature.  Every pattern must be normalized to ``_NORM_TOL``,
+    which is read off C's zero difference: on every rule it holds the scale
+    times the rule's integral of the pattern, its full-sphere average.  A
+    complex C, whose imaginary residue is above quadrature noise, is refused
+    after that.
     """
     m, grid = density_kernel(geometry.positions, pattern, _coupling_scale(pattern))
     norm = (m[grid.origin] if grid is not None else m[0, 0]).real
-    if abs(norm - 1.0) > 1e-3:
-        raise ValueError(f"pattern {pattern.name!r} is not normalized (average {norm:.6f})")
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ValueError(f"pattern {pattern.name!r} is not normalized (average {norm:.6f}): "
+                         f"off by {norm - 1.0:.3e}, beyond {_NORM_TOL:.0e}")
     if np.iscomplexobj(m):
         residue = np.abs(m.imag).max()
         raise RuntimeError(f"coupling quadrature residue {residue:.3e} exceeds tolerance")

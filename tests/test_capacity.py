@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from holomimo import (ChannelModel, CouplingMatrix, SingularCouplingError, array_response,
-                      build_fourier_basis, build_ula, build_upa, coupling_closed_form,
+from holomimo import (ChannelModel, build_fourier_basis, build_upa, coupling_closed_form,
                       ergodic_capacity, exact_correlation, exact_model, fourier_model,
-                      high_snr_dof_check, iid_model, isotropic_spectrum, los_precoder,
-                      low_snr_allocation, low_snr_bound_check, matched_filter_precoder,
-                      mutual_information_bits, optimal_precoder, precoded_mutual_information,
-                      regularize, spd_inv_sqrt, spd_sqrt, waterfill, whitened_eigenvalues)
+                      high_snr_dof_check, iid_model, isotropic_spectrum, low_snr_bound_check,
+                      mutual_information_bits, regularize, spd_inv_sqrt, spd_sqrt, waterfill,
+                      whitened_eigenvalues)
 from holomimo import _lapack
 from holomimo.capacity import _capacity_grid, _draw_block, _mc_pass
 from holomimo.channel import complex_normal, substream
@@ -98,20 +96,6 @@ def test_waterfill_error_modes():
         waterfill([1.0, -0.5], 1.0)
     with pytest.raises(ValueError):
         waterfill([0.0, 0.0], 1.0)
-    # the low-SNR limit runs the same input checks
-    with pytest.raises(ValueError, match="at least one eigenvalue"):
-        low_snr_allocation([], 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        low_snr_allocation([-5.0, 1.0], 1.0)
-
-
-def test_low_snr_allocation_shares_near_maximal_set():
-    alloc = low_snr_allocation([4.0, 3.9999, 1.0], 0.01)
-    assert np.allclose(alloc.powers[:2], 0.005, atol=1e-15)
-    assert alloc.powers[2] == 0.0
-    assert alloc.n_active == 2
-    # exact waterfilling can only do better
-    assert alloc.capacity_bits <= waterfill([4.0, 3.9999, 1.0], 0.01).capacity_bits + 1e-12
 
 
 def test_capacity_grid_matches_waterfill():
@@ -121,21 +105,6 @@ def test_capacity_grid_matches_waterfill():
     grid = _capacity_grid(lam, 10.0 ** (snr_db / 10.0))
     for c, db in zip(grid, snr_db):
         assert c == pytest.approx(waterfill(lam, 10.0 ** (db / 10.0)).capacity_bits, rel=1e-12)
-
-
-def test_precoded_mutual_information():
-    rng = np.random.default_rng(3)
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    f = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    g = h @ f
-    ref = np.log2(np.linalg.det(np.eye(4) + g @ g.conj().T).real)
-    assert precoded_mutual_information(h, f) == pytest.approx(ref, rel=1e-10)
-
-
-def test_precoded_mutual_information_refuses_a_non_finite_channel():
-    # slogdet gives sign 1 and log|det| nan here: the sign alone would pass
-    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="finite"):
-        precoded_mutual_information(np.array([[np.nan, 1.0]]), np.eye(2))
 
 
 def test_ergodic_capacity_reproducible_and_monotone():
@@ -306,139 +275,6 @@ def test_fallback_pass_matches_the_bound_pass(monkeypatch):
     assert np.abs(fallback - bound).max() <= 1e-12 * bound.max()
 
 
-def test_optimal_precoder_properties():
-    rng = np.random.default_rng(8)
-    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    snr = 10.0
-    pre = optimal_precoder(h, snr)
-    assert pre.power == pytest.approx(snr, rel=1e-12)
-    assert np.trace(pre.composite.conj().T @ pre.composite).real == pytest.approx(snr, rel=1e-12)
-    # achieved mutual information equals the waterfilling value
-    assert precoded_mutual_information(h, pre.composite) == pytest.approx(
-        pre.allocation.capacity_bits, rel=1e-10)
-    # and beats naive equal power on the same channel
-    equal = np.sqrt(snr / 6.0) * np.eye(6)
-    assert pre.allocation.capacity_bits >= precoded_mutual_information(h, equal) - 1e-12
-
-
-def test_optimal_precoder_with_coupling_meets_physical_constraint():
-    g = build_upa(4, 4, 0.4)
-    c = regularize(coupling_closed_form(g), 0.05)
-    rng = np.random.default_rng(9)
-    h = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    snr = 4.0
-    pre = optimal_precoder(h, snr, coupling=c)
-    # the antenna-domain matrix spends exactly snr through the coupling metric
-    spent = np.trace(pre.matrix.conj().T @ c.matrix @ pre.matrix).real
-    assert spent == pytest.approx(snr, rel=1e-9)
-    assert np.allclose(spd_sqrt(c) @ pre.matrix, pre.composite, atol=1e-10)
-
-
-def test_los_precoder_oracle_ratios():
-    # dense 16 x 16 array at 0.4 wavelength spacing, light loading: the
-    # coupling-aware beamformer strictly beats the conjugate beamformer,
-    # more so when steered off broadside
-    g = build_upa(16, 16, 0.4)
-    c = regularize(coupling_closed_form(g), 0.01)
-    for theta, ratio_ref, power_ref in ((0.0, 1.0611468241, 262.3583776586),
-                                        (np.pi / 3, 1.3017759918, 162.0982763375)):
-        a = array_response(g, theta, 0.0)
-        fl = los_precoder(c, a, 1.0)
-        fm = matched_filter_precoder(c, a, 1.0)
-        pl = abs(np.vdot(a, fl.matrix)) ** 2
-        pm = abs(np.vdot(a, fm.matrix)) ** 2
-        assert pl / pm == pytest.approx(ratio_ref, rel=1e-6)
-        assert pl == pytest.approx(power_ref, rel=1e-6)
-        assert fl.power == pytest.approx(1.0, rel=1e-9)
-        assert fm.power == pytest.approx(1.0, rel=1e-9)
-
-
-def test_los_equals_matched_without_coupling():
-    # half-wavelength line array: the coupling matrix is the identity, so the
-    # two beamformers coincide
-    g = build_ula(8, 0.5)
-    c = coupling_closed_form(g)
-    a = array_response(g, 0.3, 0.0)
-    fl = los_precoder(c, a, 2.0)
-    fm = matched_filter_precoder(c, a, 2.0)
-    assert np.allclose(fl.matrix, fm.matrix, atol=1e-12)
-
-
-def test_los_precoder_matches_direct_solve():
-    # well-conditioned coupling: the eigenpair form of C^{-1} a and of the
-    # composite C^{1/2} f agrees with a general solve and a separate square root
-    g = build_upa(8, 8, 0.3)
-    c = regularize(coupling_closed_form(g), 0.01)
-    snr = 2.5
-    for theta in (0.0, 0.7):
-        a = array_response(g, theta, 0.4)
-        pre = los_precoder(c, a, snr)
-        x = np.linalg.solve(c.matrix, a)
-        f = np.sqrt(snr / np.vdot(a, x).real) * x
-        assert np.linalg.norm(pre.matrix - f) <= 1e-10 * np.linalg.norm(f)
-        ref = spd_sqrt(c) @ f
-        assert np.linalg.norm(pre.composite - ref) <= 1e-10 * np.linalg.norm(ref)
-        assert pre.power == pytest.approx(snr, rel=1e-12)
-
-
-def test_los_beats_matched_always():
-    rng = np.random.default_rng(44)
-    g = build_upa(5, 5, 0.3)
-    c = regularize(coupling_closed_form(g), 0.05)
-    for _ in range(10):
-        theta = float(rng.uniform(0.0, np.pi / 2))
-        phi = float(rng.uniform(0.0, 2 * np.pi))
-        a = array_response(g, theta, phi)
-        pl = abs(np.vdot(a, los_precoder(c, a, 1.0).matrix)) ** 2
-        pm = abs(np.vdot(a, matched_filter_precoder(c, a, 1.0).matrix)) ** 2
-        assert pl >= pm - 1e-9
-
-
-def test_los_superdirective_currents_blow_up_unregularized():
-    # quarter-wavelength spacing drives the coupling matrix nearly singular:
-    # the optimal currents explode while the composite power stays fixed.
-    # Unloaded, C is below the eigenvalue floor and refused (see the refusal
-    # table below); a loading just above the floor still shows the blow-up
-    g = build_upa(10, 10, 0.25)
-    a = array_response(g, 0.0, 0.0)
-    raw = los_precoder(regularize(coupling_closed_form(g), 1e-10), a, 1.0)
-    reg = los_precoder(regularize(coupling_closed_form(g), 0.01), a, 1.0)
-    assert np.linalg.norm(raw.matrix) > 100.0
-    assert np.linalg.norm(reg.matrix) < 5.0
-    assert raw.power == pytest.approx(1.0, rel=1e-6)
-
-
-def test_los_regularization_shrinks_toward_matched():
-    # heavy diagonal loading makes the coupling near-identity, so the angle
-    # between the two beamformers decays like 1 / rho
-    g = build_upa(6, 6, 0.4)
-    a = array_response(g, 0.0, 0.0)
-
-    def angle(rho):
-        fl = los_precoder(regularize(coupling_closed_form(g), rho), a, 1.0).matrix
-        fm = matched_filter_precoder(regularize(coupling_closed_form(g), rho), a, 1.0).matrix
-        cos = abs(np.vdot(fl, fm)) / (np.linalg.norm(fl) * np.linalg.norm(fm))
-        return float(np.arccos(min(cos, 1.0)))
-
-    a100, a1000 = angle(100.0), angle(1000.0)
-    assert a100 < 2e-3
-    assert 8.0 < a100 / a1000 < 12.0
-
-
-def test_beamformer_error_modes():
-    g = build_ula(2, 0.5)
-    indefinite = CouplingMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), g, kind="test")
-    with pytest.raises(SingularCouplingError):
-        los_precoder(indefinite, np.ones(2), 1.0)
-    with pytest.raises(SingularCouplingError):
-        matched_filter_precoder(indefinite, np.array([1.0, -1.0]), 1.0)
-    good = coupling_closed_form(g)
-    with pytest.raises(ValueError):
-        los_precoder(good, [], 1.0)
-    with pytest.raises(ValueError):
-        los_precoder(good, np.ones(2), 0.0)
-
-
 def test_low_snr_bound_holds():
     g = build_upa(6, 6, 0.4)
     b = build_fourier_basis(g, isotropic_spectrum())
@@ -481,9 +317,7 @@ def test_high_snr_dof_iid():
 
 _G = build_upa(3, 3, 0.3)
 _C = coupling_closed_form(_G)
-_G_FLOOR = build_upa(10, 10, 0.25)  # smallest coupling eigenvalue 1.4e-14
 _R = exact_correlation(_G, isotropic_spectrum())
-_A = array_response(_G, 0.2, 0.0)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -491,21 +325,14 @@ _A = array_response(_G, 0.2, 0.0)
     (lambda: regularize(_C, np.inf), ValueError, "nonnegative"),
     (lambda: whitened_eigenvalues(_R, _C, [np.inf]), ValueError, "nonnegative"),
     (lambda: whitened_eigenvalues(_R, _C, [0.01, np.nan]), ValueError, "nonnegative"),
-    (lambda: los_precoder(regularize(_C, 0.01), _A, np.nan), ValueError, "snr"),
-    (lambda: matched_filter_precoder(_C, _A, np.nan), ValueError, "snr"),
     (lambda: waterfill([1.0, 0.5], np.nan), ValueError, "snr"),
-    (lambda: low_snr_allocation([1.0, 0.5], np.inf), ValueError, "snr"),
     (lambda: spd_inv_sqrt(np.diag([1.0, np.nan, 1.0])), ValueError, "not finite"),
     (lambda: spd_sqrt(np.diag([1.0, np.nan, 1.0])), ValueError, "positive semidefinite"),
     (lambda: exact_model([1.0, np.nan]), ValueError, "positive semidefinite"),
-    (lambda: los_precoder(coupling_closed_form(_G_FLOOR), array_response(_G_FLOOR, 0.0, 0.0),
-                          1.0), SingularCouplingError, "floor"),
     # every point of an SNR grid, in dB
     (lambda: ergodic_capacity([iid_model(2, 2)], [0.0, np.nan], n_mc=2), ValueError, "snr"),
     (lambda: ergodic_capacity([iid_model(2, 2)], [np.inf], n_mc=2), ValueError, "snr"),
     (lambda: high_snr_dof_check(iid_model(2, 2), (-np.inf, 30.0), n_mc=2), ValueError, "snr"),
-    (lambda: matched_filter_precoder(CouplingMatrix(np.diag([1.0, np.nan])), np.ones(2), 1.0),
-     ValueError, "coupling matrix is not finite"),
     # finite in dB, beyond the float range once linear
     (lambda: ergodic_capacity([iid_model(2, 2)], [0.0, 4000.0], n_mc=2), ValueError, "snr"),
 ])
@@ -514,9 +341,8 @@ def test_non_finite_inputs_are_refused(call, error, match):
         call()
 
 
-@pytest.mark.parametrize("refuse", [lambda lam: waterfill(lam, 1.0), exact_model,
-                                    lambda lam: low_snr_allocation(lam, 1.0)],
-                         ids=["waterfill", "exact_model", "low_snr_allocation"])
+@pytest.mark.parametrize("refuse", [lambda lam: waterfill(lam, 1.0), exact_model],
+                         ids=["waterfill", "exact_model"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
 def test_non_finite_spectra_are_refused(refuse, bad):
     with pytest.raises(ValueError, match="finite"):

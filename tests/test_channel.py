@@ -14,9 +14,9 @@ from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, Correlatio
                       build_upa, cap_spectrum,
                       check_normalization, coupled_correlation_exact, coupling_closed_form, coupling_general,
                       ergodic_capacity, exact_correlation, exact_model,
-                      fourier_correlation, fourier_model, iid_model, isotropic_spectrum,
+                      fourier_model, iid_model, isotropic_spectrum,
                       matched_pattern, omni_pattern, quadrature_for, regularize,
-                      sample_exact_channel, spd_inv_sqrt, spd_sqrt, waterfill,
+                      spd_inv_sqrt, spd_sqrt, waterfill,
                       whitened_eigenvalues)
 from holomimo._kernels import (HEMISPHERE, _chebyshev_points, _radial_counts, _theta_rule,
                                angular_kernel, array_grid, density_kernel)
@@ -594,16 +594,6 @@ def test_whitening_matched_cap_gives_twice_identity():
     assert np.abs(w - 2.0 * np.eye(25)).max() < 1e-6
 
 
-def test_fourier_correlation_structure():
-    g = build_upa(7, 7, 0.4)
-    b = build_fourier_basis(g, isotropic_spectrum())
-    r = fourier_correlation(b)
-    ev = np.linalg.eigvalsh(r.matrix)
-    assert ev[0] > -1e-9
-    assert np.trace(r.matrix).real == pytest.approx(49 * b.variances.sum(), rel=1e-12)
-    assert np.linalg.matrix_rank(r.matrix, tol=1e-9) <= b.n_points
-
-
 def test_substreams_are_reproducible_and_independent():
     draws = {i: complex_normal(substream(42, i), 8) for i in (0, 1, 5)}
     # recomputing any index gives the same numbers, regardless of order
@@ -648,6 +638,17 @@ def test_fourier_model_covariance():
     assert np.abs(second - expect).max() / expect.max() < 0.12
 
 
+def _antenna_draw(r, c, seed, index, n_rx=None, receive=False):
+    """One antenna-domain draw G R^{1/2} C^{-1/2}, G i.i.d. CN(0, 1) from
+    substream (seed, index), the dense reference of the diagonal form;
+    ``receive`` scales its power as ``exact_model``'s "receive" does."""
+    t = spd_sqrt(r).astype(complex) @ spd_inv_sqrt(c)
+    n = t.shape[0]
+    if receive:
+        t = t * np.sqrt(n / np.trace(t.conj().T @ t).real)
+    return complex_normal(substream(seed, index), (n_rx or n, n)) @ t
+
+
 def test_exact_model_covariance():
     # the antenna-domain draws G R^{1/2} C^{-1/2} carry the whitened correlation
     g = build_upa(3, 3, 0.5)
@@ -657,7 +658,7 @@ def test_exact_model_covariance():
     acc = np.zeros((9, 9), dtype=complex)
     n_mc = 600
     for i in range(n_mc):
-        h = sample_exact_channel(r, c, seed=5, n_rx=16, index=i)
+        h = _antenna_draw(r, c, 5, i, n_rx=16)
         acc += h.conj().T @ h
     acc /= n_mc * 16
     assert np.abs(acc - target).max() / np.abs(target).max() < 0.1
@@ -694,14 +695,6 @@ def test_exact_model_refuses_powerless_receive_spectrum():
     assert np.array_equal(exact_model(np.zeros(4)).amp_t, np.zeros(4))
 
 
-def test_sample_exact_channel_refuses_powerless_receive_draw():
-    dead = CorrelationMatrix(np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="no power"):
-        sample_exact_channel(dead, seed=3, normalize="receive")
-    # the transmit reference draws the all-zero channel
-    assert np.array_equal(sample_exact_channel(dead, seed=3), np.zeros((4, 4)))
-
-
 @pytest.mark.parametrize("last", [
     lambda lam: waterfill(lam, 1.0).powers[-1],
     lambda lam: exact_model(lam).amp_t[-1],
@@ -729,23 +722,13 @@ def test_diagonal_form_matches_antenna_domain_capacity():
     loaded = regularize(c, 0.03)
     caps = np.empty((n_mc, snr_db.size))
     for i in range(n_mc):
-        h = sample_exact_channel(r, loaded, seed=2, index=i, normalize="receive")
+        h = _antenna_draw(r, loaded, 2, i, receive=True)
         lam = np.linalg.svd(h, compute_uv=False) ** 2
         caps[i] = _capacity_grid(lam[lam > lam[0] * 1e-30], 10.0 ** (snr_db / 10.0))
     antenna_mean = caps.mean(axis=0)
     antenna_stderr = caps.std(axis=0, ddof=1) / np.sqrt(n_mc)
     gap = np.abs(diag.capacity_bits - antenna_mean)
     assert np.all(gap <= 3.0 * np.hypot(diag.stderr, antenna_stderr))
-
-
-def test_sampling_functions_deterministic():
-    g = build_upa(3, 3, 0.5)
-    r = exact_correlation(g, isotropic_spectrum())
-    c = regularize(coupling_closed_form(g), 0.1)
-    h1 = sample_exact_channel(r, c, seed=9, index=2)
-    h2 = sample_exact_channel(r, c, seed=9, index=2)
-    assert np.array_equal(h1, h2)
-    assert not np.allclose(h1, sample_exact_channel(r, c, seed=9, index=3))
 
 
 def test_predicted_dof():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+import holomimo
 from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, _usable_cpus, load_config,
                           main, run_experiment)
 from holomimo.presets import PRESETS
@@ -535,17 +536,43 @@ def test_installed_console_script():
                                         capture_output=True, text=True))
 
 
+def test_public_names_are_pinned():
+    # an export is added or removed only by editing this list too
+    assert sorted(holomimo.__all__) == [
+        "AngularSpectrum", "AntennaPattern", "ArrayGeometry", "BoundCheck", "CapacityCurve",
+        "ChannelModel", "CorrelationMatrix", "CouplingMatrix", "DofCheck", "FourierBasis",
+        "Kernel", "SingularCouplingError", "WaterfillingAllocation", "WavenumberLattice",
+        "array_response", "build_fourier_basis", "build_lattice", "build_ula", "build_upa",
+        "cap_constant", "cap_spectrum", "capacity", "channel", "check_normalization",
+        "coupled_correlation_exact", "coupling", "coupling_closed_form", "coupling_general",
+        "dof_prime", "ergodic_capacity", "exact_correlation", "exact_model", "fourier",
+        "fourier_matrix", "fourier_model", "geometry", "geometry_from_config",
+        "hemisphere_quadrature", "high_snr_dof_check", "iid_model", "isotropic_spectrum",
+        "low_snr_bound_check", "matched_pattern", "mutual_information_bits", "omni_pattern",
+        "pattern_covers", "projected_solid_angles", "quadrature_for", "regularize",
+        "solid_angles", "spd_inv_sqrt", "spd_sqrt", "spectra", "variances_coupled",
+        "variances_uncoupled", "waterfill", "whitened_eigenvalues", "write_coupling_csv",
+        "write_variances_csv",
+    ]
+
+
 # numpy is the only numerical dependency: with scipy made unimportable the
-# package still runs a coupled eigenvalues config and the LoS precoder.
+# package still runs a coupled eigenvalues config, and builds C for a cap
+# pattern on an irregular array, whose radial rule interpolates its J0
+# integral over more distinct antenna distances than Chebyshev nodes.
 _NO_SCIPY = """\
 import sys
 sys.modules["scipy"] = None
+import numpy as np
 import holomimo, holomimo.cli
-from holomimo import array_response, build_upa, coupling_closed_form, los_precoder, regularize
+from holomimo import ArrayGeometry, cap_spectrum, coupling_general, matched_pattern
+from holomimo.coupling import _NORM_TOL
 assert holomimo.cli.main(["run", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
-g = build_upa(4, 4, 0.3)
-pre = los_precoder(regularize(coupling_closed_form(g), 0.01), array_response(g, 0.2, 0.0), 1.0)
-assert abs(pre.power - 1.0) < 1e-9, pre.power
+k = np.arange(10)
+spiral = 0.3 * np.sqrt(k) * np.exp(2.4j * k)
+g = ArrayGeometry(np.column_stack([spiral.real, spiral.imag, np.zeros(10)]))
+c = coupling_general(g, matched_pattern(cap_spectrum(0.5)))
+assert c.grid is None and abs(c.matrix[0, 0] - 1.0) <= _NORM_TOL, c.matrix[0, 0]
 loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
 assert not loaded, loaded
 """

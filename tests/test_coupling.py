@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -116,17 +117,26 @@ def test_radial_rule_rejects_unnormalized_pattern(monkeypatch):
         coupling_general(build_upa(4, 3, 0.4), bad)
 
 
-@pytest.mark.parametrize("bad", [AntennaPattern("double", _UniformCap(2.0)),
-                                 replace(omni_pattern(), lower="zero")],
-                         ids=["double", "upper-half"])
+@pytest.mark.parametrize("bad, off", [
+    (AntennaPattern("double", _UniformCap(2.0)), "1.000e+00"),
+    (replace(omni_pattern(), lower="zero"), "-5.000e-01"),
+    (AntennaPattern("near", _UniformCap(1.0009)), "9.000e-04"),
+    (AntennaPattern("nearer", _UniformCap(1.0 + 1e-9)), "1.000e-09"),
+    (AntennaPattern("nan", _UniformCap(np.nan)), "nan"),
+], ids=["double", "upper-half", "off-by-9e-4", "off-by-1e-9", "nan"])
 @pytest.mark.parametrize("g", [
     build_upa(4, 3, 0.4),
     ArrayGeometry([[0.0, 0.0, 0.0], [0.37, 0.11, 0.0], [0.05, 0.61, 0.0], [0.83, 0.47, 0.0]]),
 ], ids=["grid", "pairs"])
-def test_closed_form_rejects_unnormalized_pattern(g, bad):
+def test_closed_form_rejects_unnormalized_pattern(g, bad, off):
     # a pattern uniform on the whole hemisphere takes sinc, whose zero
-    # difference holds the pattern's average exactly: 2 and 1/2 here
-    with pytest.raises(ValueError, match="not normalized"):
+    # difference holds the pattern's average exactly: 2, 1/2, 1.0009 and
+    # 1 + 1e-9 here.  Every built-in pattern is within 5e-15 of 1; accepted,
+    # the third would scale C by 1.0009.  The message states the deviation,
+    # which the average's six decimals hide for the fourth.  A NaN average
+    # is refused too, not passed on as an all-NaN C.
+    message = r"not normalized \(average (\d\.\d{6}|nan)\): off by " + re.escape(off)
+    with pytest.raises(ValueError, match=message):
         coupling_general(g, bad)
 
 
