@@ -6,6 +6,8 @@ operators, the wavenumber-domain (Fourier) channel model that diagonalizes
 them at large apertures, and the capacity analysis on top.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .geometry import ArrayGeometry, array_response, build_ula, build_upa, geometry_from_config
@@ -16,8 +18,8 @@ from .coupling import (CouplingMatrix, Kernel, SingularCouplingError, coupling_c
                        coupling_general, regularize, spd_inv_sqrt, spd_sqrt,
                        write_coupling_csv)
 from .fourier import (FourierBasis, WavenumberLattice, build_fourier_basis, build_lattice,
-                      dof_prime, fourier_matrix, projected_solid_angles, solid_angles,
-                      variances_coupled, variances_uncoupled, write_variances_csv)
+                      dof_prime, fourier_matrix, variances_coupled, variances_uncoupled,
+                      write_variances_csv)
 from .channel import (ChannelModel, CorrelationMatrix, coupled_correlation_exact,
                       exact_correlation, exact_model, fourier_model, iid_model,
                       whitened_eigenvalues)
@@ -25,4 +27,6 @@ from .capacity import (BoundCheck, CapacityCurve, DofCheck, WaterfillingAllocati
                        ergodic_capacity, high_snr_dof_check, low_snr_bound_check,
                        mutual_information_bits, waterfill)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them binds
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -15,18 +15,16 @@ interpolated to every distance, within 1e-13 of the kernel's peak.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .spectra import _uniform_on_cap, quadrature_for
+from .spectra import _legendre, _uniform_on_cap, quadrature_for
 
 # Decimals (wavelengths) that position differences are grouped at.
 _MIRROR_ROUND = 12
-# Relative imaginary / asymmetric residue treated as quadrature noise.
-_RESIDUE_TOL = 1e-6
+# Peak-relative residue up to which two kernels count as equal (``_close``).
+_RESIDUE_TOL = 1e-12
 # Bytes allowed for a 2-D rule's table or pair matrix and each chunk's buffers.
 _BUDGET = 1 << 27
 # Plane-wave terms (nodes x antenna pairs) allowed to the 2-D rule off a grid.
@@ -110,6 +108,12 @@ class Grid:
         return perms
 
 
+def _close(image: np.ndarray, m: np.ndarray) -> bool:
+    """Whether ``image`` equals M to within _RESIDUE_TOL of M's peak entry."""
+    peak = np.abs(m).max()
+    return bool(np.isfinite(peak) and np.abs(image - m).max() <= _RESIDUE_TOL * peak)
+
+
 def array_grid(positions: np.ndarray) -> Grid | None:
     """The Grid of an array, or None when its table would hold more cells than
     there are antenna pairs (irregular arrays, which then take the pairs), or
@@ -161,13 +165,6 @@ def phase_kernel(positions: np.ndarray, kx: np.ndarray, ky: np.ndarray,
         ey = np.exp(1j * np.outer(ky[sl], grid.dy))
         table += (ex * weights[sl, None]).T @ ey
     return table
-
-
-@functools.cache
-def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]; each count's eigensolve
-    runs once per process."""
-    return leggauss(n)
 
 
 def _radial_counts(x_max: float) -> tuple[int, int, int]:
@@ -271,10 +268,10 @@ def angular_kernel(positions: np.ndarray, density, quadrature, scale: float,
     """scale * upper-hemisphere integral of density * exp(i k . (r_n - r_m)):
     the table over ``grid``'s differences, or the N x N matrix without one.
 
-    The result is real symmetric when its imaginary and asymmetric residue is
-    at quadrature-noise level (every point-symmetric density), and complex
-    Hermitian otherwise.  ``quadrature`` is the (theta, phi, weight) triple of
-    ``spectra.hemisphere_quadrature``.
+    The result is the Hermitian part H = (M + M^H) / 2, real symmetric when
+    its imaginary part is within ``_close`` of zero (every point-symmetric
+    density) and complex otherwise.  ``quadrature`` is the (theta, phi,
+    weight) triple of ``spectra.hemisphere_quadrature``.
     """
     theta, phi, w = quadrature
     w = w * density(theta, phi) * scale
@@ -283,10 +280,8 @@ def angular_kernel(positions: np.ndarray, density, quadrature, scale: float,
     m = phase_kernel(positions, kx, ky, w, grid)
     # the kernel of the transposed pairs: the flipped table, or M^T
     mt = m.T if grid is None else m[::-1, ::-1]
-    residue = max(np.abs(m.imag).max(), 0.5 * np.abs(m - mt).max())
-    if residue <= _RESIDUE_TOL * max(np.abs(m).max(), 1.0):
-        return 0.5 * (m.real + mt.real)
-    return 0.5 * (m + mt.conj())
+    h = 0.5 * (m + mt.conj())
+    return h.real.copy() if _close(h.real, h) else h
 
 
 def density_kernel(positions: np.ndarray, density, scale: float):

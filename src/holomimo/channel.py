@@ -128,6 +128,10 @@ class ChannelModel:
     kind: str
     dof: int
 
+    def __post_init__(self):
+        if self.amp_r.size == 0 or self.amp_t.size == 0:
+            raise ValueError(f"a channel needs an antenna at each end, got shape {self.shape}")
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.amp_r.size, self.amp_t.size
@@ -169,6 +173,8 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
         lam = lam * (lam.size / p)
     elif normalize != "transmit":
         raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
+    if n_rx is not None and not float(n_rx).is_integer():
+        raise ValueError(f"n_rx must be a whole number of antennas, got {n_rx!r}")
     n_rx = int(n_rx) if n_rx is not None else lam.size
     return ChannelModel(np.ones(n_rx), np.sqrt(lam), label or "exact", "exact",
                         min(n_rx, lam.size))

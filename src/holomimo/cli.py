@@ -169,17 +169,12 @@ def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
 # output helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
-
-
-def _write_csv(path: Path, header: str, rows) -> str:
+def _write_csv(path: Path, header: str, fmt: str, rows) -> str:
+    """The header line, then one ``fmt % row`` line per row."""
+    line = fmt + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % row for row in rows)
     return path.name
 
 
@@ -201,16 +196,14 @@ def _write_eig_csv(path: Path, ev_desc: np.ndarray, n_ref: int, n_antennas: int)
     index = np.arange(1, ev.size + 1)
     rows = zip(index.tolist(), (index / n_ref).tolist(), (10.0 * np.log10(vv / top)).tolist(),
                (10.0 * np.log10(vv / mean)).tolist())
-    with open(path, "w", newline="\n") as fh:
-        fh.write("index,index_over_n,eig_db_max_normalized,eig_db_trace_normalized\n")
-        fh.writelines("%d,%.12g,%.12g,%.12g\n" % row for row in rows)
-    return path.name
+    return _write_csv(path, "index,index_over_n,eig_db_max_normalized,eig_db_trace_normalized",
+                      "%d,%.12g,%.12g,%.12g", rows)
 
 
 def _write_capacity_csv(path: Path, curve) -> str:
-    rows = zip(curve.snr_db, curve.capacity_bits, curve.stderr,
+    rows = zip(curve.snr_db.tolist(), curve.capacity_bits.tolist(), curve.stderr.tolist(),
                [curve.n_mc] * curve.snr_db.size)
-    return _write_csv(path, "snr_db,capacity_bits,stderr,n_mc", rows)
+    return _write_csv(path, "snr_db,capacity_bits,stderr,n_mc", "%.12g,%.12g,%.12g,%d", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +277,7 @@ def _run_dof_sweep(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectr
     return [_write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *refs),
             *_write_coupled_eigs(out, coupled, refs),
             _write_csv(out / "dof_counts.csv", "curve,rho,count_above_threshold,threshold_db",
-                       rows)]
+                       "%s,%s,%d,%.12g", rows)]
 
 
 def _run_capacity(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectrum,

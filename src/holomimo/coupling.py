@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import HEMISPHERE, Grid, density_kernel
+from ._kernels import HEMISPHERE, Grid, _close, density_kernel
 from .geometry import ArrayGeometry
 from .spectra import AngularSpectrum, AntennaPattern, _uniform_on_cap, omni_pattern
 
@@ -42,8 +42,6 @@ __all__ = [
 
 # Eigenvalue floor below which the inverse square root refuses to proceed.
 EIGENVALUE_FLOOR = 1e-12
-# Peak-relative residue up to which a table counts as even under a reflection.
-_COMMUTE_TOL = 1e-12
 # Largest |average - 1| of an accepted pattern; every built-in one is within 5e-15.
 _NORM_TOL = 1e-10
 
@@ -86,12 +84,6 @@ class Sector:
     def eigenvalues(self, m: np.ndarray) -> np.ndarray:
         """The eigenvalues of a block of this sector, each as often as it occurs."""
         return np.tile(np.linalg.eigvalsh(m), self.multiplicity)
-
-
-def _close(image: np.ndarray, m: np.ndarray) -> bool:
-    """Whether ``image`` equals M to within _COMMUTE_TOL of M's peak entry."""
-    peak = np.abs(m).max()
-    return bool(np.isfinite(peak) and np.abs(image - m).max() <= _COMMUTE_TOL * peak)
 
 
 def _even(table: np.ndarray, name: str) -> bool:
@@ -254,8 +246,8 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel
     the 2-D quadrature.  Every pattern must be normalized to ``_NORM_TOL``,
     which is read off C's zero difference: on every rule it holds the scale
     times the rule's integral of the pattern, its full-sphere average.  A
-    complex C, whose imaginary residue is above quadrature noise, is refused
-    after that.
+    complex C, whose imaginary part ``_kernels._close`` does not take for
+    zero, is refused after that.
     """
     m, grid = density_kernel(geometry.positions, pattern, _coupling_scale(pattern))
     norm = (m[grid.origin] if grid is not None else m[0, 0]).real
@@ -352,6 +344,5 @@ def write_coupling_csv(coupling: Kernel, path) -> None:
         fh.write(f"# geometry={g.content_hash() if g is not None else 'none'}\n")
         fh.write("row,col,value\n")
         m = coupling.matrix
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                fh.write(f"{i},{j},{m[i, j]:.12g}\n")
+        i, j = np.indices(m.shape).reshape(2, -1).tolist()
+        fh.writelines("%d,%d,%.12g\n" % row for row in zip(i, j, m.ravel().tolist()))

@@ -15,22 +15,18 @@ inside that disk takes a closed form, and a cell wholly outside gives 0;
 only the cells its circle cuts take a Gauss-Legendre rule in angle, the
 radial integral along each ray being exact.  All cells, the rim cells folded
 into their nearest lattice point included, are integrated as arrays.  The
-Fourier columns are formed only on demand (``fourier_matrix``,
-``FourierBasis.matrix``).
+Fourier columns are formed only on demand (``fourier_matrix``).
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .geometry import ArrayGeometry
-from .spectra import (AngularSpectrum, AntennaPattern, _uniform_on_cap, isotropic_spectrum,
-                      omni_pattern, pattern_covers)
+from .spectra import AngularSpectrum, AntennaPattern, _legendre, _uniform_on_cap, pattern_covers
 
 __all__ = [
     "WavenumberLattice",
@@ -40,8 +36,6 @@ __all__ = [
     "build_fourier_basis",
     "variances_uncoupled",
     "variances_coupled",
-    "solid_angles",
-    "projected_solid_angles",
     "dof_prime",
     "write_variances_csv",
 ]
@@ -167,12 +161,6 @@ def _crossings(rects: np.ndarray, r) -> list[np.ndarray]:
     return out
 
 
-@functools.cache
-def _gauss() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the angular Gauss-Legendre rule."""
-    return leggauss(_N_PHI)
-
-
 def _rim_corner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """G(X, Y), the integral of 1/sqrt(1-|k|^2) over [0, X] x [0, Y], at
     corners in the closed unit disk.  G is odd in X and in Y, so a rect's
@@ -207,7 +195,7 @@ def _integrate_cut(rects: np.ndarray, weight: str, s: float) -> np.ndarray:
     pa, pb = edges[:, :-1], edges[:, 1:]
     cell, panel = np.nonzero(pb - pa >= 1e-14)
     pa, pb = pa[cell, panel, None], pb[cell, panel, None]
-    nodes, weights = _gauss()
+    nodes, weights = _legendre(_N_PHI)
     phi = 0.5 * (pb - pa) * nodes + 0.5 * (pa + pb)
     wp = 0.5 * (pb - pa) * weights
     ra, rb = _ray_rect(phi, rects[cell].T[..., None])
@@ -303,16 +291,6 @@ def variances_coupled(lattice: WavenumberLattice, spectrum: AngularSpectrum,
     return _cell_integrals(lattice, "plain", np.sin(spectrum.theta0), c) / np.pi
 
 
-def solid_angles(lattice: WavenumberLattice) -> np.ndarray:
-    """Normalized solid angles |Omega_j| of the cells (sum to 1)."""
-    return variances_uncoupled(lattice, isotropic_spectrum())
-
-
-def projected_solid_angles(lattice: WavenumberLattice) -> np.ndarray:
-    """Normalized projected solid angles |O_j| of the cells (sum to 1)."""
-    return variances_coupled(lattice, isotropic_spectrum(), omni_pattern())
-
-
 def dof_prime(lattice: WavenumberLattice, spectrum: AngularSpectrum) -> int:
     """Effective spatial degrees of freedom under a spectrum's support.
 
@@ -338,19 +316,14 @@ def write_variances_csv(lattice: WavenumberLattice, sigma2: np.ndarray, path) ->
 
 @dataclass(frozen=True)
 class FourierBasis:
-    """Lattice and variance vector for one array end; the Fourier columns are
-    formed from the geometry on demand."""
+    """Lattice and variance vector for one array end; its Fourier columns are
+    ``fourier_matrix(geometry, lattice)``, formed only by whoever needs them."""
 
     geometry: ArrayGeometry
     lattice: WavenumberLattice
     variances: np.ndarray  # (n,)
     flavor: str  # "uncoupled" | "coupled"
     spectrum: AngularSpectrum
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """(N, n) Fourier columns, see ``fourier_matrix``."""
-        return fourier_matrix(self.geometry, self.lattice)
 
     @property
     def n_antennas(self) -> int:

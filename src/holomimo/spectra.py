@@ -8,6 +8,7 @@ full-sphere average (1/4pi) * integral, which must equal 1.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -76,6 +77,13 @@ class AngularSpectrum:
 AntennaPattern = AngularSpectrum
 
 
+@functools.cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], the one source of every
+    Gauss-Legendre rule; each count's eigensolve runs once per process."""
+    return leggauss(n)
+
+
 def hemisphere_quadrature(n_theta: int = 256, n_phi: int = 512,
                           edges=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flattened (theta, phi, weight) nodes of a product rule on the upper
@@ -91,7 +99,7 @@ def hemisphere_quadrature(n_theta: int = 256, n_phi: int = 512,
     counts = np.maximum(16, np.rint(n_theta * spans / spans.sum()).astype(int))
     nodes, weights = [], []
     for (a, b), m in zip(zip(bounds[:-1], bounds[1:]), counts):
-        x, w = leggauss(int(m))
+        x, w = _legendre(int(m))
         t = 0.5 * (b - a) * (x + 1.0) + a
         nodes.append(t)
         weights.append(0.5 * (b - a) * w * np.sin(t))

@@ -25,7 +25,7 @@ from holomimo import (AntennaPattern, build_fourier_basis, build_lattice, build_
                       coupling_closed_form, coupling_general, exact_correlation, fourier_model,
                       high_snr_dof_check,
                       isotropic_spectrum, low_snr_bound_check, matched_pattern,
-                      mutual_information_bits, omni_pattern, projected_solid_angles,
+                      mutual_information_bits, omni_pattern, variances_coupled,
                       variances_uncoupled, waterfill)
 from holomimo.cli import main as cli_main
 
@@ -105,7 +105,7 @@ def test_criterion_2_half_wavelength_upa_identity():
 def test_criterion_3_normalization_suite():
     lattice = build_lattice(build_upa(41, 41, 0.5))
     s_iso = variances_uncoupled(lattice, isotropic_spectrum()).sum()
-    s_proj = projected_solid_angles(lattice).sum()
+    s_proj = variances_coupled(lattice, isotropic_spectrum(), omni_pattern()).sum()
     assert abs(s_iso - 1.0) < 1e-4, f"solid-angle variance sum {s_iso:.6f}"
     assert abs(s_proj - 1.0) < 1e-4, f"projected solid-angle sum {s_proj:.6f}"
     objs = [isotropic_spectrum(), cap_spectrum(np.pi / 3), cap_spectrum(np.pi / 6),

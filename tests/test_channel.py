@@ -89,6 +89,40 @@ def test_asymmetric_spectrum_keeps_complex_hermitian_correlation():
     assert np.abs(r - direct).max() < 1e-12
 
 
+@pytest.mark.parametrize("grid", [True, False])
+def test_a_small_tilt_keeps_a_complex_hermitian_kernel(grid):
+    # 1 + 2e-6 sin(theta) cos(phi) leaves an imaginary part of about 8e-7 of
+    # the peak, beyond the 1e-12 residue that point-symmetric densities stay
+    # within: the 2-D rule returns the Hermitian part, complex, on a table
+    # and on the antenna pairs alike
+    tilted = AngularSpectrum("tilted", lambda th, ph: 1.0 + 2e-6 * np.sin(th) * np.cos(ph))
+    g = build_upa(3, 3, 0.3)
+    q = quadrature_for(tilted)
+    m = angular_kernel(g.positions, tilted, q, HEMISPHERE, array_grid(g.positions) if grid else None)
+    r = CorrelationMatrix(m, g, grid=array_grid(g.positions) if grid else None).matrix
+    assert np.iscomplexobj(r)
+    assert np.array_equal(r, r.conj().T)
+    assert 1e-7 < np.abs(r.imag).max() / np.abs(r).max() < 1e-6
+    # the real part is the point-symmetric density's kernel, 1, to roundoff
+    ref = _rule_kernel(g, isotropic_spectrum(), q).matrix
+    assert np.abs(r.real - ref).max() < 1e-14
+
+
+@pytest.mark.parametrize("spectrum", [
+    AngularSpectrum("cos", lambda th, ph: 2.0 * np.cos(th)),
+    AngularSpectrum("upper", lambda th, ph: 2.0 * np.ones_like(th), lower="zero"),
+    AngularSpectrum("stretched", lambda th, ph: 1.0 + 0.5 * np.sin(th) ** 2 * np.cos(2.0 * ph)),
+    cap_spectrum(np.pi / 3),
+], ids=["cos", "upper", "stretched", "cap"])
+def test_point_symmetric_densities_keep_a_real_kernel(spectrum):
+    # their imaginary part is quadrature roundoff (at most 8.3e-16 of the
+    # peak), on a table and on the antenna pairs
+    g = build_upa(7, 6, 0.3)
+    q = quadrature_for(spectrum)
+    for grid in (array_grid(g.positions), None):
+        assert angular_kernel(g.positions, spectrum, q, HEMISPHERE, grid).dtype == np.float64
+
+
 def test_jittered_array_correlation_matches_direct_sum():
     # irregular positions: each axis has ~N^2 unique differences
     rng = np.random.default_rng(12)
@@ -741,6 +775,25 @@ def test_predicted_dof():
     assert fourier_model(bi, bc).dof == 8
     assert iid_model(6, 9).dof == 6
     assert exact_model(np.ones(9), n_rx=4).dof == 4
+
+
+def test_iid_model_refuses_an_empty_side():
+    # a model with no antenna at one end has no channel to draw; before, the
+    # capacity pass failed on it with a bare IndexError
+    with pytest.raises(ValueError, match=r"an antenna at each end, got shape \(0, 3\)"):
+        iid_model(0, 3)
+
+
+def test_exact_model_refuses_no_receive_antennas():
+    with pytest.raises(ValueError, match=r"an antenna at each end, got shape \(0, 2\)"):
+        exact_model([1.0, 2.0], n_rx=0)
+
+
+def test_exact_model_refuses_a_fractional_receive_count():
+    # 2.7 receive antennas is not truncated to 2; a whole count in a float is taken
+    with pytest.raises(ValueError, match="whole number of antennas, got 2.7"):
+        exact_model([1.0, 2.0], n_rx=2.7)
+    assert exact_model([1.0, 2.0], n_rx=3.0).shape == (3, 2)
 
 
 def test_iid_model_draws():

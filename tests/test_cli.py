@@ -14,8 +14,9 @@ import pytest
 import yaml
 
 import holomimo
-from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, _usable_cpus, load_config,
-                          main, run_experiment)
+from holomimo.capacity import CapacityCurve
+from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, _usable_cpus,
+                          _write_capacity_csv, _write_eig_csv, load_config, main, run_experiment)
 from holomimo.presets import PRESETS
 
 
@@ -244,6 +245,33 @@ def test_run_dof_sweep_outputs(tmp_path):
     counts = [int(r["count_above_threshold"]) for r in rows]
     assert all(1 <= c <= 49 for c in counts)
     assert (out / "eigs_exact_coupled_rho0.01.csv").exists()
+
+
+def test_row_writers_pin_their_bytes(tmp_path):
+    # %.12g floats, %d counts, and the dB floor at 1e-30 of the top
+    curve = CapacityCurve(np.array([-10.0, 0.0, 12.5]), np.array([0.1, 1.0 / 3.0, 12.0]),
+                          np.array([0.0, 1e-13, 0.25]), 4)
+    assert _write_capacity_csv(tmp_path / "c.csv", curve) == "c.csv"
+    assert (tmp_path / "c.csv").read_bytes() == (
+        b"snr_db,capacity_bits,stderr,n_mc\n-10,0.1,0,4\n0,0.333333333333,1e-13,4\n"
+        b"12.5,12,0.25,4\n")
+    assert _write_eig_csv(tmp_path / "e.csv", np.array([4.0, 2.0, 1.0, 0.0, -1e-17]), 3, 5) \
+        == "e.csv"
+    assert (tmp_path / "e.csv").read_bytes() == (
+        b"index,index_over_n,eig_db_max_normalized,eig_db_trace_normalized\n"
+        b"1,0.333333333333,0,4.5593195565\n2,0.666666666667,-3.01029995664,1.54901959986\n"
+        b"3,1,-6.02059991328,-1.46128035678\n4,1.33333333333,-300,-295.440680444\n"
+        b"5,1.66666666667,-300,-295.440680444\n")
+
+
+def test_dof_counts_bytes(tmp_path):
+    # a string curve, an empty rho for the uncoupled row, %d counts, %.12g threshold
+    cfg = ExperimentConfig(kind="dof-sweep", tx={"kind": "upa", "nx": 5, "ny": 5, "dx": 0.25},
+                           rho=[0.1, 0.01], threshold_db=-30.5)
+    run_experiment(cfg, "dof", tmp_path)
+    assert (tmp_path / "dof_counts.csv").read_bytes() == (
+        b"curve,rho,count_above_threshold,threshold_db\nuncoupled,,20,-30.5\n"
+        b"coupled,0.1,24,-30.5\ncoupled,0.01,24,-30.5\n")
 
 
 def test_dof_sweep_without_rho_builds_no_coupling(tmp_path, monkeypatch):
@@ -543,17 +571,27 @@ def test_public_names_are_pinned():
         "ChannelModel", "CorrelationMatrix", "CouplingMatrix", "DofCheck", "FourierBasis",
         "Kernel", "SingularCouplingError", "WaterfillingAllocation", "WavenumberLattice",
         "array_response", "build_fourier_basis", "build_lattice", "build_ula", "build_upa",
-        "cap_constant", "cap_spectrum", "capacity", "channel", "check_normalization",
-        "coupled_correlation_exact", "coupling", "coupling_closed_form", "coupling_general",
-        "dof_prime", "ergodic_capacity", "exact_correlation", "exact_model", "fourier",
-        "fourier_matrix", "fourier_model", "geometry", "geometry_from_config",
-        "hemisphere_quadrature", "high_snr_dof_check", "iid_model", "isotropic_spectrum",
-        "low_snr_bound_check", "matched_pattern", "mutual_information_bits", "omni_pattern",
-        "pattern_covers", "projected_solid_angles", "quadrature_for", "regularize",
-        "solid_angles", "spd_inv_sqrt", "spd_sqrt", "spectra", "variances_coupled",
-        "variances_uncoupled", "waterfill", "whitened_eigenvalues", "write_coupling_csv",
-        "write_variances_csv",
+        "cap_constant", "cap_spectrum", "check_normalization", "coupled_correlation_exact",
+        "coupling_closed_form", "coupling_general", "dof_prime", "ergodic_capacity",
+        "exact_correlation", "exact_model", "fourier_matrix", "fourier_model",
+        "geometry_from_config", "hemisphere_quadrature", "high_snr_dof_check", "iid_model",
+        "isotropic_spectrum", "low_snr_bound_check", "matched_pattern",
+        "mutual_information_bits", "omni_pattern", "pattern_covers", "quadrature_for",
+        "regularize", "spd_inv_sqrt", "spd_sqrt", "variances_coupled", "variances_uncoupled",
+        "waterfill", "whitened_eigenvalues", "write_coupling_csv", "write_variances_csv",
     ]
+
+
+def test_star_import_binds_no_module():
+    # the package's submodules (capacity, channel, ...) are not exports: a
+    # star import must not bind them over the caller's own names
+    namespace = {}
+    exec("from holomimo import *", namespace)
+    modules = [name for name, value in namespace.items()
+               if not name.startswith("__") and isinstance(value, type(holomimo))]
+    assert modules == []
+    assert sorted(name for name in namespace if not name.startswith("__")) \
+        == sorted(holomimo.__all__)
 
 
 # numpy is the only numerical dependency: with scipy made unimportable the

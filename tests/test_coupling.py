@@ -231,6 +231,15 @@ def test_general_rejects_asymmetric_pattern():
         coupling_general(build_upa(3, 3, 0.3), tilted)
 
 
+def test_general_rejects_a_small_tilt():
+    # a 2e-6 tilt leaves an imaginary part of about 8e-7 of the peak: no
+    # quadrature noise (point-symmetric patterns stay within 1e-15 of it),
+    # so it is refused, not dropped
+    tilted = AntennaPattern("tilted", lambda th, ph: 1.0 + 2e-6 * np.sin(th) * np.cos(ph))
+    with pytest.raises(RuntimeError, match="residue"):
+        coupling_general(build_upa(3, 3, 0.3), tilted)
+
+
 def test_regularize():
     g = build_ula(4, 0.25)
     c = coupling_closed_form(g)
@@ -323,3 +332,12 @@ def test_coupling_csv(tmp_path):
     # a kernel built without a geometry says so in its header
     write_coupling_csv(CouplingMatrix(np.eye(2), kind="test"), path)
     assert path.read_text().splitlines()[2:4] == ["# kind=test", "# geometry=none"]
+
+
+def test_coupling_csv_bytes(tmp_path):
+    # row-major (row, col) order and %.12g values
+    path = tmp_path / "c.csv"
+    write_coupling_csv(Kernel(np.array([[1.0, 1.0 / 3.0], [1.0 / 3.0, 1e-13]]), rho=0.5), path)
+    assert path.read_bytes() == (b"# n_antennas=2\n# rho=0.5\n# kind=matrix\n# geometry=none\n"
+                                 b"row,col,value\n0,0,1\n0,1,0.333333333333\n"
+                                 b"1,0,0.333333333333\n1,1,1e-13\n")

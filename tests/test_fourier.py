@@ -7,8 +7,8 @@ from scipy.integrate import dblquad, quad
 
 from holomimo import (AngularSpectrum, build_fourier_basis, build_lattice, build_upa, cap_constant,
                       cap_spectrum, dof_prime, fourier_matrix, isotropic_spectrum, matched_pattern,
-                      omni_pattern, projected_solid_angles, solid_angles,
-                      variances_coupled, variances_uncoupled, write_variances_csv)
+                      omni_pattern, variances_coupled, variances_uncoupled,
+                      write_variances_csv)
 from holomimo import fourier
 from holomimo.channel import exact_correlation
 from holomimo.fourier import (_cells, _direction_values, _integrate_cells, _integrate_cut,
@@ -90,13 +90,12 @@ def test_variance_sums_isotropic():
     assert su.sum() == pytest.approx(1.0, abs=1e-5)
     sc = variances_coupled(lat, isotropic_spectrum(), omni_pattern())
     assert sc.sum() == pytest.approx(1.0, abs=1e-6)
-    assert np.allclose(sc, projected_solid_angles(lat), atol=1e-12)
-    assert solid_angles(lat).sum() == pytest.approx(1.0, abs=1e-5)
 
 
 def test_variance_sums_anisotropic_aperture():
     lat = build_lattice((6.0, 3.0))
-    assert projected_solid_angles(lat).sum() == pytest.approx(1.0, abs=1e-8)
+    sc = variances_coupled(lat, isotropic_spectrum(), omni_pattern())
+    assert sc.sum() == pytest.approx(1.0, abs=1e-8)
     assert variances_uncoupled(lat, isotropic_spectrum()).sum() == pytest.approx(1.0, abs=1e-5)
 
 
@@ -105,7 +104,7 @@ def test_interior_cell_value():
     lat = build_lattice((10.0, 10.0))
     su = variances_uncoupled(lat, isotropic_spectrum())
     assert su[0] == pytest.approx(1.0 / (2 * np.pi * 100.0), rel=2e-3)
-    sc = projected_solid_angles(lat)
+    sc = variances_coupled(lat, isotropic_spectrum(), omni_pattern())
     assert sc[0] == pytest.approx(1.0 / (np.pi * 100.0), rel=1e-6)
 
 
@@ -392,7 +391,7 @@ def test_basis_bundle_and_model_eigenvalues():
     iso = isotropic_spectrum()
     b = build_fourier_basis(g, iso)
     assert b.flavor == "uncoupled"
-    assert b.matrix.shape == (49, b.n_points)
+    assert fourier_matrix(g, b.lattice).shape == (49, b.n_points)
     ev = b.model_eigenvalues()
     assert ev.size == 49
     assert np.all(np.diff(ev) <= 1e-15)
@@ -406,15 +405,20 @@ def test_basis_bundle_and_model_eigenvalues():
 
 def test_basis_forms_columns_on_demand():
     # the basis keeps the geometry, not the N x n columns: building it does
-    # not form them (nor warn about aliasing); reading .matrix does
+    # not form them (nor warn about aliasing); fourier_matrix does, from the
+    # basis's own geometry and lattice
     g = build_upa(2, 2, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         b = build_fourier_basis(g, isotropic_spectrum())
     assert b.n_antennas == 4 and b.n_points > 4
+    assert not hasattr(b, "matrix")
     with pytest.warns(UserWarning, match="alias"):
-        v = b.matrix
-        assert np.array_equal(v, fourier_matrix(g, b.lattice))
+        v = fourier_matrix(b.geometry, b.lattice)
+    assert v.shape == (4, b.n_points)
+    freq = b.lattice.points / b.lattice.aperture
+    expected = np.exp(2j * np.pi * (g.positions[:, :2] @ freq.T)) / 2.0
+    np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-15)
 
 
 def test_variances_csv_bytes(tmp_path):
