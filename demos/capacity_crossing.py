@@ -9,8 +9,8 @@ amplifies both effects and pushes the high-SNR curve toward the IID limit.
 
 import numpy as np
 
-from holomimo import (build_upa, coupling_closed_form, ergodic_capacity, exact_correlation,
-                      exact_model, iid_model, isotropic_spectrum, whitened_eigenvalues)
+from holomimo import (build_upa, ergodic_capacity, exact_model, exact_spectra, iid_model,
+                      isotropic_spectrum, omni_pattern)
 
 
 def main():
@@ -19,14 +19,14 @@ def main():
     n_mc, seed = 50, 7
     spectrum = isotropic_spectrum()
 
-    corr = exact_correlation(g, spectrum)
-    coupling = coupling_closed_form(g)
     rhos = (0.3, 0.03)
-    # the transmit spectra: eig R uncoupled, eig C^{-1/2} R C^{-1/2} coupled;
+    # the transmit spectra: eig R uncoupled, eig C^{-1/2} R C^{-1/2} coupled
+    # (omni elements: C = R, so the whitening is a scalar map of eig R);
     # receive-referred normalization compares the arrays at equal delivered power
+    ev_r, whitened = exact_spectra(g, spectrum, omni_pattern(), rhos)
     models = [iid_model(g.n_antennas, g.n_antennas),
-              exact_model(corr.eigenvalues(), normalize="receive", label="uncoupled")]
-    for rho, ev in zip(rhos, whitened_eigenvalues(corr, coupling, rhos)):
+              exact_model(ev_r, normalize="receive", label="uncoupled")]
+    for rho, ev in zip(rhos, whitened):
         models.append(exact_model(ev, normalize="receive", label=f"coupled rho={rho:g}"))
     # one pass: every curve is evaluated on the same draws of W
     curves = ergodic_capacity(models, snr_db, n_mc, seed)

@@ -8,12 +8,10 @@ The lighter the diagonal loading rho, the more modes clear the threshold.
 
 import numpy as np
 
-from holomimo import (build_upa, coupling_closed_form, exact_correlation, isotropic_spectrum,
-                      whitened_eigenvalues)
+from holomimo import build_upa, exact_spectra, isotropic_spectrum, omni_pattern
 
 
 def count_above(ev, threshold_db):
-    ev = np.clip(ev.real, 0.0, None)
     return int(np.count_nonzero(ev > ev.max() * 10.0 ** (threshold_db / 10.0)))
 
 
@@ -22,15 +20,14 @@ def main():
     threshold_db = -40.0
     spectrum = isotropic_spectrum()
 
-    corr = exact_correlation(g, spectrum)
-    base = count_above(corr.eigenvalues(), threshold_db)
+    # omni elements: C = R, so one solve of R serves every rho
+    rhos = (0.1, 0.01, 0.001)
+    ev, whitened = exact_spectra(g, spectrum, omni_pattern(), rhos)
+    base = count_above(ev, threshold_db)
     print(f"{g.n_antennas} antennas on a {g.aperture[0]:g}-wavelength aperture, "
           f"threshold {threshold_db:g} dB below the top eigenvalue")
     print(f"\nuncoupled correlation: {base} eigenvalues above threshold")
 
-    # one eigendecomposition of C serves every rho
-    rhos = (0.1, 0.01, 0.001)
-    whitened = whitened_eigenvalues(corr, coupling_closed_form(g), rhos)
     print(f"\n{'rho':>8} {'above threshold':>16} {'gain':>6}")
     for rho, ev in zip(rhos, whitened):
         n = count_above(ev, threshold_db)

@@ -21,7 +21,7 @@ from .fourier import (FourierBasis, WavenumberLattice, build_fourier_basis, buil
                       dof_prime, fourier_matrix, variances_coupled, variances_uncoupled,
                       write_variances_csv)
 from .channel import (ChannelModel, CorrelationMatrix, coupled_correlation_exact,
-                      exact_correlation, exact_model, fourier_model, iid_model,
+                      exact_correlation, exact_model, exact_spectra, fourier_model, iid_model,
                       whitened_eigenvalues)
 from .capacity import (BoundCheck, CapacityCurve, DofCheck, WaterfillingAllocation,
                        ergodic_capacity, high_snr_dof_check, low_snr_bound_check,

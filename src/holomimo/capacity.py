@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, complex_normal, iid_model, substream
+from .channel import ChannelModel, complex_normal, exact_model, substream
 from .coupling import _psd_spectrum
 
 __all__ = [
@@ -131,8 +131,7 @@ def _wishart_eigenvalues(rng: np.random.Generator, m: int, n: int) -> np.ndarray
     return _lapack.tridiagonal_eigenvalues(diag, np.sqrt(d2[:-1] * e2))[::-1]
 
 
-def _draw_block(models: Sequence[ChannelModel], seed: int, start: int,
-                stop: int, law: bool = False) -> np.ndarray:
+def _draw_block(models: Sequence[ChannelModel], seed: int, start: int, stop: int) -> np.ndarray:
     """Draws ``start`` to ``stop - 1`` of a pass: for each, W from substream
     (seed, i) and each model's descending eigenvalues of its smaller-side Gram
     matrix, shape (draws, models, min(n_r, n_t)).
@@ -142,10 +141,9 @@ def _draw_block(models: Sequence[ChannelModel], seed: int, start: int,
     share the inner product.  A wide H is handled as its transpose, whose
     Gram is the complex conjugate of H H^H and has the same eigenvalues.
     Grams of ``_lapack.TWO_STAGE_MIN`` rows and more take the two-stage
-    ``zheevd_2stage``.  With ``law``, every ``iid_model`` instead takes
-    ``_wishart_eigenvalues`` from substream (seed, ``_LAW_STREAMS`` + i): it
-    no longer shares W with the other models, and a pass of iid models alone
-    draws no W.
+    ``zheevd_2stage``.  Every ``iid_model`` instead takes ``_wishart_eigenvalues``
+    from substream (seed, ``_LAW_STREAMS`` + i): it does not share W with the
+    other models, and a pass of iid models alone draws no W.
     """
     # imported here, so that only a Monte-Carlo pass loads the LAPACK binding module
     from . import _lapack
@@ -153,7 +151,7 @@ def _draw_block(models: Sequence[ChannelModel], seed: int, start: int,
     n_r, n_t = models[0].shape
     tall = n_r >= n_t
     sides = [(m.amp_r, m.amp_t) if tall else (m.amp_t, m.amp_r) for m in models]
-    white = [law and m.kind == "iid" for m in models]
+    white = [m.kind == "iid" for m in models]
     out = np.empty((stop - start, len(models), min(n_r, n_t)))
     for row, i in zip(out, range(start, stop)):
         if any(white):
@@ -214,10 +212,10 @@ def _one_blas_thread():
 
 
 def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
-             workers: int | None = None, law: bool = False) -> np.ndarray:
+             workers: int | None = None) -> np.ndarray:
     """The one Monte-Carlo loop, shape (n_mc, models, min(n_r, n_t)): each draw
     index's W is drawn once and every model's Gram eigenvalues taken on it,
-    except the ``iid_model``s' under ``law`` (``_draw_block``).
+    except the ``iid_model``s', which take their law (``_draw_block``).
 
     ``workers=None`` runs in this process.  A count splits the indices into
     that many contiguous blocks (at most one per draw), each on a ``spawn``ed
@@ -233,7 +231,7 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     if workers is None:
-        return _draw_block(models, seed, 0, n_mc, law)
+        return _draw_block(models, seed, 0, n_mc)
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     import multiprocessing
@@ -244,7 +242,7 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     with _one_blas_thread(), ProcessPoolExecutor(
             n, mp_context=multiprocessing.get_context("spawn"),
             initializer=_exit_with_parent) as pool:
-        blocks = [pool.submit(_draw_block, models, seed, a, b, law)
+        blocks = [pool.submit(_draw_block, models, seed, a, b)
                   for a, b in zip(edges, edges[1:])]
         return np.concatenate([f.result() for f in blocks])
 
@@ -274,7 +272,7 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     with np.errstate(over="ignore"):
         snr_lin = 10.0 ** (snr_db / 10.0)
     _check_snr(snr_lin)
-    spectra = _mc_pass(models, n_mc, seed, workers, law=True)
+    spectra = _mc_pass(models, n_mc, seed, workers)
     curves = []
     for j, model in enumerate(models):
         # An all-zero draw carries no information at any SNR.
@@ -307,13 +305,15 @@ def low_snr_bound_check(model: ChannelModel, n_mc: int = 2000, seed: int = 0,
 
     The inequality holds draw by draw (submultiplicativity of the spectral
     norm), so ``holds`` requires every draw to satisfy it as well as the
-    means.  It is an equality for a one-cell lattice on each end.
-    ``workers`` is as in ``ergodic_capacity``.
+    means.  It is an equality for a one-cell lattice on each end.  Its white
+    side is a unit-spectrum ``exact_model`` on the model's own W (an
+    ``iid_model`` takes its law).  ``workers`` is as in ``ergodic_capacity``.
     """
     if model.kind != "fourier":
         raise ValueError("bound check applies to Fourier-model channels")
     top = float((model.amp_r.max() * model.amp_t.max()) ** 2)
-    tops = _mc_pass([model, iid_model(*model.shape)], n_mc, seed, workers)[:, :, 0]
+    n_r, n_t = model.shape
+    tops = _mc_pass([model, exact_model(np.ones(n_t), n_r)], n_mc, seed, workers)[:, :, 0]
     lhs, wtop = tops.T.copy()
     per_draw = lhs <= top * wtop * (1.0 + 1e-12)
     lhs_mean = float(lhs.mean())

@@ -17,10 +17,10 @@ import numpy as np
 
 from ._kernels import HEMISPHERE, density_kernel
 from .coupling import (Kernel, _check_floor, _check_rho, _descending, _eigh, _psd_spectrum,
-                       spd_inv_sqrt)
+                       coupling_general, coupling_ratio, spd_inv_sqrt)
 from .fourier import FourierBasis, dof_prime
 from .geometry import ArrayGeometry
-from .spectra import AngularSpectrum
+from .spectra import AngularSpectrum, AntennaPattern
 
 __all__ = [
     "CorrelationMatrix",
@@ -28,6 +28,7 @@ __all__ = [
     "exact_correlation",
     "coupled_correlation_exact",
     "whitened_eigenvalues",
+    "exact_spectra",
     "fourier_model",
     "exact_model",
     "iid_model",
@@ -111,6 +112,34 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
             ev.append(s.eigenvalues(d[:, None] * r * d[None, :]))
         out[i] = _descending(ev)
     return out
+
+
+def exact_spectra(geometry: ArrayGeometry, spectrum: AngularSpectrum, pattern: AntennaPattern,
+                  rhos) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues of R, and one row of whitened eigenvalues per rho.
+
+    C = kappa R (``coupling_ratio``), the paper's coupling that counters
+    correlation, maps them as lambda / (kappa lambda + rho), which keeps their
+    order, and C is never built; any other pair builds C when there is a rho
+    and takes ``whitened_eigenvalues``.  The whitened matrix is as positive
+    semidefinite as R (Sylvester's law of inertia), so an indefinite R is
+    refused and each row clipped at zero: the whitening amplifies R's roundoff
+    by about top / rho.
+    """
+    corr = exact_correlation(geometry, spectrum)
+    raw = corr.eigenvalues()
+    ev = _psd_spectrum(raw, "correlation matrix R")
+    rhos = np.atleast_1d(_check_rho(rhos))
+    kappa = coupling_ratio(spectrum, pattern)
+    if not rhos.size:
+        rows = np.empty((0, ev.size))
+    elif kappa is None:
+        rows = whitened_eigenvalues(corr, coupling_general(geometry, pattern), rhos)
+    else:
+        for rho in rhos:
+            _check_floor(kappa * raw.min() + rho, rho)
+        rows = ev / (kappa * ev + rhos[:, None])
+    return ev, np.clip(rows, 0.0, None)
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,13 @@ import yaml
 
 from . import __version__
 from .capacity import ergodic_capacity, low_snr_bound_check
-from .channel import (exact_correlation, exact_model, fourier_model, iid_model,
-                      whitened_eigenvalues)
-from .coupling import (SingularCouplingError, _check_floor, _check_rho, coupling_general,
-                       coupling_ratio, regularize, write_coupling_csv)
+from .channel import exact_model, exact_spectra, fourier_model, iid_model
+from .coupling import (SingularCouplingError, coupling_general, coupling_ratio, regularize,
+                       write_coupling_csv)
 from .fourier import build_fourier_basis, build_lattice, write_variances_csv
-from .geometry import _is_number, geometry_from_config
+from .geometry import _config_number, _is_number, geometry_from_config
 from .presets import PRESET_NOTES, PRESETS
-from .spectra import pattern_covers, pattern_from_name, spectrum_from_name
+from .spectra import _check_covers, pattern_from_name, spectrum_from_name
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "main", "entry"]
 
@@ -56,12 +55,6 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
-def _real(value, what: str) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _coerce(cfg: ExperimentConfig):
     """Type- and range-check a config, raising ConfigError; returns the checked copy
     and its names as objects, (tx, rx, spectrum, pattern) with rx defaulting to tx."""
@@ -75,12 +68,17 @@ def _coerce(cfg: ExperimentConfig):
         rx = geometry_from_config(cfg.rx) if cfg.rx is not None else tx
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad geometry: {exc}") from exc
+    rho = cfg.rho if isinstance(cfg.rho, list) else [cfg.rho]
     try:
         spectrum = spectrum_from_name(cfg.spectrum)
         pattern = pattern_from_name(cfg.pattern, spectrum)
+        # Only the coupled Fourier variances deconvolve the pattern from the spectrum.
+        if cfg.kind == "bound-check" or (cfg.kind == "eigenvalues" and rho):
+            _check_covers(spectrum, pattern)
+        _snr_grid(cfg)  # validates
+        threshold_db = _config_number("threshold_db", cfg.threshold_db)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rho = cfg.rho if isinstance(cfg.rho, list) else [cfg.rho]
     if not all(_is_number(r) and r >= 0 for r in rho):
         raise ConfigError(f"rho must be a list of nonnegative numbers, got {cfg.rho!r}")
     rho = [float(r) for r in rho]
@@ -90,23 +88,15 @@ def _coerce(cfg: ExperimentConfig):
         if tag in tags[:i]:
             raise ConfigError(f"rho values {rho[tags.index(tag)]!r} and {rho[i]!r} share "
                               f"the file name *_rho{tag}.csv; give each rho a distinct %g name")
-    # Only the coupled Fourier variances deconvolve the pattern from the spectrum.
-    coupled_fourier = cfg.kind == "bound-check" or (cfg.kind == "eigenvalues" and rho)
-    if coupled_fourier and not pattern_covers(spectrum, pattern):
-        raise ConfigError(
-            f"pattern {pattern.name!r} vanishes inside the support of spectrum "
-            f"{spectrum.name!r}; the coupled variances would diverge")
     if cfg.kind == "coupling-matrix" and len(rho) > 1:
         raise ConfigError(f"coupling-matrix takes at most one rho, got {rho}")
     if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**128:
         raise ConfigError(f"seed must be an integer in [0, 2**128), got {cfg.seed!r}")
     if isinstance(cfg.mc, bool) or not isinstance(cfg.mc, int) or cfg.mc < 1:
         raise ConfigError(f"mc must be a positive integer, got {cfg.mc!r}")
-    _snr_grid(cfg)  # validates
     # exact_model checks normalize too, but only once the spectra are solved.
     if cfg.normalize not in ("transmit", "receive"):
         raise ConfigError(f"normalize must be 'transmit' or 'receive', got {cfg.normalize!r}")
-    threshold_db = _real(cfg.threshold_db, "threshold_db")
     # Only the kinds that build a wavenumber lattice need a two-dimensional aperture.
     if cfg.kind not in ("coupling-matrix", "capacity"):
         for g, name in ((tx, "tx"), (rx, "rx")):
@@ -148,21 +138,21 @@ def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
     s = cfg.snr_db
     if isinstance(s, list):
         if not s:
-            raise ConfigError("snr_db list is empty")
-        grid = np.asarray([_real(v, "snr_db entry") for v in s])
+            raise ValueError("snr_db list is empty")
+        grid = np.asarray([_config_number("snr_db entry", v) for v in s])
         if np.any(np.diff(grid) < 0):
-            raise ConfigError(f"snr_db list must not decrease, got {s}")
+            raise ValueError(f"snr_db list must not decrease, got {s}")
         return grid
     if isinstance(s, dict):
         extra = set(s) - {"start", "stop", "step"}
         if extra:
-            raise ConfigError(f"unknown snr_db keys: {', '.join(sorted(extra))}")
-        start, stop, step = (_real(s.get(k, v), f"snr_db {k}")
+            raise ValueError(f"unknown snr_db keys: {', '.join(sorted(extra))}")
+        start, stop, step = (_config_number(f"snr_db {k}", s.get(k, v))
                              for k, v in (("start", -10.0), ("stop", 40.0), ("step", 5.0)))
         if step <= 0 or stop < start:
-            raise ConfigError("snr_db needs step > 0 and stop >= start")
+            raise ValueError("snr_db needs step > 0 and stop >= start")
         return np.arange(start, stop + 0.5 * step, step)
-    raise ConfigError("snr_db must be a list or a start/stop/step table")
+    raise ValueError("snr_db must be a list or a start/stop/step table")
 
 
 # ---------------------------------------------------------------------------
@@ -212,32 +202,9 @@ def _write_capacity_csv(path: Path, curve) -> str:
 # returns the files it wrote.
 
 
-def _exact_spectra(cfg: ExperimentConfig, g, spectrum, pattern):
-    """Descending eigenvalues of R, and (rho, whitened eigenvalues) for each
-    ``cfg.rho``.
-
-    A pattern proportional to the spectrum, C = kappa R (``coupling_ratio``),
-    is the paper's case of coupling that counters correlation: the whitened
-    eigenvalues are lambda / (kappa lambda + rho) of R's, an increasing map
-    that keeps their order, and C is never built.  Any other pair builds C
-    when there is a rho and takes ``whitened_eigenvalues``.
-    """
-    corr = exact_correlation(g, spectrum)
-    ev = corr.eigenvalues()
-    if not cfg.rho:
-        return ev, []
-    kappa = coupling_ratio(spectrum, pattern)
-    if kappa is None:
-        return ev, list(zip(cfg.rho, whitened_eigenvalues(corr, coupling_general(g, pattern),
-                                                          cfg.rho)))
-    for rho in _check_rho(cfg.rho):
-        _check_floor(kappa * ev.min() + rho, rho)
-    return ev, [(rho, ev / (kappa * ev + rho)) for rho in cfg.rho]
-
-
-def _write_coupled_eigs(out: Path, coupled, refs) -> list[str]:
+def _write_coupled_eigs(out: Path, rhos, rows, refs) -> list[str]:
     return [_write_eig_csv(out / f"eigs_exact_coupled_rho{rho:g}.csv", ev, *refs)
-            for rho, ev in coupled]
+            for rho, ev in zip(rhos, rows)]
 
 
 def _write_fourier(out: Path, basis, refs) -> list[str]:
@@ -251,21 +218,21 @@ def _write_fourier(out: Path, basis, refs) -> list[str]:
 
 def _run_eigenvalues(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
                      pattern) -> list[str]:
-    ev, coupled = _exact_spectra(cfg, g, spectrum, pattern)
+    ev, coupled = exact_spectra(g, spectrum, pattern, cfg.rho)
     basis = build_fourier_basis(g, spectrum)
     # (lattice size for the index/n axis, antenna count for the trace mean)
     refs = basis.n_points, g.n_antennas
     files = [_write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *refs),
              *_write_fourier(out, basis, refs)]
     if cfg.rho:
-        files += _write_coupled_eigs(out, coupled, refs)
+        files += _write_coupled_eigs(out, cfg.rho, coupled, refs)
         files += _write_fourier(out, build_fourier_basis(g, spectrum, pattern), refs)
     return files
 
 
 def _run_dof_sweep(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
                    pattern) -> list[str]:
-    ev, coupled = _exact_spectra(cfg, g, spectrum, pattern)
+    ev, coupled = exact_spectra(g, spectrum, pattern, cfg.rho)
     thr = 10.0 ** (cfg.threshold_db / 10.0)
     refs = build_lattice(g).n_points, g.n_antennas
 
@@ -273,22 +240,24 @@ def _run_dof_sweep(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectr
         return int(np.count_nonzero(ev > ev[0] * thr))
 
     rows = [("uncoupled", "", count(ev), cfg.threshold_db)]
-    rows += [("coupled", f"{rho:g}", count(w), cfg.threshold_db) for rho, w in coupled]
+    rows += [("coupled", f"{rho:g}", count(w), cfg.threshold_db)
+             for rho, w in zip(cfg.rho, coupled)]
     return [_write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *refs),
-            *_write_coupled_eigs(out, coupled, refs),
+            *_write_coupled_eigs(out, cfg.rho, coupled, refs),
             _write_csv(out / "dof_counts.csv", "curve,rho,count_above_threshold,threshold_db",
                        "%s,%s,%d,%.12g", rows)]
 
 
 def _run_capacity(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectrum,
                   pattern) -> list[str]:
-    ev, coupled = _exact_spectra(cfg, gt, spectrum, pattern)
+    ev, coupled = exact_spectra(gt, spectrum, pattern, cfg.rho)
     n_rx = gr.n_antennas
     models = [iid_model(n_rx, gt.n_antennas),
               exact_model(ev, n_rx, cfg.normalize, "uncoupled")]
-    models += [exact_model(w, n_rx, cfg.normalize, f"coupled rho={rho:g}") for rho, w in coupled]
+    models += [exact_model(w, n_rx, cfg.normalize, f"coupled rho={rho:g}")
+               for rho, w in zip(cfg.rho, coupled)]
     names = ["capacity_iid.csv", "capacity_uncoupled.csv"]
-    names += [f"capacity_coupled_rho{rho:g}.csv" for rho, _ in coupled]
+    names += [f"capacity_coupled_rho{rho:g}.csv" for rho in cfg.rho]
     return [_write_capacity_csv(out / name, curve) for name, curve in
             zip(names, ergodic_capacity(models, _snr_grid(cfg), cfg.mc, cfg.seed, workers))]
 
@@ -371,7 +340,7 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if cfg.rho and cfg.kind in ("eigenvalues", "dof-sweep", "capacity"):
-        # the path _exact_spectra took for the coupled spectra
+        # the path exact_spectra took for the coupled spectra
         kappa = coupling_ratio(*resolved[2:])
         manifest["whitening"] = ({"path": "general"} if kappa is None
                                  else {"path": "scalar", "kappa": kappa})

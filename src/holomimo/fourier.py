@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .spectra import AngularSpectrum, AntennaPattern, _legendre, _uniform_on_cap, pattern_covers
+from .spectra import AngularSpectrum, AntennaPattern, _check_covers, _legendre, _uniform_on_cap
 
 __all__ = [
     "WavenumberLattice",
@@ -283,10 +283,7 @@ def variances_coupled(lattice: WavenumberLattice, spectrum: AngularSpectrum,
     projected solid angles of the cells and sum to 1.  Refuses a density not
     uniform on its cap, and a pattern that does not cover the spectrum.
     """
-    if not pattern_covers(spectrum, pattern):
-        raise ValueError(
-            f"pattern {pattern.name!r} vanishes inside the support of spectrum "
-            f"{spectrum.name!r}; the deconvolved variance diverges")
+    _check_covers(spectrum, pattern)
     c = float(_direction_values(spectrum, 0.0, 0.0) / _direction_values(pattern, 0.0, 0.0))
     return _cell_integrals(lattice, "plain", np.sin(spectrum.theta0), c) / np.pi
 

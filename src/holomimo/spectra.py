@@ -185,13 +185,17 @@ def matched_pattern(spectrum: AngularSpectrum) -> AntennaPattern:
 
 def pattern_covers(spectrum: AngularSpectrum, pattern: AntennaPattern) -> bool:
     """True when the pattern's support (cap and lower hemisphere) contains the
-    spectrum's.
-
-    Deconvolving a pattern that vanishes inside the spectrum support would
-    divide by zero, so callers reject that combination up front.
-    """
+    spectrum's; ``_check_covers`` refuses any other pair."""
     upper = pattern.theta0 >= spectrum.theta0 - _EDGE_TOL
     return upper and (pattern.lower == "mirror" or spectrum.lower == "zero")
+
+
+def _check_covers(spectrum: AngularSpectrum, pattern: AntennaPattern) -> None:
+    """Refuses a pattern that vanishes inside the spectrum's support
+    (``pattern_covers``): deconvolving it would divide by zero."""
+    if not pattern_covers(spectrum, pattern):
+        raise ValueError(f"pattern {pattern.name!r} vanishes inside the support of spectrum "
+                         f"{spectrum.name!r}; the coupled variances would diverge")
 
 
 _CAP_RE = re.compile(r"^cap\(\s*([0-9.eE+-]+)\s*\)$")

@@ -144,10 +144,16 @@ def _tilted(n_r, n_t, label):
     return ChannelModel(np.linspace(0.2, 1.5, n_r), np.ones(n_t), label, "exact", min(n_r, n_t))
 
 
+def _white(n_r, n_t):
+    """The dense white reference: a unit-spectrum exact model, whose Gram is
+    taken on the pass's W (an iid_model takes its law instead)."""
+    return exact_model(np.ones(n_t), n_r, label="white")
+
+
 @pytest.mark.parametrize("n_r, n_t", [(7, 5), (5, 7)])
 def test_gram_eigenvalues_match_squared_singular_values(n_r, n_t):
     n = min(n_r, n_t)
-    models = [iid_model(n_r, n_t),
+    models = [_white(n_r, n_t),
               exact_model(np.linspace(3.0, 0.0, n_t), n_rx=n_r, normalize="receive"),
               _tilted(n_r, n_t, "tilted"),
               ChannelModel(np.zeros(n_r), np.zeros(n_t), "zero", "exact", 0)]
@@ -210,9 +216,8 @@ def test_wishart_law_matches_dense_draws(n_r, n_t):
     # the tridiagonal law against dense Grams of independent draws: the mean
     # top eigenvalue, trace (m n exactly) and capacity at -10 and +10 dB
     n_mc = 2000
-    model = [iid_model(n_r, n_t)]
-    law = _draw_block(model, 11, 0, n_mc, law=True)[:, 0]
-    dense = _draw_block(model, 12, 0, n_mc)[:, 0]
+    law = _draw_block([iid_model(n_r, n_t)], 11, 0, n_mc)[:, 0]
+    dense = _draw_block([_white(n_r, n_t)], 12, 0, n_mc)[:, 0]
     assert np.all(np.diff(law, axis=1) <= 0.0) and law[:, -1].min() > 0.0
     snr = np.array([0.1, 10.0])
     cap_law, cap_dense = (np.array([_capacity_grid(lam, snr) for lam in s]) for s in (law, dense))
@@ -232,8 +237,8 @@ def test_iid_curve_takes_the_law_with_any_worker_count():
         got = ergodic_capacity(models, snr_db, n_mc=5, seed=3, workers=workers)[0]
         assert np.array_equal(got.capacity_bits, ref.capacity_bits)
         assert np.array_equal(got.stderr, ref.stderr)
-    law = _mc_pass(models, 5, 3, law=True)
-    dense = _mc_pass(models, 5, 3)
+    law = _mc_pass(models, 5, 3)
+    dense = _mc_pass([_white(4, 6), models[1]], 5, 3)
     assert np.array_equal(law[:, 1], dense[:, 1])
     assert not np.allclose(law[:, 0], dense[:, 0])
 
@@ -267,11 +272,11 @@ def test_fallback_pass_matches_the_bound_pass(monkeypatch):
     # Grams numpy's eigvalsh: the same spectra to roundoff
     monkeypatch.setattr(_lapack, "TWO_STAGE_MIN", 1)
     models = [iid_model(9, 6), _tilted(9, 6, "tilted")]
-    bound = _mc_pass(models, 3, 5, law=True)
+    bound = _mc_pass(models, 3, 5)
     monkeypatch.setattr(_lapack, "_SYMBOLS", ("no_dsterf64_", "no_zheevd_2stage64_"))
     monkeypatch.setattr(_lapack, "_routines", None)
     assert not _lapack.bound()
-    fallback = _mc_pass(models, 3, 5, law=True)
+    fallback = _mc_pass(models, 3, 5)
     assert np.abs(fallback - bound).max() <= 1e-12 * bound.max()
 
 

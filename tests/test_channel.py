@@ -7,13 +7,12 @@ from scipy.special import j0
 
 import holomimo._kernels
 import holomimo.channel
-import holomimo.cli
 from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, CorrelationMatrix,
                       CouplingMatrix,
                       SingularCouplingError, array_response, build_fourier_basis, build_ula,
                       build_upa, cap_spectrum,
                       check_normalization, coupled_correlation_exact, coupling_closed_form, coupling_general,
-                      ergodic_capacity, exact_correlation, exact_model,
+                      ergodic_capacity, exact_correlation, exact_model, exact_spectra,
                       fourier_model, iid_model, isotropic_spectrum,
                       matched_pattern, omni_pattern, quadrature_for, regularize,
                       spd_inv_sqrt, spd_sqrt, waterfill,
@@ -22,7 +21,6 @@ from holomimo._kernels import (HEMISPHERE, _chebyshev_points, _radial_counts, _t
                                angular_kernel, array_grid, density_kernel)
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
-from holomimo.cli import ExperimentConfig, _exact_spectra
 from holomimo.coupling import _coupling_scale, coupling_ratio
 from holomimo.spectra import _uniform_on_cap, pattern_from_name, spectrum_from_name
 
@@ -292,8 +290,7 @@ def test_cap_spectra_never_build_the_phase_table(monkeypatch):
     monkeypatch.setattr(holomimo._kernels, "phase_kernel", _refuse_phase_table)
     g = build_upa(7, 6, 0.3)
     s = spectrum_from_name("cap(0.6)")
-    ev, coupled = _exact_spectra(ExperimentConfig("eigenvalues", {}, rho=[0.01]), g, s,
-                                 pattern_from_name("matched", s))
+    ev, coupled = exact_spectra(g, s, pattern_from_name("matched", s), [0.01])
     assert ev.size == 42 and len(coupled) == 1
     c = coupling_general(g, matched_pattern(cap_spectrum(0.3)))
     assert c.kind == "general(matched(cap(0.3)))"
@@ -481,10 +478,9 @@ def test_scalar_path_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(holomimo.coupling.Kernel, "matrix", property(refuse))
     g = build_upa(41, 41, 0.25)
-    cfg = ExperimentConfig("dof-sweep", {}, rho=[0.1, 0.01, 0.001])
     tracemalloc.start()
     try:
-        ev, coupled = _exact_spectra(cfg, g, isotropic_spectrum(), omni_pattern())
+        ev, coupled = exact_spectra(g, isotropic_spectrum(), omni_pattern(), [0.1, 0.01, 0.001])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,8 +510,7 @@ def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, g, spe
         return even(table, name)
 
     monkeypatch.setattr(holomimo.coupling, "_even", count)
-    cfg = ExperimentConfig("eigenvalues", {}, rho=rho)
-    ev, coupled = _exact_spectra(cfg, g, spectrum, pattern)
+    ev, coupled = exact_spectra(g, spectrum, pattern, rho)
     assert len(calls) == checks and len(set(calls)) == checks
     assert ev.size == g.n_antennas and len(coupled) == len(rho)
 
@@ -544,11 +539,11 @@ def test_proportional_pattern_whitens_by_the_scalar_map(monkeypatch, g, spectrum
     assert coupling_ratio(s, p) == kappa
     rhos = [0.1, 0.01, 0.001]
     dense = whitened_eigenvalues(exact_correlation(g, s), coupling_general(g, p), rhos)
-    monkeypatch.setattr(holomimo.cli, "coupling_general", _refuse_coupling)
-    monkeypatch.setattr(holomimo.cli, "whitened_eigenvalues", _refuse_coupling)
-    _, coupled = _exact_spectra(ExperimentConfig("eigenvalues", {}, rho=rhos), g, s, p)
-    assert [rho for rho, _ in coupled] == rhos
-    for (_, ev), ref in zip(coupled, dense):
+    monkeypatch.setattr(holomimo.channel, "coupling_general", _refuse_coupling)
+    monkeypatch.setattr(holomimo.channel, "whitened_eigenvalues", _refuse_coupling)
+    _, coupled = exact_spectra(g, s, p, rhos)
+    assert coupled.shape == (len(rhos), g.n_antennas)
+    for ev, ref in zip(coupled, dense):
         assert np.all(np.diff(ev) <= 0.0)
         assert np.abs(ev - ref).max() <= 1e-12 * ref[0]
 
@@ -567,9 +562,8 @@ def test_other_patterns_build_coupling_once(monkeypatch, spectrum, pattern):
         built.append(args)
         return coupling_general(*args)
 
-    monkeypatch.setattr(holomimo.cli, "coupling_general", count)
-    _exact_spectra(ExperimentConfig("eigenvalues", {}, rho=[0.1, 0.01]), build_upa(5, 4, 0.3),
-                   s, p)
+    monkeypatch.setattr(holomimo.channel, "coupling_general", count)
+    exact_spectra(build_upa(5, 4, 0.3), s, p, [0.1, 0.01])
     assert len(built) == 1
 
 
@@ -578,9 +572,9 @@ def test_scalar_map_refuses_the_floor_like_the_dense_path(monkeypatch):
     s = isotropic_spectrum()
     with pytest.raises(SingularCouplingError) as dense:
         whitened_eigenvalues(exact_correlation(g, s), coupling_general(g, omni_pattern()), [0.0])
-    monkeypatch.setattr(holomimo.cli, "coupling_general", _refuse_coupling)
+    monkeypatch.setattr(holomimo.channel, "coupling_general", _refuse_coupling)
     with pytest.raises(SingularCouplingError) as scalar:
-        _exact_spectra(ExperimentConfig("eigenvalues", {}, rho=[0.1, 0.0]), g, s, omni_pattern())
+        exact_spectra(g, s, omni_pattern(), [0.1, 0.0])
     # the smallest eigenvalue comes from R here and from C there, so it may
     # differ at roundoff; the rest of the text is the same
     def text(exc):
@@ -588,6 +582,35 @@ def test_scalar_map_refuses_the_floor_like_the_dense_path(monkeypatch):
 
     assert text(scalar) == text(dense)
     assert "rho=0)" in text(scalar)
+
+
+@pytest.mark.parametrize("spectrum, pattern", [
+    ("isotropic", "omni"), ("cap(0.6)", "omni"), ("cap(0.6)", "matched"),
+])
+def test_small_rho_rows_come_clipped_from_the_stage(spectrum, pattern):
+    # the whitened matrix is as positive semidefinite as R (Sylvester's law of
+    # inertia), but the whitening amplifies R's roundoff by about top / rho:
+    # on 16x16 at quarter-wavelength spacing and rho = 1e-8 the unclipped rows
+    # dip below -1e-8 of their top, which exact_model refuses
+    g = build_upa(16, 16, 0.25)
+    s = spectrum_from_name(spectrum)
+    p = pattern_from_name(pattern, s)
+    r = exact_correlation(g, s)
+    kappa = coupling_ratio(s, p)
+    lam = r.eigenvalues()
+    raw = (whitened_eigenvalues(r, coupling_general(g, p), [1e-8])[0] if kappa is None
+           else lam / (kappa * lam + 1e-8))
+    ev, rows = exact_spectra(g, s, p, [1e-8])
+    assert np.array_equal(ev, np.clip(lam, 0.0, None))
+    assert np.array_equal(rows, np.clip(raw, 0.0, None)[None, :])
+    model = exact_model(rows[0], g.n_antennas, "receive")
+    assert np.all(np.isfinite(model.amp_t))
+
+
+def test_exact_spectra_refuse_an_indefinite_correlation():
+    negative = AngularSpectrum("negative", lambda th, ph: -np.ones_like(th))
+    with pytest.raises(ValueError, match="correlation matrix R is not positive semidefinite"):
+        exact_spectra(build_upa(4, 4, 0.5), negative, omni_pattern(), [])
 
 
 def test_correlation_diagonal():

@@ -278,7 +278,7 @@ def test_dof_sweep_without_rho_builds_no_coupling(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("coupling_general called without a rho")
 
-    monkeypatch.setattr("holomimo.cli.coupling_general", refuse)
+    monkeypatch.setattr("holomimo.channel.coupling_general", refuse)
     path = write_config(tmp_path, kind="dof-sweep",
                         tx={"kind": "upa", "nx": 5, "ny": 5, "dx": 0.25}, rho=[])
     out = tmp_path / "out"
@@ -372,6 +372,35 @@ def test_capacity_runs_on_a_line_array(tmp_path):
         rows = read_csv(out / name)
         assert rows and all(int(r["n_mc"]) == 4 for r in rows)
         assert all(np.isfinite(float(r["capacity_bits"])) for r in rows)
+
+
+@pytest.mark.parametrize("spectrum, pattern", [
+    ("isotropic", "omni"), ("cap(0.6)", "omni"), ("cap(0.6)", "matched"),
+])
+def test_capacity_runs_at_a_tiny_rho(tmp_path, spectrum, pattern):
+    # at rho = 1e-8 the whitening lifts R's roundoff on a 16x16 quarter-
+    # wavelength array to about -1e-7 of the top; the exact stage clips it,
+    # since the whitened matrix is as positive semidefinite as R
+    path = write_config(tmp_path, kind="capacity", tx={"nx": 16, "ny": 16, "dx": 0.25},
+                        spectrum=spectrum, pattern=pattern, rho=[1e-8], mc=4)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out), "--workers", "1"]) == 0
+    for name in ("capacity_iid.csv", "capacity_uncoupled.csv", "capacity_coupled_rho1e-08.csv"):
+        caps = np.array([float(r["capacity_bits"]) for r in read_csv(out / name)])
+        assert np.all(np.isfinite(caps)) and np.all(np.diff(caps) >= 0.0), name
+
+
+def test_bound_check_bytes_are_pinned(tmp_path):
+    # an 8x8 half-wavelength array at seed 0 on one worker, so one BLAS
+    # thread: the white side of the bound is the dense unit-spectrum Gram on
+    # the model's own W, and these bytes pin it
+    cfg = ExperimentConfig("bound-check", {"nx": 8, "ny": 8, "dx": 0.5}, mc=40)
+    run_experiment(cfg, "bound", tmp_path, workers=1)
+    assert (tmp_path / "bound_check.json").read_bytes() == (
+        b'{\n  "holds": true,\n  "lhs_mean": 536.1303173000587,\n  "n_mc": 40,\n'
+        b'  "pattern": "omni",\n  "ratio": 0.3315005138274963,\n'
+        b'  "rhs_mean": 1617.2835182362526,\n  "spectrum": "isotropic",\n'
+        b'  "stderr_lhs": 6.229338119621387,\n  "violations": 0\n}\n')
 
 
 def test_run_coupling_matrix_outputs(tmp_path):
@@ -573,7 +602,7 @@ def test_public_names_are_pinned():
         "array_response", "build_fourier_basis", "build_lattice", "build_ula", "build_upa",
         "cap_constant", "cap_spectrum", "check_normalization", "coupled_correlation_exact",
         "coupling_closed_form", "coupling_general", "dof_prime", "ergodic_capacity",
-        "exact_correlation", "exact_model", "fourier_matrix", "fourier_model",
+        "exact_correlation", "exact_model", "exact_spectra", "fourier_matrix", "fourier_model",
         "geometry_from_config", "hemisphere_quadrature", "high_snr_dof_check", "iid_model",
         "isotropic_spectrum", "low_snr_bound_check", "matched_pattern",
         "mutual_information_bits", "omni_pattern", "pattern_covers", "quadrature_for",
