@@ -10,22 +10,20 @@ from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-from .geometry import ArrayGeometry, array_response, build_ula, build_upa, geometry_from_config
+from .geometry import ArrayGeometry, build_ula, build_upa, geometry_from_config
 from .spectra import (AngularSpectrum, AntennaPattern, cap_constant, cap_spectrum,
-                      check_normalization, hemisphere_quadrature, isotropic_spectrum,
-                      matched_pattern, omni_pattern, pattern_covers, quadrature_for)
+                      hemisphere_quadrature, isotropic_spectrum, matched_pattern, omni_pattern,
+                      pattern_covers, quadrature_for)
 from .coupling import (CouplingMatrix, Kernel, SingularCouplingError, coupling_closed_form,
                        coupling_general, regularize, spd_inv_sqrt, spd_sqrt,
                        write_coupling_csv)
 from .fourier import (FourierBasis, WavenumberLattice, build_fourier_basis, build_lattice,
-                      dof_prime, fourier_matrix, variances_coupled, variances_uncoupled,
+                      fourier_matrix, variances_coupled, variances_uncoupled,
                       write_variances_csv)
 from .channel import (ChannelModel, CorrelationMatrix, coupled_correlation_exact,
                       exact_correlation, exact_model, exact_spectra, fourier_model, iid_model,
                       whitened_eigenvalues)
-from .capacity import (BoundCheck, CapacityCurve, DofCheck, WaterfillingAllocation,
-                       ergodic_capacity, high_snr_dof_check, low_snr_bound_check,
-                       mutual_information_bits, waterfill)
+from .capacity import BoundCheck, CapacityCurve, ergodic_capacity, low_snr_bound_check
 
 # the names imported above, without the submodules that importing them binds
 __all__ = [name for name in dir()

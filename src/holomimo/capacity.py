@@ -1,4 +1,4 @@
-"""Waterfilling, ergodic capacity and the low- and high-SNR checks.
+"""Waterfilling, ergodic capacity and the low-SNR bound check.
 
 SNR throughout is the total transmit power constraint (identity noise
 covariance), so capacities are in bits per channel use and the waterfilling
@@ -14,68 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, complex_normal, exact_model, substream
-from .coupling import _psd_spectrum
+from .channel import ChannelModel, _whole, complex_normal, exact_model, substream
 
 __all__ = [
-    "WaterfillingAllocation",
     "CapacityCurve",
     "BoundCheck",
-    "DofCheck",
-    "waterfill",
-    "mutual_information_bits",
     "ergodic_capacity",
     "low_snr_bound_check",
-    "high_snr_dof_check",
 ]
-
-
-@dataclass(frozen=True)
-class WaterfillingAllocation:
-    """Optimal power split over parallel channels.
-
-    ``powers`` is aligned with the input eigenvalue order; ``capacity_bits``
-    is the resulting mutual information.
-    """
-
-    powers: np.ndarray
-    water_level: float
-    n_active: int
-    capacity_bits: float
-
-
-def _check_snr(snr) -> None:
-    """Refuses an SNR (or any point of an SNR grid) that is not positive and finite."""
-    s = np.asarray(snr)
-    if not np.all((s > 0.0) & (s < np.inf)):
-        raise ValueError(f"snr must be positive and finite, got {snr}")
-
-
-def waterfill(eigenvalues, snr: float) -> WaterfillingAllocation:
-    """Exact waterfilling by sort and threshold scan.
-
-    Power on channel i is max(0, nu - 1/lambda_i) with nu chosen so the powers
-    sum to ``snr``; exactly tied eigenvalues receive equal power.  The
-    eigenvalues pass ``_psd_spectrum``, and a bad snr or no power is refused.
-    """
-    _check_snr(snr)
-    lam = _psd_spectrum(np.ravel(eigenvalues), "spectrum")
-    if not np.any(lam > 0.0):
-        raise ValueError("all eigenvalues are zero")
-    order = np.argsort(-lam, kind="stable")
-    lam_sorted = lam[order]
-    active, level = _water_levels(lam_sorted[lam_sorted > 0.0], np.array([snr]))
-    k, level = int(active[0]), float(level[0])
-    powers = np.zeros_like(lam)
-    powers[order[:k]] = level - 1.0 / lam_sorted[:k]
-    cap = float(np.sum(np.log2(level * lam_sorted[:k])))
-    return WaterfillingAllocation(powers, level, k, cap)
-
-
-def mutual_information_bits(eigenvalues, powers) -> float:
-    lam = np.asarray(eigenvalues, dtype=float)
-    p = np.asarray(powers, dtype=float)
-    return float(np.sum(np.log2(1.0 + p * lam)))
 
 
 def _water_levels(lam_desc: np.ndarray, snr_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,16 +174,17 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     if len(shapes) != 1:
         raise ValueError("a pass needs models of one shape, got: " + (", ".join(
             f"{m.label!r} {m.shape[0]}x{m.shape[1]}" for m in models) or "no models"))
+    n_mc = _whole("n_mc", n_mc, "draws")
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     if workers is None:
         return _draw_block(models, seed, 0, n_mc)
-    if workers < 1:
+    n = min(_whole("workers", workers, "processes"), n_mc)
+    if n < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    n = min(workers, n_mc)
     edges = [n_mc * k // n for k in range(n + 1)]
     with _one_blas_thread(), ProcessPoolExecutor(
             n, mp_context=multiprocessing.get_context("spawn"),
@@ -268,11 +215,13 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     snr_db = np.asarray(snr_db, dtype=float).ravel()
     if snr_db.size == 0:
         raise ValueError("empty SNR grid")
-    # a finite dB value above about 3083 overflows to inf, which _check_snr refuses
+    # a finite dB value above about 3083 overflows to inf, which is refused below
     with np.errstate(over="ignore"):
         snr_lin = 10.0 ** (snr_db / 10.0)
-    _check_snr(snr_lin)
+    if not np.all((snr_lin > 0.0) & (snr_lin < np.inf)):
+        raise ValueError(f"snr must be positive and finite, got {snr_lin}")
     spectra = _mc_pass(models, n_mc, seed, workers)
+    n_mc = len(spectra)
     curves = []
     for j, model in enumerate(models):
         # An all-zero draw carries no information at any SNR.
@@ -314,6 +263,7 @@ def low_snr_bound_check(model: ChannelModel, n_mc: int = 2000, seed: int = 0,
     top = float((model.amp_r.max() * model.amp_t.max()) ** 2)
     n_r, n_t = model.shape
     tops = _mc_pass([model, exact_model(np.ones(n_t), n_r)], n_mc, seed, workers)[:, :, 0]
+    n_mc = len(tops)
     lhs, wtop = tops.T.copy()
     per_draw = lhs <= top * wtop * (1.0 + 1e-12)
     lhs_mean = float(lhs.mean())
@@ -326,23 +276,3 @@ def low_snr_bound_check(model: ChannelModel, n_mc: int = 2000, seed: int = 0,
         int(np.count_nonzero(~per_draw)),
         float(lhs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0, n_mc,
     )
-
-
-@dataclass(frozen=True)
-class DofCheck:
-    """Measured high-SNR capacity slope against the support-area prediction."""
-
-    slope: float
-    predicted: int
-    ratio: float
-
-
-def high_snr_dof_check(model: ChannelModel, window_db=(30.0, 45.0),
-                       n_mc: int = 300, seed: int = 0) -> DofCheck:
-    """High-SNR capacity slope in bits per octave of SNR (log2 scale)."""
-    lo, hi = float(window_db[0]), float(window_db[1])
-    if hi <= lo:
-        raise ValueError("window must be increasing")
-    curve, = ergodic_capacity([model], np.array([lo, hi]), n_mc, seed)
-    slope = float(np.diff(curve.capacity_bits)[0] / ((hi - lo) / 10.0 * np.log2(10.0)))
-    return DofCheck(slope, model.dof, slope / model.dof)

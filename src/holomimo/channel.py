@@ -18,8 +18,8 @@ import numpy as np
 from ._kernels import HEMISPHERE, density_kernel
 from .coupling import (Kernel, _check_floor, _check_rho, _descending, _eigh, _psd_spectrum,
                        coupling_general, coupling_ratio, spd_inv_sqrt)
-from .fourier import FourierBasis, dof_prime
-from .geometry import ArrayGeometry
+from .fourier import FourierBasis
+from .geometry import ArrayGeometry, _is_number
 from .spectra import AngularSpectrum, AntennaPattern
 
 __all__ = [
@@ -148,14 +148,13 @@ class ChannelModel:
 
     The amplitudes are per-cell sqrt(N sigma2) (Fourier), the square root of
     a transmit spectrum (exact), or ones (iid, the white reference).  ``kind``
-    names the constructor; ``dof`` is the high-SNR multiplexing gain.
+    names the constructor.
     """
 
     amp_r: np.ndarray
     amp_t: np.ndarray
     label: str
     kind: str
-    dof: int
 
     def __post_init__(self):
         if self.amp_r.size == 0 or self.amp_t.size == 0:
@@ -175,12 +174,19 @@ def fourier_model(rx: FourierBasis, tx: FourierBasis, label: str = "") -> Channe
     """Beamspace channel with independent entries of the per-cell variances."""
     return ChannelModel(np.sqrt(rx.n_antennas * rx.variances),
                         np.sqrt(tx.n_antennas * tx.variances),
-                        label or f"fourier-{tx.flavor}", "fourier",
-                        min(dof_prime(rx.lattice, rx.spectrum), dof_prime(tx.lattice, tx.spectrum)))
+                        label or f"fourier-{tx.flavor}", "fourier")
+
+
+def _whole(key: str, value, unit: str) -> int:
+    """A count as int: a fraction, a boolean or a string is refused, not
+    truncated or parsed."""
+    if not (_is_number(value) and float(value).is_integer()):
+        raise ValueError(f"{key} must be a whole number of {unit}, got {value!r}")
+    return int(value)
 
 
 def iid_model(n_rx: int, n_tx: int) -> ChannelModel:
-    return ChannelModel(np.ones(n_rx), np.ones(n_tx), "iid", "iid", min(n_rx, n_tx))
+    return ChannelModel(np.ones(n_rx), np.ones(n_tx), "iid", "iid")
 
 
 def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "transmit",
@@ -202,8 +208,5 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
         lam = lam * (lam.size / p)
     elif normalize != "transmit":
         raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
-    if n_rx is not None and not float(n_rx).is_integer():
-        raise ValueError(f"n_rx must be a whole number of antennas, got {n_rx!r}")
-    n_rx = int(n_rx) if n_rx is not None else lam.size
-    return ChannelModel(np.ones(n_rx), np.sqrt(lam), label or "exact", "exact",
-                        min(n_rx, lam.size))
+    n_rx = lam.size if n_rx is None else _whole("n_rx", n_rx, "antennas")
+    return ChannelModel(np.ones(n_rx), np.sqrt(lam), label or "exact", "exact")

@@ -58,6 +58,9 @@ class ExperimentConfig:
 def _coerce(cfg: ExperimentConfig):
     """Type- and range-check a config, raising ConfigError; returns the checked copy
     and its names as objects, (tx, rx, spectrum, pattern) with rx defaulting to tx."""
+    for f in dataclasses.fields(cfg):
+        if f.type == "str" and not isinstance(getattr(cfg, f.name), str):
+            raise ConfigError(f"{f.name} must be a string, got {getattr(cfg, f.name)!r}")
     if cfg.kind not in _EXECUTORS:
         raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {', '.join(_EXECUTORS)}")
     if cfg.rx is not None and cfg.kind not in ("capacity", "bound-check"):

@@ -36,7 +36,6 @@ __all__ = [
     "build_fourier_basis",
     "variances_uncoupled",
     "variances_coupled",
-    "dof_prime",
     "write_variances_csv",
 ]
 
@@ -288,15 +287,6 @@ def variances_coupled(lattice: WavenumberLattice, spectrum: AngularSpectrum,
     return _cell_integrals(lattice, "plain", np.sin(spectrum.theta0), c) / np.pi
 
 
-def dof_prime(lattice: WavenumberLattice, spectrum: AngularSpectrum) -> int:
-    """Effective spatial degrees of freedom under a spectrum's support.
-
-    ceil of the lattice size times the fraction of the wavenumber disk covered
-    by the support cap: ceil(n sin^2 theta0), which is n for full support.
-    """
-    return int(np.ceil(lattice.n_points * np.sin(spectrum.theta0) ** 2 - _DISK_TOL))
-
-
 def write_variances_csv(lattice: WavenumberLattice, sigma2: np.ndarray, path) -> None:
     sigma2 = np.asarray(sigma2, dtype=float)
     if sigma2.shape != (lattice.n_points,):
@@ -320,7 +310,6 @@ class FourierBasis:
     lattice: WavenumberLattice
     variances: np.ndarray  # (n,)
     flavor: str  # "uncoupled" | "coupled"
-    spectrum: AngularSpectrum
 
     @property
     def n_antennas(self) -> int:
@@ -352,4 +341,4 @@ def build_fourier_basis(geometry: ArrayGeometry, spectrum: AngularSpectrum,
     else:
         sig = variances_coupled(lat, spectrum, pattern)
         flavor = "coupled"
-    return FourierBasis(geometry, lat, sig, flavor, spectrum)
+    return FourierBasis(geometry, lat, sig, flavor)

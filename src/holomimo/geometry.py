@@ -18,7 +18,6 @@ __all__ = [
     "build_upa",
     "build_ula",
     "geometry_from_config",
-    "array_response",
 ]
 
 
@@ -180,18 +179,3 @@ def geometry_from_config(cfg: dict) -> ArrayGeometry:
     if offset is not None:
         g = g.translated([_config_number("offset", v) for v in offset])
     return g
-
-
-def array_response(geometry: ArrayGeometry, theta, phi) -> np.ndarray:
-    """Plane-wave response exp(i k . r) for arrival direction(s) (theta, phi).
-
-    Returns shape (N,) for scalar angles, else (N,) + broadcast shape.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    k_hat = np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta) * np.ones_like(phi)],
-        axis=0,
-    )
-    phase = 2.0 * np.pi * np.tensordot(geometry.positions, k_hat, axes=(1, 0))
-    return np.exp(1j * phase)

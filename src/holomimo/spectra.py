@@ -26,7 +26,6 @@ __all__ = [
     "matched_pattern",
     "hemisphere_quadrature",
     "quadrature_for",
-    "check_normalization",
     "pattern_covers",
     "spectrum_from_name",
     "pattern_from_name",
@@ -113,18 +112,6 @@ def quadrature_for(density, n_theta: int = 256, n_phi: int = 512):
     """``hemisphere_quadrature`` with a panel edge at the density's edge, if any."""
     edges = () if density.edge is None else (density.edge,)
     return hemisphere_quadrature(n_theta, n_phi, edges)
-
-
-def check_normalization(density, quadrature=None) -> float:
-    """Full-sphere average (1/4pi) * integral of a spectrum or pattern.
-
-    Equals 1 for properly normalized inputs; doubling the quadrature
-    resolution moves the result by less than 1e-8 for the built-in families.
-    """
-    t, p, w = quadrature if quadrature is not None else quadrature_for(density)
-    upper = float(w @ density(t, p))
-    lower = upper if density.lower == "mirror" else 0.0
-    return (upper + lower) / (4.0 * np.pi)
 
 
 @dataclass(frozen=True)

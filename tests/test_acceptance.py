@@ -21,13 +21,14 @@ import numpy as np
 import pytest
 
 from holomimo import (AntennaPattern, build_fourier_basis, build_lattice, build_ula, build_upa,
-                      cap_spectrum, check_normalization, coupled_correlation_exact,
-                      coupling_closed_form, coupling_general, exact_correlation, fourier_model,
-                      high_snr_dof_check,
-                      isotropic_spectrum, low_snr_bound_check, matched_pattern,
-                      mutual_information_bits, omni_pattern, variances_coupled,
-                      variances_uncoupled, waterfill)
+                      cap_spectrum, coupled_correlation_exact, coupling_closed_form,
+                      coupling_general, ergodic_capacity, exact_correlation, fourier_model,
+                      isotropic_spectrum, low_snr_bound_check, matched_pattern, omni_pattern,
+                      variances_coupled, variances_uncoupled)
+from holomimo.capacity import _capacity_grid, _water_levels
 from holomimo.cli import main as cli_main
+
+from densities import sphere_average
 
 
 def run_preset(name, out_dir, extra=()):
@@ -113,7 +114,7 @@ def test_criterion_3_normalization_suite():
             matched_pattern(cap_spectrum(np.pi / 3))]
     worst = 0.0
     for obj in objs:
-        worst = max(worst, abs(check_normalization(obj) - 1.0))
+        worst = max(worst, abs(sphere_average(obj) - 1.0))
     assert worst < 1e-6
     print(f"criterion 3 PASS: variance sum 1{s_iso - 1.0:+.2e}, projected solid angles "
           f"1{s_proj - 1.0:+.2e} (tolerance 1e-04); {len(objs)} normalization integrals "
@@ -210,6 +211,9 @@ def test_criterion_6_capacity_crossing_desk_scale(fig6_desk_run):
 
 
 def test_criterion_7_waterfilling_kkt_suite():
+    # the water level and active count the capacity runs take, on the positive
+    # part of each set in descending order, and the powers max(0, nu - 1/lambda)
+    # they imply, in the set's own order
     rng = np.random.default_rng(2026)
     worst_budget = 0.0
     n_perturbations = 0
@@ -221,31 +225,36 @@ def test_criterion_7_waterfilling_kkt_suite():
         if not np.any(lam > 0.0):
             lam[rng.integers(size)] = rng.uniform(0.5, 4.0)
         snr = float(10.0 ** rng.uniform(-2.0, 3.0))
-        alloc = waterfill(lam, snr)
+        lam_desc = np.sort(lam[lam > 0.0])[::-1]
+        n_active, level = _water_levels(lam_desc, np.array([snr]))
+        nu = float(level[0])
+        powers = np.zeros(size)
+        powers[lam > 0.0] = np.maximum(0.0, nu - 1.0 / lam[lam > 0.0])
 
-        worst_budget = max(worst_budget, abs(alloc.powers.sum() - snr))
-        assert abs(alloc.powers.sum() - snr) <= 1e-9
-        assert alloc.powers.min() >= 0.0
+        worst_budget = max(worst_budget, abs(powers.sum() - snr))
+        assert abs(powers.sum() - snr) <= 1e-9
+        assert powers.min() >= 0.0
 
-        active = alloc.powers > 0.0
-        nu = alloc.water_level
-        assert np.allclose(alloc.powers[active] + 1.0 / lam[active], nu, rtol=1e-9)
+        active = powers > 0.0
+        assert np.count_nonzero(active) == n_active[0]
+        assert np.allclose(powers[active] + 1.0 / lam[active], nu, rtol=1e-9)
         inactive_pos = ~active & (lam > 0.0)
         assert np.all(1.0 / lam[inactive_pos] >= nu * (1.0 - 1e-9))
-        assert np.all(alloc.powers[lam == 0.0] == 0.0)
+        assert np.all(powers[lam == 0.0] == 0.0)
 
-        base = alloc.capacity_bits
+        base = float(_capacity_grid(lam_desc, np.array([snr]))[0])
+        assert base == pytest.approx(np.sum(np.log2(nu * lam[active])), rel=1e-12, abs=1e-12)
         idx_active = np.flatnonzero(active)
         for _ in range(4):
             i = int(rng.choice(idx_active))
             j = int(rng.integers(size))
             if i == j:
                 continue
-            delta = float(rng.uniform(0.0, 1.0)) * alloc.powers[i]
-            p = alloc.powers.copy()
+            delta = float(rng.uniform(0.0, 1.0)) * powers[i]
+            p = powers.copy()
             p[i] -= delta
             p[j] += delta
-            assert mutual_information_bits(lam, p) <= base + 1e-12
+            assert np.sum(np.log2(1.0 + p * lam)) <= base + 1e-12
             n_perturbations += 1
     print(f"criterion 7 PASS: 1000 random eigenvalue sets, budget met within "
           f"{worst_budget:.1e} (<= 1e-09), complementary slackness holds, "
@@ -279,23 +288,39 @@ def test_criterion_8_low_snr_bound():
           f"equality (gap {gap:.1e} <= 2 stderr)")
 
 
+def _support_dof(basis, spectrum):
+    """The lattice points under a spectrum's support cap, ceil(n sin^2 theta0):
+    n for full support."""
+    return int(np.ceil(basis.n_points * np.sin(spectrum.theta0) ** 2 - 1e-12))
+
+
+def _high_snr_slope(model):
+    """Ergodic capacity slope from 30 to 45 dB in bits per octave of SNR."""
+    curve, = ergodic_capacity([model], [30.0, 45.0], 300, 90)
+    return float(np.diff(curve.capacity_bits)[0] / ((45.0 - 30.0) / 10.0 * np.log2(10.0)))
+
+
 def test_criterion_9_high_snr_dof_slope():
     g = build_upa(13, 13, 0.25)
-    b_iso = build_fourier_basis(g, isotropic_spectrum())
-    b_cap = build_fourier_basis(g, cap_spectrum(np.pi / 6))
+    iso, cap = isotropic_spectrum(), cap_spectrum(np.pi / 6)
+    b_iso = build_fourier_basis(g, iso)
+    b_cap = build_fourier_basis(g, cap)
 
-    chk_iso = high_snr_dof_check(fourier_model(b_iso, b_iso), n_mc=300, seed=90)
-    assert chk_iso.predicted == 29
-    assert abs(chk_iso.ratio - 1.0) <= 0.10, (
-        f"isotropic slope {chk_iso.slope:.2f} vs predicted {chk_iso.predicted}")
+    slope_iso = _high_snr_slope(fourier_model(b_iso, b_iso))
+    predicted_iso = _support_dof(b_iso, iso)
+    assert predicted_iso == 29
+    assert abs(slope_iso / predicted_iso - 1.0) <= 0.10, (
+        f"isotropic slope {slope_iso:.2f} vs predicted {predicted_iso}")
 
-    chk_cap = high_snr_dof_check(fourier_model(b_iso, b_cap), n_mc=300, seed=90)
-    assert chk_cap.predicted == 8  # ceil(sin^2(30 deg) * 29)
-    assert abs(chk_cap.ratio - 1.0) <= 0.15, (
-        f"cap slope {chk_cap.slope:.2f} vs predicted {chk_cap.predicted}")
-    print(f"criterion 9 PASS: 30-45 dB slope {chk_iso.slope:.2f} vs predicted 29 "
-          f"({100 * abs(chk_iso.ratio - 1):.1f}% <= 10%) isotropic; {chk_cap.slope:.2f} vs "
-          f"predicted 8 ({100 * abs(chk_cap.ratio - 1):.1f}% <= 15%) for the 30-degree cap")
+    slope_cap = _high_snr_slope(fourier_model(b_iso, b_cap))
+    predicted_cap = min(predicted_iso, _support_dof(b_cap, cap))
+    assert predicted_cap == 8  # ceil(sin^2(30 deg) * 29)
+    assert abs(slope_cap / predicted_cap - 1.0) <= 0.15, (
+        f"cap slope {slope_cap:.2f} vs predicted {predicted_cap}")
+    print(f"criterion 9 PASS: 30-45 dB slope {slope_iso:.2f} vs predicted {predicted_iso} "
+          f"({100 * abs(slope_iso / predicted_iso - 1):.1f}% <= 10%) isotropic; "
+          f"{slope_cap:.2f} vs predicted {predicted_cap} "
+          f"({100 * abs(slope_cap / predicted_cap - 1):.1f}% <= 15%) for the 30-degree cap")
 
 
 def test_criterion_10_matched_whitening_identity():

@@ -2,42 +2,46 @@ import numpy as np
 import pytest
 
 from holomimo import (ChannelModel, build_fourier_basis, build_upa, coupling_closed_form,
-                      ergodic_capacity, exact_correlation, exact_model, fourier_model,
-                      high_snr_dof_check, iid_model, isotropic_spectrum, low_snr_bound_check,
-                      mutual_information_bits, regularize, spd_inv_sqrt, spd_sqrt, waterfill,
+                      ergodic_capacity, exact_correlation, exact_model, fourier_model, iid_model,
+                      isotropic_spectrum, low_snr_bound_check, regularize, spd_inv_sqrt, spd_sqrt,
                       whitened_eigenvalues)
 from holomimo import _lapack
-from holomimo.capacity import _capacity_grid, _draw_block, _mc_pass
+from holomimo.capacity import _capacity_grid, _draw_block, _mc_pass, _water_levels
 from holomimo.channel import complex_normal, substream
+
+
+def _waterfill(lam_desc, snr):
+    """The powers max(0, nu - 1/lambda) at the level the capacity runs take,
+    with that level, the active count and the capacity, for one positive,
+    descending spectrum."""
+    lam_desc, snr = np.asarray(lam_desc, dtype=float), np.array([snr])
+    active, level = _water_levels(lam_desc, snr)
+    powers = np.maximum(0.0, level[0] - 1.0 / lam_desc)
+    return powers, float(level[0]), int(active[0]), float(_capacity_grid(lam_desc, snr)[0])
 
 
 def test_waterfill_two_channel_oracle():
     # lambda = (4, 1), budget 0.5: only the strong channel is active,
     # nu = (0.5 + 1/4) / 1 = 0.75, capacity = log2(0.75 * 4) = log2 3
-    alloc = waterfill([4.0, 1.0], 0.5)
-    assert np.allclose(alloc.powers, [0.5, 0.0], atol=1e-14)
-    assert alloc.water_level == pytest.approx(0.75, abs=1e-14)
-    assert alloc.n_active == 1
-    assert alloc.capacity_bits == pytest.approx(1.5849625007211562, abs=1e-12)
+    powers, level, n_active, bits = _waterfill([4.0, 1.0], 0.5)
+    assert np.allclose(powers, [0.5, 0.0], atol=1e-14)
+    assert level == pytest.approx(0.75, abs=1e-14)
+    assert n_active == 1
+    assert bits == pytest.approx(1.5849625007211562, abs=1e-12)
 
 
 def test_waterfill_both_active_oracle():
     # budget 1.0: nu = (1 + 1/4 + 1) / 2 = 1.125, powers (0.875, 0.125)
-    alloc = waterfill([4.0, 1.0], 1.0)
-    assert np.allclose(alloc.powers, [0.875, 0.125], atol=1e-14)
-    assert alloc.n_active == 2
-    assert alloc.capacity_bits == pytest.approx(np.log2(4.5) + np.log2(1.125), abs=1e-12)
+    powers, _, n_active, bits = _waterfill([4.0, 1.0], 1.0)
+    assert np.allclose(powers, [0.875, 0.125], atol=1e-14)
+    assert n_active == 2
+    assert bits == pytest.approx(np.log2(4.5) + np.log2(1.125), abs=1e-12)
 
 
 def test_waterfill_activation_threshold():
     # the weak channel of (4, 1) turns on exactly above snr = 1/1 - 1/4 = 0.75
-    assert waterfill([4.0, 1.0], 0.75).n_active == 1
-    assert waterfill([4.0, 1.0], 0.7500001).n_active == 2
-
-
-def test_waterfill_preserves_input_order():
-    alloc = waterfill([1.0, 4.0], 0.5)
-    assert np.allclose(alloc.powers, [0.0, 0.5], atol=1e-14)
+    assert _waterfill([4.0, 1.0], 0.75)[2] == 1
+    assert _waterfill([4.0, 1.0], 0.7500001)[2] == 2
 
 
 def test_waterfill_budget_and_positivity():
@@ -46,65 +50,71 @@ def test_waterfill_budget_and_positivity():
         lam = rng.uniform(0.0, 5.0, size=rng.integers(1, 12))
         lam[rng.integers(lam.size)] = lam.max() + 0.1  # ensure a positive one
         snr = float(rng.uniform(0.01, 100.0))
-        alloc = waterfill(lam, snr)
-        assert alloc.powers.min() >= 0.0
-        assert alloc.powers.sum() == pytest.approx(snr, rel=1e-12)
+        powers = _waterfill(np.sort(lam)[::-1], snr)[0]
+        assert powers.min() >= 0.0
+        assert powers.sum() == pytest.approx(snr, rel=1e-12)
 
 
 def test_waterfill_kkt_conditions():
     rng = np.random.default_rng(5)
     for _ in range(30):
-        lam = rng.uniform(0.05, 4.0, size=8)
-        alloc = waterfill(lam, float(rng.uniform(0.1, 20.0)))
-        active = alloc.powers > 0
+        lam = np.sort(rng.uniform(0.05, 4.0, size=8))[::-1]
+        powers, level, n_active, _ = _waterfill(lam, float(rng.uniform(0.1, 20.0)))
+        active = powers > 0
+        assert np.count_nonzero(active) == n_active
         # active channels sit exactly at the water level, inactive below it
-        assert np.allclose(alloc.powers[active] + 1.0 / lam[active],
-                           alloc.water_level, rtol=1e-12)
-        assert np.all(1.0 / lam[~active] >= alloc.water_level - 1e-12)
+        assert np.allclose(powers[active] + 1.0 / lam[active], level, rtol=1e-12)
+        assert np.all(1.0 / lam[~active] >= level - 1e-12)
 
 
 def test_waterfill_ties_split_equally():
-    alloc = waterfill([2.0, 2.0, 0.5], 0.3)
-    assert alloc.powers[0] == pytest.approx(alloc.powers[1], abs=1e-15)
-    assert alloc.powers[2] == 0.0
+    powers, _, n_active, _ = _waterfill([2.0, 2.0, 0.5], 0.3)
+    assert n_active == 2
+    assert powers[0] == pytest.approx(powers[1], abs=1e-15)
+    assert powers[2] == 0.0
 
 
 def test_waterfill_local_optimality():
     rng = np.random.default_rng(23)
-    lam = rng.uniform(0.1, 3.0, size=6)
-    alloc = waterfill(lam, 5.0)
-    base = alloc.capacity_bits
+    lam = np.sort(rng.uniform(0.1, 3.0, size=6))[::-1]
+    powers, _, _, base = _waterfill(lam, 5.0)
     # moving mass between any active pair never helps
-    active = np.flatnonzero(alloc.powers > 0)
+    active = np.flatnonzero(powers > 0)
     for i in active:
         for j in active:
             if i == j:
                 continue
-            eps = min(1e-4, alloc.powers[i])
-            p = alloc.powers.copy()
+            eps = min(1e-4, powers[i])
+            p = powers.copy()
             p[i] -= eps
             p[j] += eps
-            assert mutual_information_bits(lam, p) <= base + 1e-12
+            assert np.sum(np.log2(1.0 + p * lam)) <= base + 1e-12
 
 
 def test_waterfill_error_modes():
-    with pytest.raises(ValueError):
-        waterfill([], 1.0)
-    with pytest.raises(ValueError):
-        waterfill([1.0], 0.0)
-    with pytest.raises(ValueError):
-        waterfill([1.0, -0.5], 1.0)
-    with pytest.raises(ValueError):
-        waterfill([0.0, 0.0], 1.0)
+    # a run waterfills what its models and SNR grid let through: an empty or
+    # indefinite spectrum and a zero budget are refused, and a spectrum with
+    # no power carries no bits at any SNR
+    with pytest.raises(ValueError, match="at least one eigenvalue"):
+        exact_model([])
+    with pytest.raises(ValueError, match="snr"):
+        ergodic_capacity([exact_model([1.0])], [-np.inf], n_mc=2)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        exact_model([1.0, -0.5])
+    curve, = ergodic_capacity([exact_model([0.0, 0.0])], [0.0, 30.0], n_mc=2)
+    assert np.array_equal(curve.capacity_bits, [0.0, 0.0])
 
 
 def test_capacity_grid_matches_waterfill():
+    # the grid's closed form against the mutual information of the powers
+    # that each point's level implies
     rng = np.random.default_rng(31)
     lam = np.sort(rng.uniform(0.05, 5.0, size=9))[::-1]
     snr_db = np.arange(-10.0, 41.0, 5.0)
     grid = _capacity_grid(lam, 10.0 ** (snr_db / 10.0))
     for c, db in zip(grid, snr_db):
-        assert c == pytest.approx(waterfill(lam, 10.0 ** (db / 10.0)).capacity_bits, rel=1e-12)
+        powers = _waterfill(lam, 10.0 ** (db / 10.0))[0]
+        assert c == pytest.approx(np.sum(np.log2(1.0 + powers * lam)), rel=1e-12)
 
 
 def test_ergodic_capacity_reproducible_and_monotone():
@@ -118,10 +128,12 @@ def test_ergodic_capacity_reproducible_and_monotone():
     assert a.label == model.label
     single, = ergodic_capacity([model], [0.0], n_mc=1, seed=0)
     assert single.stderr[0] == 0.0
+    # a whole count in another type is recorded as the int it counts
+    assert type(ergodic_capacity([model], [0.0], n_mc=np.float64(2.0))[0].n_mc) is int
 
 
 def test_ergodic_capacity_zero_channel_carries_nothing():
-    zero = ChannelModel(np.zeros(3), np.zeros(4), "zero", "exact", 0)
+    zero = ChannelModel(np.zeros(3), np.zeros(4), "zero", "exact")
     curve, = ergodic_capacity([zero], [-10.0, 0.0, 20.0, 40.0], n_mc=5, seed=0)
     assert np.array_equal(curve.capacity_bits, np.zeros(4))
     assert np.array_equal(curve.stderr, np.zeros(4))
@@ -141,7 +153,7 @@ def test_ergodic_capacity_error_modes():
 
 def _tilted(n_r, n_t, label):
     """Unit transmit side, a ramp on receive: shares a wide pass's larger side with iid."""
-    return ChannelModel(np.linspace(0.2, 1.5, n_r), np.ones(n_t), label, "exact", min(n_r, n_t))
+    return ChannelModel(np.linspace(0.2, 1.5, n_r), np.ones(n_t), label, "exact")
 
 
 def _white(n_r, n_t):
@@ -156,7 +168,7 @@ def test_gram_eigenvalues_match_squared_singular_values(n_r, n_t):
     models = [_white(n_r, n_t),
               exact_model(np.linspace(3.0, 0.0, n_t), n_rx=n_r, normalize="receive"),
               _tilted(n_r, n_t, "tilted"),
-              ChannelModel(np.zeros(n_r), np.zeros(n_t), "zero", "exact", 0)]
+              ChannelModel(np.zeros(n_r), np.zeros(n_t), "zero", "exact")]
     spectra = _mc_pass(models, 4, seed=9)
     assert spectra.shape == (4, len(models), n)
     for i, per_model in enumerate(spectra):
@@ -170,8 +182,9 @@ def test_worker_pass_matches_in_process_pass():
     # blocks of draw indices come back in index order, whatever their count
     models = [iid_model(5, 7), _tilted(5, 7, "tilted")]
     in_process = _mc_pass(models, 5, seed=3)
-    for workers in (1, 2):
-        assert np.array_equal(_mc_pass(models, 5, seed=3, workers=workers), in_process)
+    # numpy integers count as whole numbers
+    for n_mc, workers in ((5, 1), (np.int64(5), np.int64(2))):
+        assert np.array_equal(_mc_pass(models, n_mc, seed=3, workers=workers), in_process)
     with pytest.raises(ValueError, match="workers"):
         _mc_pass(models, 5, seed=3, workers=0)
 
@@ -313,11 +326,21 @@ def test_low_snr_bound_refuses_empty_budget():
 
 
 def test_high_snr_dof_iid():
-    chk = high_snr_dof_check(iid_model(8, 8), n_mc=120, seed=3)
-    assert chk.predicted == 8
-    assert abs(chk.ratio - 1.0) < 0.05
-    with pytest.raises(ValueError):
-        high_snr_dof_check(iid_model(2, 2), window_db=(40.0, 30.0))
+    # an 8x8 iid channel gains 8 bits per octave of SNR from 30 to 45 dB
+    curve, = ergodic_capacity([iid_model(8, 8)], [30.0, 45.0], n_mc=120, seed=3)
+    slope = np.diff(curve.capacity_bits)[0] / ((45.0 - 30.0) / 10.0 * np.log2(10.0))
+    assert abs(slope / 8 - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("n_mc, workers", [(2.5, None), (True, None), ("3", None), (3, 2.5),
+                                           (3, np.True_)],
+                         ids=["fractional-draws", "boolean-draws", "string-draws",
+                              "fractional-workers", "boolean-workers"])
+def test_mc_pass_refuses_a_count_that_is_not_whole(n_mc, workers):
+    # a fraction, a boolean or a string is refused before any draw, not
+    # truncated or parsed
+    with pytest.raises(ValueError, match="must be a whole number of"):
+        ergodic_capacity([iid_model(2, 2)], [0.0], n_mc=n_mc, workers=workers)
 
 
 _G = build_upa(3, 3, 0.3)
@@ -330,14 +353,14 @@ _R = exact_correlation(_G, isotropic_spectrum())
     (lambda: regularize(_C, np.inf), ValueError, "nonnegative"),
     (lambda: whitened_eigenvalues(_R, _C, [np.inf]), ValueError, "nonnegative"),
     (lambda: whitened_eigenvalues(_R, _C, [0.01, np.nan]), ValueError, "nonnegative"),
-    (lambda: waterfill([1.0, 0.5], np.nan), ValueError, "snr"),
+    (lambda: ergodic_capacity([exact_model([1.0, 0.5])], [np.nan], n_mc=2), ValueError, "snr"),
     (lambda: spd_inv_sqrt(np.diag([1.0, np.nan, 1.0])), ValueError, "not finite"),
     (lambda: spd_sqrt(np.diag([1.0, np.nan, 1.0])), ValueError, "positive semidefinite"),
     (lambda: exact_model([1.0, np.nan]), ValueError, "positive semidefinite"),
     # every point of an SNR grid, in dB
     (lambda: ergodic_capacity([iid_model(2, 2)], [0.0, np.nan], n_mc=2), ValueError, "snr"),
     (lambda: ergodic_capacity([iid_model(2, 2)], [np.inf], n_mc=2), ValueError, "snr"),
-    (lambda: high_snr_dof_check(iid_model(2, 2), (-np.inf, 30.0), n_mc=2), ValueError, "snr"),
+    (lambda: ergodic_capacity([iid_model(2, 2)], [-np.inf, 30.0], n_mc=2), ValueError, "snr"),
     # finite in dB, beyond the float range once linear
     (lambda: ergodic_capacity([iid_model(2, 2)], [0.0, 4000.0], n_mc=2), ValueError, "snr"),
 ])
@@ -346,8 +369,7 @@ def test_non_finite_inputs_are_refused(call, error, match):
         call()
 
 
-@pytest.mark.parametrize("refuse", [lambda lam: waterfill(lam, 1.0), exact_model],
-                         ids=["waterfill", "exact_model"])
+@pytest.mark.parametrize("refuse", [exact_model], ids=["exact_model"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
 def test_non_finite_spectra_are_refused(refuse, bad):
     with pytest.raises(ValueError, match="finite"):

@@ -8,21 +8,27 @@ from scipy.special import j0
 import holomimo._kernels
 import holomimo.channel
 from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, CorrelationMatrix,
-                      CouplingMatrix,
-                      SingularCouplingError, array_response, build_fourier_basis, build_ula,
-                      build_upa, cap_spectrum,
-                      check_normalization, coupled_correlation_exact, coupling_closed_form, coupling_general,
-                      ergodic_capacity, exact_correlation, exact_model, exact_spectra,
-                      fourier_model, iid_model, isotropic_spectrum,
-                      matched_pattern, omni_pattern, quadrature_for, regularize,
-                      spd_inv_sqrt, spd_sqrt, waterfill,
-                      whitened_eigenvalues)
+                      CouplingMatrix, SingularCouplingError, build_fourier_basis, build_ula,
+                      build_upa, cap_spectrum, coupled_correlation_exact, coupling_closed_form,
+                      coupling_general, ergodic_capacity, exact_correlation, exact_model,
+                      exact_spectra, fourier_model, iid_model, isotropic_spectrum,
+                      matched_pattern, omni_pattern, quadrature_for, regularize, spd_inv_sqrt,
+                      spd_sqrt, whitened_eigenvalues)
 from holomimo._kernels import (HEMISPHERE, _chebyshev_points, _radial_counts, _theta_rule,
                                angular_kernel, array_grid, density_kernel)
 from holomimo.capacity import _capacity_grid
 from holomimo.channel import complex_normal, substream
 from holomimo.coupling import _coupling_scale, coupling_ratio
 from holomimo.spectra import _uniform_on_cap, pattern_from_name, spectrum_from_name
+
+from densities import sphere_average
+
+
+def _plane_waves(g, theta, phi):
+    """exp(i k . r) for arrival directions (theta, phi): one row per antenna,
+    one column per direction (wavenumber 2pi: lengths are in wavelengths)."""
+    k_hat = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    return np.exp(1j * (2.0 * np.pi * (g.positions @ k_hat)))
 
 
 def _rule_kernel(g, density, q):
@@ -55,7 +61,7 @@ def test_custom_spectrum_named_isotropic_takes_quadrature():
     # so compares equal to it) gets its own quadrature R, not the sinc
     custom = AngularSpectrum("isotropic", lambda th, ph: 2.0 * np.cos(th))
     assert custom == isotropic_spectrum()
-    assert check_normalization(custom) == pytest.approx(1.0, abs=1e-6)
+    assert sphere_average(custom) == pytest.approx(1.0, abs=1e-6)
     g = build_upa(4, 4, 0.3)
     r = exact_correlation(g, custom).matrix
     assert np.array_equal(r, _rule_kernel(g, custom, quadrature_for(custom)).matrix)
@@ -71,7 +77,7 @@ def test_asymmetric_spectrum_keeps_complex_hermitian_correlation():
     # normalized with a mirrored lower hemisphere
     tilted = AngularSpectrum("tilted", lambda th, ph: 1.0 + np.sin(th) * np.cos(ph))
     q = quadrature_for(tilted)
-    assert check_normalization(tilted, q) == pytest.approx(1.0, abs=1e-12)
+    assert sphere_average(tilted, q) == pytest.approx(1.0, abs=1e-12)
     g = build_upa(3, 3, 0.3)
     r = exact_correlation(g, tilted).matrix
     assert np.iscomplexobj(r)
@@ -130,7 +136,7 @@ def test_jittered_array_correlation_matches_direct_sum():
     q = quadrature_for(cap, n_theta=24, n_phi=48)
     r = angular_kernel(g.positions, cap, q, HEMISPHERE)
     theta, phi, qw = q
-    a = array_response(g, theta, phi).reshape(40, -1)
+    a = _plane_waves(g, theta, phi)
     w = qw * cap(theta, phi) / (2.0 * np.pi)
     direct = (a * w) @ a.conj().T
     # differences are grouped at 1e-12 wavelengths: phase error <= pi * 1e-12
@@ -147,7 +153,7 @@ def test_jittered_array_cap_correlation_takes_the_radial_rule():
     r = exact_correlation(g, cap).matrix
     assert r.dtype == np.float64
     theta, phi, qw = quadrature_for(cap, n_theta=64, n_phi=128)
-    a = array_response(g, theta, phi).reshape(40, -1)
+    a = _plane_waves(g, theta, phi)
     w = qw * cap(theta, phi) / (2.0 * np.pi)
     direct = (a * w) @ a.conj().T
     assert np.abs(r - direct).max() < 1e-12 * np.abs(direct).max()
@@ -753,10 +759,9 @@ def test_exact_model_refuses_powerless_receive_spectrum():
 
 
 @pytest.mark.parametrize("last", [
-    lambda lam: waterfill(lam, 1.0).powers[-1],
     lambda lam: exact_model(lam).amp_t[-1],
     lambda lam: spd_sqrt(np.diag(lam))[-1, -1],
-], ids=["waterfill", "exact_model", "spd_sqrt"])
+], ids=["exact_model", "spd_sqrt"])
 def test_exact_model_refuses_indefinite_spectrum(last):
     # every spectrum-sign check is one rule with one roundoff tolerance
     with pytest.raises(ValueError, match="not positive semidefinite"):
@@ -788,18 +793,6 @@ def test_diagonal_form_matches_antenna_domain_capacity():
     assert np.all(gap <= 3.0 * np.hypot(diag.stderr, antenna_stderr))
 
 
-def test_predicted_dof():
-    g = build_upa(13, 13, 0.25)
-    iso = isotropic_spectrum()
-    cap = cap_spectrum(np.pi / 6)
-    bi = build_fourier_basis(g, iso)
-    bc = build_fourier_basis(g, cap)
-    assert fourier_model(bi, bi).dof == 29
-    assert fourier_model(bi, bc).dof == 8
-    assert iid_model(6, 9).dof == 6
-    assert exact_model(np.ones(9), n_rx=4).dof == 4
-
-
 def test_iid_model_refuses_an_empty_side():
     # a model with no antenna at one end has no channel to draw; before, the
     # capacity pass failed on it with a bare IndexError
@@ -816,6 +809,10 @@ def test_exact_model_refuses_a_fractional_receive_count():
     # 2.7 receive antennas is not truncated to 2; a whole count in a float is taken
     with pytest.raises(ValueError, match="whole number of antennas, got 2.7"):
         exact_model([1.0, 2.0], n_rx=2.7)
+    # nor is a boolean taken for one antenna, or a string parsed
+    for bad in (True, "3"):
+        with pytest.raises(ValueError, match="whole number of antennas"):
+            exact_model([1.0, 2.0], n_rx=bad)
     assert exact_model([1.0, 2.0], n_rx=3.0).shape == (3, 2)
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -197,6 +198,18 @@ def test_snr_grid_forms():
     assert grid.size == 11
     assert grid[0] == -10.0
     assert grid[-1] == 40.0
+
+
+@pytest.mark.parametrize("key, value", [("kind", ["eigenvalues"]), ("spectrum", 5),
+                                        ("pattern", [1]), ("normalize", 1.0), ("out_dir", 5)],
+                         ids=["kind", "spectrum", "pattern", "normalize", "out_dir"])
+def test_a_string_key_of_another_type_is_a_config_error(tmp_path, capsys, key, value):
+    # the config check refuses it, so validate reports it and no run starts
+    path = write_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=f"^{key} must be a string, got "):
+        load_config(str(path))
+    assert main(["validate", str(path)]) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_validate_and_error_exit_codes(tmp_path, capsys):
@@ -562,6 +575,17 @@ def _checkout_env():
     return env
 
 
+def test_readme_quick_start_runs(tmp_path):
+    # the README's library example, run as a reader would paste it
+    blocks = re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", block],
+                              cwd=tmp_path, env=_checkout_env(), capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script():
     tomllib = pytest.importorskip("tomllib")
     with open(REPO / "pyproject.toml", "rb") as fh:
@@ -597,17 +621,16 @@ def test_public_names_are_pinned():
     # an export is added or removed only by editing this list too
     assert sorted(holomimo.__all__) == [
         "AngularSpectrum", "AntennaPattern", "ArrayGeometry", "BoundCheck", "CapacityCurve",
-        "ChannelModel", "CorrelationMatrix", "CouplingMatrix", "DofCheck", "FourierBasis",
-        "Kernel", "SingularCouplingError", "WaterfillingAllocation", "WavenumberLattice",
-        "array_response", "build_fourier_basis", "build_lattice", "build_ula", "build_upa",
-        "cap_constant", "cap_spectrum", "check_normalization", "coupled_correlation_exact",
-        "coupling_closed_form", "coupling_general", "dof_prime", "ergodic_capacity",
-        "exact_correlation", "exact_model", "exact_spectra", "fourier_matrix", "fourier_model",
-        "geometry_from_config", "hemisphere_quadrature", "high_snr_dof_check", "iid_model",
-        "isotropic_spectrum", "low_snr_bound_check", "matched_pattern",
-        "mutual_information_bits", "omni_pattern", "pattern_covers", "quadrature_for",
-        "regularize", "spd_inv_sqrt", "spd_sqrt", "variances_coupled", "variances_uncoupled",
-        "waterfill", "whitened_eigenvalues", "write_coupling_csv", "write_variances_csv",
+        "ChannelModel", "CorrelationMatrix", "CouplingMatrix", "FourierBasis", "Kernel",
+        "SingularCouplingError", "WavenumberLattice", "build_fourier_basis", "build_lattice",
+        "build_ula", "build_upa", "cap_constant", "cap_spectrum", "coupled_correlation_exact",
+        "coupling_closed_form", "coupling_general", "ergodic_capacity", "exact_correlation",
+        "exact_model", "exact_spectra", "fourier_matrix", "fourier_model",
+        "geometry_from_config", "hemisphere_quadrature", "iid_model", "isotropic_spectrum",
+        "low_snr_bound_check", "matched_pattern", "omni_pattern", "pattern_covers",
+        "quadrature_for", "regularize", "spd_inv_sqrt", "spd_sqrt", "variances_coupled",
+        "variances_uncoupled", "whitened_eigenvalues", "write_coupling_csv",
+        "write_variances_csv",
     ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from holomimo import (AngularSpectrum, build_fourier_basis, build_lattice, build_upa, cap_constant,
-                      cap_spectrum, dof_prime, fourier_matrix, isotropic_spectrum, matched_pattern,
+                      cap_spectrum, fourier_matrix, isotropic_spectrum, matched_pattern,
                       omni_pattern, variances_coupled, variances_uncoupled,
                       write_variances_csv)
 from holomimo import fourier
@@ -376,14 +376,6 @@ def test_variances_refuse_a_density_not_uniform_on_its_cap():
     fake = AngularSpectrum("isotropic", lambda th, ph: np.ones_like(th))
     with pytest.raises(ValueError, match="not uniform"):
         variances_uncoupled(lat, fake)
-
-
-def test_dof_prime():
-    lat = build_lattice((3.0, 3.0))
-    assert lat.n_points == 29
-    assert dof_prime(lat, isotropic_spectrum()) == 29
-    assert dof_prime(lat, cap_spectrum(np.pi / 6)) == 8  # ceil(29/4)
-    assert dof_prime(lat, cap_spectrum(np.pi / 2)) == 29
 
 
 def test_basis_bundle_and_model_eigenvalues():

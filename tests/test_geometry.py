@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from holomimo import (array_response, build_ula, build_upa, coupling_closed_form,
-                      geometry_from_config)
+from holomimo import build_ula, build_upa, coupling_closed_form, geometry_from_config
 from holomimo.geometry import ArrayGeometry
 
 
@@ -123,23 +122,3 @@ def test_translation_invariance_of_coupling():
     c0 = coupling_closed_form(g).matrix
     c1 = coupling_closed_form(g.translated([3.2, -1.7, 0.0])).matrix
     assert np.abs(c0 - c1).max() < 1e-12
-
-
-def test_array_response_broadside_and_modulus():
-    g = build_upa(3, 3, 0.5)
-    a = array_response(g, 0.0, 0.0)
-    assert a.shape == (9,)
-    assert np.allclose(a, 1.0)  # z = 0 plane, broadside arrival
-    th = np.array([0.3, 1.0])
-    ph = np.array([0.1, 2.0])
-    av = array_response(g, th, ph)
-    assert av.shape == (9, 2)
-    assert np.allclose(np.abs(av), 1.0)
-
-
-def test_array_response_matches_direct_phase():
-    g = build_upa(2, 2, 0.4)
-    th, ph = 0.7, 1.2
-    k = 2 * np.pi * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-    direct = np.exp(1j * g.positions @ k)
-    assert np.allclose(array_response(g, th, ph), direct)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from holomimo.spectra import (AngularSpectrum, AntennaPattern, cap_constant, cap_spectrum,
-                              check_normalization, hemisphere_quadrature, isotropic_spectrum,
-                              matched_pattern, omni_pattern, pattern_covers, pattern_from_name,
-                              quadrature_for, spectrum_from_name)
+                              hemisphere_quadrature, isotropic_spectrum, matched_pattern,
+                              omni_pattern, pattern_covers, pattern_from_name, quadrature_for,
+                              spectrum_from_name)
+
+from densities import sphere_average
 
 
 @pytest.mark.parametrize("obj", [
@@ -16,14 +18,14 @@ from holomimo.spectra import (AngularSpectrum, AntennaPattern, cap_constant, cap
     matched_pattern(cap_spectrum(np.pi / 3)),
 ])
 def test_normalization_unit(obj):
-    assert check_normalization(obj) == pytest.approx(1.0, abs=1e-6)
+    assert sphere_average(obj) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_normalization_richardson():
     # doubling the quadrature resolution barely moves the result
     for obj in (isotropic_spectrum(), cap_spectrum(0.7)):
-        lo = check_normalization(obj, quadrature_for(obj, n_theta=128, n_phi=256))
-        hi = check_normalization(obj, quadrature_for(obj, n_theta=256, n_phi=512))
+        lo = sphere_average(obj, quadrature_for(obj, n_theta=128, n_phi=256))
+        hi = sphere_average(obj, quadrature_for(obj, n_theta=256, n_phi=512))
         assert abs(hi - lo) < 1e-8
 
 
@@ -60,7 +62,7 @@ def test_degenerate_caps_are_refused(theta0, match):
 
 
 def test_smallest_resolved_cap_is_normalized():
-    assert check_normalization(cap_spectrum(1e-7)) == pytest.approx(1.0, rel=0.05)
+    assert sphere_average(cap_spectrum(1e-7)) == pytest.approx(1.0, rel=0.05)
 
 
 def test_cap_evaluator_support():
@@ -93,7 +95,7 @@ def test_quadrature_hemisphere_area():
 def test_quadrature_panel_edges_make_caps_exact():
     s = cap_spectrum(0.9)
     # with a panel edge at the cap boundary the indicator integrates exactly
-    assert check_normalization(s) == pytest.approx(1.0, abs=1e-12)
+    assert sphere_average(s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_support_properties():
@@ -166,4 +168,4 @@ def test_custom_objects_integrate():
     hi = (1.0 - lo * (1 - np.cos(theta_c))) / np.cos(theta_c)
     pat = AntennaPattern("steps", lambda th, ph: np.where(th <= theta_c, lo, hi))
     q = hemisphere_quadrature(256, 64, (theta_c,))
-    assert check_normalization(pat, q) == pytest.approx(1.0, abs=1e-10)
+    assert sphere_average(pat, q) == pytest.approx(1.0, abs=1e-10)
