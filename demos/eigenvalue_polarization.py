@@ -9,7 +9,7 @@ exact eigenvalue staircase with the beamspace one on a 5-wavelength array.
 
 import numpy as np
 
-from holomimo import (build_fourier_basis, build_upa, exact_correlation, isotropic_spectrum)
+from holomimo import build_fourier_basis, build_upa, exact_spectra, isotropic_spectrum, omni_pattern
 
 
 def main():
@@ -19,7 +19,7 @@ def main():
     basis = build_fourier_basis(g, spectrum)
     n = basis.n_points
     model_ev = basis.model_eigenvalues()
-    exact_ev = np.clip(exact_correlation(g, spectrum).eigenvalues().real, 0.0, None)
+    exact_ev, _ = exact_spectra(g, spectrum, omni_pattern(), [])
 
     print(f"aperture {g.aperture[0]:g} x {g.aperture[1]:g} wavelengths, "
           f"{g.n_antennas} antennas, lattice size n = {n}")

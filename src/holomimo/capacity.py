@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, _whole, complex_normal, exact_model, substream
+from .channel import ChannelModel, complex_normal, exact_model, substream
+from .geometry import _config_number
 
 __all__ = [
     "CapacityCurve",
@@ -22,6 +23,14 @@ __all__ = [
     "ergodic_capacity",
     "low_snr_bound_check",
 ]
+
+
+def _check_snr(snr_db) -> np.ndarray:
+    """An SNR grid in dB as a flat float array, refused when empty or decreasing."""
+    grid = np.asarray(snr_db, dtype=float).ravel()
+    if grid.size == 0 or np.any(np.diff(grid) < 0):
+        raise ValueError(f"an SNR grid must not decrease or be empty, got {grid.tolist()}")
+    return grid
 
 
 def _water_levels(lam_desc: np.ndarray, snr_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,12 +183,12 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     if len(shapes) != 1:
         raise ValueError("a pass needs models of one shape, got: " + (", ".join(
             f"{m.label!r} {m.shape[0]}x{m.shape[1]}" for m in models) or "no models"))
-    n_mc = _whole("n_mc", n_mc, "draws")
+    n_mc = _config_number("n_mc", n_mc, integral=True)
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     if workers is None:
         return _draw_block(models, seed, 0, n_mc)
-    n = min(_whole("workers", workers, "processes"), n_mc)
+    n = min(_config_number("workers", workers, integral=True), n_mc)
     if n < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     import multiprocessing
@@ -212,9 +221,7 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     multithreaded ``eigvalsh`` rounds differently from a single-threaded one.
     The iid curve runs no BLAS, so its bits match in process too.
     """
-    snr_db = np.asarray(snr_db, dtype=float).ravel()
-    if snr_db.size == 0:
-        raise ValueError("empty SNR grid")
+    snr_db = _check_snr(snr_db)
     # a finite dB value above about 3083 overflows to inf, which is refused below
     with np.errstate(over="ignore"):
         snr_lin = 10.0 ** (snr_db / 10.0)

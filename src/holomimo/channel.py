@@ -19,7 +19,7 @@ from ._kernels import HEMISPHERE, density_kernel
 from .coupling import (Kernel, _check_floor, _check_rho, _descending, _eigh, _psd_spectrum,
                        coupling_general, coupling_ratio, spd_inv_sqrt)
 from .fourier import FourierBasis
-from .geometry import ArrayGeometry, _is_number
+from .geometry import ArrayGeometry, _config_number
 from .spectra import AngularSpectrum, AntennaPattern
 
 __all__ = [
@@ -38,8 +38,10 @@ __all__ = [
 
 
 def substream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for realization ``index`` of stream ``seed``."""
-    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(int(index)))
+    """Independent generator for realization ``index`` of stream ``seed``; the
+    seed is a count (``geometry._config_number``), not truncated or parsed."""
+    key = _config_number("seed", seed, integral=True)
+    return np.random.Generator(np.random.Philox(key=key).jumped(int(index)))
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -93,10 +95,13 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
     correlation (Golub & Van Loan, Matrix Computations, sec. 8.7).  All of
     this runs per sector of the reflections of R (``Kernel.reflections``)
     that C also commutes with (``Kernel.sectors``), so R is never checked a
-    second time.  Raises SingularCouplingError, before any per-rho solve, for
-    a rho that leaves C + rho I at the floor.
+    second time.  Raises SingularCouplingError, before the sign check and any
+    per-rho solve, for a rho that leaves C + rho I at the floor.  The rows
+    are as positive semidefinite as R (Sylvester's law of inertia), so an
+    indefinite R is refused and each row clipped at zero: the whitening
+    amplifies R's roundoff by about top / rho.
     """
-    rhos = np.atleast_1d(_check_rho(rhos))
+    rhos = _check_rho(rhos)
     parts = []
     for s in correlation.sectors(coupling):
         w, v = _eigh(s.block(coupling))
@@ -104,13 +109,15 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
     w_min = min(w.min() for _, w, _ in parts)
     for rho in rhos:
         _check_floor(w_min + rho, coupling.rho + rho)
+    # R's sign, from the eigenvalues of its blocks in C's eigenbasis
+    _psd_spectrum(np.concatenate([s.eigenvalues(r) for s, _, r in parts]), "correlation matrix R")
     out = np.empty((rhos.size, coupling.n_antennas))
     for i, rho in enumerate(rhos):
         ev = []
         for s, w, r in parts:
             d = 1.0 / np.sqrt(w + rho)
             ev.append(s.eigenvalues(d[:, None] * r * d[None, :]))
-        out[i] = _descending(ev)
+        out[i] = np.clip(_descending(ev), 0.0, None)
     return out
 
 
@@ -121,15 +128,14 @@ def exact_spectra(geometry: ArrayGeometry, spectrum: AngularSpectrum, pattern: A
     C = kappa R (``coupling_ratio``), the paper's coupling that counters
     correlation, maps them as lambda / (kappa lambda + rho), which keeps their
     order, and C is never built; any other pair builds C when there is a rho
-    and takes ``whitened_eigenvalues``.  The whitened matrix is as positive
-    semidefinite as R (Sylvester's law of inertia), so an indefinite R is
-    refused and each row clipped at zero: the whitening amplifies R's roundoff
-    by about top / rho.
+    and takes ``whitened_eigenvalues``.  An indefinite R is refused, and every
+    row is nonnegative: the scalar map keeps the sign of R's clipped
+    eigenvalues, and ``whitened_eigenvalues`` clips its rows.
     """
     corr = exact_correlation(geometry, spectrum)
     raw = corr.eigenvalues()
     ev = _psd_spectrum(raw, "correlation matrix R")
-    rhos = np.atleast_1d(_check_rho(rhos))
+    rhos = _check_rho(rhos)
     kappa = coupling_ratio(spectrum, pattern)
     if not rhos.size:
         rows = np.empty((0, ev.size))
@@ -139,7 +145,7 @@ def exact_spectra(geometry: ArrayGeometry, spectrum: AngularSpectrum, pattern: A
         for rho in rhos:
             _check_floor(kappa * raw.min() + rho, rho)
         rows = ev / (kappa * ev + rhos[:, None])
-    return ev, np.clip(rows, 0.0, None)
+    return ev, rows
 
 
 @dataclass(frozen=True)
@@ -177,12 +183,10 @@ def fourier_model(rx: FourierBasis, tx: FourierBasis, label: str = "") -> Channe
                         label or f"fourier-{tx.flavor}", "fourier")
 
 
-def _whole(key: str, value, unit: str) -> int:
-    """A count as int: a fraction, a boolean or a string is refused, not
-    truncated or parsed."""
-    if not (_is_number(value) and float(value).is_integer()):
-        raise ValueError(f"{key} must be a whole number of {unit}, got {value!r}")
-    return int(value)
+def _check_normalize(normalize: str) -> str:
+    if normalize not in ("transmit", "receive"):
+        raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
+    return normalize
 
 
 def iid_model(n_rx: int, n_tx: int) -> ChannelModel:
@@ -201,12 +205,10 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
     count, comparing arrays at equal received power.
     """
     lam = _psd_spectrum(np.ravel(tx_eigenvalues), "transmit spectrum")
-    if normalize == "receive":
+    if _check_normalize(normalize) == "receive":
         p = lam.sum()
         if not p > 0.0:
             raise ValueError("'receive' cannot scale a spectrum with no power; use 'transmit'")
         lam = lam * (lam.size / p)
-    elif normalize != "transmit":
-        raise ValueError(f"normalize must be 'transmit' or 'receive', got {normalize!r}")
-    n_rx = lam.size if n_rx is None else _whole("n_rx", n_rx, "antennas")
+    n_rx = lam.size if n_rx is None else _config_number("n_rx", n_rx, integral=True)
     return ChannelModel(np.ones(n_rx), np.sqrt(lam), label or "exact", "exact")

@@ -22,12 +22,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .capacity import ergodic_capacity, low_snr_bound_check
-from .channel import exact_model, exact_spectra, fourier_model, iid_model
-from .coupling import (SingularCouplingError, coupling_general, coupling_ratio, regularize,
-                       write_coupling_csv)
+from .capacity import _check_snr, ergodic_capacity, low_snr_bound_check
+from .channel import _check_normalize, exact_model, exact_spectra, fourier_model, iid_model
+from .coupling import (SingularCouplingError, _check_rho, coupling_general, coupling_ratio,
+                       regularize, write_coupling_csv)
 from .fourier import build_fourier_basis, build_lattice, write_variances_csv
-from .geometry import _config_number, _is_number, geometry_from_config
+from .geometry import _config_number, geometry_from_config
 from .presets import PRESET_NOTES, PRESETS
 from .spectra import _check_covers, pattern_from_name, spectrum_from_name
 
@@ -71,8 +71,12 @@ def _coerce(cfg: ExperimentConfig):
         rx = geometry_from_config(cfg.rx) if cfg.rx is not None else tx
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad geometry: {exc}") from exc
-    rho = cfg.rho if isinstance(cfg.rho, list) else [cfg.rho]
+    # the library's own rules, their ValueErrors turned into ConfigErrors
     try:
+        rho = _check_rho(cfg.rho).tolist()
+        seed = _config_number("seed", cfg.seed, integral=True)
+        mc = _config_number("mc", cfg.mc, integral=True)
+        _check_normalize(cfg.normalize)
         spectrum = spectrum_from_name(cfg.spectrum)
         pattern = pattern_from_name(cfg.pattern, spectrum)
         # Only the coupled Fourier variances deconvolve the pattern from the spectrum.
@@ -82,9 +86,6 @@ def _coerce(cfg: ExperimentConfig):
         threshold_db = _config_number("threshold_db", cfg.threshold_db)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not all(_is_number(r) and r >= 0 for r in rho):
-        raise ConfigError(f"rho must be a list of nonnegative numbers, got {cfg.rho!r}")
-    rho = [float(r) for r in rho]
     # Output file names and labels carry each rho as %g.
     tags = [f"{r:g}" for r in rho]
     for i, tag in enumerate(tags):
@@ -93,13 +94,10 @@ def _coerce(cfg: ExperimentConfig):
                               f"the file name *_rho{tag}.csv; give each rho a distinct %g name")
     if cfg.kind == "coupling-matrix" and len(rho) > 1:
         raise ConfigError(f"coupling-matrix takes at most one rho, got {rho}")
-    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**128:
+    if not 0 <= seed < 2**128:
         raise ConfigError(f"seed must be an integer in [0, 2**128), got {cfg.seed!r}")
-    if isinstance(cfg.mc, bool) or not isinstance(cfg.mc, int) or cfg.mc < 1:
+    if mc < 1:
         raise ConfigError(f"mc must be a positive integer, got {cfg.mc!r}")
-    # exact_model checks normalize too, but only once the spectra are solved.
-    if cfg.normalize not in ("transmit", "receive"):
-        raise ConfigError(f"normalize must be 'transmit' or 'receive', got {cfg.normalize!r}")
     # Only the kinds that build a wavenumber lattice need a two-dimensional aperture.
     if cfg.kind not in ("coupling-matrix", "capacity"):
         for g, name in ((tx, "tx"), (rx, "rx")):
@@ -107,7 +105,8 @@ def _coerce(cfg: ExperimentConfig):
                 g.aperture_matrix()
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-    return dataclasses.replace(cfg, rho=rho, threshold_db=threshold_db), (tx, rx, spectrum, pattern)
+    return (dataclasses.replace(cfg, rho=rho, seed=seed, mc=mc, threshold_db=threshold_db),
+            (tx, rx, spectrum, pattern))
 
 
 def load_config(source: str) -> tuple[ExperimentConfig, str]:
@@ -140,12 +139,7 @@ def load_config(source: str) -> tuple[ExperimentConfig, str]:
 def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
     s = cfg.snr_db
     if isinstance(s, list):
-        if not s:
-            raise ValueError("snr_db list is empty")
-        grid = np.asarray([_config_number("snr_db entry", v) for v in s])
-        if np.any(np.diff(grid) < 0):
-            raise ValueError(f"snr_db list must not decrease, got {s}")
-        return grid
+        return _check_snr([_config_number("snr_db entry", v) for v in s])
     if isinstance(s, dict):
         extra = set(s) - {"start", "stop", "step"}
         if extra:
@@ -178,10 +172,9 @@ def _write_json(path: Path, payload: dict) -> str:
     return path.name
 
 
-def _write_eig_csv(path: Path, ev_desc: np.ndarray, n_ref: int, n_antennas: int) -> str:
-    """Eigenvalues in dB under both normalizations (peak and mean-of-trace);
-    roundoff negatives are clipped to zero."""
-    ev = np.clip(np.asarray(ev_desc, dtype=float), 0.0, None)
+def _write_eig_csv(path: Path, ev: np.ndarray, n_ref: int, n_antennas: int) -> str:
+    """Eigenvalues in dB under both normalizations (peak and mean-of-trace) of
+    a nonnegative spectrum, such as ``exact_spectra`` returns."""
     top = ev[0]
     mean = ev.sum() / n_antennas
     floor = top * 1e-30

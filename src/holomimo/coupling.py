@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import HEMISPHERE, Grid, _close, density_kernel
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, _is_number
 from .spectra import AngularSpectrum, AntennaPattern, _uniform_on_cap, omni_pattern
 
 __all__ = [
@@ -44,6 +44,8 @@ __all__ = [
 EIGENVALUE_FLOOR = 1e-12
 # Largest |average - 1| of an accepted pattern; every built-in one is within 5e-15.
 _NORM_TOL = 1e-10
+# Roundoff sign of a PSD spectrum, relative to its top (R and C reach -1.4e-15).
+_PSD_TOL = 1e-12
 
 
 class SingularCouplingError(RuntimeError):
@@ -263,17 +265,18 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel
 
 
 def _check_rho(rho) -> np.ndarray:
-    """One or many diagonal loadings as a float array; each must be finite and >= 0."""
-    r = np.asarray(rho, dtype=float)
-    if not np.all((r >= 0.0) & (r < np.inf)):
-        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
-    return r
+    """One diagonal loading or a sequence of them as a 1-D float array; each
+    must be a nonnegative ``geometry._is_number``, not a boolean or a string."""
+    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
+    if not all(_is_number(r) and r >= 0 for r in rhos):
+        raise ValueError(f"rho must be a nonnegative number or a list of them, got {rho!r}")
+    return np.array(rhos, dtype=float)
 
 
 def regularize(coupling: Kernel, rho: float) -> Kernel:
     """Diagonal loading: C + rho * I, accumulating rho in the provenance.  A
     table takes rho at its zero difference, which only the diagonal hits."""
-    rho = float(_check_rho(rho))
+    rho = _check_rho(rho).item()
     if coupling.grid is None:
         m = coupling.entries + rho * np.eye(coupling.n_antennas)
     else:
@@ -298,16 +301,16 @@ def _check_floor(eigmin: float, rho: float) -> None:
 
 def _psd_spectrum(w, what: str = "matrix") -> np.ndarray:
     """The eigenvalues of a positive semidefinite ``what`` as a float array;
-    negatives down to -1e-8 max(top, 1) are roundoff and clipped to zero."""
+    negatives down to -``_PSD_TOL`` top are roundoff and clipped to zero."""
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         raise ValueError("need at least one eigenvalue")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{what} must be finite and positive semidefinite, "
                          f"got eigenvalue {w[~np.isfinite(w)][0]}")
-    if not w.min() >= -1e-8 * max(w.max(), 1.0):
+    if not w.min() >= -_PSD_TOL * w.max():
         raise ValueError(f"{what} is not positive semidefinite: eigenvalues must be "
-                         f"nonnegative, got {w.min():.3e}")
+                         f"nonnegative, got {w.min():.3e} against a top of {w.max():.3e}")
     return np.clip(w, 0.0, None)
 
 

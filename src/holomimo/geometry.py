@@ -124,14 +124,9 @@ def build_upa(nx: int, ny: int, dx: float, dy: float | None = None) -> ArrayGeom
 
 
 def build_ula(n: int, d: float) -> ArrayGeometry:
-    """Uniform linear array along x in the z = 0 plane."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if d <= 0:
-        raise ValueError("spacing must be positive")
-    pos = np.zeros((n, 3))
-    pos[:, 0] = np.arange(n) * d
-    return ArrayGeometry(pos)
+    """Uniform linear array along x in the z = 0 plane: the one-row grid
+    ``build_upa(n, 1, d)``."""
+    return build_upa(n, 1, d)
 
 
 def _is_number(value) -> bool:
@@ -145,15 +140,13 @@ def _is_number(value) -> bool:
 
 
 def _config_number(key: str, value, integral: bool = False):
-    """A config number as float, or as int for counts; booleans, strings and
-    fractional counts are refused rather than coerced."""
-    if not _is_number(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    if not integral:
-        return float(value)
-    if not float(value).is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    """The one rule for an input number: a finite real as float, or for a
+    count (``integral``) a whole one as int; booleans, strings and fractional
+    counts are refused rather than coerced."""
+    if not (_is_number(value) and (not integral or float(value).is_integer())):
+        raise ValueError(f"{key} must be {'an integer' if integral else 'a finite number'}, "
+                         f"got {value!r}")
+    return int(value) if integral else float(value)
 
 
 def geometry_from_config(cfg: dict) -> ArrayGeometry:

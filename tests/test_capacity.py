@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import holomimo.capacity
 from holomimo import (ChannelModel, build_fourier_basis, build_upa, coupling_closed_form,
                       ergodic_capacity, exact_correlation, exact_model, fourier_model, iid_model,
                       isotropic_spectrum, low_snr_bound_check, regularize, spd_inv_sqrt, spd_sqrt,
@@ -339,8 +340,40 @@ def test_high_snr_dof_iid():
 def test_mc_pass_refuses_a_count_that_is_not_whole(n_mc, workers):
     # a fraction, a boolean or a string is refused before any draw, not
     # truncated or parsed
-    with pytest.raises(ValueError, match="must be a whole number of"):
+    with pytest.raises(ValueError, match="must be an integer"):
         ergodic_capacity([iid_model(2, 2)], [0.0], n_mc=n_mc, workers=workers)
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", True], ids=["fractional", "string", "boolean"])
+def test_a_seed_that_is_not_whole_is_refused(seed):
+    # the seed is a count like n_mc: it is not truncated, parsed or taken for 1
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ergodic_capacity([exact_model([1.0, 0.5], 2)], [0.0], n_mc=3, seed=seed)
+
+
+def test_whole_seeds_of_any_type_run_the_same_stream():
+    model = exact_model([1.0, 0.5], 2)
+    bits = [ergodic_capacity([model], [0.0], n_mc=3, seed=s)[0].capacity_bits
+            for s in (1, 1.0, np.int64(1))]
+    assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
+    # Philox refuses keys beyond its 128 bits
+    with pytest.raises(ValueError):
+        ergodic_capacity([model], [0.0], n_mc=3, seed=2**128)
+
+
+def test_decreasing_snr_grid_is_refused_before_any_draw(monkeypatch):
+    # a grid that decreases is the caller's error, not a capacity that falls
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a draw ran before the refusal")
+
+    model = exact_model([1.0, 0.5], 2)
+    monkeypatch.setattr(holomimo.capacity, "_mc_pass", no_pass)
+    with pytest.raises(ValueError, match=r"must not decrease.*\[10\.0, 0\.0\]"):
+        ergodic_capacity([model], [10.0, 0.0], n_mc=3)
+    monkeypatch.undo()
+    # repeated points do not decrease
+    curve, = ergodic_capacity([model], [0.0, 0.0, 10.0], n_mc=3)
+    assert curve.capacity_bits[0] == curve.capacity_bits[1]
 
 
 _G = build_upa(3, 3, 0.3)

@@ -619,6 +619,48 @@ def test_exact_spectra_refuse_an_indefinite_correlation():
         exact_spectra(build_upa(4, 4, 0.5), negative, omni_pattern(), [])
 
 
+def test_whitened_eigenvalues_refuse_an_indefinite_correlation():
+    # the rows are clipped at zero, which must not hide an R that is not
+    # positive semidefinite: its sign comes from its own eigenvalues
+    g = build_upa(4, 4, 0.5)
+    c = coupling_general(g, omni_pattern())
+    negative = AngularSpectrum("negative", lambda th, ph: -np.ones_like(th))
+    with pytest.raises(ValueError, match="correlation matrix R is not positive semidefinite"):
+        whitened_eigenvalues(exact_correlation(g, negative), c, [0.1])
+    # one eigenvalue of -1e-6 of the top, far above roundoff yet small enough
+    # that the clip would zero it
+    r = exact_correlation(g, isotropic_spectrum()).matrix
+    lam, v = np.linalg.eigh(r)
+    lam[0] = -1e-6 * lam[-1]
+    shifted = CorrelationMatrix((v * lam) @ v.conj().T)
+    with pytest.raises(ValueError, match="correlation matrix R is not positive semidefinite"):
+        whitened_eigenvalues(shifted, CouplingMatrix(c.matrix), [0.1])
+
+
+def test_raw_whitened_rows_come_clipped():
+    # at rho = 1e-8 the whitening amplifies R's roundoff to about -8.7e-7
+    # (-7.6e-8 of the top) on this array; the public call now returns the
+    # stage's clipped row, which exact_model takes
+    g = build_upa(21, 21, 0.25)
+    s = cap_spectrum(0.6)
+    row = whitened_eigenvalues(exact_correlation(g, s), coupling_general(g, omni_pattern()),
+                               [1e-8])[0]
+    assert row.min() == 0.0
+    assert np.array_equal(row, exact_spectra(g, s, omni_pattern(), [1e-8])[1][0])
+    model = exact_model(row, g.n_antennas, "receive")
+    assert np.all(np.isfinite(model.amp_t))
+
+
+def test_sign_rule_is_relative_to_the_top():
+    # a negative entry five times the top is refused however small the
+    # spectrum; up to 1e-12 of the top it is roundoff
+    with pytest.raises(ValueError, match="transmit spectrum is not positive semidefinite"):
+        exact_model([1e-9, -5e-9])
+    assert exact_model([1e-9, -0.9e-21]).amp_t[1] == 0.0
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        exact_model([1e-9, -1.1e-21])
+
+
 def test_correlation_diagonal():
     g = build_upa(4, 4, 0.4)
     assert np.allclose(np.diag(exact_correlation(g, isotropic_spectrum()).matrix).real, 1.0,
@@ -766,8 +808,8 @@ def test_exact_model_refuses_indefinite_spectrum(last):
     # every spectrum-sign check is one rule with one roundoff tolerance
     with pytest.raises(ValueError, match="not positive semidefinite"):
         last([2.0, 1.0, -0.5])
-    # roundoff-scale negatives are clipped to zero
-    assert last([2.0, 1.0, -1e-10]) == 0.0
+    # negatives within 1e-12 of the top are roundoff and clipped to zero
+    assert last([2.0, 1.0, -1e-13]) == 0.0
 
 
 def test_diagonal_form_matches_antenna_domain_capacity():
@@ -807,11 +849,11 @@ def test_exact_model_refuses_no_receive_antennas():
 
 def test_exact_model_refuses_a_fractional_receive_count():
     # 2.7 receive antennas is not truncated to 2; a whole count in a float is taken
-    with pytest.raises(ValueError, match="whole number of antennas, got 2.7"):
+    with pytest.raises(ValueError, match="n_rx must be an integer, got 2.7"):
         exact_model([1.0, 2.0], n_rx=2.7)
     # nor is a boolean taken for one antenna, or a string parsed
     for bad in (True, "3"):
-        with pytest.raises(ValueError, match="whole number of antennas"):
+        with pytest.raises(ValueError, match="n_rx must be an integer"):
             exact_model([1.0, 2.0], n_rx=bad)
     assert exact_model([1.0, 2.0], n_rx=3.0).shape == (3, 2)
 

@@ -113,7 +113,7 @@ def test_load_config_failures(tmp_path):
     ({"snr_db": [0, "high"]}, "snr_db entry must be a finite number"),
     ({"snr_db": {"start": "x"}}, "snr_db start must be a finite number"),
     ({"threshold_db": "low"}, "threshold_db must be a finite number"),
-    ({"mc": True}, "mc must be a positive integer"),
+    ({"mc": True}, "mc must be an integer"),
     ({"seed": True}, "seed must be an integer"),
     ({"rho": [True]}, "nonnegative"),
     ({"tx": {"kind": "upa", "nx": 4.7, "ny": 4, "dx": 0.5}}, "nx must be an integer"),
@@ -175,6 +175,33 @@ def test_decreasing_snr_list_is_a_config_error(tmp_path, capsys):
     # repeated values stay accepted
     cfg, _ = load_config(str(write_config(tmp_path, kind="capacity", snr_db=[0, 10, 10])))
     assert np.array_equal(_snr_grid(cfg), [0.0, 10.0, 10.0])
+
+
+def test_counts_are_one_rule(tmp_path):
+    # mc and seed are counts as nx is: a whole number in a float loads as an int
+    path = write_config(tmp_path, mc=4.0, seed=3.0,
+                        tx={"kind": "upa", "nx": 4.0, "ny": 4, "dx": 0.5})
+    cfg, _ = load_config(str(path))
+    assert (cfg.mc, cfg.seed) == (4, 3)
+    assert type(cfg.mc) is int and type(cfg.seed) is int
+    # the manifest echoes the counts as integers
+    manifest = run_experiment(cfg, "counts", tmp_path / "out", 1)
+    assert (manifest["config"]["mc"], manifest["seed"]) == (4, 3)
+
+
+@pytest.mark.parametrize("rho", [["0.1"], [True]], ids=["string", "boolean"])
+def test_rho_is_one_rule(tmp_path, rho):
+    # the config check, the exact stage and the diagonal loading refuse a
+    # string or a boolean rho with one message
+    message = f"rho must be a nonnegative number or a list of them, got {rho!r}"
+    with pytest.raises(ConfigError) as config:
+        load_config(str(write_config(tmp_path, rho=rho)))
+    g = holomimo.build_upa(3, 3, 0.5)
+    with pytest.raises(ValueError) as stage:
+        holomimo.exact_spectra(g, holomimo.isotropic_spectrum(), holomimo.omni_pattern(), rho)
+    with pytest.raises(ValueError) as loading:
+        holomimo.regularize(holomimo.coupling_closed_form(g), rho)
+    assert str(config.value) == str(stage.value) == str(loading.value) == message
 
 
 @pytest.mark.parametrize("kind", ["eigenvalues", "dof-sweep", "coupling-matrix"])

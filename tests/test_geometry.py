@@ -34,8 +34,9 @@ def test_aperture_matrix_rejects_degenerate():
     (lambda: ArrayGeometry(np.zeros((0, 3))), "at least one antenna"),
     (lambda: build_upa(0, 3, 0.5), "nx and ny must be positive"),
     (lambda: build_upa(3, 3, 0.5, 0.0), "spacings must be positive"),
-    (lambda: build_ula(0, 0.5), "n must be positive"),
-    (lambda: build_ula(3, -0.1), "spacing must be positive"),
+    # a line array is a one-row grid and meets the grid's refusals
+    (lambda: build_ula(0, 0.5), "nx and ny must be positive"),
+    (lambda: build_ula(3, -0.1), "spacings must be positive"),
 ], ids=["positions-shape", "no-antennas", "upa-count", "upa-spacing", "ula-count",
         "ula-spacing"])
 def test_constructor_refusals(build, match):
