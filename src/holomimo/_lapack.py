@@ -57,12 +57,17 @@ def bound() -> bool:
     return bool(_routines)
 
 
+def _two_stage(rows: int) -> bool:
+    """The one solver choice: whether ``eigvalsh`` takes zheevd_2stage on ``rows`` rows."""
+    return rows >= TWO_STAGE_MIN and bound()
+
+
 def solvers(rows: int) -> dict:
     """The solvers a capacity pass runs on Grams of ``rows`` rows, for the manifest."""
     ok = bound()
     return {"lapack": "numpy's OpenBLAS through ctypes" if ok else "numpy fallback",
             "iid": "Wishart law, " + ("dsterf" if ok else "eigvalsh of the tridiagonal"),
-            "gram": "zheevd_2stage" if ok and rows >= TWO_STAGE_MIN else "eigvalsh",
+            "gram": "zheevd_2stage" if _two_stage(rows) else "eigvalsh",
             "two_stage_min_rows": TWO_STAGE_MIN}
 
 
@@ -86,7 +91,7 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a complex Hermitian matrix.  The two-stage
     routine works in place, so ``a`` holds no useful values afterwards."""
     n = a.shape[0]
-    if n < TWO_STAGE_MIN or not bound():
+    if not _two_stage(n):
         return np.linalg.eigvalsh(a)
     a = np.ascontiguousarray(a, dtype=np.complex128)
     w = np.empty(n)

@@ -26,11 +26,29 @@ __all__ = [
 
 
 def _check_snr(snr_db) -> np.ndarray:
-    """An SNR grid in dB as a flat float array, refused when empty or decreasing."""
+    """The one SNR rule: a nonempty, nondecreasing grid in dB as a flat float
+    array, each point positive and finite once linear (up to about 3083 dB)."""
     grid = np.asarray(snr_db, dtype=float).ravel()
-    if grid.size == 0 or np.any(np.diff(grid) < 0):
-        raise ValueError(f"an SNR grid must not decrease or be empty, got {grid.tolist()}")
+    with np.errstate(over="ignore"):
+        lin = 10.0 ** (grid / 10.0)
+    if grid.size == 0 or np.any(np.diff(grid) < 0) or not np.all((lin > 0.0) & (lin < np.inf)):
+        raise ValueError(f"snr_db must not decrease or be empty, and each point must be "
+                         f"positive and finite once linear, got {grid.tolist()}")
     return grid
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _check_workers(workers) -> int:
+    """The one worker rule: a count from 1 to the usable CPUs, all of them for None."""
+    usable = _usable_cpus()
+    n = usable if workers is None else _config_number("workers", workers, 1)
+    if n > usable:
+        raise ValueError(f"workers must be at most the {usable} usable CPUs, got {workers}")
+    return n
 
 
 def _water_levels(lam_desc: np.ndarray, snr_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,14 +201,10 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     if len(shapes) != 1:
         raise ValueError("a pass needs models of one shape, got: " + (", ".join(
             f"{m.label!r} {m.shape[0]}x{m.shape[1]}" for m in models) or "no models"))
-    n_mc = _config_number("n_mc", n_mc, integral=True)
-    if n_mc < 1:
-        raise ValueError("n_mc must be positive")
+    n_mc = _config_number("n_mc", n_mc, 1)
     if workers is None:
         return _draw_block(models, seed, 0, n_mc)
-    n = min(_config_number("workers", workers, integral=True), n_mc)
-    if n < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
+    n = min(_check_workers(workers), n_mc)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -213,20 +227,16 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     dense solve.  So it no longer shares W, and its differences from the
     other curves lose the variance reduction of common random numbers.
 
-    ``workers=None`` draws in this process; a count runs the draws on that
-    many ``spawn``ed single-thread worker processes, so a script that passes
-    it must guard its entry point with ``if __name__ == "__main__"``.  Every
-    count gives the same bits.  The in-process draws agree with them to
-    roundoff only: this process's BLAS may run several threads, and a
-    multithreaded ``eigvalsh`` rounds differently from a single-threaded one.
-    The iid curve runs no BLAS, so its bits match in process too.
+    ``workers=None`` draws in this process; a count, up to the usable CPUs,
+    runs the draws on that many ``spawn``ed single-thread worker processes,
+    so a script that passes it must guard its entry point with
+    ``if __name__ == "__main__"``.  Every count gives the same bits; the
+    in-process draws agree with them to roundoff only, as this process's
+    BLAS may run several threads and a multithreaded ``eigvalsh`` rounds
+    differently.  The iid curve runs no BLAS, so its bits match in process.
     """
     snr_db = _check_snr(snr_db)
-    # a finite dB value above about 3083 overflows to inf, which is refused below
-    with np.errstate(over="ignore"):
-        snr_lin = 10.0 ** (snr_db / 10.0)
-    if not np.all((snr_lin > 0.0) & (snr_lin < np.inf)):
-        raise ValueError(f"snr must be positive and finite, got {snr_lin}")
+    snr_lin = 10.0 ** (snr_db / 10.0)
     spectra = _mc_pass(models, n_mc, seed, workers)
     n_mc = len(spectra)
     curves = []

@@ -37,11 +37,17 @@ __all__ = [
 ]
 
 
+def _check_seed(seed) -> int:
+    """The one seed rule, a Philox key: a count from 0, below 2**128."""
+    if _config_number("seed", seed, 0) >= 2**128:
+        raise ValueError(f"seed must be below 2**128, got {seed!r}")
+    return int(seed)
+
+
 def substream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for realization ``index`` of stream ``seed``; the
-    seed is a count (``geometry._config_number``), not truncated or parsed."""
-    key = _config_number("seed", seed, integral=True)
-    return np.random.Generator(np.random.Philox(key=key).jumped(int(index)))
+    """Independent generator for realization ``index``, a count from 0, of stream ``seed``."""
+    key = _check_seed(seed)
+    return np.random.Generator(np.random.Philox(key=key).jumped(_config_number("index", index, 0)))
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -210,5 +216,5 @@ def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "trans
         if not p > 0.0:
             raise ValueError("'receive' cannot scale a spectrum with no power; use 'transmit'")
         lam = lam * (lam.size / p)
-    n_rx = lam.size if n_rx is None else _config_number("n_rx", n_rx, integral=True)
+    n_rx = lam.size if n_rx is None else _config_number("n_rx", n_rx, 1)
     return ChannelModel(np.ones(n_rx), np.sqrt(lam), label or "exact", "exact")

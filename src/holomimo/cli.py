@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import platform
 import sys
 import time
@@ -22,8 +21,9 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .capacity import _check_snr, ergodic_capacity, low_snr_bound_check
-from .channel import _check_normalize, exact_model, exact_spectra, fourier_model, iid_model
+from .capacity import _check_snr, _check_workers, ergodic_capacity, low_snr_bound_check
+from .channel import (_check_normalize, _check_seed, exact_model, exact_spectra, fourier_model,
+                      iid_model)
 from .coupling import (SingularCouplingError, _check_rho, coupling_general, coupling_ratio,
                        regularize, write_coupling_csv)
 from .fourier import build_fourier_basis, build_lattice, write_variances_csv
@@ -74,8 +74,8 @@ def _coerce(cfg: ExperimentConfig):
     # the library's own rules, their ValueErrors turned into ConfigErrors
     try:
         rho = _check_rho(cfg.rho).tolist()
-        seed = _config_number("seed", cfg.seed, integral=True)
-        mc = _config_number("mc", cfg.mc, integral=True)
+        seed = _check_seed(cfg.seed)
+        mc = _config_number("mc", cfg.mc, 1)
         _check_normalize(cfg.normalize)
         spectrum = spectrum_from_name(cfg.spectrum)
         pattern = pattern_from_name(cfg.pattern, spectrum)
@@ -94,10 +94,6 @@ def _coerce(cfg: ExperimentConfig):
                               f"the file name *_rho{tag}.csv; give each rho a distinct %g name")
     if cfg.kind == "coupling-matrix" and len(rho) > 1:
         raise ConfigError(f"coupling-matrix takes at most one rho, got {rho}")
-    if not 0 <= seed < 2**128:
-        raise ConfigError(f"seed must be an integer in [0, 2**128), got {cfg.seed!r}")
-    if mc < 1:
-        raise ConfigError(f"mc must be a positive integer, got {cfg.mc!r}")
     # Only the kinds that build a wavenumber lattice need a two-dimensional aperture.
     if cfg.kind not in ("coupling-matrix", "capacity"):
         for g, name in ((tx, "tx"), (rx, "rx")):
@@ -146,9 +142,9 @@ def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
             raise ValueError(f"unknown snr_db keys: {', '.join(sorted(extra))}")
         start, stop, step = (_config_number(f"snr_db {k}", s.get(k, v))
                              for k, v in (("start", -10.0), ("stop", 40.0), ("step", 5.0)))
-        if step <= 0 or stop < start:
-            raise ValueError("snr_db needs step > 0 and stop >= start")
-        return np.arange(start, stop + 0.5 * step, step)
+        if step <= 0:
+            raise ValueError(f"snr_db needs step > 0, got {step:g}")
+        return _check_snr(np.arange(start, stop + 0.5 * step, step))
     raise ValueError("snr_db must be a list or a start/stop/step table")
 
 
@@ -290,32 +286,21 @@ _EXECUTORS = {
 # commands
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity set where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
                    workers: int | None = None) -> dict:
     """Execute one experiment and write outputs plus a manifest; returns it.
 
-    A bad config raises ``_coerce``'s ConfigError before ``out_dir`` is made.
+    A bad config or worker count raises a ConfigError before ``out_dir`` is made.
 
     The Monte-Carlo kinds (capacity, bound-check) run their draws on
     ``workers`` processes with one BLAS thread each, by default one per
     usable CPU; their outputs do not depend on the count.
     """
     cfg, resolved = _coerce(cfg)
-    usable = _usable_cpus()
-    if workers is None:
-        workers = usable
-    if workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers}")
-    if workers > usable:
-        raise ConfigError(f"workers must be at most the {usable} usable CPUs, got {workers}")
+    try:
+        workers = _check_workers(workers)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     files = _EXECUTORS[cfg.kind](cfg, out_dir, workers, *resolved)
@@ -364,10 +349,9 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     cfg, label = load_config(args.config)
     _, (tx, rx, _, _) = _coerce(cfg)
-    grid = _snr_grid(cfg)
     print(f"ok: {label}: kind={cfg.kind}, tx={tx.n_antennas} antennas, "
           f"rx={rx.n_antennas} antennas, spectrum={cfg.spectrum}, pattern={cfg.pattern}, "
-          f"rho={cfg.rho}, snr points={grid.size}, mc={cfg.mc}, seed={cfg.seed}")
+          f"rho={cfg.rho}, snr points={_snr_grid(cfg).size}, mc={cfg.mc}, seed={cfg.seed}")
     return 0
 
 

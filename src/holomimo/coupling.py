@@ -276,7 +276,10 @@ def _check_rho(rho) -> np.ndarray:
 def regularize(coupling: Kernel, rho: float) -> Kernel:
     """Diagonal loading: C + rho * I, accumulating rho in the provenance.  A
     table takes rho at its zero difference, which only the diagonal hits."""
-    rho = _check_rho(rho).item()
+    rhos = _check_rho(rho)
+    if rhos.size != 1:
+        raise ValueError(f"regularize takes one rho, got {rho!r}")
+    rho = rhos.item()
     if coupling.grid is None:
         m = coupling.entries + rho * np.eye(coupling.n_antennas)
     else:

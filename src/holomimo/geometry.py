@@ -52,9 +52,9 @@ def _has_close_pair(xy: np.ndarray, tol: float) -> bool:
 class ArrayGeometry:
     """A finite set of antenna positions in a single z plane.
 
-    positions : (N, 3) float array, wavelength units.  Refused when the z
-    coordinates spread over more than _POSITION_TOL, or when two antennas lie
-    closer than _POSITION_TOL in x and in y.
+    positions : (N, 3) float array, wavelength units.  Refused when not
+    finite, when the z coordinates spread over more than _POSITION_TOL, or
+    when two antennas lie closer than _POSITION_TOL in x and in y.
     """
 
     positions: np.ndarray
@@ -65,6 +65,8 @@ class ArrayGeometry:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
         if pos.shape[0] < 1:
             raise ValueError("geometry needs at least one antenna")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("antenna positions must be finite")
         if np.ptp(pos[:, 2]) > _POSITION_TOL:
             raise ValueError("antenna positions must lie in a single z plane")
         if _has_close_pair(pos[:, :2], _POSITION_TOL):
@@ -110,10 +112,8 @@ def build_upa(nx: int, ny: int, dx: float, dy: float | None = None) -> ArrayGeom
     x index running fastest.  The aperture is the occupied span (nx-1)*dx by
     (ny-1)*dy.
     """
-    if dy is None:
-        dy = dx
-    if nx < 1 or ny < 1:
-        raise ValueError("nx and ny must be positive")
+    nx, ny = _config_number("nx", nx, 1), _config_number("ny", ny, 1)
+    dx, dy = _config_number("dx", dx), _config_number("dy", dx if dy is None else dy)
     if dx <= 0 or dy <= 0:
         raise ValueError("spacings must be positive")
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
@@ -139,14 +139,14 @@ def _is_number(value) -> bool:
         return False
 
 
-def _config_number(key: str, value, integral: bool = False):
+def _config_number(key: str, value, floor: int | None = None):
     """The one rule for an input number: a finite real as float, or for a
-    count (``integral``) a whole one as int; booleans, strings and fractional
-    counts are refused rather than coerced."""
-    if not (_is_number(value) and (not integral or float(value).is_integer())):
-        raise ValueError(f"{key} must be {'an integer' if integral else 'a finite number'}, "
-                         f"got {value!r}")
-    return int(value) if integral else float(value)
+    count (one with a ``floor``) a whole one of at least ``floor`` as int;
+    booleans, strings and fractional counts are refused rather than coerced."""
+    if _is_number(value) and (floor is None or float(value).is_integer() and value >= floor):
+        return float(value) if floor is None else int(value)
+    rule = "a finite number" if floor is None else f"an integer >= {floor}"
+    raise ValueError(f"{key} must be {rule}, got {value!r}")
 
 
 def geometry_from_config(cfg: dict) -> ArrayGeometry:
@@ -156,12 +156,9 @@ def geometry_from_config(cfg: dict) -> ArrayGeometry:
     kind = cfg.pop("kind", "upa")
     offset = cfg.pop("offset", None)
     if kind == "upa":
-        nx, ny = (_config_number(k, cfg.pop(k), integral=True) for k in ("nx", "ny"))
-        dx, dy = _config_number("dx", cfg.pop("dx")), cfg.pop("dy", None)
-        g = build_upa(nx, ny, dx, None if dy is None else _config_number("dy", dy))
+        g = build_upa(cfg.pop("nx"), cfg.pop("ny"), cfg.pop("dx"), cfg.pop("dy", None))
     elif kind == "ula":
-        g = build_ula(_config_number("n", cfg.pop("n"), integral=True),
-                      _config_number("d", cfg.pop("d")))
+        g = build_ula(cfg.pop("n"), cfg.pop("d"))
     elif kind == "points":
         g = ArrayGeometry(np.array([[_config_number("positions", v) for v in row]
                                     for row in cfg.pop("positions")]))

@@ -7,7 +7,7 @@ from holomimo import (ChannelModel, build_fourier_basis, build_upa, coupling_clo
                       isotropic_spectrum, low_snr_bound_check, regularize, spd_inv_sqrt, spd_sqrt,
                       whitened_eigenvalues)
 from holomimo import _lapack
-from holomimo.capacity import _capacity_grid, _draw_block, _mc_pass, _water_levels
+from holomimo.capacity import _capacity_grid, _draw_block, _mc_pass, _usable_cpus, _water_levels
 from holomimo.channel import complex_normal, substream
 
 
@@ -179,6 +179,7 @@ def test_gram_eigenvalues_match_squared_singular_values(n_r, n_t):
             assert np.abs(lam - s * s).max() <= 1e-12 * s[0] ** 2, model.label
 
 
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
 def test_worker_pass_matches_in_process_pass():
     # blocks of draw indices come back in index order, whatever their count
     models = [iid_model(5, 7), _tilted(5, 7, "tilted")]
@@ -241,6 +242,7 @@ def test_wishart_law_matches_dense_draws(n_r, n_t):
     assert abs(law.sum(axis=1).mean() - n_r * n_t) < 4.0 * law.sum(axis=1).std() / np.sqrt(n_mc)
 
 
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
 def test_iid_curve_takes_the_law_with_any_worker_count():
     # the law draws run inside the worker blocks: every count, and this
     # process, give the iid curve's bits; the other curves keep one W per draw
@@ -344,6 +346,22 @@ def test_mc_pass_refuses_a_count_that_is_not_whole(n_mc, workers):
         ergodic_capacity([iid_model(2, 2)], [0.0], n_mc=n_mc, workers=workers)
 
 
+def test_no_more_workers_than_usable_cpus(monkeypatch):
+    # the library, like the CLI, starts no more processes than there are CPUs
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started before the refusal")
+
+    over = _usable_cpus() + 1
+    model = fourier_model(*[build_fourier_basis(build_upa(2, 2, 0.5), isotropic_spectrum())] * 2)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    match = f"workers must be at most the {over - 1} usable CPUs, got {over}"
+    for run in (lambda: _mc_pass([iid_model(2, 2)], over, seed=1, workers=over),
+                lambda: ergodic_capacity([iid_model(2, 2)], [0.0], over, workers=over),
+                lambda: low_snr_bound_check(model, over, workers=over)):
+        with pytest.raises(ValueError, match=match):
+            run()
+
+
 @pytest.mark.parametrize("seed", [1.5, "1", True], ids=["fractional", "string", "boolean"])
 def test_a_seed_that_is_not_whole_is_refused(seed):
     # the seed is a count like n_mc: it is not truncated, parsed or taken for 1
@@ -356,8 +374,8 @@ def test_whole_seeds_of_any_type_run_the_same_stream():
     bits = [ergodic_capacity([model], [0.0], n_mc=3, seed=s)[0].capacity_bits
             for s in (1, 1.0, np.int64(1))]
     assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
-    # Philox refuses keys beyond its 128 bits
-    with pytest.raises(ValueError):
+    # the seed rule refuses keys beyond Philox's 128 bits
+    with pytest.raises(ValueError, match=r"seed must be below 2\*\*128"):
         ergodic_capacity([model], [0.0], n_mc=3, seed=2**128)
 
 

@@ -843,19 +843,36 @@ def test_iid_model_refuses_an_empty_side():
 
 
 def test_exact_model_refuses_no_receive_antennas():
-    with pytest.raises(ValueError, match=r"an antenna at each end, got shape \(0, 2\)"):
+    with pytest.raises(ValueError, match="n_rx must be an integer >= 1, got 0"):
         exact_model([1.0, 2.0], n_rx=0)
+    # the count rule names n_rx, where numpy said "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match="n_rx must be an integer >= 1, got -1"):
+        exact_model([1.0, 0.5], -1)
 
 
 def test_exact_model_refuses_a_fractional_receive_count():
     # 2.7 receive antennas is not truncated to 2; a whole count in a float is taken
-    with pytest.raises(ValueError, match="n_rx must be an integer, got 2.7"):
+    with pytest.raises(ValueError, match="n_rx must be an integer >= 1, got 2.7"):
         exact_model([1.0, 2.0], n_rx=2.7)
     # nor is a boolean taken for one antenna, or a string parsed
     for bad in (True, "3"):
         with pytest.raises(ValueError, match="n_rx must be an integer"):
             exact_model([1.0, 2.0], n_rx=bad)
     assert exact_model([1.0, 2.0], n_rx=3.0).shape == (3, 2)
+
+
+@pytest.mark.parametrize("index", [1.5, True, "1", -1],
+                         ids=["fractional", "boolean", "string", "negative"])
+def test_a_substream_index_that_is_not_a_count_is_refused(index):
+    # 1.5 and True used to run index 1's draw bit for bit
+    with pytest.raises(ValueError, match="index must be an integer >= 0"):
+        substream(1, index)
+
+
+def test_whole_indices_of_any_type_run_the_same_draw():
+    ref = complex_normal(substream(1, 2), 3)
+    for index in (2.0, np.int64(2)):
+        assert np.array_equal(complex_normal(substream(1, index), 3), ref)
 
 
 def test_iid_model_draws():

@@ -15,9 +15,9 @@ import pytest
 import yaml
 
 import holomimo
-from holomimo.capacity import CapacityCurve
-from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, _usable_cpus,
-                          _write_capacity_csv, _write_eig_csv, load_config, main, run_experiment)
+from holomimo.capacity import CapacityCurve, _usable_cpus
+from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, _write_capacity_csv,
+                          _write_eig_csv, load_config, main, run_experiment)
 from holomimo.presets import PRESETS
 
 
@@ -517,7 +517,7 @@ def test_workers_below_one_refused(tmp_path, capsys, workers):
                         tx={"kind": "ula", "n": 4, "d": 0.5}, rho=[])
     out = tmp_path / "out"
     assert main(["run", str(path), "--out-dir", str(out), "--workers", workers]) == 1
-    assert "workers must be a positive integer" in capsys.readouterr().err
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -528,6 +528,31 @@ def test_workers_above_usable_cpus_refused(tmp_path, capsys):
     over = str(_usable_cpus() + 1)
     assert main(["run", str(path), "--out-dir", str(out), "--workers", over]) == 1
     assert "usable CPUs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1.5, True, "1"], ids=["fractional", "boolean", "string"])
+def test_run_experiment_takes_the_worker_rule(tmp_path, workers):
+    # a library caller gets a ConfigError and no output directory, as the CLI does
+    path = write_config(tmp_path, kind="capacity",
+                        tx={"kind": "upa", "nx": 2, "ny": 2, "dx": 0.5}, rho=[], mc=2)
+    cfg, label = load_config(str(path))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+        run_experiment(cfg, label, out, workers=workers)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", [[0, 4000], {"start": 0, "stop": 4000, "step": 1000}],
+                         ids=["list", "table"])
+def test_an_snr_grid_beyond_the_float_range_is_a_config_error(tmp_path, capsys, snr_db):
+    # 4000 dB is finite but overflows once linear: validate refuses it, and
+    # run writes nothing
+    path = write_config(tmp_path, kind="capacity", snr_db=snr_db, mc=2)
+    assert main(["validate", str(path)]) == 1
+    assert "positive and finite once linear" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 1
     assert not out.exists()
 
 

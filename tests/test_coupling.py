@@ -250,6 +250,9 @@ def test_regularize():
     assert r2.rho == pytest.approx(0.15)
     with pytest.raises(ValueError):
         regularize(c, -0.1)
+    # several rhos are refused by name, not with numpy's size-1 conversion error
+    with pytest.raises(ValueError, match=r"regularize takes one rho, got \[0\.1, 0\.2\]"):
+        regularize(c, [0.1, 0.2])
 
 
 def test_regularize_keeps_the_table():

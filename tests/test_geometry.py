@@ -32,13 +32,24 @@ def test_aperture_matrix_rejects_degenerate():
 @pytest.mark.parametrize("build, match", [
     (lambda: ArrayGeometry(np.zeros((3, 2))), r"positions must be \(N, 3\)"),
     (lambda: ArrayGeometry(np.zeros((0, 3))), "at least one antenna"),
-    (lambda: build_upa(0, 3, 0.5), "nx and ny must be positive"),
+    (lambda: build_upa(0, 3, 0.5), "nx must be an integer >= 1, got 0"),
     (lambda: build_upa(3, 3, 0.5, 0.0), "spacings must be positive"),
     # a line array is a one-row grid and meets the grid's refusals
-    (lambda: build_ula(0, 0.5), "nx and ny must be positive"),
+    (lambda: build_ula(0, 0.5), "nx must be an integer >= 1, got 0"),
     (lambda: build_ula(3, -0.1), "spacings must be positive"),
+    # counts and spacings take the number rule, as in a config: they are not
+    # truncated, taken for 1 or built into non-finite positions
+    (lambda: build_upa(2.5, 2, 0.5), r"nx must be an integer >= 1, got 2\.5"),
+    (lambda: build_upa(2, True, 0.5), "ny must be an integer >= 1, got True"),
+    (lambda: build_upa(3, 3, float("nan")), "dx must be a finite number, got nan"),
+    (lambda: build_upa(3, 3, True), "dx must be a finite number, got True"),
+    (lambda: build_upa(3, 3, 0.5, float("inf")), "dy must be a finite number, got inf"),
+    (lambda: ArrayGeometry([[0, 0, 0], [np.nan, 0, 0]]), "positions must be finite"),
+    (lambda: ArrayGeometry([[0, 0, 0], [0.5, np.inf, 0]]), "positions must be finite"),
+    (lambda: build_upa(2, 2, 0.5).translated([np.nan, 0, 0]), "positions must be finite"),
 ], ids=["positions-shape", "no-antennas", "upa-count", "upa-spacing", "ula-count",
-        "ula-spacing"])
+        "ula-spacing", "fractional-count", "boolean-count", "nan-spacing", "boolean-spacing",
+        "inf-spacing", "nan-position", "inf-position", "nan-offset"])
 def test_constructor_refusals(build, match):
     with pytest.raises(ValueError, match=match):
         build()

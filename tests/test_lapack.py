@@ -71,3 +71,20 @@ def test_a_failed_solve_raises(monkeypatch):
     monkeypatch.setattr(_lapack, "TWO_STAGE_MIN", 1)
     with pytest.raises(np.linalg.LinAlgError, match="zheevd_2stage failed with info="):
         _lapack.eigvalsh(np.full((3, 3), np.nan, dtype=complex))
+
+
+def test_eigvalsh_and_the_manifest_read_one_predicate(monkeypatch):
+    # whichever way the predicate answers, eigvalsh runs the solver that
+    # solvers() names for the manifest
+    rows = _lapack.TWO_STAGE_MIN
+    assert not _lapack._two_stage(rows - 1)
+    assert _lapack._two_stage(rows) == _lapack.bound()
+    a = _hermitian(8, 3)
+    numpy_eigvalsh = np.linalg.eigvalsh
+    for choice in (False, True) if _lapack.bound() else (False,):
+        calls = []
+        monkeypatch.setattr(_lapack, "_two_stage", lambda n: choice)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or numpy_eigvalsh(m))
+        _lapack.eigvalsh(a.copy())
+        assert bool(calls) == (_lapack.solvers(8)["gram"] == "eigvalsh")
+        monkeypatch.undo()
