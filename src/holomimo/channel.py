@@ -196,7 +196,8 @@ def _check_normalize(normalize: str) -> str:
 
 
 def iid_model(n_rx: int, n_tx: int) -> ChannelModel:
-    return ChannelModel(np.ones(n_rx), np.ones(n_tx), "iid", "iid")
+    return ChannelModel(np.ones(_config_number("n_rx", n_rx, 1)),
+                        np.ones(_config_number("n_tx", n_tx, 1)), "iid", "iid")
 
 
 def exact_model(tx_eigenvalues, n_rx: int | None = None, normalize: str = "transmit",

@@ -27,7 +27,7 @@ from .channel import (_check_normalize, _check_seed, exact_model, exact_spectra,
 from .coupling import (SingularCouplingError, _check_rho, coupling_general, coupling_ratio,
                        regularize, write_coupling_csv)
 from .fourier import build_fourier_basis, build_lattice, write_variances_csv
-from .geometry import _config_number, geometry_from_config
+from .geometry import _config_number, _config_table, geometry_from_config
 from .presets import PRESET_NOTES, PRESETS
 from .spectra import _check_covers, pattern_from_name, spectrum_from_name
 
@@ -69,7 +69,7 @@ def _coerce(cfg: ExperimentConfig):
     try:
         tx = geometry_from_config(cfg.tx)
         rx = geometry_from_config(cfg.rx) if cfg.rx is not None else tx
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad geometry: {exc}") from exc
     # the library's own rules, their ValueErrors turned into ConfigErrors
     try:
@@ -120,15 +120,11 @@ def load_config(source: str) -> tuple[ExperimentConfig, str]:
         except yaml.YAMLError as exc:
             raise ConfigError(f"could not parse {source}: {exc}") from exc
         label = path.stem
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    missing = {"kind", "tx"} - set(raw)
-    if missing:
-        raise ConfigError(f"missing required config keys: {', '.join(sorted(missing))}")
+    try:
+        raw = _config_table("config", raw, [f.name for f in dataclasses.fields(ExperimentConfig)],
+                            ("kind", "tx"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return _coerce(ExperimentConfig(**raw))[0], label
 
 
@@ -137,9 +133,7 @@ def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
     if isinstance(s, list):
         return _check_snr([_config_number("snr_db entry", v) for v in s])
     if isinstance(s, dict):
-        extra = set(s) - {"start", "stop", "step"}
-        if extra:
-            raise ValueError(f"unknown snr_db keys: {', '.join(sorted(extra))}")
+        s = _config_table("snr_db", s, ("start", "stop", "step"))
         start, stop, step = (_config_number(f"snr_db {k}", s.get(k, v))
                              for k, v in (("start", -10.0), ("stop", 40.0), ("step", 5.0)))
         if step <= 0:
@@ -191,7 +185,7 @@ def _write_capacity_csv(path: Path, curve) -> str:
 # ---------------------------------------------------------------------------
 # experiment executors: each takes the config, the output directory, the
 # Monte-Carlo worker count and the resolved (tx, rx, spectrum, pattern), and
-# returns the files it wrote.
+# returns the files it wrote and the models of its Monte-Carlo pass, if any.
 
 
 def _write_coupled_eigs(out: Path, rhos, rows, refs) -> list[str]:
@@ -219,7 +213,7 @@ def _run_eigenvalues(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spec
     if cfg.rho:
         files += _write_coupled_eigs(out, cfg.rho, coupled, refs)
         files += _write_fourier(out, build_fourier_basis(g, spectrum, pattern), refs)
-    return files
+    return files, []
 
 
 def _run_dof_sweep(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
@@ -237,7 +231,7 @@ def _run_dof_sweep(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectr
     return [_write_eig_csv(out / "eigs_exact_uncoupled.csv", ev, *refs),
             *_write_coupled_eigs(out, cfg.rho, coupled, refs),
             _write_csv(out / "dof_counts.csv", "curve,rho,count_above_threshold,threshold_db",
-                       "%s,%s,%d,%.12g", rows)]
+                       "%s,%s,%d,%.12g", rows)], []
 
 
 def _run_capacity(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectrum,
@@ -250,8 +244,8 @@ def _run_capacity(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectr
                for rho, w in zip(cfg.rho, coupled)]
     names = ["capacity_iid.csv", "capacity_uncoupled.csv"]
     names += [f"capacity_coupled_rho{rho:g}.csv" for rho in cfg.rho]
-    return [_write_capacity_csv(out / name, curve) for name, curve in
-            zip(names, ergodic_capacity(models, _snr_grid(cfg), cfg.mc, cfg.seed, workers))]
+    curves = ergodic_capacity(models, _snr_grid(cfg), cfg.mc, cfg.seed, workers)
+    return [_write_capacity_csv(out / name, curve) for name, curve in zip(names, curves)], models
 
 
 def _run_coupling_matrix(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
@@ -260,7 +254,7 @@ def _run_coupling_matrix(cfg: ExperimentConfig, out: Path, workers: int, g, rx, 
     if cfg.rho:
         base = regularize(base, cfg.rho[0])
     write_coupling_csv(base, out / "coupling_matrix.csv")
-    return ["coupling_matrix.csv"]
+    return ["coupling_matrix.csv"], []
 
 
 def _run_bound_check(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectrum,
@@ -270,7 +264,7 @@ def _run_bound_check(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spe
     payload = dataclasses.asdict(low_snr_bound_check(model, cfg.mc, cfg.seed, workers))
     payload["spectrum"] = spectrum.name
     payload["pattern"] = pattern.name
-    return [_write_json(out / "bound_check.json", payload)]
+    return [_write_json(out / "bound_check.json", payload)], [model]
 
 
 _EXECUTORS = {
@@ -303,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         raise ConfigError(str(exc)) from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    files = _EXECUTORS[cfg.kind](cfg, out_dir, workers, *resolved)
+    files, models = _EXECUTORS[cfg.kind](cfg, out_dir, workers, *resolved)
     manifest = {
         "name": label,
         "kind": cfg.kind,
@@ -315,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         },
         "seed": cfg.seed,
         # processes the Monte-Carlo pass ran on (never more than one per draw)
-        "workers": min(workers, cfg.mc) if cfg.kind in ("capacity", "bound-check") else 0,
+        "workers": min(workers, cfg.mc) if models else 0,
         "outputs": files,
         "wall_time_s": round(time.perf_counter() - start, 3),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -325,10 +319,10 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         kappa = coupling_ratio(*resolved[2:])
         manifest["whitening"] = ({"path": "general"} if kappa is None
                                  else {"path": "scalar", "kappa": kappa})
-    if cfg.kind == "capacity":
+    if models:
         from . import _lapack
 
-        manifest["mc_solvers"] = _lapack.solvers(min(g.n_antennas for g in resolved[:2]))
+        manifest["mc_solvers"] = _lapack.solvers(min(models[0].shape))
     _write_json(out_dir / "manifest.json", manifest)
     return manifest
 

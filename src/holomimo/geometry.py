@@ -96,9 +96,6 @@ class ArrayGeometry:
             )
         return d
 
-    def translated(self, offset) -> "ArrayGeometry":
-        return ArrayGeometry(self.positions + np.asarray(offset, dtype=float).reshape(3))
-
     def content_hash(self) -> str:
         """Short stable hash of the rounded positions, for output headers."""
         rounded = np.round(self.positions / _POSITION_TOL).astype(np.int64)
@@ -126,7 +123,7 @@ def build_upa(nx: int, ny: int, dx: float, dy: float | None = None) -> ArrayGeom
 def build_ula(n: int, d: float) -> ArrayGeometry:
     """Uniform linear array along x in the z = 0 plane: the one-row grid
     ``build_upa(n, 1, d)``."""
-    return build_upa(n, 1, d)
+    return build_upa(_config_number("n", n, 1), 1, _config_number("d", d))
 
 
 def _is_number(value) -> bool:
@@ -149,23 +146,31 @@ def _config_number(key: str, value, floor: int | None = None):
     raise ValueError(f"{key} must be {rule}, got {value!r}")
 
 
+def _config_table(name: str, table, known=None, required=()) -> dict:
+    """The one rule for a config table: a mapping whose keys are strings, each
+    of them ``known`` (any, for None), with every ``required`` key present."""
+    if not isinstance(table, dict):
+        raise ValueError(f"{name} must be a mapping, got {type(table).__name__}")
+    for problem, keys in (("non-string", [k for k in table if not isinstance(k, str)]),
+                          ("unknown", set(table) - set(table if known is None else known)),
+                          ("missing required", set(required) - set(table))):
+        if keys:
+            raise ValueError(f"{problem} {name} keys: {', '.join(sorted(map(str, keys)))}")
+    return table
+
+
 def geometry_from_config(cfg: dict) -> ArrayGeometry:
-    """Build a geometry from a config table: ``upa`` (the default kind), ``ula``
-    or ``points``, with an optional ``offset``."""
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", "upa")
-    offset = cfg.pop("offset", None)
+    """Build a geometry from a config table: ``upa`` (the default kind: ``nx``, ``ny``,
+    ``dx`` and an optional ``dy``), ``ula`` (``n``, ``d``) or ``points`` (``positions``)."""
+    kind = _config_table("geometry", cfg).get("kind", "upa")
     if kind == "upa":
-        g = build_upa(cfg.pop("nx"), cfg.pop("ny"), cfg.pop("dx"), cfg.pop("dy", None))
-    elif kind == "ula":
-        g = build_ula(cfg.pop("n"), cfg.pop("d"))
-    elif kind == "points":
-        g = ArrayGeometry(np.array([[_config_number("positions", v) for v in row]
-                                    for row in cfg.pop("positions")]))
-    else:
-        raise ValueError(f"unknown geometry kind {kind!r}")
-    if cfg:
-        raise ValueError(f"unknown geometry keys {sorted(cfg)}")
-    if offset is not None:
-        g = g.translated([_config_number("offset", v) for v in offset])
-    return g
+        t = _config_table("geometry", cfg, ("kind", "nx", "ny", "dx", "dy"), ("nx", "ny", "dx"))
+        return build_upa(t["nx"], t["ny"], t["dx"], t.get("dy"))
+    if kind == "ula":
+        t = _config_table("geometry", cfg, ("kind", "n", "d"), ("n", "d"))
+        return build_ula(t["n"], t["d"])
+    if kind == "points":
+        t = _config_table("geometry", cfg, ("kind", "positions"), ("positions",))
+        return ArrayGeometry(np.array([[_config_number("positions", v) for v in row]
+                                       for row in t["positions"]]))
+    raise ValueError(f"unknown geometry kind {kind!r}")

@@ -422,7 +422,7 @@ _STRETCHED = AngularSpectrum("stretched", lambda th, ph:
     (build_upa(6, 7, 0.3), cap_spectrum(np.pi / 3), 4),
     (build_ula(9, 0.4), isotropic_spectrum(), 2),
     (build_ula(9, 0.4), cap_spectrum(np.pi / 3), 2),
-    (build_upa(5, 4, 0.35).translated([1.3, -0.7, 0.2]), cap_spectrum(np.pi / 3), 4),
+    (ArrayGeometry(build_upa(5, 4, 0.35).positions + [1.3, -0.7, 0.2]), cap_spectrum(np.pi / 3), 4),
     (ArrayGeometry(_SYMMETRIC_POINTS), isotropic_spectrum(), 1),
     (ArrayGeometry(_SYMMETRIC_POINTS), cap_spectrum(np.pi / 3), 1),
     (ArrayGeometry(build_upa(5, 4, 0.5).positions + _JITTER), isotropic_spectrum(), 1),
@@ -430,7 +430,7 @@ _STRETCHED = AngularSpectrum("stretched", lambda th, ph:
     (build_upa(5, 4, 0.35), _TILTED, 2),
     (build_upa(8, 8, 0.3), isotropic_spectrum(), 5),
     (build_upa(7, 7, 0.5), cap_spectrum(np.pi / 3), 5),
-    (build_upa(6, 6, 0.35).translated([1.3, -0.7, 0.2]), cap_spectrum(np.pi / 3), 5),
+    (ArrayGeometry(build_upa(6, 6, 0.35).positions + [1.3, -0.7, 0.2]), cap_spectrum(np.pi / 3), 5),
     (build_upa(6, 6, 0.3, 0.35), isotropic_spectrum(), 4),
     (build_upa(6, 6, 0.3), _STRETCHED, 4),
 ], ids=["7x6", "6x7-cap", "ula", "ula-cap", "translated", "points", "points-cap",
@@ -673,7 +673,8 @@ def test_correlation_diagonal():
 def test_correlation_translation_invariant_and_psd():
     g = build_upa(5, 3, 0.45)
     r0 = exact_correlation(g, cap_spectrum(np.pi / 3)).matrix
-    r1 = exact_correlation(g.translated([0.7, -4.1, 0.0]), cap_spectrum(np.pi / 3)).matrix
+    shifted = ArrayGeometry(g.positions + [0.7, -4.1, 0.0])
+    r1 = exact_correlation(shifted, cap_spectrum(np.pi / 3)).matrix
     assert np.abs(r0 - r1).max() < 1e-10
     assert np.abs(r0 - r0.conj().T).max() < 1e-14
     assert np.linalg.eigvalsh(r0)[0] > -1e-9
@@ -836,10 +837,25 @@ def test_diagonal_form_matches_antenna_domain_capacity():
 
 
 def test_iid_model_refuses_an_empty_side():
-    # a model with no antenna at one end has no channel to draw; before, the
-    # capacity pass failed on it with a bare IndexError
-    with pytest.raises(ValueError, match=r"an antenna at each end, got shape \(0, 3\)"):
+    # a model with no antenna at one end has no channel to draw; the count
+    # rule names the side
+    with pytest.raises(ValueError, match="n_rx must be an integer >= 1, got 0"):
         iid_model(0, 3)
+    with pytest.raises(ValueError, match="n_tx must be an integer >= 1, got 0"):
+        iid_model(3, 0)
+
+
+@pytest.mark.parametrize("n_rx, n_tx, match", [
+    (True, 2, "n_rx must be an integer >= 1, got True"),
+    (2.5, 2, r"n_rx must be an integer >= 1, got 2\.5"),
+    (-1, 2, "n_rx must be an integer >= 1, got -1"),
+    (2, "3", "n_tx must be an integer >= 1, got '3'"),
+], ids=["boolean", "fractional", "negative", "string"])
+def test_iid_model_takes_the_count_rule(n_rx, n_tx, match):
+    with pytest.raises(ValueError, match=match):
+        iid_model(n_rx, n_tx)
+    # a whole count of any real type builds the same model
+    assert iid_model(2.0, np.int64(3)).shape == (2, 3)
 
 
 def test_exact_model_refuses_no_receive_antennas():

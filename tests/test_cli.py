@@ -120,8 +120,8 @@ def test_load_config_failures(tmp_path):
     ({"tx": {"kind": "upa", "nx": 4, "ny": 4, "dx": True}}, "dx must be a finite number"),
     ({"tx": {"kind": "points", "positions": [[0, 0, 0], [True, 0.5, 0], [0.3, 0.9, 0]]}},
      "positions must be a finite number"),
-    ({"tx": {"kind": "upa", "nx": 4, "ny": 4, "dx": 0.5, "offset": [True, 0, 0]}},
-     "offset must be a finite number"),
+    ({"tx": {"kind": "upa", "nx": 4, "ny": 4, "dx": 0.5, "offset": [0.3, 0, 0]}},
+     "unknown geometry keys: offset"),
     ({"tx": {"kind": "ula", "n": 8, "d": 0.5}}, r"aperture \(3\.5, 0\) is degenerate"),
     ({"rho": [0.1, 0.1]}, r"rho values 0\.1 and 0\.1 share the file name \*_rho0\.1\.csv"),
     ({"rho": [0.1, 0.1000000001, 0.01]},
@@ -209,6 +209,37 @@ def test_rx_refused_where_no_executor_reads_it(tmp_path, kind):
     path = write_config(tmp_path, kind=kind, rx={"kind": "upa", "nx": 9, "ny": 2, "dx": 0.5})
     with pytest.raises(ConfigError, match="only capacity and bound-check"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("kind: eigenvalues\ntx: {nx: 4, ny: 4, dx: 0.5}\n1: foo\n", "non-string config keys: 1"),
+    ("kind: capacity\ntx: {nx: 4, ny: 4, dx: 0.5}\nsnr_db: {1: 2}\n",
+     "non-string snr_db keys: 1"),
+    ("kind: eigenvalues\ntx: {nx: 4, ny: 4}\n", "missing required geometry keys: dx"),
+    ("kind: eigenvalues\ntx: {kind: points}\n", "missing required geometry keys: positions"),
+    ("kind: eigenvalues\ntx: {nx: 4, ny: 4, dx: 0.5, zz: 1, 5: 2}\n",
+     "non-string geometry keys: 5"),
+    # YAML 1.1 reads the key on as a boolean
+    ("kind: eigenvalues\ntx: {nx: 4, ny: 4, dx: 0.5, on: 1}\n", "non-string geometry keys: True"),
+    ("kind: capacity\ntx: {kind: ula, n: 2.5, d: 0.5}\n", r"n must be an integer >= 1, got 2\.5"),
+    ("kind: capacity\ntx: {kind: ula, n: 4, d: true}\n", "d must be a finite number, got True"),
+    ("kind: capacity\ntx: 5\n", "geometry must be a mapping, got int"),
+    ("kind: capacity\ntx: {nx: 4, ny: 4, dx: 0.5}\n"
+     "rx: {nx: 4, ny: 4, dx: 0.5, offset: [0, 0, 1]}\n", "unknown geometry keys: offset"),
+], ids=["config-key", "snr-key", "upa-missing", "points-missing", "geometry-key",
+        "yaml-boolean-key", "ula-count", "ula-spacing", "not-a-table", "offset"])
+def test_every_config_table_takes_the_table_rule(tmp_path, capsys, text, match):
+    # validate and run refuse each in one line naming the table's key, and
+    # run makes no output directory
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(f"^config error: .*{match}$", err.strip()) and "Traceback" not in err, err
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_capacity_accepts_distinct_rx(tmp_path):
@@ -441,6 +472,18 @@ def test_bound_check_bytes_are_pinned(tmp_path):
         b'  "pattern": "omni",\n  "ratio": 0.3315005138274963,\n'
         b'  "rhs_mean": 1617.2835182362526,\n  "spectrum": "isotropic",\n'
         b'  "stderr_lhs": 6.229338119621387,\n  "violations": 0\n}\n')
+
+
+def test_bound_check_manifest_names_the_solver_of_its_lattice_grams(tmp_path):
+    # the pass solves Grams of the smaller lattice, 81 rows on a 21x21
+    # quarter-wavelength array of 441 antennas, on numpy's eigvalsh
+    from holomimo import _lapack
+
+    cfg = ExperimentConfig("bound-check", {"nx": 21, "ny": 21, "dx": 0.25}, mc=2)
+    manifest = run_experiment(cfg, "bound", tmp_path, workers=1)
+    assert manifest["mc_solvers"] == _lapack.solvers(81)
+    assert manifest["mc_solvers"]["gram"] == "eigvalsh"
+    assert manifest["workers"] == 1
 
 
 def test_run_coupling_matrix_outputs(tmp_path):

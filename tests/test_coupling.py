@@ -88,7 +88,7 @@ def test_general_translation_invariant():
     g = build_upa(3, 3, 0.4)
     pat = matched_pattern(cap_spectrum(np.pi / 3))
     c0 = coupling_general(g, pat).matrix
-    c1 = coupling_general(g.translated([-2.0, 0.8, 0.0]), pat).matrix
+    c1 = coupling_general(ArrayGeometry(g.positions + [-2.0, 0.8, 0.0]), pat).matrix
     assert np.abs(c0 - c1).max() < 1e-10
     assert np.abs(c0 - c0.T).max() == 0.0
 
@@ -197,8 +197,8 @@ _NOTCHED[0, 0] = False
     (build_upa(6, 6, 0.3), ["diagonal", "x", "y"]),
     (build_upa(41, 41, 0.25), ["diagonal", "x", "y"]),
     (build_upa(7, 6, 0.3), ["x", "y"]),
-    (build_upa(5, 4, 0.35).translated([1.3, -0.7, 0.2]), ["x", "y"]),
-    (build_upa(6, 6, 0.35).translated([1.3, -0.7, 0.2]), ["diagonal", "x", "y"]),
+    (ArrayGeometry(build_upa(5, 4, 0.35).positions + [1.3, -0.7, 0.2]), ["x", "y"]),
+    (ArrayGeometry(build_upa(6, 6, 0.35).positions + [1.3, -0.7, 0.2]), ["diagonal", "x", "y"]),
     (build_upa(6, 6, 0.3, 0.35), ["x", "y"]),
     (build_ula(9, 0.4), ["x"]),
     (_cells(np.ones((1, 7))), ["y"]),

@@ -34,8 +34,8 @@ def test_aperture_matrix_rejects_degenerate():
     (lambda: ArrayGeometry(np.zeros((0, 3))), "at least one antenna"),
     (lambda: build_upa(0, 3, 0.5), "nx must be an integer >= 1, got 0"),
     (lambda: build_upa(3, 3, 0.5, 0.0), "spacings must be positive"),
-    # a line array is a one-row grid and meets the grid's refusals
-    (lambda: build_ula(0, 0.5), "nx must be an integer >= 1, got 0"),
+    # a line array is a one-row grid and meets the grid's refusals under its own keys
+    (lambda: build_ula(0, 0.5), "n must be an integer >= 1, got 0"),
     (lambda: build_ula(3, -0.1), "spacings must be positive"),
     # counts and spacings take the number rule, as in a config: they are not
     # truncated, taken for 1 or built into non-finite positions
@@ -46,10 +46,14 @@ def test_aperture_matrix_rejects_degenerate():
     (lambda: build_upa(3, 3, 0.5, float("inf")), "dy must be a finite number, got inf"),
     (lambda: ArrayGeometry([[0, 0, 0], [np.nan, 0, 0]]), "positions must be finite"),
     (lambda: ArrayGeometry([[0, 0, 0], [0.5, np.inf, 0]]), "positions must be finite"),
-    (lambda: build_upa(2, 2, 0.5).translated([np.nan, 0, 0]), "positions must be finite"),
+    (lambda: ArrayGeometry(build_upa(2, 2, 0.5).positions + [np.nan, 0, 0]),
+     "positions must be finite"),
+    (lambda: build_ula(2.5, 0.5), r"n must be an integer >= 1, got 2\.5"),
+    (lambda: build_ula(3, True), "d must be a finite number, got True"),
 ], ids=["positions-shape", "no-antennas", "upa-count", "upa-spacing", "ula-count",
         "ula-spacing", "fractional-count", "boolean-count", "nan-spacing", "boolean-spacing",
-        "inf-spacing", "nan-position", "inf-position", "nan-offset"])
+        "inf-spacing", "nan-position", "inf-position", "nan-offset", "ula-fractional-count",
+        "ula-boolean-spacing"])
 def test_constructor_refusals(build, match):
     with pytest.raises(ValueError, match=match):
         build()
@@ -98,17 +102,12 @@ def test_non_coplanar_rejected():
 
 def test_config_round_trip():
     # every config table kind builds the positions of its builder
-    shift = [1.0, -2.0, 0.0]
     cases = [
         ({"kind": "upa", "nx": 4, "ny": 3, "dx": 0.4, "dy": 0.5}, build_upa(4, 3, 0.4, 0.5)),
         ({"nx": 3, "ny": 3, "dx": 0.5}, build_upa(3, 3, 0.5)),
         ({"kind": "ula", "n": 5, "d": 0.3}, build_ula(5, 0.3)),
         ({"kind": "points", "positions": [[0.0, 0, 0], [0.7, 0.1, 0]]},
          ArrayGeometry(np.array([[0.0, 0, 0], [0.7, 0.1, 0]]))),
-        ({"kind": "upa", "nx": 4, "ny": 3, "dx": 0.4, "offset": shift},
-         build_upa(4, 3, 0.4).translated(shift)),
-        ({"kind": "ula", "n": 3, "d": 0.5, "offset": [0.0, 0.0, 1.5]},
-         build_ula(3, 0.5).translated([0.0, 0.0, 1.5])),
     ]
     for table, expect in cases:
         assert np.array_equal(geometry_from_config(table).positions, expect.positions), table
@@ -121,16 +120,36 @@ def test_config_rejects_unknown():
         geometry_from_config({"kind": "ula", "n": 4, "d": 0.5, "radius": 1.0})
 
 
+@pytest.mark.parametrize("table, match", [
+    (5, "geometry must be a mapping, got int"),
+    ([4, 4, 0.5], "geometry must be a mapping, got list"),
+    ({"nx": 4, "ny": 4, "dx": 0.5, "offset": [0.3, -0.7, 0.2]}, "unknown geometry keys: offset"),
+    ({"nx": 4, "ny": 4, "dx": 0.5, "zz": 1, 5: 2}, "non-string geometry keys: 5"),
+    ({"nx": 4, "ny": 4, "dx": 0.5, True: 1}, "non-string geometry keys: True"),
+    ({"nx": 4, "ny": 4}, "missing required geometry keys: dx"),
+    ({"kind": "points"}, "missing required geometry keys: positions"),
+    ({"kind": "ula", "n": 4}, "missing required geometry keys: d"),
+    # a key of another kind is unknown to this one
+    ({"nx": 4, "ny": 4, "dx": 0.5, "n": 4}, "unknown geometry keys: n"),
+    ({"kind": "ula", "n": 4, "d": 0.5, "dy": 0.5}, "unknown geometry keys: dy"),
+], ids=["number", "list", "offset", "integer-key", "boolean-key", "upa-missing",
+        "points-missing", "ula-missing", "upa-foreign", "ula-foreign"])
+def test_config_table_rule(table, match):
+    # the table rule names the table and the keys
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        geometry_from_config(table)
+
+
 def test_content_hash_tracks_positions():
     g = build_upa(4, 4, 0.5)
     assert g.content_hash() == build_upa(4, 4, 0.5).content_hash()
     assert g.content_hash() != build_upa(4, 4, 0.4).content_hash()
     # translation moves the positions, so the hash moves too
-    assert g.content_hash() != g.translated([0.25, 0, 0]).content_hash()
+    assert g.content_hash() != ArrayGeometry(g.positions + [0.25, 0, 0]).content_hash()
 
 
 def test_translation_invariance_of_coupling():
     g = build_upa(4, 4, 0.35)
     c0 = coupling_closed_form(g).matrix
-    c1 = coupling_closed_form(g.translated([3.2, -1.7, 0.0])).matrix
+    c1 = coupling_closed_form(ArrayGeometry(g.positions + [3.2, -1.7, 0.0])).matrix
     assert np.abs(c0 - c1).max() < 1e-12
