@@ -3,7 +3,9 @@
 Configs are YAML (JSON works too) key-value tables; see ``presets.py`` for
 complete examples.  Every run writes CSV outputs plus a ``manifest.json``
 echoing the resolved config, library versions, and wall time.  Reruns with
-the same config and seed produce byte-identical CSVs.
+the same config and seed produce byte-identical CSVs under the same BLAS
+thread count; the capacity kinds' CSVs do not depend on that count, the
+eigenvalue kinds' do.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .capacity import _check_snr, _check_workers, ergodic_capacity, low_snr_bound_check
@@ -107,6 +108,13 @@ def _coerce(cfg: ExperimentConfig):
 
 def load_config(source: str) -> tuple[ExperimentConfig, str]:
     """Resolve a preset name or a YAML/JSON config path into a checked config."""
+    cfg, label = _read_config(source)
+    return _coerce(cfg)[0], label
+
+
+def _read_config(source: str) -> tuple[ExperimentConfig, str]:
+    """A preset name or a YAML/JSON config path as a config of known keys, not yet
+    checked by ``_coerce``."""
     if source in PRESETS:
         raw, label = dict(PRESETS[source]), source
     else:
@@ -115,6 +123,8 @@ def load_config(source: str) -> tuple[ExperimentConfig, str]:
             raise ConfigError(
                 f"{source!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
                 f"nor an existing config file")
+        import yaml  # here, not at the top: a preset needs no parser
+
         try:
             raw = yaml.safe_load(path.read_text())
         except yaml.YAMLError as exc:
@@ -125,7 +135,7 @@ def load_config(source: str) -> tuple[ExperimentConfig, str]:
                             ("kind", "tx"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return _coerce(ExperimentConfig(**raw))[0], label
+    return ExperimentConfig(**raw), label
 
 
 def _snr_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -341,8 +351,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg, label = load_config(args.config)
-    _, (tx, rx, _, _) = _coerce(cfg)
+    cfg, label = _read_config(args.config)
+    cfg, (tx, rx, _, _) = _coerce(cfg)
     print(f"ok: {label}: kind={cfg.kind}, tx={tx.n_antennas} antennas, "
           f"rx={rx.n_antennas} antennas, spectrum={cfg.spectrum}, pattern={cfg.pattern}, "
           f"rho={cfg.rho}, snr points={_snr_grid(cfg).size}, mc={cfg.mc}, seed={cfg.seed}")

@@ -6,7 +6,6 @@ has spacing 0.5 and the wavenumber is 2*pi.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -98,6 +97,8 @@ class ArrayGeometry:
 
     def content_hash(self) -> str:
         """Short stable hash of the rounded positions, for output headers."""
+        import hashlib  # here, not at the top: it loads OpenSSL, and only this header needs it
+
         rounded = np.round(self.positions / _POSITION_TOL).astype(np.int64)
         return hashlib.sha256(rounded.tobytes()).hexdigest()[:12]
 
@@ -170,7 +171,14 @@ def geometry_from_config(cfg: dict) -> ArrayGeometry:
         t = _config_table("geometry", cfg, ("kind", "n", "d"), ("n", "d"))
         return build_ula(t["n"], t["d"])
     if kind == "points":
-        t = _config_table("geometry", cfg, ("kind", "positions"), ("positions",))
+        rows = _config_table("geometry", cfg, ("kind", "positions"), ("positions",))["positions"]
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"positions must be (N, 3), a list of [x, y, z] rows, "
+                             f"got {type(rows).__name__}")
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)) or len(row) != 3:
+                raise ValueError(f"positions must be (N, 3), a list of [x, y, z] rows, "
+                                 f"got row {i} = {row!r}")
         return ArrayGeometry(np.array([[_config_number("positions", v) for v in row]
-                                       for row in t["positions"]]))
+                                       for row in rows]))
     raise ValueError(f"unknown geometry kind {kind!r}")

@@ -18,6 +18,7 @@ import holomimo
 from holomimo.capacity import CapacityCurve, _usable_cpus
 from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, _write_capacity_csv,
                           _write_eig_csv, load_config, main, run_experiment)
+from holomimo.geometry import geometry_from_config
 from holomimo.presets import PRESETS
 
 
@@ -282,6 +283,29 @@ def test_validate_and_error_exit_codes(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("positions", ["5", "[1, 2]", "[[0, 0, 0], [1, 0]]"],
+                         ids=["number", "flat", "ragged"])
+def test_validate_refuses_points_that_are_not_n_by_3(tmp_path, capsys, positions):
+    path = tmp_path / "points.yaml"
+    path.write_text(f"kind: coupling-matrix\ntx: {{kind: points, positions: {positions}}}\n")
+    assert main(["validate", str(path)]) == 1
+    assert "config error: bad geometry: positions must be (N, 3)" in capsys.readouterr().err
+
+
+def test_validate_checks_the_config_once(monkeypatch, capsys):
+    # one check builds fig5's 1681-antenna geometry once
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return geometry_from_config(table)
+
+    monkeypatch.setattr("holomimo.cli.geometry_from_config", counted)
+    assert main(["validate", "fig5"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("ok: fig5: kind=dof-sweep, tx=1681 antennas")
+
+
 def test_run_eigenvalues_outputs(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -410,21 +434,33 @@ def test_run_capacity_outputs(tmp_path):
 _LAZY_BINDING = """
 import json, sys
 from pathlib import Path
-from holomimo.cli import ExperimentConfig, run_experiment
+before = set(sys.modules)
+from holomimo.cli import ExperimentConfig, load_config, run_experiment
 out = Path(sys.argv[1])
+load_config("fig3")
 run_experiment(ExperimentConfig(kind="eigenvalues", tx={"nx": 4, "ny": 4, "dx": 0.5}), "e", out / "e")
 assert "holomimo._lapack" not in sys.modules
+unused = {"hashlib", "_hashlib", "yaml", "numpy.random"} & (set(sys.modules) - before)
+assert not unused, sorted(unused)
+(out / "m.yaml").write_text("kind: coupling-matrix\\ntx: {nx: 3, ny: 3, dx: 0.5}\\n")
+cfg, label = load_config(str(out / "m.yaml"))
+assert "yaml" in sys.modules
+run_experiment(cfg, label, out / "m")
 cfg = ExperimentConfig(kind="capacity", tx={"nx": 2, "ny": 2, "dx": 0.5}, mc=2, snr_db=[0.0])
 print(json.dumps(run_experiment(cfg, "c", out / "c", workers=1)["mc_solvers"]))
 """
 
 
 def test_only_a_capacity_run_loads_the_lapack_binding(tmp_path):
-    # an eigenvalue run never imports the binding module; a capacity run's
-    # manifest names the Monte-Carlo solvers
+    # a preset and an eigenvalue run load neither the LAPACK binding, OpenSSL
+    # (hashlib), the YAML parser nor numpy.random; a config file loads the
+    # parser, a coupling matrix still carries its geometry hash, and a
+    # capacity run's manifest names the Monte-Carlo solvers
     proc = subprocess.run([sys.executable, "-c", _LAZY_BINDING, str(tmp_path)], env=_checkout_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    header = (tmp_path / "m" / "coupling_matrix.csv").read_text().splitlines()[:4]
+    assert header == ["# n_antennas=9", "# rho=0", "# kind=closed-form", "# geometry=518fe5835c52"]
     solvers = json.loads(proc.stdout.splitlines()[-1])
     assert solvers["gram"] == "eigvalsh" and solvers["two_stage_min_rows"] == 400
     assert solvers["iid"].startswith("Wishart law, ")

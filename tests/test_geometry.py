@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,16 @@ def test_config_table_rule(table, match):
     # the table rule names the table and the keys
     with pytest.raises(ValueError, match=f"^{match}$"):
         geometry_from_config(table)
+
+
+@pytest.mark.parametrize("positions, got", [
+    (5, "int"), ([1, 2], "row 0 = 1"), ([[0, 0, 0], [1, 0]], "row 1 = [1, 0]"),
+], ids=["number", "flat", "ragged"])
+def test_points_take_an_n_by_3_table(positions, got):
+    # the positions' shape is refused before any number in them is read
+    with pytest.raises(ValueError, match=re.escape(
+            f"positions must be (N, 3), a list of [x, y, z] rows, got {got}")):
+        geometry_from_config({"kind": "points", "positions": positions})
 
 
 def test_content_hash_tracks_positions():
