@@ -1,30 +1,35 @@
-"""Two LAPACK eigenvalue routines that numpy's linalg does not call, taken
-through ``ctypes`` from the OpenBLAS that numpy itself links.
+"""Two LAPACK eigenvalue routines that numpy's linalg does not call, and the
+BLAS thread count, taken through ``ctypes`` from the OpenBLAS numpy links.
 
 ``tridiagonal_eigenvalues`` runs ``dsterf`` (Pal-Walker-Kahan QR, no
 vectors) and ``eigvalsh`` runs ``zheevd_2stage`` (two-stage
 tridiagonalization; Haidar, Ltaief & Dongarra, SC 2011) from
-``TWO_STAGE_MIN`` rows up, where it beats numpy's one-stage routine.  The
-binding loads on first use, and only when numpy's build reports 64-bit
-LAPACK integers and exports these exact symbols; otherwise both functions
-run numpy's ``eigvalsh``, which gives the same eigenvalues to roundoff.
+``TWO_STAGE_MIN`` rows up, where it beats numpy's one-stage routine.
+``one_thread`` pins the dense stages to one BLAS thread, so their bits do
+not depend on the host.  The binding loads on first use, and only when
+numpy's build reports 64-bit LAPACK integers and exports these exact
+symbols; otherwise both functions run numpy's ``eigvalsh``, which gives the
+same eigenvalues to roundoff, and ``one_thread`` pins nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-_SYMBOLS = ("scipy_LAPACKE_dsterf64_", "scipy_LAPACKE_zheevd_2stage64_")
+_SYMBOLS = ("scipy_LAPACKE_dsterf64_", "scipy_LAPACKE_zheevd_2stage64_",
+            "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 _COL_MAJOR = 102
 # Fewest rows at which zheevd_2stage beats numpy's eigvalsh on one thread
 # (equal at 384 rows, 15% faster at 512, 43% at 1444).
 TWO_STAGE_MIN = 400
 
-_routines: tuple | None = None  # (dsterf, zheevd_2stage) once bound, () for the fallback
+_routines: tuple | None = None  # the _SYMBOLS once bound, () for the fallback
 
 
 def _bind() -> tuple:
-    """The two routines from numpy's LAPACK, or () when they cannot be bound safely."""
+    """The four routines from numpy's OpenBLAS, or () when they cannot be bound safely."""
     try:
         config = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     except (TypeError, KeyError):
@@ -39,14 +44,15 @@ def _bind() -> tuple:
     try:
         # a handle on numpy's LAPACK module also resolves the library it links
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        sterf, heevd = (getattr(lib, name) for name in _SYMBOLS)
+        sterf, heevd, get, set_ = (getattr(lib, name) for name in _SYMBOLS)
     except (OSError, AttributeError):
         return ()
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     sterf.argtypes = [i64, ptr, ptr]
     heevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
     sterf.restype = heevd.restype = i64
-    return sterf, heevd
+    set_.argtypes, set_.restype = [ctypes.c_int], None  # get takes none and returns an int
+    return sterf, heevd, get, set_
 
 
 def bound() -> bool:
@@ -55,6 +61,22 @@ def bound() -> bool:
     if _routines is None:
         _routines = _bind()
     return bool(_routines)
+
+
+@contextlib.contextmanager
+def one_thread():
+    """Run the body (or, as a decorator, each call) on one BLAS thread, then restore
+    the caller's count, also when the body raises; without the binding, pin nothing."""
+    if not bound():
+        yield
+        return
+    get, set_ = _routines[2:]
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
 
 
 def _two_stage(rows: int) -> bool:

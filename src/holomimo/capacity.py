@@ -7,13 +7,13 @@ budget equals the SNR.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .channel import ChannelModel, complex_normal, exact_model, substream
 from .geometry import _config_number
 
@@ -80,9 +80,6 @@ class CapacityCurve:
     label: str = ""
 
 
-# BLAS thread-count variables pinned to one in every Monte-Carlo worker.
-_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 # Substream index offset of the iid law's draws: counter words that no W index reaches.
 _LAW_STREAMS = 2**64
 
@@ -96,7 +93,6 @@ def _wishart_eigenvalues(rng: np.random.Generator, m: int, n: int) -> np.ndarray
     (Dumitriu & Edelman, J. Math. Phys. 43, 2002), i.e. the eigenvalues of the
     tridiagonal B^T B; chi2_{2k} / 2 is a Gamma(k, 1) variate.
     """
-    from . import _lapack
     sq = rng.standard_gamma(np.concatenate([np.arange(m, m - n, -1), np.arange(n - 1, 0, -1)]))
     d2, e2 = sq[:n], sq[n:]
     diag = d2.copy()
@@ -104,6 +100,7 @@ def _wishart_eigenvalues(rng: np.random.Generator, m: int, n: int) -> np.ndarray
     return _lapack.tridiagonal_eigenvalues(diag, np.sqrt(d2[:-1] * e2))[::-1]
 
 
+@_lapack.one_thread()
 def _draw_block(models: Sequence[ChannelModel], seed: int, start: int, stop: int) -> np.ndarray:
     """Draws ``start`` to ``stop - 1`` of a pass: for each, W from substream
     (seed, i) and each model's descending eigenvalues of its smaller-side Gram
@@ -118,9 +115,6 @@ def _draw_block(models: Sequence[ChannelModel], seed: int, start: int, stop: int
     from substream (seed, ``_LAW_STREAMS`` + i): it does not share W with the
     other models, and a pass of iid models alone draws no W.
     """
-    # imported here, so that only a Monte-Carlo pass loads the LAPACK binding module
-    from . import _lapack
-
     n_r, n_t = models[0].shape
     tall = n_r >= n_t
     sides = [(m.amp_r, m.amp_t) if tall else (m.amp_t, m.amp_r) for m in models]
@@ -168,22 +162,6 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Set the BLAS thread variables to one while worker processes start, so
-    each worker's numpy loads single-threaded; the old values come back after."""
-    saved = {k: os.environ.get(k) for k in _ONE_THREAD}
-    os.environ.update(dict.fromkeys(_ONE_THREAD, "1"))
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
              workers: int | None = None) -> np.ndarray:
     """The one Monte-Carlo loop, shape (n_mc, models, min(n_r, n_t)): each draw
@@ -192,10 +170,10 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
 
     ``workers=None`` runs in this process.  A count splits the indices into
     that many contiguous blocks (at most one per draw), each on a ``spawn``ed
-    process with one BLAS thread, gathered in index order; every draw then
-    runs the same single-threaded code, so the result depends neither on the
-    count nor on this process's BLAS threads.  A worker exits as soon as
-    this process is gone, even when it is killed without cleanup.
+    process, gathered in index order.  Every block runs on one BLAS thread,
+    so the result has the same bits in this process and for every count.  A
+    worker exits as soon as this process is gone, even when it is killed
+    without cleanup.
     """
     shapes = {m.shape for m in models}
     if len(shapes) != 1:
@@ -209,7 +187,7 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     from concurrent.futures import ProcessPoolExecutor
 
     edges = [n_mc * k // n for k in range(n + 1)]
-    with _one_blas_thread(), ProcessPoolExecutor(
+    with ProcessPoolExecutor(
             n, mp_context=multiprocessing.get_context("spawn"),
             initializer=_exit_with_parent) as pool:
         blocks = [pool.submit(_draw_block, models, seed, a, b)
@@ -228,12 +206,10 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     other curves lose the variance reduction of common random numbers.
 
     ``workers=None`` draws in this process; a count, up to the usable CPUs,
-    runs the draws on that many ``spawn``ed single-thread worker processes,
-    so a script that passes it must guard its entry point with
-    ``if __name__ == "__main__"``.  Every count gives the same bits; the
-    in-process draws agree with them to roundoff only, as this process's
-    BLAS may run several threads and a multithreaded ``eigvalsh`` rounds
-    differently.  The iid curve runs no BLAS, so its bits match in process.
+    runs the draws on that many ``spawn``ed worker processes, so a script
+    that passes it must guard its entry point with
+    ``if __name__ == "__main__"``.  Every draw runs on one BLAS thread, so
+    the in-process draws and every count give the same bits.
     """
     snr_db = _check_snr(snr_db)
     snr_lin = 10.0 ** (snr_db / 10.0)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from ._kernels import HEMISPHERE, density_kernel
 from .coupling import (Kernel, _check_floor, _check_rho, _descending, _eigh, _psd_spectrum,
                        coupling_general, coupling_ratio, spd_inv_sqrt)
@@ -92,6 +93,7 @@ def coupled_correlation_exact(correlation: Kernel, coupling: Kernel) -> Kernel:
     return Kernel(0.5 * (m + m.conj().T))
 
 
+@_lapack.one_thread()
 def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndarray:
     """Descending eigenvalues of C^{-1/2}(rho) R C^{-1/2}(rho), one row per rho.
 
@@ -127,6 +129,7 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
     return out
 
 
+@_lapack.one_thread()
 def exact_spectra(geometry: ArrayGeometry, spectrum: AngularSpectrum, pattern: AntennaPattern,
                   rhos) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues of R, and one row of whitened eigenvalues per rho.

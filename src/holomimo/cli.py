@@ -2,10 +2,9 @@
 
 Configs are YAML (JSON works too) key-value tables; see ``presets.py`` for
 complete examples.  Every run writes CSV outputs plus a ``manifest.json``
-echoing the resolved config, library versions, and wall time.  Reruns with
-the same config and seed produce byte-identical CSVs under the same BLAS
-thread count; the capacity kinds' CSVs do not depend on that count, the
-eigenvalue kinds' do.
+echoing the resolved config, library versions, and wall time.  The dense
+stages run on one BLAS thread (``_lapack.one_thread``), so a run's CSVs depend
+only on its config and seed, not on the host's thread count or the workers.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _lapack
 from .capacity import _check_snr, _check_workers, ergodic_capacity, low_snr_bound_check
 from .channel import (_check_normalize, _check_seed, exact_model, exact_spectra, fourier_model,
                       iid_model)
@@ -290,21 +289,24 @@ _EXECUTORS = {
 # commands
 
 
-def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
+def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path | str | None = None,
                    workers: int | None = None) -> dict:
     """Execute one experiment and write outputs plus a manifest; returns it.
 
-    A bad config or worker count raises a ConfigError before ``out_dir`` is made.
+    ``out_dir=None`` writes to the config's ``out_dir``.  A bad config or
+    worker count raises a ConfigError before the output directory is made.
 
     The Monte-Carlo kinds (capacity, bound-check) run their draws on
-    ``workers`` processes with one BLAS thread each, by default one per
-    usable CPU; their outputs do not depend on the count.
+    ``workers`` processes, by default one per usable CPU.  The dense stages
+    run on one BLAS thread, so the outputs depend on neither; the manifest's
+    ``blas_threads`` reads 1, or ``"unpinned"`` where the binding did not load.
     """
     cfg, resolved = _coerce(cfg)
     try:
         workers = _check_workers(workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out_dir = Path(cfg.out_dir if out_dir is None else out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     files, models = _EXECUTORS[cfg.kind](cfg, out_dir, workers, *resolved)
@@ -320,6 +322,7 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         "seed": cfg.seed,
         # processes the Monte-Carlo pass ran on (never more than one per draw)
         "workers": min(workers, cfg.mc) if models else 0,
+        "blas_threads": 1 if _lapack.bound() else "unpinned",
         "outputs": files,
         "wall_time_s": round(time.perf_counter() - start, 3),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -330,20 +333,17 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path,
         manifest["whitening"] = ({"path": "general"} if kappa is None
                                  else {"path": "scalar", "kappa": kappa})
     if models:
-        from . import _lapack
-
         manifest["mc_solvers"] = _lapack.solvers(min(models[0].shape))
     _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
 def _cmd_run(args) -> int:
-    cfg, label = load_config(args.config)
-    # run_experiment checks the config again with its overrides applied.
+    cfg, label = _read_config(args.config)
     overrides = {k: v for k, v in (("seed", args.seed), ("mc", args.mc)) if v is not None}
     cfg = dataclasses.replace(cfg, **overrides)
-    out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
-    manifest = run_experiment(cfg, label, out_dir, args.workers)
+    manifest = run_experiment(cfg, label, args.out_dir or None, args.workers)
+    out_dir = Path(args.out_dir or cfg.out_dir)  # a string: run_experiment checked it
     for name in manifest["outputs"]:
         print(f"wrote {out_dir / name}")
     print(f"done: {label} ({cfg.kind}) in {manifest['wall_time_s']:.3f} s")
@@ -378,8 +378,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--mc", type=int, default=None, help="override the Monte-Carlo budget")
     p_run.add_argument("--out-dir", default=None, help="override the output directory")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="Monte-Carlo worker processes, one BLAS thread each "
-                            "(default: every usable CPU)")
+                       help="Monte-Carlo worker processes (default: every usable CPU)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config without running it")

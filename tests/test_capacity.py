@@ -181,14 +181,20 @@ def test_gram_eigenvalues_match_squared_singular_values(n_r, n_t):
 
 @pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
 def test_worker_pass_matches_in_process_pass():
-    # blocks of draw indices come back in index order, whatever their count
-    models = [iid_model(5, 7), _tilted(5, 7, "tilted")]
-    in_process = _mc_pass(models, 5, seed=3)
-    # numpy integers count as whole numbers
-    for n_mc, workers in ((5, 1), (np.int64(5), np.int64(2))):
-        assert np.array_equal(_mc_pass(models, n_mc, seed=3, workers=workers), in_process)
+    # blocks of draw indices come back in index order, whatever their count,
+    # with the in-process bits: every block runs on one BLAS thread, the
+    # two-stage solves of TWO_STAGE_MIN rows and more too
+    n = _lapack.TWO_STAGE_MIN + 20
+    small = [iid_model(5, 7), _tilted(5, 7, "tilted")]
+    for models in (small, [_tilted(n, n, "tilted"), _white(n, n)]):
+        in_process = _mc_pass(models, 5, seed=3)
+        with _lapack.one_thread():  # whatever the caller's thread count
+            assert np.array_equal(_mc_pass(models, 5, seed=3), in_process)
+        # numpy integers count as whole numbers
+        for n_mc, workers in ((5, 1), (np.int64(5), np.int64(2))):
+            assert np.array_equal(_mc_pass(models, n_mc, seed=3, workers=workers), in_process)
     with pytest.raises(ValueError, match="workers"):
-        _mc_pass(models, 5, seed=3, workers=0)
+        _mc_pass(small, 5, seed=3, workers=0)
 
 
 @pytest.mark.parametrize("rx, tx", [((4, 4), (3, 3)), ((3, 3), (4, 4))])

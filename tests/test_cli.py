@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import holomimo
+from holomimo import _lapack
 from holomimo.capacity import CapacityCurve, _usable_cpus
 from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, _write_capacity_csv,
                           _write_eig_csv, load_config, main, run_experiment)
@@ -262,13 +263,18 @@ def test_snr_grid_forms():
 @pytest.mark.parametrize("key, value", [("kind", ["eigenvalues"]), ("spectrum", 5),
                                         ("pattern", [1]), ("normalize", 1.0), ("out_dir", 5)],
                          ids=["kind", "spectrum", "pattern", "normalize", "out_dir"])
-def test_a_string_key_of_another_type_is_a_config_error(tmp_path, capsys, key, value):
-    # the config check refuses it, so validate reports it and no run starts
+def test_a_string_key_of_another_type_is_a_config_error(tmp_path, capsys, monkeypatch, key,
+                                                        value):
+    # the config check refuses it, so validate and run report it and no run
+    # starts; run resolves the config's out_dir only after that check
     path = write_config(tmp_path, **{key: value})
     with pytest.raises(ConfigError, match=f"^{key} must be a string, got "):
         load_config(str(path))
-    assert main(["validate", str(path)]) == 1
-    assert "config error:" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_validate_and_error_exit_codes(tmp_path, capsys):
@@ -306,6 +312,24 @@ def test_validate_checks_the_config_once(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("ok: fig5: kind=dof-sweep, tx=1681 antennas")
 
 
+def test_run_checks_the_config_once(monkeypatch, capsys, tmp_path):
+    # the --seed override is applied before the one check, in run_experiment,
+    # which then writes to the config's out_dir
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return geometry_from_config(table)
+
+    monkeypatch.setattr("holomimo.cli.geometry_from_config", counted)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "fig5", "--seed", "3"]) == 0
+    assert len(calls) == 1
+    out = Path(PRESETS["fig5"]["out_dir"])
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {out / 'eigs_exact_uncoupled.csv'}"
+
+
 def test_run_eigenvalues_outputs(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -318,6 +342,7 @@ def test_run_eigenvalues_outputs(tmp_path):
     assert set(manifest["outputs"]) == expected
     assert manifest["kind"] == "eigenvalues"
     assert manifest["seed"] == 7
+    assert manifest["blas_threads"] == (1 if _lapack.bound() else "unpinned")
     assert {"numpy", "python", "holomimo"} <= set(manifest["versions"])
     rows = read_csv(out / "eigs_exact_uncoupled.csv")
     assert list(rows[0]) == ["index", "index_over_n",
@@ -431,7 +456,7 @@ def test_run_capacity_outputs(tmp_path):
         assert caps[1] > caps[0] > 0
 
 
-_LAZY_BINDING = """
+_LAZY_IMPORTS = """
 import json, sys
 from pathlib import Path
 before = set(sys.modules)
@@ -439,7 +464,6 @@ from holomimo.cli import ExperimentConfig, load_config, run_experiment
 out = Path(sys.argv[1])
 load_config("fig3")
 run_experiment(ExperimentConfig(kind="eigenvalues", tx={"nx": 4, "ny": 4, "dx": 0.5}), "e", out / "e")
-assert "holomimo._lapack" not in sys.modules
 unused = {"hashlib", "_hashlib", "yaml", "numpy.random"} & (set(sys.modules) - before)
 assert not unused, sorted(unused)
 (out / "m.yaml").write_text("kind: coupling-matrix\\ntx: {nx: 3, ny: 3, dx: 0.5}\\n")
@@ -451,12 +475,12 @@ print(json.dumps(run_experiment(cfg, "c", out / "c", workers=1)["mc_solvers"]))
 """
 
 
-def test_only_a_capacity_run_loads_the_lapack_binding(tmp_path):
-    # a preset and an eigenvalue run load neither the LAPACK binding, OpenSSL
-    # (hashlib), the YAML parser nor numpy.random; a config file loads the
-    # parser, a coupling matrix still carries its geometry hash, and a
-    # capacity run's manifest names the Monte-Carlo solvers
-    proc = subprocess.run([sys.executable, "-c", _LAZY_BINDING, str(tmp_path)], env=_checkout_env(),
+def test_a_run_loads_only_the_modules_it_needs(tmp_path):
+    # a preset and an eigenvalue run load neither OpenSSL (hashlib), the YAML
+    # parser nor numpy.random; a config file loads the parser, a coupling
+    # matrix still carries its geometry hash, and a capacity run's manifest
+    # names the Monte-Carlo solvers
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS, str(tmp_path)], env=_checkout_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     header = (tmp_path / "m" / "coupling_matrix.csv").read_text().splitlines()[:4]
@@ -809,17 +833,19 @@ def test_runs_without_scipy(tmp_path):
     assert "eigs_exact_coupled_rho0.1.csv" in manifest["outputs"]
 
 
-# Every draw runs in a one-thread worker, so the caller's own BLAS threads
-# leave the capacity bytes unchanged.
-def test_capacity_bytes_do_not_depend_on_caller_blas_threads(tmp_path):
-    path = _small_capacity(tmp_path)
+# Every dense stage runs on one BLAS thread, so the caller's own thread count
+# leaves the bytes unchanged: the capacity draws' and fig2's eigenvalues alike.
+def test_bytes_do_not_depend_on_caller_blas_threads(tmp_path):
+    configs = {"capacity": str(_small_capacity(tmp_path)), "fig2": "fig2"}
     for threads in ("1", "2"):
         env = dict(_checkout_env(), OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-m", "holomimo", "run", str(path),
-                               "--out-dir", str(tmp_path / threads)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-    assert_same_csvs(tmp_path / "1", tmp_path / "2")
+        for name, config in configs.items():
+            proc = subprocess.run([sys.executable, "-m", "holomimo", "run", config,
+                                   "--out-dir", str(tmp_path / threads / name)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+    for name in configs:
+        assert_same_csvs(tmp_path / "1" / name, tmp_path / "2" / name)
 
 
 def _proc_stat(pid):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from holomimo import _lapack
+from holomimo.cli import ExperimentConfig, run_experiment
 
 SIZES = [1, 2, 7, 256, 900]
+# numpy's own routines, bound before any test patches the symbol names
+_NUMPYS = _lapack._bind()
 
 
 def _tridiagonal(n, seed):
@@ -21,7 +24,8 @@ def _hermitian(n, seed):
 @pytest.fixture
 def fallback(monkeypatch):
     """numpy's LAPACK as if it exported none of the bound symbols."""
-    monkeypatch.setattr(_lapack, "_SYMBOLS", ("no_dsterf64_", "no_zheevd_2stage64_"))
+    monkeypatch.setattr(_lapack, "_SYMBOLS", ("no_dsterf64_", "no_zheevd_2stage64_",
+                                              "no_get_num_threads64_", "no_set_num_threads64_"))
     monkeypatch.setattr(_lapack, "_routines", None)
     assert not _lapack.bound()
 
@@ -88,3 +92,41 @@ def test_eigvalsh_and_the_manifest_read_one_predicate(monkeypatch):
         _lapack.eigvalsh(a.copy())
         assert bool(calls) == (_lapack.solvers(8)["gram"] == "eigvalsh")
         monkeypatch.undo()
+
+
+def test_one_thread_restores_the_callers_count():
+    if not _lapack.bound():
+        pytest.skip("numpy's OpenBLAS is not bound here")
+    get, set_ = _lapack._routines[2:]
+    saved = get()
+    try:
+        set_(2)
+        assert get() == 2
+        with _lapack.one_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError, match="body"), _lapack.one_thread():
+            assert get() == 1
+            raise RuntimeError("body")
+        assert get() == 2
+        # as a decorator, it pins each call
+        pinned = _lapack.one_thread()(get)
+        assert (pinned(), pinned(), get()) == (1, 1, 2)
+    finally:
+        set_(saved)
+
+
+def test_fallback_pins_nothing(fallback, tmp_path):
+    # the count, read through numpy's own routines, stays the caller's, and
+    # the manifest says the dense stages ran unpinned
+    if _NUMPYS:
+        get, set_ = _NUMPYS[2:]
+        saved = get()
+        try:
+            set_(2)
+            with _lapack.one_thread():
+                assert get() == 2
+        finally:
+            set_(saved)
+    cfg = ExperimentConfig(kind="eigenvalues", tx={"nx": 3, "ny": 3, "dx": 0.5}, rho=[0.1])
+    assert run_experiment(cfg, "fallback", tmp_path)["blas_threads"] == "unpinned"
