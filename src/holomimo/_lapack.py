@@ -15,6 +15,7 @@ same eigenvalues to roundoff, and ``one_thread`` pins nothing.
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
@@ -26,6 +27,8 @@ _COL_MAJOR = 102
 TWO_STAGE_MIN = 400
 
 _routines: tuple | None = None  # the _SYMBOLS once bound, () for the fallback
+_pin = threading.Lock()
+_pinned = [0, 1]  # one_thread bodies running in any thread, and the count the first found
 
 
 def _bind() -> tuple:
@@ -66,17 +69,25 @@ def bound() -> bool:
 @contextlib.contextmanager
 def one_thread():
     """Run the body (or, as a decorator, each call) on one BLAS thread, then restore
-    the caller's count, also when the body raises; without the binding, pin nothing."""
+    the caller's count, also when the body raises; without the binding, pin nothing.
+    The count is the process's: overlapping bodies, in any threads, hold it at one
+    (for every BLAS call meanwhile) until the last of them ends."""
     if not bound():
         yield
         return
     get, set_ = _routines[2:]
-    caller = get()
-    set_(1)
+    with _pin:
+        if not _pinned[0]:
+            _pinned[1] = get()
+            set_(1)
+        _pinned[0] += 1
     try:
         yield
     finally:
-        set_(caller)
+        with _pin:
+            _pinned[0] -= 1
+            if not _pinned[0]:
+                set_(_pinned[1])
 
 
 def _two_stage(rows: int) -> bool:

@@ -7,6 +7,7 @@ budget equals the SNR.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -79,6 +80,9 @@ class CapacityCurve:
     n_mc: int
     label: str = ""
 
+
+# BLAS thread-count variables set to one while Monte-Carlo workers start.
+_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Substream index offset of the iid law's draws: counter words that no W index reaches.
 _LAW_STREAMS = 2**64
@@ -162,6 +166,22 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to one while worker processes start, so each
+    worker's numpy loads a one-thread BLAS, whatever the library; the old values come back after."""
+    saved = {k: os.environ.get(k) for k in _ONE_THREAD}
+    os.environ.update(dict.fromkeys(_ONE_THREAD, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
              workers: int | None = None) -> np.ndarray:
     """The one Monte-Carlo loop, shape (n_mc, models, min(n_r, n_t)): each draw
@@ -170,9 +190,10 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
 
     ``workers=None`` runs in this process.  A count splits the indices into
     that many contiguous blocks (at most one per draw), each on a ``spawn``ed
-    process, gathered in index order.  Every block runs on one BLAS thread,
-    so the result has the same bits in this process and for every count.  A
-    worker exits as soon as this process is gone, even when it is killed
+    process that loads its BLAS with one thread, gathered in index order, so
+    every count gives the same bits.  In this process ``_lapack.one_thread``
+    pins the draws to those bits; without its binding they agree to roundoff.
+    A worker exits as soon as this process is gone, even when it is killed
     without cleanup.
     """
     shapes = {m.shape for m in models}
@@ -187,7 +208,7 @@ def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
     from concurrent.futures import ProcessPoolExecutor
 
     edges = [n_mc * k // n for k in range(n + 1)]
-    with ProcessPoolExecutor(
+    with _one_blas_thread(), ProcessPoolExecutor(
             n, mp_context=multiprocessing.get_context("spawn"),
             initializer=_exit_with_parent) as pool:
         blocks = [pool.submit(_draw_block, models, seed, a, b)
@@ -206,10 +227,10 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     other curves lose the variance reduction of common random numbers.
 
     ``workers=None`` draws in this process; a count, up to the usable CPUs,
-    runs the draws on that many ``spawn``ed worker processes, so a script
-    that passes it must guard its entry point with
-    ``if __name__ == "__main__"``.  Every draw runs on one BLAS thread, so
-    the in-process draws and every count give the same bits.
+    runs the draws on that many ``spawn``ed single-thread worker processes,
+    so a script that passes it must guard its entry point with
+    ``if __name__ == "__main__"``.  Every count, and the in-process draws
+    where ``_lapack.one_thread`` pins them, give the same bits.
     """
     snr_db = _check_snr(snr_db)
     snr_lin = 10.0 ** (snr_db / 10.0)

@@ -2,9 +2,10 @@
 
 Configs are YAML (JSON works too) key-value tables; see ``presets.py`` for
 complete examples.  Every run writes CSV outputs plus a ``manifest.json``
-echoing the resolved config, library versions, and wall time.  The dense
-stages run on one BLAS thread (``_lapack.one_thread``), so a run's CSVs depend
-only on its config and seed, not on the host's thread count or the workers.
+echoing the resolved config, library versions, and wall time.  The exact
+spectra and the Monte-Carlo draws run on one BLAS thread (``_lapack.one_thread``
+in process, the environment in each worker), so their CSVs depend only on the
+config and seed, not on the host's thread count or the workers.
 """
 
 from __future__ import annotations
@@ -293,20 +294,24 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path | str | None
                    workers: int | None = None) -> dict:
     """Execute one experiment and write outputs plus a manifest; returns it.
 
-    ``out_dir=None`` writes to the config's ``out_dir``.  A bad config or
-    worker count raises a ConfigError before the output directory is made.
+    ``out_dir`` overrides the config's ``out_dir``, and the manifest's config
+    echoes the directory written to.  A bad config or worker count raises a
+    ConfigError before that directory is made.
 
     The Monte-Carlo kinds (capacity, bound-check) run their draws on
-    ``workers`` processes, by default one per usable CPU.  The dense stages
-    run on one BLAS thread, so the outputs depend on neither; the manifest's
-    ``blas_threads`` reads 1, or ``"unpinned"`` where the binding did not load.
+    ``workers`` one-thread processes, by default one per usable CPU.  The
+    exact spectra run on one BLAS thread too, so the outputs depend on
+    neither; the manifest's ``blas_threads`` reads 1, or ``"unpinned"``
+    where the binding did not load and they ran on the caller's threads.
     """
+    if out_dir is not None:
+        cfg = dataclasses.replace(cfg, out_dir=str(out_dir))
     cfg, resolved = _coerce(cfg)
     try:
         workers = _check_workers(workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out_dir = Path(cfg.out_dir if out_dir is None else out_dir)
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     files, models = _EXECUTORS[cfg.kind](cfg, out_dir, workers, *resolved)
@@ -343,7 +348,7 @@ def _cmd_run(args) -> int:
     overrides = {k: v for k, v in (("seed", args.seed), ("mc", args.mc)) if v is not None}
     cfg = dataclasses.replace(cfg, **overrides)
     manifest = run_experiment(cfg, label, args.out_dir or None, args.workers)
-    out_dir = Path(args.out_dir or cfg.out_dir)  # a string: run_experiment checked it
+    out_dir = Path(manifest["config"]["out_dir"])
     for name in manifest["outputs"]:
         print(f"wrote {out_dir / name}")
     print(f"done: {label} ({cfg.kind}) in {manifest['wall_time_s']:.3f} s")

@@ -1,3 +1,8 @@
+import os
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,8 @@ from holomimo import (ChannelModel, build_fourier_basis, build_upa, coupling_clo
                       isotropic_spectrum, low_snr_bound_check, regularize, spd_inv_sqrt, spd_sqrt,
                       whitened_eigenvalues)
 from holomimo import _lapack
-from holomimo.capacity import _capacity_grid, _draw_block, _mc_pass, _usable_cpus, _water_levels
+from holomimo.capacity import (_ONE_THREAD, _capacity_grid, _draw_block, _exit_with_parent,
+                               _mc_pass, _one_blas_thread, _usable_cpus, _water_levels)
 from holomimo.channel import complex_normal, substream
 
 
@@ -195,6 +201,21 @@ def test_worker_pass_matches_in_process_pass():
             assert np.array_equal(_mc_pass(models, n_mc, seed=3, workers=workers), in_process)
     with pytest.raises(ValueError, match="workers"):
         _mc_pass(small, 5, seed=3, workers=0)
+
+
+def test_workers_load_their_blas_on_one_thread(monkeypatch):
+    # a worker starts as _mc_pass starts it, with the thread variables at one,
+    # so its numpy loads a one-thread BLAS (no idle pool) whatever the library;
+    # the caller's variables come back after
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    with _one_blas_thread(), ProcessPoolExecutor(1, mp_context=get_context("spawn"),
+                                                 initializer=_exit_with_parent) as pool:
+        assert [pool.submit(os.getenv, k).result() for k in _ONE_THREAD] == ["1"] * 3
+        if Path("/proc/self/task").is_dir():
+            # the worker's main thread and its parent watch, no BLAS threads
+            assert len(pool.submit(os.listdir, "/proc/self/task").result()) == 2
+    assert (os.environ["OPENBLAS_NUM_THREADS"], os.getenv("MKL_NUM_THREADS")) == ("2", None)
 
 
 @pytest.mark.parametrize("rx, tx", [((4, 4), (3, 3)), ((3, 3), (4, 4))])

@@ -342,6 +342,7 @@ def test_run_eigenvalues_outputs(tmp_path):
     assert set(manifest["outputs"]) == expected
     assert manifest["kind"] == "eigenvalues"
     assert manifest["seed"] == 7
+    assert manifest["config"]["out_dir"] == str(out)  # the directory written to
     assert manifest["blas_threads"] == (1 if _lapack.bound() else "unpinned")
     assert {"numpy", "python", "holomimo"} <= set(manifest["versions"])
     rows = read_csv(out / "eigs_exact_uncoupled.csv")

@@ -112,6 +112,15 @@ def test_one_thread_restores_the_callers_count():
         # as a decorator, it pins each call
         pinned = _lapack.one_thread()(get)
         assert (pinned(), pinned(), get()) == (1, 1, 2)
+        # bodies that overlap (as in two threads) keep one thread until the
+        # last ends, which restores the count the first found
+        first, second = _lapack.one_thread(), _lapack.one_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert get() == 1
+        second.__exit__(None, None, None)
+        assert get() == 2
     finally:
         set_(saved)
 
