@@ -14,9 +14,8 @@ from .geometry import ArrayGeometry, build_ula, build_upa, geometry_from_config
 from .spectra import (AngularSpectrum, AntennaPattern, cap_constant, cap_spectrum,
                       hemisphere_quadrature, isotropic_spectrum, matched_pattern, omni_pattern,
                       pattern_covers, quadrature_for)
-from .coupling import (CouplingMatrix, Kernel, SingularCouplingError, coupling_closed_form,
-                       coupling_general, regularize, spd_inv_sqrt, spd_sqrt,
-                       write_coupling_csv)
+from .coupling import (Kernel, SingularCouplingError, coupling_closed_form, coupling_general,
+                       regularize, spd_inv_sqrt, spd_sqrt)
 from .fourier import (FourierBasis, WavenumberLattice, build_fourier_basis, build_lattice,
                       fourier_matrix, variances_coupled, variances_uncoupled,
                       write_variances_csv)

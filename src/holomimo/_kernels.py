@@ -5,7 +5,9 @@ sum_k w_k exp(i (kx_k dx + ky_k dy)) over all pairwise coordinate differences
 (dx, dy), and ``density_kernel`` is the one rule that builds it.  On gridded
 arrays the unique differences per axis are few, so every kernel is a table
 over their product set (``Grid``) and no N x N matrix is formed; the 2-D rule
-fills it by one small matrix product per node chunk.  Irregular arrays take
+fills it by one small matrix product per node chunk.  ``Grid`` owns that
+table's layout, so it alone says which of the array's mirror reflections a
+table is even under (``Grid.reflections``).  Irregular arrays take
 the N^2 antenna pairs instead.  A density uniform on its polar cap needs no
 2-D rule at all: its kernel is a function of the distance, sinc(2 d) on the
 whole hemisphere and one Bessel integral in theta on a cap
@@ -80,30 +82,37 @@ class Grid:
         flat += self.y_cell[self.iy[rows]][:, self.iy[cols]]
         return flat
 
-    def reflections(self) -> dict[str, np.ndarray]:
-        """Index permutations p of the array's reflections, by name: antenna
-        p[n] sits at the image of antenna n.  "x" and "y" reverse an axis's
-        unique coordinates, which the axis admits when its difference index
-        has cell[i, j] == cell[n-1-j, n-1-i]; "diagonal" swaps the axes, which
-        needs one difference set and one index on both.  A reflection is left
-        out when an image is missing or when it fixes every antenna."""
+    def reflections(self, table: np.ndarray) -> dict[str, np.ndarray]:
+        """Index permutations p of the array's reflections that a kernel
+        ``table`` over this grid is even under, by name: antenna p[n] sits at
+        the image of antenna n.  "x" reverses the unique x coordinates, which
+        the axis admits when its difference index has cell[i, j] ==
+        cell[n-1-j, n-1-i], and maps the table to table[::-1] (-dx, as the
+        axis is antisymmetric); "y" does the same for y and the columns;
+        "diagonal" swaps the axes, which needs one difference set and one
+        index on both, and maps the table to its transpose.  A reflection is
+        left out when an image is missing, when it fixes every antenna, or
+        when the table is not ``_close`` to its image.  The names come in the
+        order x, y, diagonal: ``Kernel.sectors`` numbers them as generator
+        bits 1, 2 and 4."""
         nx, ny = self.x_cell.shape[0], self.y_cell.shape[0]
         images = {}
         if np.array_equal(self.x_cell, self.x_cell[::-1, ::-1].T):
-            images["x"] = (nx - 1 - self.ix) * ny + self.iy
+            images["x"] = (nx - 1 - self.ix) * ny + self.iy, table[::-1]
         if np.array_equal(self.y_cell, self.y_cell[::-1, ::-1].T):
-            images["y"] = self.ix * ny + (ny - 1 - self.iy)
+            images["y"] = self.ix * ny + (ny - 1 - self.iy), table[:, ::-1]
         if (np.array_equal(self.x_cell, self.y_cell * self.dy.size)
                 and np.abs(self.dx - self.dy).max() <= 10.0 ** -_MIRROR_ROUND):
-            images["diagonal"] = self.iy * ny + self.ix
+            images["diagonal"] = self.iy * ny + self.ix, table.T
         # each image is found by bisection in the antennas' sorted keys
         key = self.ix * ny + self.iy
         order = np.argsort(key)
         key = key[order]
         perms = {}
-        for name, image in images.items():
+        for name, (image, mirrored) in images.items():
             at = np.minimum(np.searchsorted(key, image), key.size - 1)
-            if np.array_equal(key[at], image) and np.any(order[at] != np.arange(at.size)):
+            if (np.array_equal(key[at], image) and np.any(order[at] != np.arange(at.size))
+                    and _close(mirrored, table)):
                 perms[name] = order[at]
         return perms
 

@@ -82,7 +82,7 @@ def exact_correlation(geometry: ArrayGeometry, spectrum: AngularSpectrum) -> Ker
     for every point-symmetric spectrum and complex Hermitian otherwise.
     """
     m, grid = density_kernel(geometry.positions, spectrum, HEMISPHERE)
-    return Kernel(m, geometry, grid=grid)
+    return Kernel(m, grid=grid)
 
 
 def coupled_correlation_exact(correlation: Kernel, coupling: Kernel) -> Kernel:
@@ -103,12 +103,16 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
     correlation (Golub & Van Loan, Matrix Computations, sec. 8.7).  All of
     this runs per sector of the reflections of R (``Kernel.reflections``)
     that C also commutes with (``Kernel.sectors``), so R is never checked a
-    second time.  Raises SingularCouplingError, before the sign check and any
-    per-rho solve, for a rho that leaves C + rho I at the floor.  The rows
+    second time.  Kernels of two antenna counts are refused at entry.  Raises
+    SingularCouplingError, before the sign check and any per-rho solve, for
+    a rho that leaves C + rho I at the floor.  The rows
     are as positive semidefinite as R (Sylvester's law of inertia), so an
     indefinite R is refused and each row clipped at zero: the whitening
     amplifies R's roundoff by about top / rho.
     """
+    if correlation.n_antennas != coupling.n_antennas:
+        raise ValueError(f"R has {correlation.n_antennas} antennas and C "
+                         f"{coupling.n_antennas}: whiten kernels of one array")
     rhos = _check_rho(rhos)
     parts = []
     for s in correlation.sectors(coupling):

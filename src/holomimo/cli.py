@@ -26,7 +26,7 @@ from .capacity import _check_snr, _check_workers, ergodic_capacity, low_snr_boun
 from .channel import (_check_normalize, _check_seed, exact_model, exact_spectra, fourier_model,
                       iid_model)
 from .coupling import (SingularCouplingError, _check_rho, coupling_general, coupling_ratio,
-                       regularize, write_coupling_csv)
+                       regularize)
 from .fourier import build_fourier_basis, build_lattice, write_variances_csv
 from .geometry import _config_number, _config_table, geometry_from_config
 from .presets import PRESET_NOTES, PRESETS
@@ -99,7 +99,7 @@ def _coerce(cfg: ExperimentConfig):
     if cfg.kind not in ("coupling-matrix", "capacity"):
         for g, name in ((tx, "tx"), (rx, "rx")):
             try:
-                g.aperture_matrix()
+                build_lattice(g)
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
     return (dataclasses.replace(cfg, rho=rho, seed=seed, mc=mc, threshold_db=threshold_db),
@@ -213,7 +213,7 @@ def _write_fourier(out: Path, basis, refs) -> list[str]:
 
 
 def _run_eigenvalues(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
-                     pattern) -> list[str]:
+                     pattern) -> tuple[list[str], list]:
     ev, coupled = exact_spectra(g, spectrum, pattern, cfg.rho)
     basis = build_fourier_basis(g, spectrum)
     # (lattice size for the index/n axis, antenna count for the trace mean)
@@ -227,7 +227,7 @@ def _run_eigenvalues(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spec
 
 
 def _run_dof_sweep(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
-                   pattern) -> list[str]:
+                   pattern) -> tuple[list[str], list]:
     ev, coupled = exact_spectra(g, spectrum, pattern, cfg.rho)
     thr = 10.0 ** (cfg.threshold_db / 10.0)
     refs = build_lattice(g).n_points, g.n_antennas
@@ -245,7 +245,7 @@ def _run_dof_sweep(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectr
 
 
 def _run_capacity(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectrum,
-                  pattern) -> list[str]:
+                  pattern) -> tuple[list[str], list]:
     ev, coupled = exact_spectra(gt, spectrum, pattern, cfg.rho)
     n_rx = gr.n_antennas
     models = [iid_model(n_rx, gt.n_antennas),
@@ -259,16 +259,19 @@ def _run_capacity(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectr
 
 
 def _run_coupling_matrix(cfg: ExperimentConfig, out: Path, workers: int, g, rx, spectrum,
-                         pattern) -> list[str]:
-    base = coupling_general(g, pattern)
-    if cfg.rho:
-        base = regularize(base, cfg.rho[0])
-    write_coupling_csv(base, out / "coupling_matrix.csv")
-    return ["coupling_matrix.csv"], []
+                         pattern) -> tuple[list[str], list]:
+    rho = cfg.rho[0] if cfg.rho else 0.0
+    m = regularize(coupling_general(g, pattern), rho).matrix
+    kind = "closed-form" if pattern.edge is None else f"general({pattern.name})"
+    header = (f"# n_antennas={g.n_antennas}\n# rho={rho:.12g}\n# kind={kind}\n"
+              f"# geometry={g.content_hash()}\nrow,col,value")
+    i, j = np.indices(m.shape).reshape(2, -1).tolist()
+    return [_write_csv(out / "coupling_matrix.csv", header, "%d,%d,%.12g",
+                       zip(i, j, m.ravel().tolist()))], []
 
 
 def _run_bound_check(cfg: ExperimentConfig, out: Path, workers: int, gt, gr, spectrum,
-                     pattern) -> list[str]:
+                     pattern) -> tuple[list[str], list]:
     model = fourier_model(build_fourier_basis(gr, spectrum),
                           build_fourier_basis(gt, spectrum, pattern))
     payload = dataclasses.asdict(low_snr_bound_check(model, cfg.mc, cfg.seed, workers))

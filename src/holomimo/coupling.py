@@ -10,9 +10,10 @@ formed only on demand.  A kernel that commutes with the array's mirror
 reflections splits into reflection-symmetry sectors (Cantoni & Butler,
 Linear Algebra Appl. 13, 1976), and with the diagonal of a square grid into
 the sectors of the dihedral group, each solved on its own;
-``Kernel.reflections`` reads those reflections off the grid's difference
-index and checks them once per kernel, on its table.  An array without a
-grid is one sector.
+``Kernel.reflections`` asks the grid (``_kernels.Grid.reflections``) which
+of them the kernel's table is even under, once per kernel.  An array
+without a grid is one sector.  A kernel holds the operator alone: its
+entries, its diagonal loading and its grid.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import HEMISPHERE, Grid, _close, density_kernel
+from ._kernels import HEMISPHERE, Grid, density_kernel
 from .geometry import ArrayGeometry, _is_number
-from .spectra import AngularSpectrum, AntennaPattern, _uniform_on_cap, omni_pattern
+from .spectra import AngularSpectrum, AntennaPattern, omni_pattern
 
 __all__ = [
-    "CouplingMatrix",
     "Kernel",
     "Sector",
     "SingularCouplingError",
@@ -37,7 +37,6 @@ __all__ = [
     "regularize",
     "spd_sqrt",
     "spd_inv_sqrt",
-    "write_coupling_csv",
 ]
 
 # Eigenvalue floor below which the inverse square root refuses to proceed.
@@ -88,18 +87,6 @@ class Sector:
         return np.tile(np.linalg.eigvalsh(m), self.multiplicity)
 
 
-def _even(table: np.ndarray, name: str) -> bool:
-    """Whether a kernel table is even under a reflection of the differences:
-    K(-dx, dy) = K(dx, dy) for "x", K(dx, -dy) for "y", and K(dy, dx) for
-    "diagonal" (offered by ``Grid.reflections`` only when both axes share one
-    difference set)."""
-    if name == "x":
-        return _close(table[::-1], table)
-    if name == "y":
-        return _close(table[:, ::-1], table)
-    return _close(table.T, table)
-
-
 def _sectors(images: np.ndarray, chis, multiplicity: int = 1):
     """The nonempty sectors of the group whose element j, composed of the
     generators whose bits are set in j, maps antenna n to images[j, n]; one
@@ -126,9 +113,8 @@ def _descending(parts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Hermitian N x N correlation or coupling kernel with its provenance: the
-    array it was built on, when known; the total diagonal loading ``rho``
-    applied so far (0 means raw); and the constructor's ``kind``.
+    """Hermitian N x N correlation or coupling kernel with the total diagonal
+    loading ``rho`` applied so far (0 means raw).
 
     ``entries`` is the N x N matrix, or, when ``grid`` is given, the table
     over the grid's unique position differences (``_kernels.Grid``), from
@@ -136,9 +122,7 @@ class Kernel:
     """
 
     entries: np.ndarray
-    geometry: ArrayGeometry | None = None
     rho: float = 0.0
-    kind: str = "matrix"
     grid: Grid | None = None
 
     @property
@@ -161,13 +145,10 @@ class Kernel:
 
     @cached_property
     def reflections(self) -> dict[str, np.ndarray]:
-        """The reflections of the grid (``Grid.reflections``) this kernel's
-        table is even under (``_even``), by name, checked on first use and
-        kept; none without a grid, so an irregular array is one sector."""
-        if self.grid is None:
-            return {}
-        return {name: p for name, p in self.grid.reflections().items()
-                if _even(self.entries, name)}
+        """The reflections of the grid that this kernel's table is even under
+        (``Grid.reflections``), by name, checked on first use and kept; none
+        without a grid, so an irregular array is one sector."""
+        return {} if self.grid is None else self.grid.reflections(self.entries)
 
     def sectors(self, *others: "Kernel") -> list[Sector]:
         """The sectors of the group G generated by those of ``reflections``
@@ -196,18 +177,14 @@ class Kernel:
         images = np.stack(images)
         if not dihedral:
             return list(_sectors(images, range(len(images))))
-        # generator bits x = 1, y = 2, diagonal = 4 (Grid.reflections'
-        # order): characters negating none, both mirrors, the diagonal, or
-        # all three; then the (+, -) sector of the mirrors alone, the first
-        # four elements
+        # generator bits in Grid.reflections' order: characters negating
+        # none, both mirrors, the diagonal, or all three; then the (+, -)
+        # sector of the mirrors alone, the first four elements
         return [*_sectors(images, (0, 3, 4, 7)), *_sectors(images[:4], (2,), 2)]
 
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in decreasing order, solved sector by sector."""
         return _descending(s.eigenvalues(s.block(self)) for s in self.sectors())
-
-
-CouplingMatrix = Kernel
 
 
 def coupling_closed_form(geometry: ArrayGeometry) -> Kernel:
@@ -259,9 +236,7 @@ def coupling_general(geometry: ArrayGeometry, pattern: AntennaPattern) -> Kernel
     if np.iscomplexobj(m):
         residue = np.abs(m.imag).max()
         raise RuntimeError(f"coupling quadrature residue {residue:.3e} exceeds tolerance")
-    closed = _uniform_on_cap(pattern) and pattern.edge is None
-    kind = "closed-form" if closed else f"general({pattern.name})"
-    return Kernel(m, geometry, kind=kind, grid=grid)
+    return Kernel(m, grid=grid)
 
 
 def _check_rho(rho) -> np.ndarray:
@@ -339,16 +314,3 @@ def spd_inv_sqrt(kernel) -> np.ndarray:
     _check_floor(w.min(), getattr(kernel, "rho", 0.0))
     return (v / np.sqrt(w)) @ v.conj().T
 
-
-def write_coupling_csv(coupling: Kernel, path) -> None:
-    """Dense (row, col, value) export with a provenance header."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# n_antennas={coupling.n_antennas}\n")
-        fh.write(f"# rho={coupling.rho:.12g}\n")
-        fh.write(f"# kind={coupling.kind}\n")
-        g = coupling.geometry
-        fh.write(f"# geometry={g.content_hash() if g is not None else 'none'}\n")
-        fh.write("row,col,value\n")
-        m = coupling.matrix
-        i, j = np.indices(m.shape).reshape(2, -1).tolist()
-        fh.writelines("%d,%d,%.12g\n" % row for row in zip(i, j, m.ravel().tolist()))

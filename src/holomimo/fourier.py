@@ -64,13 +64,15 @@ class WavenumberLattice:
 
 
 def build_lattice(aperture) -> WavenumberLattice:
-    """Lattice for an aperture (Dx, Dy) in wavelengths, or a geometry."""
+    """Lattice for an aperture (Dx, Dy) in wavelengths, or a geometry's; the
+    one refusal of an aperture that is not two-dimensional."""
     if isinstance(aperture, ArrayGeometry):
-        d = aperture.aperture_matrix()
-    else:
-        d = np.asarray(aperture, dtype=float).reshape(2)
+        aperture = aperture.aperture
+    d = np.asarray(aperture, dtype=float).reshape(2)
     if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-        raise ValueError(f"aperture must be positive and finite, got ({d[0]:g}, {d[1]:g})")
+        raise ValueError(f"aperture ({d[0]:g}, {d[1]:g}) is degenerate: the lattice kinds "
+                         f"(eigenvalues, dof-sweep, bound-check) need a two-dimensional array "
+                         f"with positive, finite sides")
     jx = np.arange(-int(np.ceil(d[0])), int(np.ceil(d[0])) + 1)
     jy = np.arange(-int(np.ceil(d[1])), int(np.ceil(d[1])) + 1)
     gx, gy = np.meshgrid(jx, jy, indexing="ij")

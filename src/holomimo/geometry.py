@@ -81,20 +81,6 @@ class ArrayGeometry:
         """Side lengths (Lx, Ly) of the bounding box, wavelength units."""
         return (float(np.ptp(self.positions[:, 0])), float(np.ptp(self.positions[:, 1])))
 
-    def aperture_matrix(self) -> np.ndarray:
-        """Diagonal (Dx, Dy) of the aperture, for wavenumber-lattice builds.
-
-        Raises if either side is degenerate: the planar lattice construction
-        needs an invertible aperture matrix, so line arrays are rejected here.
-        """
-        d = np.array(self.aperture, dtype=float)
-        if np.any(d <= 0.0):
-            raise ValueError(
-                f"aperture ({d[0]:g}, {d[1]:g}) is degenerate; a two-dimensional aperture "
-                f"is required"
-            )
-        return d
-
     def content_hash(self) -> str:
         """Short stable hash of the rounded positions, for output headers."""
         import hashlib  # here, not at the top: it loads OpenSSL, and only this header needs it

@@ -7,8 +7,8 @@ from scipy.special import j0
 
 import holomimo._kernels
 import holomimo.channel
-from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, CorrelationMatrix,
-                      CouplingMatrix, SingularCouplingError, build_fourier_basis, build_ula,
+from holomimo import (AngularSpectrum, AntennaPattern, ArrayGeometry, CorrelationMatrix, Kernel,
+                      SingularCouplingError, build_fourier_basis, build_ula,
                       build_upa, cap_spectrum, coupled_correlation_exact, coupling_closed_form,
                       coupling_general, ergodic_capacity, exact_correlation, exact_model,
                       exact_spectra, fourier_model, iid_model, isotropic_spectrum,
@@ -258,9 +258,10 @@ def test_radial_rule_matches_a_j0_reference(g, theta0):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("positions", [[[0.3, -0.2, 0.0]], [[0.0, 0.0, 0.0], [0.37, 0.11, 0.0]]],
                          ids=["one", "two"])
-def test_cap_kernels_on_one_and_two_antennas(positions):
+def test_cap_kernels_on_one_and_two_antennas(monkeypatch, positions):
     # an array whose largest distance is 0 or whose distances are fewer than
     # the interpolation nodes takes the theta rule at each distance
+    theta_calls = _count_theta_rule(monkeypatch)
     g = ArrayGeometry(positions)
     x, y = g.positions[:, 0], g.positions[:, 1]
     dist = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
@@ -268,19 +269,20 @@ def test_cap_kernels_on_one_and_two_antennas(positions):
     r = exact_correlation(g, cap).matrix
     assert np.abs(r - _j0_kernel(dist, cap, HEMISPHERE)).max() <= 1e-13 * 2.0
     pattern = matched_pattern(cap_spectrum(0.5))
+    theta_calls.clear()
     c = coupling_general(g, pattern)
-    assert c.kind == "general(matched(cap(0.5)))"
+    assert theta_calls
     assert np.abs(c.matrix - _j0_kernel(dist, pattern, _coupling_scale(pattern))).max() <= 1e-13
     assert np.all(np.diag(c.matrix) == c.matrix[0, 0])
 
 
-def test_hemisphere_cap_takes_the_closed_form():
+def test_hemisphere_cap_takes_the_closed_form(monkeypatch):
     # cap(pi/2) is uniform on the whole upper hemisphere: R is 2 sinc(2 d)
     # and its matched C the sinc, neither from a rule
+    monkeypatch.setattr(holomimo._kernels, "_theta_rule", _refuse_theta_rule)
     g = build_upa(31, 31, 0.5)
     cap = cap_spectrum(np.pi / 2)
     c = coupling_general(g, matched_pattern(cap))
-    assert c.kind == "closed-form"
     assert np.abs(c.matrix - coupling_closed_form(g).matrix).max() <= 1e-15
     assert coupling_ratio(cap, matched_pattern(cap)) == 0.5
     r = exact_correlation(g, cap).matrix
@@ -292,14 +294,32 @@ def _refuse_phase_table(*args, **kwargs):
     raise AssertionError("a density uniform on its cap built the 2-D phase table")
 
 
+def _refuse_theta_rule(*args, **kwargs):
+    raise AssertionError("a density uniform on the whole hemisphere took the theta rule")
+
+
+def _count_theta_rule(monkeypatch) -> list:
+    """The calls of ``_kernels._theta_rule`` from here on, one entry each."""
+    calls = []
+    theta_rule = holomimo._kernels._theta_rule
+
+    def count(*args):
+        calls.append(args)
+        return theta_rule(*args)
+
+    monkeypatch.setattr(holomimo._kernels, "_theta_rule", count)
+    return calls
+
+
 def test_cap_spectra_never_build_the_phase_table(monkeypatch):
     monkeypatch.setattr(holomimo._kernels, "phase_kernel", _refuse_phase_table)
     g = build_upa(7, 6, 0.3)
     s = spectrum_from_name("cap(0.6)")
     ev, coupled = exact_spectra(g, s, pattern_from_name("matched", s), [0.01])
     assert ev.size == 42 and len(coupled) == 1
-    c = coupling_general(g, matched_pattern(cap_spectrum(0.3)))
-    assert c.kind == "general(matched(cap(0.3)))"
+    theta_calls = _count_theta_rule(monkeypatch)
+    coupling_general(g, matched_pattern(cap_spectrum(0.3)))
+    assert theta_calls
 
 
 def test_custom_spectrum_takes_the_phase_table(monkeypatch):
@@ -380,7 +400,7 @@ def test_whitening_refusal_reports_the_dense_smallest_eigenvalue(monkeypatch):
     c = coupling_closed_form(g)
     table = c.entries.copy()
     table[c.grid.origin] -= 0.5
-    c = CouplingMatrix(table, g, grid=c.grid)
+    c = Kernel(table, grid=c.grid)
     assert len(r.sectors(c)) == 4
     dense = np.linalg.eigh(c.matrix)[0].min()
     reported = []
@@ -505,17 +525,19 @@ def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, g, spe
     # each kernel's table is checked once per reflection of the array (x and
     # y, and the diagonal of a square one) for its eigenvalues and the
     # whitening together; C is built only for a pattern not proportional to
-    # the spectrum
-    even = holomimo.coupling._even
+    # the spectrum.  Every kernel here takes the radial rule, so each _close
+    # is a reflection check, and each reflection's image of the table is a
+    # view with strides of its own
+    close = holomimo._kernels._close
     grid = array_grid(g.positions)
     calls = []
 
-    def count(table, name):
+    def count(image, table):
         assert table.shape == (grid.dx.size, grid.dy.size)
-        calls.append((id(table), name))
-        return even(table, name)
+        calls.append((id(table), image.strides))
+        return close(image, table)
 
-    monkeypatch.setattr(holomimo.coupling, "_even", count)
+    monkeypatch.setattr(holomimo._kernels, "_close", count)
     ev, coupled = exact_spectra(g, spectrum, pattern, rho)
     assert len(calls) == checks and len(set(calls)) == checks
     assert ev.size == g.n_antennas and len(coupled) == len(rho)
@@ -634,7 +656,18 @@ def test_whitened_eigenvalues_refuse_an_indefinite_correlation():
     lam[0] = -1e-6 * lam[-1]
     shifted = CorrelationMatrix((v * lam) @ v.conj().T)
     with pytest.raises(ValueError, match="correlation matrix R is not positive semidefinite"):
-        whitened_eigenvalues(shifted, CouplingMatrix(c.matrix), [0.1])
+        whitened_eigenvalues(shifted, Kernel(c.matrix), [0.1])
+
+
+@pytest.mark.parametrize("n_r, n_c", [(4, 5), (5, 4)], ids=["smaller-R", "larger-R"])
+def test_whitening_refuses_kernels_of_two_arrays(n_r, n_c):
+    # R on one array and C on another of a different size: refused at entry,
+    # not left to a broadcast or a gather deep in the sector solve
+    r = exact_correlation(build_upa(n_r, n_r, 0.5), isotropic_spectrum())
+    c = coupling_closed_form(build_upa(n_c, n_c, 0.5))
+    match = f"R has {n_r * n_r} antennas and C {n_c * n_c}: whiten kernels of one array"
+    with pytest.raises(ValueError, match=match):
+        whitened_eigenvalues(r, c, [0.1])
 
 
 def test_raw_whitened_rows_come_clipped():

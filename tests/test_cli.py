@@ -777,7 +777,7 @@ def test_public_names_are_pinned():
     # an export is added or removed only by editing this list too
     assert sorted(holomimo.__all__) == [
         "AngularSpectrum", "AntennaPattern", "ArrayGeometry", "BoundCheck", "CapacityCurve",
-        "ChannelModel", "CorrelationMatrix", "CouplingMatrix", "FourierBasis", "Kernel",
+        "ChannelModel", "CorrelationMatrix", "FourierBasis", "Kernel",
         "SingularCouplingError", "WavenumberLattice", "build_fourier_basis", "build_lattice",
         "build_ula", "build_upa", "cap_constant", "cap_spectrum", "coupled_correlation_exact",
         "coupling_closed_form", "coupling_general", "ergodic_capacity", "exact_correlation",
@@ -785,8 +785,7 @@ def test_public_names_are_pinned():
         "geometry_from_config", "hemisphere_quadrature", "iid_model", "isotropic_spectrum",
         "low_snr_bound_check", "matched_pattern", "omni_pattern", "pattern_covers",
         "quadrature_for", "regularize", "spd_inv_sqrt", "spd_sqrt", "variances_coupled",
-        "variances_uncoupled", "whitened_eigenvalues", "write_coupling_csv",
-        "write_variances_csv",
+        "variances_uncoupled", "whitened_eigenvalues", "write_variances_csv",
     ]
 
 

@@ -7,9 +7,10 @@ import pytest
 import holomimo._kernels
 from holomimo import (ArrayGeometry, build_ula, build_upa, cap_spectrum, coupling_closed_form,
                       coupling_general, isotropic_spectrum, matched_pattern, omni_pattern,
-                      regularize, spd_inv_sqrt, spd_sqrt, write_coupling_csv)
+                      regularize, spd_inv_sqrt, spd_sqrt)
 from holomimo._kernels import angular_kernel, array_grid
-from holomimo.coupling import CouplingMatrix, Kernel, SingularCouplingError, _coupling_scale
+from holomimo.cli import ExperimentConfig, run_experiment
+from holomimo.coupling import Kernel, SingularCouplingError, _coupling_scale
 from holomimo.spectra import AntennaPattern, _uniform_on_cap, _UniformCap, quadrature_for
 
 # The unit pattern under a name and evaluator of its own: it takes the
@@ -74,12 +75,12 @@ def test_general_matches_closed_form_upa():
 @pytest.mark.parametrize("pattern", [omni_pattern(), matched_pattern(isotropic_spectrum())])
 def test_unit_pattern_takes_closed_form_without_quadrature(monkeypatch, pattern):
     def refuse(*args, **kwargs):
-        raise AssertionError("the unit density built a quadrature")
+        raise AssertionError("the unit density built a quadrature or took the theta rule")
 
     monkeypatch.setattr(holomimo._kernels, "quadrature_for", refuse)
+    monkeypatch.setattr(holomimo._kernels, "_theta_rule", refuse)
     g = build_upa(4, 3, 0.3)
     c = coupling_general(g, pattern)
-    assert c.kind == "closed-form"
     d = np.linalg.norm(g.positions[:, None] - g.positions[None, :], axis=-1)
     assert np.abs(c.matrix - np.sinc(2.0 * d)).max() < 1e-15
 
@@ -217,7 +218,8 @@ def test_grid_reflections_match_position_matching(g, names):
     g = ArrayGeometry(g.positions[np.random.default_rng(3).permutation(g.n_antennas)])
     grid = array_grid(g.positions)
     assert grid is not None
-    got, ref = grid.reflections(), _matched_reflections(g)
+    # a constant table is even under every reflection the array admits
+    got, ref = grid.reflections(np.ones((grid.dx.size, grid.dy.size))), _matched_reflections(g)
     assert sorted(got) == sorted(ref) == names
     for name in names:
         assert np.array_equal(got[name], ref[name])
@@ -317,30 +319,34 @@ def test_inv_sqrt_singular_error_is_actionable():
     spd_inv_sqrt(regularize(c, 1e-3))
 
 
+def _coupling_run(tmp_path, tx, rho):
+    """The coupling_matrix.csv of a coupling-matrix run with omni elements."""
+    cfg = ExperimentConfig(kind="coupling-matrix", tx=tx, rho=rho)
+    run_experiment(cfg, "c", tmp_path)
+    return tmp_path / "coupling_matrix.csv"
+
+
 def test_coupling_csv(tmp_path):
     g = build_ula(3, 0.5)
-    c = regularize(coupling_closed_form(g), 0.25)
-    path = tmp_path / "c.csv"
-    write_coupling_csv(c, path)
+    path = _coupling_run(tmp_path, {"kind": "ula", "n": 3, "d": 0.5}, [0.25])
     lines = path.read_text().splitlines()
-    assert lines[0] == "# n_antennas=3"
-    assert lines[1] == "# rho=0.25"
-    assert any(line.startswith("# geometry=") for line in lines)
-    assert lines[4] == "row,col,value"
+    assert lines[:5] == ["# n_antennas=3", "# rho=0.25", "# kind=closed-form",
+                         f"# geometry={g.content_hash()}", "row,col,value"]
     data = np.loadtxt(path, delimiter=",", skiprows=5)
     assert data.shape == (9, 3)
-    m = np.zeros((3, 3))
-    m[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2]
-    assert np.abs(m - c.matrix).max() < 1e-12
-    # a kernel built without a geometry says so in its header
-    write_coupling_csv(CouplingMatrix(np.eye(2), kind="test"), path)
-    assert path.read_text().splitlines()[2:4] == ["# kind=test", "# geometry=none"]
+    assert np.array_equal(data[:, :2], np.indices((3, 3)).reshape(2, -1).T)
+    m = data[:, 2].reshape(3, 3)
+    assert np.abs(m - regularize(coupling_closed_form(g), 0.25).matrix).max() < 1e-12
 
 
 def test_coupling_csv_bytes(tmp_path):
-    # row-major (row, col) order and %.12g values
-    path = tmp_path / "c.csv"
-    write_coupling_csv(Kernel(np.array([[1.0, 1.0 / 3.0], [1.0 / 3.0, 1e-13]]), rho=0.5), path)
-    assert path.read_bytes() == (b"# n_antennas=2\n# rho=0.5\n# kind=matrix\n# geometry=none\n"
-                                 b"row,col,value\n0,0,1\n0,1,0.333333333333\n"
-                                 b"1,0,0.333333333333\n1,1,1e-13\n")
+    # row-major (row, col) order and %.12g values: 1 + rho on the diagonal,
+    # sinc(1/2) = 2/pi at a quarter wavelength and sinc(1), roundoff of
+    # about 3.9e-17, at half a wavelength
+    g = build_ula(3, 0.25)
+    path = _coupling_run(tmp_path, {"kind": "ula", "n": 3, "d": 0.25}, [0.5])
+    header = (f"# n_antennas=3\n# rho=0.5\n# kind=closed-form\n# geometry={g.content_hash()}\n"
+              f"row,col,value\n").encode()
+    assert path.read_bytes() == header + (b"0,0,1.5\n0,1,0.636619772368\n0,2,3.89817183252e-17\n"
+                                          b"1,0,0.636619772368\n1,1,1.5\n1,2,0.636619772368\n"
+                                          b"2,0,3.89817183252e-17\n2,1,0.636619772368\n2,2,1.5\n")

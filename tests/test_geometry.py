@@ -24,13 +24,6 @@ def test_ula_along_x():
     assert g.aperture == (pytest.approx(0.9), 0.0)
 
 
-def test_aperture_matrix_rejects_degenerate():
-    with pytest.raises(ValueError, match=r"aperture \(1\.5, 0\) is degenerate"):
-        build_ula(4, 0.5).aperture_matrix()
-    d = build_upa(5, 5, 0.5).aperture_matrix()
-    assert np.allclose(d, [2.0, 2.0])
-
-
 @pytest.mark.parametrize("build, match", [
     (lambda: ArrayGeometry(np.zeros((3, 2))), r"positions must be \(N, 3\)"),
     (lambda: ArrayGeometry(np.zeros((0, 3))), "at least one antenna"),
