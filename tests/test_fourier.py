@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from holomimo import (AngularSpectrum, build_fourier_basis, build_lattice, build_ula, build_upa,
-                      cap_constant, cap_spectrum, fourier_matrix, isotropic_spectrum,
-                      matched_pattern, omni_pattern, variances_coupled, variances_uncoupled,
+from holomimo import (AngularSpectrum, build_fourier_basis, build_lattice, build_upa, cap_constant,
+                      cap_spectrum, fourier_matrix, isotropic_spectrum, matched_pattern,
+                      omni_pattern, variances_coupled, variances_uncoupled,
                       write_variances_csv)
 from holomimo import fourier
 from holomimo.channel import exact_correlation
@@ -41,11 +41,6 @@ def test_lattice_from_geometry_and_errors():
     g = build_upa(9, 9, 0.5)
     lat = build_lattice(g)
     assert np.allclose(lat.aperture, [4.0, 4.0])
-    # a line array has no two-dimensional aperture
-    with pytest.raises(ValueError, match=r"aperture \(1\.5, 0\) is degenerate: the lattice kinds "
-                                         r"\(eigenvalues, dof-sweep, bound-check\) need a "
-                                         r"two-dimensional array"):
-        build_lattice(build_ula(4, 0.5))
     with pytest.raises(ValueError):
         build_lattice((0.0, 1.0))
     with pytest.raises(ValueError):

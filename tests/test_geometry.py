@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from holomimo import build_ula, build_upa, coupling_closed_form, geometry_from_config
+from holomimo import (build_lattice, build_ula, build_upa, coupling_closed_form,
+                      geometry_from_config)
 from holomimo.geometry import ArrayGeometry
 
 
@@ -22,6 +23,16 @@ def test_ula_along_x():
     assert np.allclose(g.positions[:, 0], [0, 0.3, 0.6, 0.9])
     assert np.all(g.positions[:, 1:] == 0.0)
     assert g.aperture == (pytest.approx(0.9), 0.0)
+
+
+def test_aperture_matrix_rejects_degenerate():
+    # the aperture matrix diag(Dx, Dy) is the lattice's; a line array has none
+    with pytest.raises(ValueError, match=r"aperture \(1\.5, 0\) is degenerate: the lattice kinds "
+                                         r"\(eigenvalues, dof-sweep, bound-check\) need a "
+                                         r"two-dimensional array"):
+        build_lattice(build_ula(4, 0.5))
+    d = build_lattice(build_upa(5, 5, 0.5)).aperture
+    assert np.allclose(d, [2.0, 2.0])
 
 
 @pytest.mark.parametrize("build, match", [
