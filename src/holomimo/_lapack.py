@@ -5,16 +5,17 @@ BLAS thread count, taken through ``ctypes`` from the OpenBLAS numpy links.
 vectors) and ``eigvalsh`` runs ``zheevd_2stage`` (two-stage
 tridiagonalization; Haidar, Ltaief & Dongarra, SC 2011) from
 ``TWO_STAGE_MIN`` rows up, where it beats numpy's one-stage routine.
-``one_thread`` pins the dense stages to one BLAS thread, so their bits do
-not depend on the host.  The binding loads on first use, and only when
-numpy's build reports 64-bit LAPACK integers and exports these exact
-symbols; otherwise both functions run numpy's ``eigvalsh``, which gives the
-same eigenvalues to roundoff, and ``one_thread`` pins nothing.
+``one_thread`` pins the dense stages, and the workers a pass starts, to one
+BLAS thread, so their bits do not depend on the host.  The binding loads on
+first use, and only when numpy's build reports 64-bit LAPACK integers and
+exports these exact symbols; otherwise both functions run numpy's ``eigvalsh``
+(the same eigenvalues to roundoff) and ``one_thread`` sets only the variables.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 
 import numpy as np
@@ -26,9 +27,12 @@ _COL_MAJOR = 102
 # (equal at 384 rows, 15% faster at 512, 43% at 1444).
 TWO_STAGE_MIN = 400
 
+# The thread count a process reads as it loads its BLAS, whatever the library.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 _routines: tuple | None = None  # the _SYMBOLS once bound, () for the fallback
 _pin = threading.Lock()
-_pinned = [0, 1]  # one_thread bodies running in any thread, and the count the first found
+_pinned = [0, 1, {}]  # one_thread bodies running, and the count and variables the first found
 
 
 def _bind() -> tuple:
@@ -68,18 +72,20 @@ def bound() -> bool:
 
 @contextlib.contextmanager
 def one_thread():
-    """Run the body (or, as a decorator, each call) on one BLAS thread, then restore
-    the caller's count, also when the body raises; without the binding, pin nothing.
-    The count is the process's: overlapping bodies, in any threads, hold it at one
-    (for every BLAS call meanwhile) until the last of them ends."""
-    if not bound():
-        yield
-        return
-    get, set_ = _routines[2:]
+    """Run the body (or, as a decorator, each call) on one BLAS thread, through the
+    binding where it loaded, with ``THREAD_VARIABLES`` at ``"1"``, so a process
+    started meanwhile loads its BLAS on one thread whatever the library.  Both
+    are the process's: overlapping bodies, in any threads, hold them (the
+    variables in the exact stages too, the count in a pass's idle parent) until
+    the last ends, which restores the count and the variables the first found,
+    an unset one unset, also when a body raises."""
     with _pin:
         if not _pinned[0]:
-            _pinned[1] = get()
-            set_(1)
+            _pinned[2] = {k: os.environ[k] for k in THREAD_VARIABLES if k in os.environ}
+            os.environ.update(dict.fromkeys(THREAD_VARIABLES, "1"))
+            if bound():
+                _pinned[1] = _routines[2]()
+                _routines[3](1)
         _pinned[0] += 1
     try:
         yield
@@ -87,7 +93,11 @@ def one_thread():
         with _pin:
             _pinned[0] -= 1
             if not _pinned[0]:
-                set_(_pinned[1])
+                for k in THREAD_VARIABLES:
+                    os.environ.pop(k, None)
+                os.environ.update(_pinned[2])
+                if bound():
+                    _routines[3](_pinned[1])
 
 
 def _two_stage(rows: int) -> bool:

@@ -7,7 +7,6 @@ budget equals the SNR.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -81,9 +80,6 @@ class CapacityCurve:
     label: str = ""
 
 
-# BLAS thread-count variables set to one while Monte-Carlo workers start.
-_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 # Substream index offset of the iid law's draws: counter words that no W index reaches.
 _LAW_STREAMS = 2**64
 
@@ -104,7 +100,6 @@ def _wishart_eigenvalues(rng: np.random.Generator, m: int, n: int) -> np.ndarray
     return _lapack.tridiagonal_eigenvalues(diag, np.sqrt(d2[:-1] * e2))[::-1]
 
 
-@_lapack.one_thread()
 def _draw_block(models: Sequence[ChannelModel], seed: int, start: int, stop: int) -> np.ndarray:
     """Draws ``start`` to ``stop - 1`` of a pass: for each, W from substream
     (seed, i) and each model's descending eigenvalues of its smaller-side Gram
@@ -166,54 +161,38 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Set the BLAS thread variables to one while worker processes start, so each
-    worker's numpy loads a one-thread BLAS, whatever the library; the old values come back after."""
-    saved = {k: os.environ.get(k) for k in _ONE_THREAD}
-    os.environ.update(dict.fromkeys(_ONE_THREAD, "1"))
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def _mc_pass(models: Sequence[ChannelModel], n_mc: int, seed: int,
              workers: int | None = None) -> np.ndarray:
     """The one Monte-Carlo loop, shape (n_mc, models, min(n_r, n_t)): each draw
     index's W is drawn once and every model's Gram eigenvalues taken on it,
     except the ``iid_model``s', which take their law (``_draw_block``).
 
-    ``workers=None`` runs in this process.  A count splits the indices into
-    that many contiguous blocks (at most one per draw), each on a ``spawn``ed
-    process that loads its BLAS with one thread, gathered in index order, so
-    every count gives the same bits.  In this process ``_lapack.one_thread``
-    pins the draws to those bits; without its binding they agree to roundoff.
-    A worker exits as soon as this process is gone, even when it is killed
-    without cleanup.
+    The pass holds ``_lapack.one_thread``.  ``workers=None`` draws in this
+    process, on one BLAS thread.  A count splits the indices into that many
+    contiguous blocks (at most one per draw), each on a ``spawn``ed process
+    that the pin's variables start on one BLAS thread, gathered in index
+    order, so every count gives the same bits; without the binding the
+    in-process draws agree with them to roundoff.  A worker exits as soon as
+    this process is gone, even when it is killed without cleanup.
     """
     shapes = {m.shape for m in models}
     if len(shapes) != 1:
         raise ValueError("a pass needs models of one shape, got: " + (", ".join(
             f"{m.label!r} {m.shape[0]}x{m.shape[1]}" for m in models) or "no models"))
     n_mc = _config_number("n_mc", n_mc, 1)
-    if workers is None:
-        return _draw_block(models, seed, 0, n_mc)
-    n = min(_check_workers(workers), n_mc)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    with _lapack.one_thread():
+        if workers is None:
+            return _draw_block(models, seed, 0, n_mc)
+        n = min(_check_workers(workers), n_mc)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    edges = [n_mc * k // n for k in range(n + 1)]
-    with _one_blas_thread(), ProcessPoolExecutor(
-            n, mp_context=multiprocessing.get_context("spawn"),
-            initializer=_exit_with_parent) as pool:
-        blocks = [pool.submit(_draw_block, models, seed, a, b)
-                  for a, b in zip(edges, edges[1:])]
-        return np.concatenate([f.result() for f in blocks])
+        edges = [n_mc * k // n for k in range(n + 1)]
+        with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_exit_with_parent) as pool:
+            blocks = [pool.submit(_draw_block, models, seed, a, b)
+                      for a, b in zip(edges, edges[1:])]
+            return np.concatenate([f.result() for f in blocks])
 
 
 def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
@@ -229,8 +208,8 @@ def ergodic_capacity(models: Sequence[ChannelModel], snr_db, n_mc: int = 200,
     ``workers=None`` draws in this process; a count, up to the usable CPUs,
     runs the draws on that many ``spawn``ed single-thread worker processes,
     so a script that passes it must guard its entry point with
-    ``if __name__ == "__main__"``.  Every count, and the in-process draws
-    where ``_lapack.one_thread`` pins them, give the same bits.
+    ``if __name__ == "__main__"``.  Under ``_lapack.one_thread`` (``_mc_pass``)
+    every count gives the same bits; so do in-process draws where it binds.
     """
     snr_db = _check_snr(snr_db)
     snr_lin = 10.0 ** (snr_db / 10.0)

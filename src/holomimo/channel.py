@@ -105,10 +105,10 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
     that C also commutes with (``Kernel.sectors``), so R is never checked a
     second time.  Kernels of two antenna counts are refused at entry.  Raises
     SingularCouplingError, before the sign check and any per-rho solve, for
-    a rho that leaves C + rho I at the floor.  The rows
-    are as positive semidefinite as R (Sylvester's law of inertia), so an
-    indefinite R is refused and each row clipped at zero: the whitening
-    amplifies R's roundoff by about top / rho.
+    a rho that leaves C + rho I at the floor.  The rows are as positive
+    semidefinite as R (Sylvester's law of inertia), so an indefinite R is
+    refused (by ``Kernel.eigenvalues``, once per kernel) and each row clipped
+    at zero: the whitening amplifies R's roundoff by about top / rho.
     """
     if correlation.n_antennas != coupling.n_antennas:
         raise ValueError(f"R has {correlation.n_antennas} antennas and C "
@@ -121,8 +121,7 @@ def whitened_eigenvalues(correlation: Kernel, coupling: Kernel, rhos) -> np.ndar
     w_min = min(w.min() for _, w, _ in parts)
     for rho in rhos:
         _check_floor(w_min + rho, coupling.rho + rho)
-    # R's sign, from the eigenvalues of its blocks in C's eigenbasis
-    _psd_spectrum(np.concatenate([s.eigenvalues(r) for s, _, r in parts]), "correlation matrix R")
+    _psd_spectrum(correlation.eigenvalues(), "correlation matrix R")
     out = np.empty((rhos.size, coupling.n_antennas))
     for i, rho in enumerate(rhos):
         ev = []

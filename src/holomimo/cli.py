@@ -3,8 +3,8 @@
 Configs are YAML (JSON works too) key-value tables; see ``presets.py`` for
 complete examples.  Every run writes CSV outputs plus a ``manifest.json``
 echoing the resolved config, library versions, and wall time.  The exact
-spectra and the Monte-Carlo draws run on one BLAS thread (``_lapack.one_thread``
-in process, the environment in each worker), so their CSVs depend only on the
+spectra and the Monte-Carlo draws run on one BLAS thread (``_lapack.one_thread``,
+which also starts each worker on one thread), so their CSVs depend only on the
 config and seed, not on the host's thread count or the workers.
 """
 
@@ -97,7 +97,7 @@ def _coerce(cfg: ExperimentConfig):
         raise ConfigError(f"coupling-matrix takes at most one rho, got {rho}")
     # Only the kinds that build a wavenumber lattice need a two-dimensional aperture.
     if cfg.kind not in ("coupling-matrix", "capacity"):
-        for g, name in ((tx, "tx"), (rx, "rx")):
+        for g, name in ((tx, "tx"), (rx, "rx")) if rx is not tx else ((tx, "tx"),):
             try:
                 build_lattice(g)
             except ValueError as exc:
@@ -302,10 +302,11 @@ def run_experiment(cfg: ExperimentConfig, label: str, out_dir: Path | str | None
     ConfigError before that directory is made.
 
     The Monte-Carlo kinds (capacity, bound-check) run their draws on
-    ``workers`` one-thread processes, by default one per usable CPU.  The
-    exact spectra run on one BLAS thread too, so the outputs depend on
-    neither; the manifest's ``blas_threads`` reads 1, or ``"unpinned"``
-    where the binding did not load and they ran on the caller's threads.
+    ``workers`` processes, by default one per usable CPU, each started on one
+    BLAS thread by ``_lapack.one_thread``, which also pins the exact spectra,
+    so the outputs depend on neither; the manifest's ``blas_threads`` reads 1,
+    or ``"unpinned"`` where the binding did not load and the exact spectra ran
+    on the caller's threads.
     """
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, out_dir=str(out_dir))

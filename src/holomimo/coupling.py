@@ -182,9 +182,15 @@ class Kernel:
         # sector of the mirrors alone, the first four elements
         return [*_sectors(images, (0, 3, 4, 7)), *_sectors(images[:4], (2,), 2)]
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        w = _descending(s.eigenvalues(s.block(self)) for s in self.sectors())
+        w.flags.writeable = False
+        return w
+
     def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in decreasing order, solved sector by sector."""
-        return _descending(s.eigenvalues(s.block(self)) for s in self.sectors())
+        """Real eigenvalues in decreasing order, solved sector by sector once, read-only."""
+        return self._spectrum
 
 
 def coupling_closed_form(geometry: ArrayGeometry) -> Kernel:

@@ -543,6 +543,23 @@ def test_exact_spectra_check_each_reflection_once_per_kernel(monkeypatch, g, spe
     assert ev.size == g.n_antennas and len(coupled) == len(rho)
 
 
+def test_exact_spectra_solve_each_sector_of_r_once(monkeypatch):
+    # on the general path R's spectrum is solved once, sector by sector, and
+    # the whitening's sign check reads it: then each rho costs one solve per
+    # sector that C shares, and C's own sectors are eigh's
+    g, s, p = build_upa(7, 6, 0.4), spectrum_from_name("cap(1.0471975511965976)"), omni_pattern()
+    assert coupling_ratio(s, p) is None
+    sectors = len(exact_correlation(g, s).sectors())
+    assert sectors == 4
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    ev, rows = exact_spectra(g, s, p, [0.01, 0.1])
+    assert len(calls) == 3 * sectors
+    assert sum(shape[0] for shape in calls[:sectors]) == g.n_antennas
+    assert rows.shape == (2, g.n_antennas)
+
+
 def _refuse_coupling(*args, **kwargs):
     raise AssertionError("C built or whitened in general for a pattern proportional to the "
                          "spectrum")

@@ -19,6 +19,7 @@ from holomimo import _lapack
 from holomimo.capacity import CapacityCurve, _usable_cpus
 from holomimo.cli import (ConfigError, ExperimentConfig, _snr_grid, _write_capacity_csv,
                           _write_eig_csv, load_config, main, run_experiment)
+from holomimo.fourier import build_lattice
 from holomimo.geometry import geometry_from_config
 from holomimo.presets import PRESETS
 
@@ -310,6 +311,24 @@ def test_validate_checks_the_config_once(monkeypatch, capsys):
     assert main(["validate", "fig5"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.startswith("ok: fig5: kind=dof-sweep, tx=1681 antennas")
+
+
+def test_validate_builds_one_lattice_per_geometry(monkeypatch, tmp_path):
+    # fig3's rx is its tx, so its aperture is checked once; a distinct rx is
+    # checked on its own and refused by its own name
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return build_lattice(g)
+
+    monkeypatch.setattr("holomimo.cli.build_lattice", counted)
+    assert main(["validate", "fig3"]) == 0
+    assert len(calls) == 1
+    path = write_config(tmp_path, kind="bound-check", rx={"kind": "ula", "n": 8, "d": 0.5})
+    with pytest.raises(ConfigError, match=r"^rx: aperture \(3\.5, 0\) is degenerate"):
+        load_config(str(path))
+    assert len(calls) == 3
 
 
 def test_run_checks_the_config_once(monkeypatch, capsys, tmp_path):

@@ -1,3 +1,7 @@
+import os
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
 import numpy as np
 import pytest
 
@@ -94,40 +98,55 @@ def test_eigvalsh_and_the_manifest_read_one_predicate(monkeypatch):
         monkeypatch.undo()
 
 
-def test_one_thread_restores_the_callers_count():
+def _variables():
+    return tuple(os.environ.get(k) for k in _lapack.THREAD_VARIABLES)
+
+
+def test_one_thread_restores_the_callers_count(monkeypatch):
+    # the count and the thread variables, one of them unset, come back
     if not _lapack.bound():
         pytest.skip("numpy's OpenBLAS is not bound here")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     get, set_ = _lapack._routines[2:]
+
+    def state():
+        return get(), _variables()
+
+    pinned, caller = (1, ("1", "1", "1")), (2, ("2", "2", None))
     saved = get()
     try:
         set_(2)
-        assert get() == 2
+        assert state() == caller
         with _lapack.one_thread():
-            assert get() == 1
-        assert get() == 2
+            assert state() == pinned
+        assert state() == caller
         with pytest.raises(RuntimeError, match="body"), _lapack.one_thread():
-            assert get() == 1
+            assert state() == pinned
             raise RuntimeError("body")
-        assert get() == 2
+        assert state() == caller
         # as a decorator, it pins each call
-        pinned = _lapack.one_thread()(get)
-        assert (pinned(), pinned(), get()) == (1, 1, 2)
+        decorated = _lapack.one_thread()(state)
+        assert (decorated(), decorated(), state()) == (pinned, pinned, caller)
         # bodies that overlap (as in two threads) keep one thread until the
-        # last ends, which restores the count the first found
+        # last ends, which restores what the first found
         first, second = _lapack.one_thread(), _lapack.one_thread()
         first.__enter__()
         second.__enter__()
         first.__exit__(None, None, None)
-        assert get() == 1
+        assert state() == pinned
         second.__exit__(None, None, None)
-        assert get() == 2
+        assert state() == caller
     finally:
         set_(saved)
 
 
-def test_fallback_pins_nothing(fallback, tmp_path):
+def test_fallback_pins_only_the_variables(fallback, monkeypatch, tmp_path):
     # the count, read through numpy's own routines, stays the caller's, and
-    # the manifest says the dense stages ran unpinned
+    # the manifest says the dense stages ran unpinned; a worker started in
+    # the body still reads one thread from every variable, whatever its BLAS,
+    # and the caller's variables come back
     if _NUMPYS:
         get, set_ = _NUMPYS[2:]
         saved = get()
@@ -139,3 +158,9 @@ def test_fallback_pins_nothing(fallback, tmp_path):
             set_(saved)
     cfg = ExperimentConfig(kind="eigenvalues", tx={"nx": 3, "ny": 3, "dx": 0.5}, rho=[0.1])
     assert run_experiment(cfg, "fallback", tmp_path)["blas_threads"] == "unpinned"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    caller = _variables()
+    with _lapack.one_thread(), ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        assert [pool.submit(os.getenv, k).result() for k in _lapack.THREAD_VARIABLES] == ["1"] * 3
+    assert _variables() == caller
